@@ -33,6 +33,7 @@ from .zeeman import (
     ZeemanComplex,
     build,
     concentration_check,
+    horizontal_cohomology_dims,
     page,
     total_complex,
     vertical_cohomology_dims,

@@ -11,11 +11,15 @@ differential of the double complex and into minimal resolutions.
 Representative cocycles are the deterministic echelon lifts of a
 kernel-modulo-image complement, so every downstream matrix is reproducible
 byte for byte.
+
+Each face complex keeps one store per field: the upper-set complex, the
+cohomology summary and the restriction blocks of a face are computed once,
+on first use, and shared by the Cohen-Macaulay scan, the minimal linear
+resolution and page 1 of the double complex.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -148,14 +152,33 @@ def cohomology_summary(vs: VSComplex, field: Field) -> CohomologySummary:
     return CohomologySummary(vs.lo, vs.hi, tuple(dims), tuple(reps))
 
 
+def _stored(fc: FaceComplex, field: Field, key, compute):
+    """The value under ``key`` in the per-field store of ``fc``, computed on first use."""
+    store = fc._local_cohomology.setdefault(field, {})
+    value = store.get(key)
+    if value is None:
+        value = store[key] = compute()
+    return value
+
+
+def local_complex(fc: FaceComplex, g: int, field: Field) -> VSComplex:
+    """The upper-set cochain complex above ``g``, built once per complex and field."""
+    return _stored(fc, field, ("complex", g), lambda: cochain_complex(fc, g, field))
+
+
 def local_cohomology(fc: FaceComplex, g: int, field: Field) -> CohomologySummary:
-    """Cohomology of the upper-set complex near ``g``, with representatives."""
-    return cohomology_summary(cochain_complex(fc, g, field), field)
+    """Cohomology of the upper-set complex near ``g``, with representatives;
+    computed once per complex and field."""
+    return _stored(
+        fc, field, ("summary", g), lambda: cohomology_summary(local_complex(fc, g, field), field)
+    )
 
 
-def _restriction_core(sign, src, src_h, dst, dst_h, p, field: Field) -> Mat:
-    src_reps = src_h.reps(p)
-    dst_reps = dst_h.reps(p)
+def _restriction_core(fc: FaceComplex, g: int, g_prime: int, field: Field, p: int) -> Mat:
+    src, dst = local_complex(fc, g, field), local_complex(fc, g_prime, field)
+    src_reps = local_cohomology(fc, g, field).reps(p)
+    dst_reps = local_cohomology(fc, g_prime, field).reps(p)
+    sign = fc.cover_sign(g_prime, g)
     rows = len(dst_reps)
     cols = len(src_reps)
     if rows == 0 or cols == 0:
@@ -191,11 +214,8 @@ def restriction_map(fc: FaceComplex, g: int, g_prime: int, field: Field, p: int)
     """
     if not fc.is_cover(g_prime, g):
         raise ValueError(f"face {g_prime} is not a facet of face {g}")
-    sign = fc.cover_sign(g_prime, g)
-    src = cochain_complex(fc, g, field)
-    dst = cochain_complex(fc, g_prime, field)
-    return _restriction_core(
-        sign, src, cohomology_summary(src, field), dst, cohomology_summary(dst, field), p, field
+    return _stored(
+        fc, field, ("restriction", g, g_prime, p), lambda: _restriction_core(fc, g, g_prime, field, p)
     )
 
 
@@ -207,32 +227,18 @@ class CMResult(NamedTuple):
         return self.ok
 
 
-def _local_dims(args):
-    fc, g, field = args
-    return local_cohomology(fc, g, field)
-
-
 def is_cohen_macaulay(fc: FaceComplex, field: Field) -> CMResult:
     """Whether all local cohomology below the top dimension vanishes.
 
     On failure the witness is the first (face, degree) pair in face order
     with a nonzero group, together with its dimension.  A complex with
     only the minimal face is Cohen-Macaulay (the condition is vacuous).
-    The ZEEMAC_JOBS environment variable >1 computes faces concurrently.
     """
     n = fc.dim
-    order = [f.id for f in fc.faces]
-    jobs = int(os.environ.get("ZEEMAC_JOBS", "1") or "1")
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(pool.map(_local_dims, [(fc, g, field) for g in order]))
-    else:
-        summaries = [local_cohomology(fc, g, field) for g in order]
-    for g, summary in zip(order, summaries):
+    for f in fc.faces:
+        summary = local_cohomology(fc, f.id, field)
         for p in range(summary.lo, min(summary.hi, n - 1) + 1):
             d = summary.dim(p)
-            if p < n and d > 0:
-                return CMResult(False, (g, p, d))
+            if d > 0:
+                return CMResult(False, (f.id, p, d))
     return CMResult(True, None)

@@ -71,6 +71,7 @@ class FaceComplex:
             self._up[c.lower].append((c.upper, c.sign))
             self._down[c.upper].append((c.lower, c.sign))
         self._cover_sign = {(c.lower, c.upper): c.sign for c in self.covers}
+        self._local_cohomology: dict = {}  # Field -> {key: value}, filled by cohomology._stored
 
     @property
     def dim(self) -> int:

@@ -139,6 +139,7 @@ class Mat:
     def from_rows(cls, rows, field: Field) -> "Mat":
         data = []
         ncols = None
+        nrows = 0
         for row in rows:
             row = list(row)
             if ncols is None:
@@ -146,7 +147,7 @@ class Mat:
             elif len(row) != ncols:
                 raise ValueError("ragged rows")
             data.extend(field.reduce(x) for x in row)
-        nrows = len(list(rows))
+            nrows += 1
         if ncols is None:
             ncols = 0
         return cls(nrows, ncols, tuple(data))

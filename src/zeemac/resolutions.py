@@ -23,12 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import (
-    _restriction_core,
-    cochain_complex,
-    cohomology_summary,
-    is_cohen_macaulay,
-)
+from .cohomology import is_cohen_macaulay, local_cohomology, restriction_map
 from .complexes import DegenerateComplexError, FaceComplex, MissingGeometryError
 from .linalg import Field, Mat, QQ, rank
 from .zeeman import diagonal_sign
@@ -194,21 +189,13 @@ def minimal_linear_resolution(fc: FaceComplex, field: Field = QQ) -> FaceModuleC
     if not verdict.ok:
         raise NotCohenMacaulayError(verdict.witness)
     n = fc.dim
-
-    complexes = {}
-    summaries = {}
-    for f in fc.faces:
-        c = cochain_complex(fc, f.id, field)
-        complexes[f.id] = c
-        summaries[f.id] = cohomology_summary(c, field)
-
     term_faces = []
     offsets = []  # per term: face id -> (start column, multiplicity)
     for i in range(n + 1):
         faces = []
         offs = {}
         for g in fc.faces_of_dim(n - i):
-            mult = summaries[g].dim(n)
+            mult = local_cohomology(fc, g, field).dim(n)
             if mult:
                 offs[g] = (len(faces), mult)
                 faces.extend([g] * mult)
@@ -224,14 +211,12 @@ def minimal_linear_resolution(fc: FaceComplex, field: Field = QQ) -> FaceModuleC
         dom, cod = terms[i], terms[i + 1]
         rows = [[field.zero()] * len(dom) for _ in range(len(cod))]
         for g, (c0, cm) in offsets[i].items():
-            for g2, sign in fc.covers_below(g):
+            for g2, _ in fc.covers_below(g):
                 tgt = offsets[i + 1].get(g2)
                 if tgt is None:
                     continue
                 r0, rm = tgt
-                block = _restriction_core(
-                    sign, complexes[g], summaries[g], complexes[g2], summaries[g2], n, field
-                )
+                block = restriction_map(fc, g, g2, field, n)
                 for r in range(rm):
                     for c in range(cm):
                         rows[r0 + r][c0 + c] = block.entry(r, c)

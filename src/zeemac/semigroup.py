@@ -202,20 +202,6 @@ class AffineSemigroup:
                 return False
         return True
 
-    def carrier(self, a):
-        """The smallest face containing ``a``, or None when a is outside Q."""
-        a = tuple(a)
-        vals = [self.evaluate(i, a) for i in range(len(self.functionals))]
-        if any(v < 0 for v in vals):
-            return None
-        vanishing = frozenset(i for i, v in enumerate(vals) if v == 0)
-        best = None
-        for f in self._faces:
-            if f.vanishing >= vanishing and self.membership(f, a):
-                if best is None or f.dim < best.dim:
-                    best = f
-        return best
-
 
 def face_lattice(q: AffineSemigroup) -> FaceComplex:
     """The full face lattice of the cone as a validated FaceComplex.

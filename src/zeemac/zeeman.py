@@ -14,6 +14,12 @@ page 1 the horizontal cohomology with the induced vertical maps, page 2
 its cohomology together with honest knight-move differentials computed by
 zigzag lifting, and the terminal page the associated graded of total
 cohomology under the row filtration.
+
+Row q is block-diagonal over the admitted faces G of dimension -q, each
+block the upper-set complex of G up to the twist, so page 1 is assembled
+from the per-face local cohomology and restriction blocks of
+``cohomology``.  ``horizontal_cohomology_dims`` recomputes its dimensions
+from ranks of the whole rows, sharing no code with that assembly.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dfield
 
-from .cohomology import VSComplex, cohomology_summary, echelon_representatives
+from .cohomology import VSComplex, echelon_representatives, local_cohomology, local_complex, restriction_map
 from .complexes import FaceComplex, MissingGeometryError
 from .linalg import (
     Field,
@@ -237,40 +243,37 @@ class _Page1Data:
 def _page1_data(z: ZeemanComplex) -> _Page1Data:
     if z._page1 is not None:
         return z._page1
-    field = z.field
+    fc, field = z.fc, z.field
     reps: dict = {}
-    for q in sorted({q for (_, q) in z.blocks}, reverse=True):
-        labels = tuple(z.block(p, q) for p in range(z.pmax + 1))
-        diffs = tuple(z.horiz(p, q) for p in range(z.pmax))
-        row = VSComplex(0, z.pmax, labels, diffs)
-        summary = cohomology_summary(row, field)
-        for p in range(z.pmax + 1):
-            r = summary.reps(p)
-            if r:
-                reps[(p, q)] = r
+    owners: dict = {}  # (p,q) -> (face, index among its representatives) per rep
+    # The pivots of a block-diagonal row are those of its blocks, so its
+    # representatives are the per-face ones, ordered by their last nonzero pair.
+    for (p, q), pairs in sorted(z.blocks.items(), key=lambda item: (-item[0][1], item[0][0])):
+        pos = {pair: i for i, pair in enumerate(pairs)}
+        found = []
+        for g in sorted({g for _, g in pairs}):
+            basis = local_complex(fc, g, field).basis(p)
+            for k, rep in enumerate(local_cohomology(fc, g, field).reps(p)):
+                vec = [field.zero()] * len(pairs)
+                for f, x in zip(basis, rep):
+                    vec[pos[(f, g)]] = x
+                last = max(pos[(f, g)] for f, x in zip(basis, rep) if x)
+                found.append((last, tuple(vec), (g, k)))
+        if found:
+            found.sort(key=lambda t: t[0])
+            reps[(p, q)] = tuple(vec for _, vec, _ in found)
+            owners[(p, q)] = [owner for _, _, owner in found]
     dmats: dict = {}
-    for (p, q), rlist in sorted(reps.items()):
-        tgt = reps.get((p, q + 1), ())
-        cob = z.horiz(p - 1, q + 1)
-        generators = [list(t) for t in tgt]
-        for j in range(cob.cols):
-            generators.append(list(cob.col(j)))
-        if not tgt:
-            dmats[(p, q)] = Mat.zeros(0, len(rlist), field)
-            continue
-        cols = []
-        vmat = z.vert(p, q)
-        for rep in rlist:
-            v = vmat.mul_vec(rep, field) if vmat.rows else ()
-            if len(v) == 0:
-                cols.append([field.zero()] * len(tgt))
-                continue
-            sol = solve_in_subspace(v, generators, field)
-            if sol is None:
-                raise RuntimeError("vertical image failed to reduce on page 1")
-            cols.append(list(sol[: len(tgt)]))
-        rows = [[cols[j][i] for j in range(len(rlist))] for i in range(len(tgt))]
-        dmats[(p, q)] = Mat.from_rows(rows, field)
+    for (p, q), src in sorted(owners.items()):
+        row_of = {owner: i for i, owner in enumerate(owners.get((p, q + 1), ()))}
+        rows = [[field.zero()] * len(src) for _ in row_of]
+        for j, (g, k) in enumerate(src):
+            for g2, _ in fc.covers_below(g):
+                if (g2, 0) in row_of:
+                    block = restriction_map(fc, g, g2, field, p)
+                    for k2 in range(block.rows):
+                        rows[row_of[(g2, k2)]][j] = block.entry(k2, k)
+        dmats[(p, q)] = Mat.from_rows(rows, field) if rows else Mat.zeros(0, len(src), field)
     data = _Page1Data(reps, dmats)
     z._page1 = data
     return data
@@ -439,24 +442,38 @@ class ConcentrationResult:
 
 
 def concentration_check(z: ZeemanComplex, n: int | None = None) -> ConcentrationResult:
-    """Whether page 1 is concentrated in the column of the top dimension."""
+    """Whether page 1 is concentrated in the column of the top dimension.
+
+    The dimensions come from ranks of the whole-row matrices of ``build``
+    (``horizontal_cohomology_dims``), not from the per-face engine behind
+    ``page(z, 1)`` and ``is_cohen_macaulay``, so agreement between this
+    check and the Cohen-Macaulay verdict is a real cross-check.
+    """
     if n is None:
         n = z.fc.dim
-    p1 = page(z, 1)
     violations = tuple(
-        (p, q, d) for (p, q), d in sorted(p1.dims.items()) if d > 0 and p != n
+        (p, q, d) for (p, q), d in sorted(horizontal_cohomology_dims(z).items()) if p != n
     )
     return ConcentrationResult(not violations, n, violations)
 
 
-def vertical_cohomology_dims(z: ZeemanComplex) -> dict:
-    """Dimensions of the column-wise (vertical-first) cohomology."""
-    field = z.field
+def _rank_only_dims(z: ZeemanComplex, maps: dict, step: tuple) -> dict:
+    """Cohomology dimensions of the complexes made by ``maps``, each map
+    going from (p, q) to (p + step[0], q + step[1]); ranks only."""
+    ranks = {k: rank(m, z.field) for k, m in maps.items()}
     dims: dict = {}
     for (p, q), pairs in z.blocks.items():
-        out_rank = rank(z.vert(p, q), field) if z.block(p, q + 1) else 0
-        in_rank = rank(z.vert(p, q - 1), field) if z.block(p, q - 1) else 0
-        d = len(pairs) - out_rank - in_rank
+        d = len(pairs) - ranks.get((p, q), 0) - ranks.get((p - step[0], q - step[1]), 0)
         if d:
             dims[(p, q)] = d
     return dims
+
+
+def horizontal_cohomology_dims(z: ZeemanComplex) -> dict:
+    """Dimensions of the row-wise (horizontal-first) cohomology: page 1."""
+    return _rank_only_dims(z, z.horizontal, (1, 0))
+
+
+def vertical_cohomology_dims(z: ZeemanComplex) -> dict:
+    """Dimensions of the column-wise (vertical-first) cohomology."""
+    return _rank_only_dims(z, z.vertical, (0, 1))

@@ -1,4 +1,3 @@
-import os
 import random
 
 import pytest
@@ -7,10 +6,12 @@ from zeemac import (
     GF,
     QQ,
     SimplicialComplex,
+    build,
     cochain_complex,
     cone_of_simplicial,
     is_cohen_macaulay,
     local_cohomology,
+    page,
     restriction_map,
 )
 from zeemac.eagon_reiner import reduced_cohomology_dims
@@ -127,22 +128,22 @@ def test_cm_hollow_triangle_all_fields():
 
 
 def test_cm_bowtie_witness_at_shared_vertex():
-    fc, ids = cone_with_ids(bowtie())
-    verdict = is_cohen_macaulay(fc, QQ)
-    assert not verdict.ok
-    g, p, dim = verdict.witness
-    assert g == ids[(3,)]
-    assert p == 2 and dim == 1
+    for field in (QQ, GF(2)):
+        for page_first in (False, True):
+            fc, ids = cone_with_ids(bowtie())
+            if page_first:  # page 1 fills the per-face store before the scan
+                page(build(fc, None, field), 2)
+            assert is_cohen_macaulay(fc, field) == (False, (ids[(3,)], 2, 1))
 
 
 def test_cm_rp2_depends_on_characteristic():
-    fc = cone_of_simplicial(rp2())
-    assert is_cohen_macaulay(fc, QQ).ok
-    assert is_cohen_macaulay(fc, GF(3)).ok
-    verdict = is_cohen_macaulay(fc, GF(2))
-    assert not verdict.ok
-    g, p, dim = verdict.witness
-    assert fc.face(g).dim == 0 and p == 2 and dim == 1
+    for page_first in (False, True):
+        fc = cone_of_simplicial(rp2())
+        if page_first:
+            page(build(fc, None, GF(2)), 2)
+        assert is_cohen_macaulay(fc, QQ).ok
+        assert is_cohen_macaulay(fc, GF(3)).ok
+        assert is_cohen_macaulay(fc, GF(2)) == (False, (fc.minimal_face(), 2, 1))
 
 
 def test_cm_zero_dimensional_complex():
@@ -198,14 +199,3 @@ def test_cone_preserves_cm_verdict():
                 is_cohen_macaulay(cone_of_simplicial(coned), f).ok
                 == is_cohen_macaulay(cone_of_simplicial(sc), f).ok
             )
-
-
-def test_parallel_jobs_env_gives_same_answer():
-    fc = cone_of_simplicial(rp2())
-    serial = is_cohen_macaulay(fc, GF(2))
-    os.environ["ZEEMAC_JOBS"] = "4"
-    try:
-        parallel = is_cohen_macaulay(fc, GF(2))
-    finally:
-        del os.environ["ZEEMAC_JOBS"]
-    assert serial == parallel

@@ -27,6 +27,12 @@ def mat(rows, field=QQ):
     return Mat.from_rows(rows, field)
 
 
+def test_from_rows_accepts_a_generator():
+    m = Mat.from_rows((list(r) for r in HOLLOW_BOUNDARY), QQ)
+    assert (m.rows, m.cols) == (3, 3)
+    assert m == mat(HOLLOW_BOUNDARY)
+
+
 def test_rank_identity():
     assert rank(Mat.identity(2, QQ), QQ) == 2
 

@@ -18,7 +18,7 @@ from .complexes import (
     upper_set,
     validate,
 )
-from .semigroup import AffineSemigroup, ConeFace, face_lattice, membership, relint_representatives
+from .semigroup import AffineSemigroup, ConeFace, face_lattice
 from .cohomology import (
     CohomologySummary,
     VSComplex,

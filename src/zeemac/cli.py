@@ -3,8 +3,10 @@
 Commands: validate, cm-check, zeeman, irres, total-irres, dual, betti,
 hilbert.  Exit codes: 0 on success with a true verdict, 1 when the checked
 verdict is false (not valid / not Cohen-Macaulay / not linear), 2 on input
-errors.  Reports are deterministic byte for byte; ``--format json`` emits
-machine-readable documents (resolutions re-ingest via formats).
+errors.  Every command but validate checks the complex first and treats an
+invalid one (a bad diamond, say) as an input error.  Reports are
+deterministic byte for byte; ``--format json`` emits machine-readable
+documents (resolutions re-ingest via formats).
 """
 
 from __future__ import annotations
@@ -55,6 +57,19 @@ def _describe(bundle: formats.InputBundle, path: str) -> str:
     )
 
 
+def _bad_diamond(fc, g: int, f: int) -> str:
+    return f"bad diamond: {fc.face(g).label} < {fc.face(f).label} has nonzero sign sum"
+
+
+def _first_problem(fc) -> str | None:
+    """The first bad diamond, else the first other problem, of an invalid
+    complex; None for a valid one."""
+    rep = validate(fc)
+    if rep.bad_diamonds:
+        return _bad_diamond(fc, *rep.bad_diamonds[0])
+    return rep.problems[0] if rep.problems else None
+
+
 def _cmd_validate(bundle, args, out, doc) -> int:
     rep = validate(bundle.fc)
     out.append(f"faces: {len(bundle.fc.faces)}  covers: {len(bundle.fc.covers)}")
@@ -70,9 +85,7 @@ def _cmd_validate(bundle, args, out, doc) -> int:
     for p in rep.problems:
         out.append(f"problem: {p}")
     for g, f in rep.bad_diamonds:
-        out.append(
-            f"bad diamond: {bundle.fc.face(g).label} < {bundle.fc.face(f).label} has nonzero sign sum"
-        )
+        out.append(_bad_diamond(bundle.fc, g, f))
     return 1
 
 
@@ -401,6 +414,11 @@ def run(argv) -> int:
     except formats.InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.command != "validate":
+        problem = _first_problem(bundle.fc)
+        if problem is not None:
+            print(f"error: {args.input} is not a valid face complex: {problem}", file=sys.stderr)
+            return 2
     out: list[str] = []
     out.append(_describe(bundle, args.input))
     doc: dict = {"command": args.command, "input": args.input}

@@ -2,28 +2,33 @@
 
 Everything downstream (cochain complexes, spectral-sequence pages,
 resolution certificates) reduces to ranks, kernels, images and solves
-computed here.  Matrices are small and dense, so correctness and
-reproducibility win over speed: pivoting is deterministic (first nonzero
-entry in column order), rational arithmetic uses `fractions.Fraction`,
-and prime-field scalars are canonical representatives in ``[0, p)``.
+computed here.  Matrices are stored dense; rational arithmetic uses
+`fractions.Fraction`, and prime-field scalars are canonical
+representatives in ``[0, p)``.
 
-Rank computations take a fraction-free integer path (rows are scaled to
-integers, elimination uses cross-multiplication with gcd normalization),
-which keeps the large total-complex rank checks fast without leaving
-exact arithmetic.
+Two elimination kernels serve two needs.  Kernels, images, solves and
+representatives go through a canonical reduced echelon form (``_rref``:
+deterministic first-nonzero pivoting in column order), so every basis
+they return is reproducible.  Ranks and column-prefix ranks depend on no
+pivot choice, so they go through a sparse column reduction
+(``_prefix_ranks``) that reads only the nonzero entries, works mod p over
+F_p and fraction-free over the integers for rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import chain, compress, repeat
+from math import gcd, lcm
+from operator import is_not
 
 
 class FieldMismatchError(ValueError):
     """An entry cannot be reduced into the requested field."""
 
 
+_QQ_ZERO = Fraction(0)  # one shared zero, so sparse reads can skip zeros by identity
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -69,7 +74,7 @@ class Field:
         return self.p is None
 
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return _QQ_ZERO if self.p is None else 0
 
     def one(self):
         return Fraction(1) if self.p is None else 1
@@ -168,17 +173,19 @@ class Mat:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
+
+    def nonzero_indices(self, field: Field):
+        """Flat indexes of every nonzero entry, and of any zero that is not
+        ``field.zero()`` itself.  Skipping by identity keeps the scan in C
+        (a Fraction's truth test runs Python code)."""
+        return compress(range(len(self.entries)), map(is_not, self.entries, repeat(field.zero())))
 
     def to_lists(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "Mat":
-        return Mat(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
+        return Mat(self.cols, self.rows, tuple(chain.from_iterable(self.col(j) for j in range(self.cols))))
 
     def mul_vec(self, v, field: Field) -> tuple:
         if len(v) != self.cols:
@@ -263,93 +270,76 @@ def _rref(rows: list[list], field: Field) -> list[int]:
     return pivots
 
 
-def _integer_rows(m: Mat) -> list[list[int]]:
-    """Scale each row of a rational matrix to integers (rank-preserving)."""
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        mult = 1
-        for x in row:
-            d = x.denominator if isinstance(x, Fraction) else 1
-            mult = mult * d // gcd(mult, d)
-        out.append([int(x * mult) if isinstance(x, Fraction) else int(x) * mult for x in row])
-    return out
+def _prefix_ranks(m: Mat, field: Field, order) -> list[int]:
+    """Rank of the columns ``order[:k]`` of ``m`` over ``field``, for every k.
 
-
-def _int_forward_ranks(rows: list[list[int]], checkpoints: list[int]) -> list[int]:
-    """Fraction-free forward elimination over the integers.
-
-    Processes columns left to right and records the pivot count after
-    each checkpoint column index (checkpoints must be increasing).
+    Sparse column reduction: the nonzeros of ``m`` are read once into
+    columns ``{row: value}``, which are reduced left to right in ``order``,
+    each eliminated on its largest row index against the reduced column
+    that owns that row.  A column that survives owns its largest row and
+    adds one to the rank.  Over F_p the arithmetic is mod p (over F_2 a
+    column is just its set of rows); over QQ each column is scaled to
+    integers and reduced fraction-free, divided by its content after each
+    step.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    p = field.p
+    ncols = m.cols
+    entries = m.entries
+    cols: dict = {}
+    for idx in m.nonzero_indices(field):
+        x = field.reduce(entries[idx])
+        if x:
+            i, j = divmod(idx, ncols)
+            cols.setdefault(j, {})[i] = x
+    owner: dict = {}  # row -> the reduced column whose largest row it is
     out = []
-    rank = 0
-    ci = 0
-    for c in range(ncols):
-        if rank < nrows:
-            pr = None
-            for i in range(rank, nrows):
-                if rows[i][c]:
-                    pr = i
+    for j in order:
+        col = cols.get(j, {})
+        if p == 2:
+            col = set(col)
+            while col:
+                piv = owner.get(low := max(col))
+                if piv is None:
+                    owner[low] = col
                     break
-            if pr is not None:
-                rows[rank], rows[pr] = rows[pr], rows[rank]
-                pivot_row = rows[rank]
-                pv = pivot_row[c]
-                for i in range(rank + 1, nrows):
-                    ri = rows[i]
-                    a = ri[c]
-                    if a:
-                        g = 0
-                        for j in range(c, ncols):
-                            ri[j] = ri[j] * pv - a * pivot_row[j]
-                            g = gcd(g, ri[j])
-                        if g > 1:
-                            for j in range(c, ncols):
-                                ri[j] //= g
-                rank += 1
-        while ci < len(checkpoints) and checkpoints[ci] == c:
-            out.append(rank)
-            ci += 1
-    while ci < len(checkpoints):
-        out.append(rank)
-        ci += 1
-    return out
-
-
-def _modp_forward_ranks(rows: list[list[int]], p: int, checkpoints: list[int]) -> list[int]:
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    out = []
-    rank = 0
-    ci = 0
-    for c in range(ncols):
-        if rank < nrows:
-            pr = None
-            for i in range(rank, nrows):
-                if rows[i][c]:
-                    pr = i
+                col ^= piv
+        elif p is None:
+            mult = lcm(*(x.denominator for x in col.values()))
+            col = {i: x.numerator * (mult // x.denominator) for i, x in col.items()}
+            while col:
+                piv = owner.get(low := max(col))
+                g = gcd(*col.values())
+                if g > 1:
+                    col = {i: x // g for i, x in col.items()}
+                if piv is None:
+                    owner[low] = col
                     break
-            if pr is not None:
-                rows[rank], rows[pr] = rows[pr], rows[rank]
-                pivot_row = rows[rank]
-                inv = pow(pivot_row[c], -1, p)
-                for i in range(rank + 1, nrows):
-                    ri = rows[i]
-                    a = ri[c]
-                    if a:
-                        f = a * inv % p
-                        for j in range(c, ncols):
-                            ri[j] = (ri[j] - f * pivot_row[j]) % p
-                rank += 1
-        while ci < len(checkpoints) and checkpoints[ci] == c:
-            out.append(rank)
-            ci += 1
-    while ci < len(checkpoints):
-        out.append(rank)
-        ci += 1
+                g = gcd(col[low], piv[low])
+                a, b = col[low] // g, piv[low] // g
+                if b < 0:
+                    a, b = -a, -b
+                if b != 1:
+                    col = {i: x * b for i, x in col.items()}
+                for i, x in piv.items():
+                    if y := col.get(i, 0) - a * x:
+                        col[i] = y
+                    else:
+                        del col[i]
+        else:
+            col = dict(col)
+            while col:
+                piv = owner.get(low := max(col))
+                if piv is None:
+                    inv = pow(col[low], -1, p)
+                    owner[low] = {i: x * inv % p for i, x in col.items()}
+                    break
+                a = col[low]
+                for i, x in piv.items():
+                    if y := (col.get(i, 0) - a * x) % p:
+                        col[i] = y
+                    else:
+                        del col[i]
+        out.append(len(owner))
     return out
 
 
@@ -357,11 +347,7 @@ def rank(m: Mat, field: Field) -> int:
     """Row rank (= column rank) of ``m`` over ``field``."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    if field.is_rationals:
-        rows = _integer_rows(m)
-        return _int_forward_ranks(rows, [m.cols - 1])[0]
-    rows = [[field.reduce(x) for x in m.row(i)] for i in range(m.rows)]
-    return _modp_forward_ranks(rows, field.p, [m.cols - 1])[0]
+    return _prefix_ranks(m, field, range(m.cols))[-1]
 
 
 def column_prefix_ranks(m: Mat, field: Field, order: list[int]) -> list[int]:
@@ -369,17 +355,7 @@ def column_prefix_ranks(m: Mat, field: Field, order: list[int]) -> list[int]:
 
     Returns a list of length ``len(order)``; one elimination pass total.
     """
-    if not order:
-        return []
-    perm_rows = [[m.entry(i, j) for j in order] for i in range(m.rows)]
-    checkpoints = list(range(len(order)))
-    if m.rows == 0:
-        return [0] * len(order)
-    if field.is_rationals:
-        rows = _integer_rows(Mat.from_rows(perm_rows, field))
-        return _int_forward_ranks(rows, checkpoints)
-    rows = [[field.reduce(x) for x in row] for row in perm_rows]
-    return _modp_forward_ranks(rows, field.p, checkpoints)
+    return _prefix_ranks(m, field, order)
 
 
 def kernel_basis(m: Mat, field: Field) -> list[tuple]:

@@ -298,15 +298,3 @@ def _orientation_sign(basis_g, interior_f, basis_f) -> int:
         raise ValueError("degenerate orientation data on a cover pair")
     return s
 
-
-def membership(q: AffineSemigroup, face: ConeFace, a) -> bool:
-    return q.membership(face, a)
-
-
-def relint_representatives(q: AffineSemigroup) -> dict:
-    """One lattice point strictly inside each face; the zero vector for the
-    minimal face."""
-    out = {}
-    for f in q.faces():
-        out[f] = f.interior_point
-    return out

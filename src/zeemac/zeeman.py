@@ -125,27 +125,28 @@ def build(fc: FaceComplex, a=None, field: Field = QQ) -> ZeemanComplex:
     vertical: dict = {}
     horizontal: dict = {}
     for (p, q), pairs in blocks.items():
+        w = len(pairs)
         tgt_v = blocks.get((p, q + 1), ())
         if tgt_v:
             idx = index[(p, q + 1)]
-            rows = [[field.zero()] * len(pairs) for _ in tgt_v]
+            flat = [field.zero()] * (len(tgt_v) * w)
             for j, (f, g) in enumerate(pairs):
                 for g2, sign in fc.covers_below(g):
                     i = idx.get((f, g2))
                     if i is not None:
-                        rows[i][j] = field.reduce(sign)
-            vertical[(p, q)] = Mat.from_rows(rows, field)
+                        flat[i * w + j] = field.reduce(sign)
+            vertical[(p, q)] = Mat(len(tgt_v), w, tuple(flat))
         tgt_h = blocks.get((p + 1, q), ())
         if tgt_h:
             idx = index[(p + 1, q)]
             twist = -1 if q % 2 else 1
-            rows = [[field.zero()] * len(pairs) for _ in tgt_h]
+            flat = [field.zero()] * (len(tgt_h) * w)
             for j, (f, g) in enumerate(pairs):
                 for f2, sign in fc.covers_above(f):
                     i = idx.get((f2, g))
                     if i is not None:
-                        rows[i][j] = field.reduce(twist * sign)
-            horizontal[(p, q)] = Mat.from_rows(rows, field)
+                        flat[i * w + j] = field.reduce(twist * sign)
+            horizontal[(p, q)] = Mat(len(tgt_h), w, tuple(flat))
     return ZeemanComplex(fc, field, a, blocks, vertical, horizontal)
 
 
@@ -177,27 +178,21 @@ def total_complex(z: ZeemanComplex) -> AugmentedTotal:
     index = [
         {lab: i for i, lab in enumerate(level)} for level in labels
     ]
-    blk_index = {k: {pair: i for i, pair in enumerate(v)} for k, v in z.blocks.items()}
-    diffs = []
-    for n in range(hi):
-        dom, cod = labels[n], labels[n + 1]
-        cod_pos = index[n + 1]
-        rows = [[field.zero()] * len(dom) for _ in cod]
-        for j, ((p, q), pair) in enumerate(dom):
-            jloc = blk_index[(p, q)][pair]
-            h = z.horizontal.get((p, q))
-            if h is not None:
-                for i2, pair2 in enumerate(z.block(p + 1, q)):
-                    e = h.entry(i2, jloc)
-                    if e:
-                        rows[cod_pos[((p + 1, q), pair2)]][j] = e
-            v = z.vertical.get((p, q))
-            if v is not None:
-                for i2, pair2 in enumerate(z.block(p, q + 1)):
-                    e = v.entry(i2, jloc)
-                    if e:
-                        rows[cod_pos[((p, q + 1), pair2)]][j] = e
-        diffs.append(Mat.from_rows(rows, field))
+    # The block maps hold reduced scalars already: copy their nonzeros into
+    # each flat differential instead of re-reducing dense rows.
+    diffs = [[field.zero()] * (len(labels[n]) * len(labels[n + 1])) for n in range(hi)]
+    for maps, step in ((z.horizontal, (1, 0)), (z.vertical, (0, 1))):
+        for (p, q), m in maps.items():
+            src, tgt = (p, q), (p + step[0], q + step[1])
+            n = p + q
+            width = len(labels[n])
+            dom = [index[n][(src, pair)] for pair in z.blocks[src]]
+            cod = [index[n + 1][(tgt, pair)] * width for pair in z.blocks[tgt]]
+            flat = diffs[n]
+            for k in m.nonzero_indices(field):
+                i, j = divmod(k, m.cols)
+                flat[cod[i] + dom[j]] = m.entries[k]
+    diffs = [Mat(len(labels[n + 1]), len(labels[n]), tuple(flat)) for n, flat in enumerate(diffs)]
     vs = VSComplex(0, hi, tuple(labels), tuple(diffs))
     aug = []
     for (pq, (f, g)) in labels[0]:

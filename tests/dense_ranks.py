@@ -1,0 +1,199 @@
+"""The dense forward-elimination rank kernels, a reference for the sparse one.
+
+``dense_rank`` and ``dense_column_prefix_ranks`` eliminate row by row over
+whole dense rows: fraction-free over the integers for QQ (each row scaled
+to integers first), mod p otherwise.  ``dense_total_differentials``
+assembles the total complex through dense rows and ``Mat.from_rows``, and
+``dense_infinity_dims`` reads the terminal page off ranks of explicit
+submatrices of those differentials.  The library's sparse column reduction
+and direct total-complex fill must agree with all of them exactly.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
+
+from zeemac.linalg import Field, Mat
+from zeemac.zeeman import ZeemanComplex, total_complex
+
+
+def _integer_rows(m: Mat) -> list[list[int]]:
+    """Scale each row of a rational matrix to integers (rank-preserving)."""
+    out = []
+    for i in range(m.rows):
+        row = m.row(i)
+        mult = 1
+        for x in row:
+            d = x.denominator if isinstance(x, Fraction) else 1
+            mult = mult * d // gcd(mult, d)
+        out.append([int(x * mult) if isinstance(x, Fraction) else int(x) * mult for x in row])
+    return out
+
+
+def _int_forward_ranks(rows: list[list[int]], checkpoints: list[int]) -> list[int]:
+    """Fraction-free forward elimination over the integers.
+
+    Processes columns left to right and records the pivot count after
+    each checkpoint column index (checkpoints must be increasing).
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    out = []
+    rank = 0
+    ci = 0
+    for c in range(ncols):
+        if rank < nrows:
+            pr = None
+            for i in range(rank, nrows):
+                if rows[i][c]:
+                    pr = i
+                    break
+            if pr is not None:
+                rows[rank], rows[pr] = rows[pr], rows[rank]
+                pivot_row = rows[rank]
+                pv = pivot_row[c]
+                for i in range(rank + 1, nrows):
+                    ri = rows[i]
+                    a = ri[c]
+                    if a:
+                        g = 0
+                        for j in range(c, ncols):
+                            ri[j] = ri[j] * pv - a * pivot_row[j]
+                            g = gcd(g, ri[j])
+                        if g > 1:
+                            for j in range(c, ncols):
+                                ri[j] //= g
+                rank += 1
+        while ci < len(checkpoints) and checkpoints[ci] == c:
+            out.append(rank)
+            ci += 1
+    while ci < len(checkpoints):
+        out.append(rank)
+        ci += 1
+    return out
+
+
+def _modp_forward_ranks(rows: list[list[int]], p: int, checkpoints: list[int]) -> list[int]:
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    out = []
+    rank = 0
+    ci = 0
+    for c in range(ncols):
+        if rank < nrows:
+            pr = None
+            for i in range(rank, nrows):
+                if rows[i][c]:
+                    pr = i
+                    break
+            if pr is not None:
+                rows[rank], rows[pr] = rows[pr], rows[rank]
+                pivot_row = rows[rank]
+                inv = pow(pivot_row[c], -1, p)
+                for i in range(rank + 1, nrows):
+                    ri = rows[i]
+                    a = ri[c]
+                    if a:
+                        f = a * inv % p
+                        for j in range(c, ncols):
+                            ri[j] = (ri[j] - f * pivot_row[j]) % p
+                rank += 1
+        while ci < len(checkpoints) and checkpoints[ci] == c:
+            out.append(rank)
+            ci += 1
+    while ci < len(checkpoints):
+        out.append(rank)
+        ci += 1
+    return out
+
+
+def dense_rank(m: Mat, field: Field) -> int:
+    """Row rank (= column rank) of ``m`` over ``field``."""
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    if field.is_rationals:
+        rows = _integer_rows(m)
+        return _int_forward_ranks(rows, [m.cols - 1])[0]
+    rows = [[field.reduce(x) for x in m.row(i)] for i in range(m.rows)]
+    return _modp_forward_ranks(rows, field.p, [m.cols - 1])[0]
+
+
+def dense_column_prefix_ranks(m: Mat, field: Field, order: list[int]) -> list[int]:
+    """Rank of the submatrix on the first ``k`` columns of ``order``, all k."""
+    if not order:
+        return []
+    perm_rows = [[m.entry(i, j) for j in order] for i in range(m.rows)]
+    checkpoints = list(range(len(order)))
+    if m.rows == 0:
+        return [0] * len(order)
+    if field.is_rationals:
+        rows = _integer_rows(Mat.from_rows(perm_rows, field))
+        return _int_forward_ranks(rows, checkpoints)
+    rows = [[field.reduce(x) for x in row] for row in perm_rows]
+    return _modp_forward_ranks(rows, field.p, checkpoints)
+
+
+def dense_total_differentials(z: ZeemanComplex) -> list[Mat]:
+    """The differentials of ``total_complex(z)``, assembled as dense rows."""
+    field = z.field
+    labels = total_complex(z).complex.labels
+    index = [{lab: i for i, lab in enumerate(level)} for level in labels]
+    blk_index = {k: {pair: i for i, pair in enumerate(v)} for k, v in z.blocks.items()}
+    diffs = []
+    for n in range(len(labels) - 1):
+        dom, cod = labels[n], labels[n + 1]
+        cod_pos = index[n + 1]
+        rows = [[field.zero()] * len(dom) for _ in cod]
+        for j, ((p, q), pair) in enumerate(dom):
+            jloc = blk_index[(p, q)][pair]
+            h = z.horizontal.get((p, q))
+            if h is not None:
+                for i2, pair2 in enumerate(z.block(p + 1, q)):
+                    e = h.entry(i2, jloc)
+                    if e:
+                        rows[cod_pos[((p + 1, q), pair2)]][j] = e
+            v = z.vertical.get((p, q))
+            if v is not None:
+                for i2, pair2 in enumerate(z.block(p, q + 1)):
+                    e = v.entry(i2, jloc)
+                    if e:
+                        rows[cod_pos[((p, q + 1), pair2)]][j] = e
+        diffs.append(Mat.from_rows(rows, field))
+    return diffs
+
+
+def dense_infinity_dims(z: ZeemanComplex) -> dict:
+    """Terminal-page dimensions from filtered cohomology, one dense rank of
+    an explicit submatrix per filtration step.
+
+    With F^s the span of the total-degree-n basis vectors at rows q >= s (a
+    prefix of the basis), the image of H^n(F^s) in H^n has dimension
+    dim(Z^n in F^s) - dim(B^n in F^s), and E-infinity at (n - s, s) is the
+    drop of that dimension from s to s + 1.
+    """
+    field = z.field
+    labels = total_complex(z).complex.labels
+    diffs = dense_total_differentials(z)
+
+    def columns(m: Mat, k: int) -> Mat:
+        return Mat.from_rows([m.row(i)[:k] for i in range(m.rows)], field)
+
+    def rows_from(m: Mat, k: int) -> Mat:
+        return Mat.from_rows([m.row(i) for i in range(k, m.rows)], field)
+
+    def image_in_total(n: int, s: int) -> int:
+        k = sum(1 for (_, q), _ in labels[n] if q >= s)
+        cocycles = k - (dense_rank(columns(diffs[n], k), field) if n < len(diffs) else 0)
+        if n == 0:
+            return cocycles
+        d = diffs[n - 1]
+        return cocycles - (dense_rank(d, field) - dense_rank(rows_from(d, k), field))
+
+    dims: dict = {}
+    for n, level in enumerate(labels):
+        for s in sorted({q for (_, q), _ in level}):
+            d = image_in_total(n, s) - image_in_total(n, s + 1)
+            if d:
+                dims[(n - s, s)] = d
+    return dims

@@ -133,6 +133,30 @@ def test_cli_validate(tmp_path, capsys):
     assert "bad diamond" in out
 
 
+POLY_HOLLOW_FLIPPED = (  # the cone over the hollow triangle with the sign of cover 1 4 flipped
+    "polyhedral\nambient 3\n"
+    "face 0 0 o\nface 1 1 a\nface 2 1 b\nface 3 1 c\nface 4 2 ab\nface 5 2 ac\nface 6 2 bc\n"
+    "cover 0 1 +1\ncover 0 2 +1\ncover 0 3 +1\ncover 1 4 +1\ncover 2 4 +1\n"
+    "cover 1 5 -1\ncover 3 5 +1\ncover 2 6 -1\ncover 3 6 +1\n"
+)
+
+
+def test_cli_rejects_invalid_complex_before_any_command(tmp_path, capsys):
+    bad = write(tmp_path, "flipped.txt", POLY_HOLLOW_FLIPPED)
+    assert run(["validate", bad]) == 1
+    assert "bad diamond: o < ab has nonzero sign sum" in capsys.readouterr().out
+    for argv in (["cm-check"], ["zeeman", "--page", "inf"], ["irres"], ["total-irres"], ["hilbert"]):
+        for fmt in ("text", "json"):
+            assert run([argv[0], bad, *argv[1:], "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "bad diamond: o < ab has nonzero sign sum" in captured.err
+            assert "Traceback" not in captured.err
+    good = write(tmp_path, "hollow.txt", POLY_HOLLOW_FLIPPED.replace("cover 1 4 +1", "cover 1 4 -1"))
+    assert run(["cm-check", good]) == 0
+    assert "verdicts agree: yes" in capsys.readouterr().out
+
+
 def test_cli_reports_deterministic(tmp_path, capsys):
     ht = write(tmp_path, "ht.txt", HOLLOW)
     run(["cm-check", ht])

@@ -4,8 +4,6 @@ from zeemac import (
     AffineSemigroup,
     QQ,
     face_lattice,
-    membership,
-    relint_representatives,
     validate,
 )
 
@@ -27,8 +25,7 @@ def test_orthant_face_count_is_power_of_two():
 
 def test_orthant_relint_representatives():
     q = AffineSemigroup.orthant(2)
-    reps = relint_representatives(q)
-    by_vanishing = {tuple(sorted(f.vanishing)): v for f, v in reps.items()}
+    by_vanishing = {tuple(sorted(f.vanishing)): f.interior_point for f in q.faces()}
     assert by_vanishing[(0, 1)] == (0, 0)  # minimal face
     assert by_vanishing[(1,)] == (1, 0)  # x-axis: the y-functional vanishes
     assert by_vanishing[(0,)] == (0, 1)
@@ -49,18 +46,18 @@ def test_membership_examples():
     q2 = AffineSemigroup.orthant(2)
     full = q2.face_with_vanishing([])
     xray = q2.face_with_vanishing([1])  # the y-functional vanishes on the x-axis
-    assert membership(q2, full, (2, 3))
-    assert not membership(q2, xray, (2, 1))
+    assert q2.membership(full, (2, 3))
+    assert not q2.membership(xray, (2, 1))
     qs = square_cone()
     ray = [f for f in qs.faces() if f.dim == 1 and f.interior_point == (1, 0, 1)][0]
-    assert membership(qs, ray, (3, 0, 3))
-    assert not membership(qs, ray, (1, 1, 1))
+    assert qs.membership(ray, (3, 0, 3))
+    assert not qs.membership(ray, (1, 1, 1))
 
 
 def test_membership_dimension_mismatch():
     q = AffineSemigroup.orthant(2)
     with pytest.raises(ValueError):
-        membership(q, q.faces()[0], (1, 2, 3))
+        q.membership(q.faces()[0], (1, 2, 3))
 
 
 def test_cover_structure_dims_and_vanishing():
@@ -84,7 +81,7 @@ def test_membership_depends_only_on_vanishing_set():
 def test_relint_representatives_strict():
     q = square_cone()
     fc = face_lattice(q)
-    reps = relint_representatives(q)
+    reps = {f: f.interior_point for f in q.faces()}
     for f, v in reps.items():
         assert q.membership(f, v)
         assert q.relint_membership(f, v)

@@ -1,0 +1,134 @@
+"""The sparse rank kernel and the terminal page against dense references.
+
+``rank`` and ``column_prefix_ranks`` run one sparse column reduction;
+``dense_ranks`` keeps the dense row eliminations they replaced.  On seeded
+random matrices (entries beyond +-1, non-integral fractions, zero rows and
+columns, empty shapes and orders, permuted orders, rational matrices read
+over F_2) both must give the same ranks, and E-infinity must match the
+dense filtered-cohomology dimensions.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from zeemac import GF, QQ, SimplicialComplex, build, cone_of_simplicial, face_lattice, page, total_complex
+from zeemac.linalg import Mat, column_prefix_ranks, rank
+
+from .dense_ranks import dense_column_prefix_ranks, dense_infinity_dims, dense_rank, dense_total_differentials
+from .helpers import bowtie, hollow_triangle, random_sweep, rp2, square_cone, square_cone_two_facets
+
+FIELDS = (QQ, GF(2), GF(3), GF(2**61 - 1))
+
+
+def _scalar(rng: random.Random, odd_denominators: bool):
+    roll = rng.random()
+    if roll < 0.45:
+        return 0
+    if roll < 0.75:
+        return rng.choice((1, -1))
+    if roll < 0.9:
+        return rng.randint(-9, 9)
+    den = rng.choice((3, 5, 7) if odd_denominators else (2, 3, 4, 5, 6))
+    return Fraction(rng.randint(-7, 7), den)
+
+
+def random_matrix(rng: random.Random, odd_denominators: bool = False) -> list[list]:
+    """Rows of a random matrix of shape up to 7x7, some rows and columns
+    forced to zero; 0xn and nx0 shapes occur."""
+    r, c = rng.randint(0, 7), rng.randint(0, 7)
+    rows = [[_scalar(rng, odd_denominators) for _ in range(c)] for _ in range(r)]
+    for i in range(r):
+        if rng.random() < 0.15:
+            rows[i] = [0] * c
+    for j in range(c):
+        if rng.random() < 0.15:
+            for row in rows:
+                row[j] = 0
+    return rows
+
+
+def random_orders(rng: random.Random, ncols: int) -> list[list[int]]:
+    perm = list(range(ncols))
+    rng.shuffle(perm)
+    return [[], list(range(ncols)), perm, perm[: rng.randint(0, ncols)]]
+
+
+def _field_safe(rows, field):
+    # over F_p a denominator divisible by p has no reduction
+    if field.p is None:
+        return rows
+    return [[x if not isinstance(x, Fraction) or x.denominator % field.p else 0 for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+def test_ranks_match_dense_reference(field):
+    rng = random.Random(20261018)
+    for _ in range(300):
+        m = Mat.from_rows(_field_safe(random_matrix(rng), field), field)
+        assert rank(m, field) == dense_rank(m, field)
+        assert rank(m.transpose(), field) == rank(m, field)
+        for order in random_orders(rng, m.cols):
+            assert column_prefix_ranks(m, field, order) == dense_column_prefix_ranks(m, field, order)
+
+
+def test_rational_matrices_ranked_over_f2():
+    f2 = GF(2)
+    rng = random.Random(61)
+    for _ in range(300):
+        m = Mat.from_rows(random_matrix(rng, odd_denominators=True), QQ)
+        assert rank(m, f2) == dense_rank(m, f2)
+        for order in random_orders(rng, m.cols):
+            assert column_prefix_ranks(m, f2, order) == dense_column_prefix_ranks(m, f2, order)
+
+
+def test_empty_shapes_and_orders():
+    for field in FIELDS:
+        for r, c in ((0, 0), (0, 4), (4, 0), (3, 3)):
+            z = Mat.zeros(r, c, field)
+            assert rank(z, field) == 0
+            assert column_prefix_ranks(z, field, list(range(c))) == [0] * c
+            assert column_prefix_ranks(z, field, []) == []
+
+
+def assert_pageinf_matches_dense(fc, field, a=None):
+    z = build(fc, a, field)
+    assert list(total_complex(z).complex.diffs) == dense_total_differentials(build(fc, a, field))
+    assert page(z, math.inf).dims == dense_infinity_dims(build(fc, a, field))
+
+
+def fixtures():
+    return [
+        cone_of_simplicial(hollow_triangle()),
+        cone_of_simplicial(bowtie()),
+        cone_of_simplicial(rp2()),
+        face_lattice(square_cone()),
+        square_cone_two_facets()[0],
+    ]
+
+
+@pytest.mark.parametrize("field", FIELDS[:3], ids=lambda f: f.label())
+def test_pageinf_matches_dense_on_fixtures(field):
+    for fc in fixtures():
+        assert_pageinf_matches_dense(fc, field)
+
+
+@pytest.mark.parametrize("field", FIELDS[:3], ids=lambda f: f.label())
+def test_pageinf_matches_dense_on_random_complexes(field):
+    for sc in random_sweep(30, 777):
+        assert_pageinf_matches_dense(cone_of_simplicial(sc), field)
+
+
+def test_pageinf_matches_dense_at_nonzero_degree():
+    for field in FIELDS[:3]:
+        assert_pageinf_matches_dense(face_lattice(square_cone()), field, (1, 0, 1))
+        assert_pageinf_matches_dense(square_cone_two_facets()[0], field, (0, 0, 1))
+
+
+def test_pageinf_of_the_6_simplex_boundary_over_f2():
+    sphere = SimplicialComplex.from_facets(7, [set(s) for s in itertools.combinations(range(1, 8), 6)])
+    pg = page(build(cone_of_simplicial(sphere), None, GF(2)), math.inf)
+    assert pg.total_by_degree() == {0: 1}

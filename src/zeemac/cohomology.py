@@ -107,13 +107,14 @@ def cochain_complex(fc: FaceComplex, g: int, field: Field) -> VSComplex:
         dom = ups.degree(p)
         cod = ups.degree(p + 1)
         cod_index = {f: i for i, f in enumerate(cod)}
-        rows = [[field.zero()] * len(dom) for _ in cod]
+        w = len(dom)
+        flat = [field.zero()] * (len(cod) * w)
         for j, f in enumerate(dom):
             for f2, sign in fc.covers_above(f):
                 i = cod_index.get(f2)
                 if i is not None:
-                    rows[i][j] = field.reduce(sign)
-        diffs.append(Mat.from_rows(rows, field))
+                    flat[i * w + j] = field.reduce(sign)
+        diffs.append(Mat(len(cod), w, tuple(flat)))
     return VSComplex(ups.lo, ups.hi, labels, tuple(diffs))
 
 

@@ -18,7 +18,10 @@ covers explicitly; it carries no lattice geometry, so only degree-zero
 computations apply.  A semigroup file cuts the cone out by primitive
 functionals; optional ``delta`` lines select the subcomplex generated by
 the faces on which the named functionals (1-based) vanish, defaulting to
-the whole face lattice.
+the whole face lattice.  A malformed line (a missing or non-integer value,
+a cover that names an unknown face, a ``delta`` index outside
+``1..#functionals``, bytes that are not UTF-8) raises ``InputFormatError``
+naming the line.
 
 Resolutions serialize to JSON documents that embed the input complex, the
 terms (face keys per copy), the scalar block matrices, the augmentation
@@ -84,8 +87,30 @@ def parse_input_text(text: str) -> InputBundle:
 
 
 def load_input(path: str) -> InputBundle:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_input_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise InputFormatError(f"line {lineno}: not UTF-8 text (byte {data[exc.start]:#04x})") from None
+    return parse_input_text(text)
+
+
+def _ints(toks, lineno: int, count: int, exact: bool = False) -> list[int]:
+    """The ``count`` integers after the keyword ``toks[0]``; an input error
+    naming the line if there are fewer (or, with ``exact``, more) or one is
+    not an integer."""
+    given = len(toks) - 1
+    if given < count or (exact and given > count):
+        raise InputFormatError(f"line {lineno}: expected {count} integer(s) after {toks[0]!r}, got {given}")
+    out = []
+    for t in toks[1 : count + 1]:
+        try:
+            out.append(int(t))
+        except ValueError:
+            raise InputFormatError(f"line {lineno}: expected an integer after {toks[0]!r}, got {t!r}") from None
+    return out
 
 
 def _parse_simplicial(body) -> InputBundle:
@@ -93,9 +118,9 @@ def _parse_simplicial(body) -> InputBundle:
     facets = []
     for lineno, toks in body:
         if toks[0] == "vertices":
-            d = int(toks[1])
+            (d,) = _ints(toks, lineno, 1, exact=True)
         elif toks[0] == "facet":
-            facets.append(frozenset(int(t) for t in toks[1:]))
+            facets.append(frozenset(_ints(toks, lineno, len(toks) - 1)))
         else:
             raise InputFormatError(f"line {lineno}: unexpected {toks[0]!r} in a simplicial file")
     if d is None:
@@ -114,13 +139,13 @@ def _parse_polyhedral(body) -> InputBundle:
     covers = []
     for lineno, toks in body:
         if toks[0] == "ambient":
-            ambient = int(toks[1])
+            (ambient,) = _ints(toks, lineno, 1, exact=True)
         elif toks[0] == "face":
-            fid, dim = int(toks[1]), int(toks[2])
+            fid, dim = _ints(toks, lineno, 2)
             label = toks[3] if len(toks) > 3 else f"f{fid}"
             faces.append((fid, dim, label))
         elif toks[0] == "cover":
-            covers.append((int(toks[1]), int(toks[2]), int(toks[3])))
+            covers.append((lineno, *_ints(toks, lineno, 3)))
         else:
             raise InputFormatError(f"line {lineno}: unexpected {toks[0]!r} in a polyhedral file")
     if ambient is None:
@@ -128,11 +153,19 @@ def _parse_polyhedral(body) -> InputBundle:
     faces.sort()
     if [f[0] for f in faces] != list(range(len(faces))):
         raise InputFormatError("face ids must be exactly 0..n-1")
-    fc = FaceComplex(
-        [Face(fid, dim, label, key=("p", fid)) for fid, dim, label in faces],
-        [Cover(lo, hi, sign) for lo, hi, sign in covers],
-        ambient,
-    )
+    for lineno, lo, hi, sign in covers:
+        if not (0 <= lo < len(faces) and 0 <= hi < len(faces)):
+            raise InputFormatError(f"line {lineno}: cover {lo} {hi} names a face that is not among the ids 0..{len(faces) - 1}")
+        if sign not in (1, -1):
+            raise InputFormatError(f"line {lineno}: cover sign must be +1 or -1, got {sign}")
+    try:
+        fc = FaceComplex(
+            [Face(fid, dim, label, key=("p", fid)) for fid, dim, label in faces],
+            [Cover(lo, hi, sign) for _, lo, hi, sign in covers],
+            ambient,
+        )
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from exc
     return InputBundle("polyhedral", fc)
 
 
@@ -142,11 +175,11 @@ def _parse_semigroup(body) -> InputBundle:
     selectors = []
     for lineno, toks in body:
         if toks[0] == "ambient":
-            ambient = int(toks[1])
+            (ambient,) = _ints(toks, lineno, 1, exact=True)
         elif toks[0] == "functional":
-            functionals.append(tuple(int(t) for t in toks[1:]))
+            functionals.append(tuple(_ints(toks, lineno, len(toks) - 1)))
         elif toks[0] == "delta":
-            selectors.append(tuple(int(t) for t in toks[1:]))
+            selectors.append((lineno, tuple(_ints(toks, lineno, len(toks) - 1))))
         else:
             raise InputFormatError(f"line {lineno}: unexpected {toks[0]!r} in a semigroup file")
     if ambient is None:
@@ -160,12 +193,14 @@ def _parse_semigroup(body) -> InputBundle:
     chosen = None
     if selectors:
         ids = []
-        for sel in selectors:
+        for lineno, sel in selectors:
+            if not all(1 <= i <= len(functionals) for i in sel):
+                raise InputFormatError(f"line {lineno}: delta indices must lie in 1..{len(functionals)}, got {sel}")
             cf = q.face_with_vanishing([i - 1 for i in sel])
             matches = [i for i, c in full.cone_faces.items() if c == cf]
             ids.append(matches[0])
         fc = subcomplex(full, ids)
-        chosen = tuple(selectors)
+        chosen = tuple(sel for _, sel in selectors)
     return InputBundle("semigroup", fc, semigroup=q, delta_selectors=chosen)
 
 

@@ -9,17 +9,22 @@ representatives in ``[0, p)``.
 Two elimination kernels serve two needs.  Kernels, images, solves and
 representatives go through a canonical reduced echelon form (``_rref``:
 deterministic first-nonzero pivoting in column order), so every basis
-they return is reproducible.  Ranks and column-prefix ranks depend on no
-pivot choice, so they go through a sparse column reduction
-(``_prefix_ranks``) that reads only the nonzero entries, works mod p over
-F_p and fraction-free over the integers for rationals.
+they return is reproducible.  Ranks depend on no pivot choice, so they go
+through one sparse column reduction (``reduce_columns``) of columns
+``{row: value}`` that hold only the nonzero entries; it works mod p over
+F_p and fraction-free over the integers for rationals.  One pass gives
+the rank after every column prefix and, from the pivot (largest) rows of
+the surviving columns, the rank of every row suffix
+(``row_suffix_ranks``), with no transpose.  ``rank`` and
+``column_prefix_ranks`` read a dense ``Mat`` into such columns first;
+callers that already hold sparse columns pass them in directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm
 from operator import is_not
 
@@ -270,31 +275,44 @@ def _rref(rows: list[list], field: Field) -> list[int]:
     return pivots
 
 
-def _prefix_ranks(m: Mat, field: Field, order) -> list[int]:
-    """Rank of the columns ``order[:k]`` of ``m`` over ``field``, for every k.
-
-    Sparse column reduction: the nonzeros of ``m`` are read once into
-    columns ``{row: value}``, which are reduced left to right in ``order``,
-    each eliminated on its largest row index against the reduced column
-    that owns that row.  A column that survives owns its largest row and
-    adds one to the rank.  Over F_p the arithmetic is mod p (over F_2 a
-    column is just its set of rows); over QQ each column is scaled to
-    integers and reduced fraction-free, divided by its content after each
-    step.
-    """
-    p = field.p
+def _sparse_columns(m: Mat, field: Field) -> list[dict]:
+    """The nonzero entries of ``m`` as columns ``{row: value}``, one per
+    column of ``m``; ``field.reduce`` runs on the nonzeros only."""
     ncols = m.cols
     entries = m.entries
-    cols: dict = {}
+    cols: list[dict] = [{} for _ in range(ncols)]
     for idx in m.nonzero_indices(field):
         x = field.reduce(entries[idx])
         if x:
             i, j = divmod(idx, ncols)
-            cols.setdefault(j, {})[i] = x
+            cols[j][i] = x
+    return cols
+
+
+def reduce_columns(cols, field: Field, order) -> tuple[list[int], list[int]]:
+    """Sparse column reduction of ``cols`` taken in ``order``.
+
+    ``cols[j]`` is column j as ``{row: value}`` with nonzero reduced
+    scalars; it is not modified.  The columns are reduced left to right in
+    ``order``, each eliminated on its largest row index against the reduced
+    column that owns that row.  A column that survives owns its largest row
+    (its pivot row) and adds one to the rank.  Over F_p the arithmetic is
+    mod p (over F_2 a column is just its set of rows); over QQ each column
+    is scaled to integers and reduced fraction-free, divided by its content
+    after each step.
+
+    Returns ``(ranks, pivots)``: ``ranks[k]`` is the rank of the columns
+    ``order[:k + 1]``, and ``pivots`` holds the pivot row of every
+    surviving column.  The reduced matrix is the original times an
+    invertible matrix and its pivot rows are distinct, so the rank of the
+    rows ``>= r`` of the selected columns is the number of pivots ``>= r``
+    (``row_suffix_ranks``).
+    """
+    p = field.p
     owner: dict = {}  # row -> the reduced column whose largest row it is
     out = []
     for j in order:
-        col = cols.get(j, {})
+        col = cols[j]
         if p == 2:
             col = set(col)
             while col:
@@ -340,14 +358,23 @@ def _prefix_ranks(m: Mat, field: Field, order) -> list[int]:
                     else:
                         del col[i]
         out.append(len(owner))
-    return out
+    return out, list(owner)
+
+
+def row_suffix_ranks(pivots, nrows: int) -> list[int]:
+    """Rank of the last k rows, for k = 1..nrows, of the columns whose
+    reduction (``reduce_columns``) left the pivot rows ``pivots``."""
+    hits = [0] * nrows
+    for r in pivots:
+        hits[r] += 1
+    return list(accumulate(reversed(hits)))
 
 
 def rank(m: Mat, field: Field) -> int:
     """Row rank (= column rank) of ``m`` over ``field``."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    return _prefix_ranks(m, field, range(m.cols))[-1]
+    return len(reduce_columns(_sparse_columns(m, field), field, range(m.cols))[1])
 
 
 def column_prefix_ranks(m: Mat, field: Field, order: list[int]) -> list[int]:
@@ -355,7 +382,7 @@ def column_prefix_ranks(m: Mat, field: Field, order: list[int]) -> list[int]:
 
     Returns a list of length ``len(order)``; one elimination pass total.
     """
-    return _prefix_ranks(m, field, order)
+    return reduce_columns(_sparse_columns(m, field), field, order)[0]
 
 
 def kernel_basis(m: Mat, field: Field) -> list[tuple]:

@@ -33,10 +33,11 @@ from .linalg import (
     Field,
     Mat,
     QQ,
-    column_prefix_ranks,
     image_basis,
     kernel_basis,
     rank,
+    reduce_columns,
+    row_suffix_ranks,
     solve_in_subspace,
 )
 
@@ -62,6 +63,7 @@ class ZeemanComplex:
     _page1: object = dfield(default=None, repr=False)
     _page2: object = dfield(default=None, repr=False)
     _total: object = dfield(default=None, repr=False)
+    _total_columns: object = dfield(default=None, repr=False)  # sparse columns of each total differential
 
     @property
     def pmax(self) -> int:
@@ -178,20 +180,23 @@ def total_complex(z: ZeemanComplex) -> AugmentedTotal:
     index = [
         {lab: i for i, lab in enumerate(level)} for level in labels
     ]
-    # The block maps hold reduced scalars already: copy their nonzeros into
-    # each flat differential instead of re-reducing dense rows.
+    # The block maps hold reduced nonzero scalars already: copy them into
+    # each flat differential instead of re-reducing dense rows, and into
+    # the sparse columns {row: value} that E-infinity reduces.
     diffs = [[field.zero()] * (len(labels[n]) * len(labels[n + 1])) for n in range(hi)]
+    columns = [[{} for _ in labels[n]] for n in range(hi)]
     for maps, step in ((z.horizontal, (1, 0)), (z.vertical, (0, 1))):
         for (p, q), m in maps.items():
             src, tgt = (p, q), (p + step[0], q + step[1])
             n = p + q
             width = len(labels[n])
             dom = [index[n][(src, pair)] for pair in z.blocks[src]]
-            cod = [index[n + 1][(tgt, pair)] * width for pair in z.blocks[tgt]]
-            flat = diffs[n]
+            cod = [index[n + 1][(tgt, pair)] for pair in z.blocks[tgt]]
+            flat, cols, entries = diffs[n], columns[n], m.entries
             for k in m.nonzero_indices(field):
                 i, j = divmod(k, m.cols)
-                flat[cod[i] + dom[j]] = m.entries[k]
+                r, c = cod[i], dom[j]
+                flat[r * width + c] = cols[c][r] = entries[k]
     diffs = [Mat(len(labels[n + 1]), len(labels[n]), tuple(flat)) for n, flat in enumerate(diffs)]
     vs = VSComplex(0, hi, tuple(labels), tuple(diffs))
     aug = []
@@ -201,7 +206,7 @@ def total_complex(z: ZeemanComplex) -> AugmentedTotal:
         else:  # total degree 0 forces dim F = dim G, hence F = G
             aug.append(field.zero())
     result = AugmentedTotal(vs, tuple(aug))
-    z._total = result
+    z._total, z._total_columns = result, columns
     return result
 
 
@@ -350,28 +355,27 @@ def _page2_data(z: ZeemanComplex) -> _Page2Data:
 
 def _infinity_dims(z: ZeemanComplex) -> dict:
     """Terminal-page dimensions from the row filtration of the total
-    complex: three elimination passes per total degree, all ranks exact."""
+    complex: one sparse column reduction per total degree, all ranks exact.
+
+    Each degree's basis is ordered q descending, so a filtration step
+    (q >= s) is a prefix of the columns of the differential out of that
+    degree and a suffix of the rows of the one into it.  Reducing the
+    columns of each differential gives both: the rank after every column
+    prefix, and from the pivot rows the rank of every row suffix.
+    """
     field = z.field
     tot = total_complex(z).complex
     hi = tot.hi
     qs_of = [
         [pq[1] for (pq, _) in tot.basis(n)] for n in range(hi + 1)
     ]
-    # prefix ranks of each differential (columns ordered q descending already)
-    pref = []
-    for n in range(hi + 1):
-        d = tot.diff(n, field)
-        pref.append(column_prefix_ranks(d, field, list(range(d.cols))))
-    # suffix row ranks of each differential
-    suff = []
-    for n in range(hi + 1):
-        if n == 0:
-            suff.append([])
-            continue
-        d = tot.diff(n - 1, field)
-        t = d.transpose()
-        order = list(range(d.rows))[::-1]
-        suff.append(column_prefix_ranks(t, field, order))
+    pref = []  # pref[n][k - 1]: rank of the first k columns of the differential out of degree n
+    suff = [[]]  # suff[n][k - 1]: rank of the last k rows of the differential into degree n
+    for n, cols in enumerate(z._total_columns):
+        ranks, pivots = reduce_columns(cols, field, range(len(cols)))
+        pref.append(ranks)
+        suff.append(row_suffix_ranks(pivots, tot.dim(n + 1)))
+    pref.append([0] * tot.dim(hi))
 
     def rank_prefix(n: int, k: int) -> int:
         if k <= 0:

@@ -124,6 +124,30 @@ def test_cli_input_errors(tmp_path, capsys):
     assert "line 4" in err
 
 
+MALFORMED = {  # each must exit 2 with a diagnostic naming the line, never a traceback
+    "vertices_missing": (b"simplicial\nvertices\nfacet 1 2\n", "line 2"),
+    "vertices_not_int": (b"simplicial\nvertices x\nfacet 1 2\n", "line 2"),
+    "cover_unknown_face": (
+        b"polyhedral\nambient 1\nface 0 0 apex\nface 1 1 ray\ncover 0 1 +1\ncover 0 5 1\n",
+        "line 6",
+    ),
+    "delta_out_of_range": (SQUARE.encode() + b"delta 9\n", "line 9"),
+    "not_utf8": (b"simplicial\nvertices 3\nfacet 1 2\xff\xfe\n", "line 3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_cli_malformed_input_exits_2_naming_the_line(tmp_path, capsys, name):
+    data, line = MALFORMED[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(data)
+    assert run(["cm-check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {line}:")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_validate(tmp_path, capsys):
     good = write(tmp_path, "edge.txt", POLY_EDGE)
     assert run(["validate", good]) == 0

@@ -1,11 +1,13 @@
 """The sparse rank kernel and the terminal page against dense references.
 
-``rank`` and ``column_prefix_ranks`` run one sparse column reduction;
-``dense_ranks`` keeps the dense row eliminations they replaced.  On seeded
-random matrices (entries beyond +-1, non-integral fractions, zero rows and
-columns, empty shapes and orders, permuted orders, rational matrices read
-over F_2) both must give the same ranks, and E-infinity must match the
-dense filtered-cohomology dimensions.
+``rank`` and ``column_prefix_ranks`` run one sparse column reduction
+(``reduce_columns``); ``dense_ranks`` keeps the dense row eliminations
+they replaced.  On seeded random matrices (entries beyond +-1,
+non-integral fractions, zero rows and columns, empty shapes and orders,
+permuted orders, rational matrices read over F_2) both must give the same
+column-prefix ranks, the row-suffix ranks read off the pivot rows must
+equal the dense prefix ranks of the transpose in reverse row order, and
+E-infinity must match the dense filtered-cohomology dimensions.
 """
 
 import itertools
@@ -16,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from zeemac import GF, QQ, SimplicialComplex, build, cone_of_simplicial, face_lattice, page, total_complex
-from zeemac.linalg import Mat, column_prefix_ranks, rank
+from zeemac.linalg import Mat, column_prefix_ranks, rank, reduce_columns, row_suffix_ranks
 
 from .dense_ranks import dense_column_prefix_ranks, dense_infinity_dims, dense_rank, dense_total_differentials
 from .helpers import bowtie, hollow_triangle, random_sweep, rp2, square_cone, square_cone_two_facets
@@ -64,25 +66,38 @@ def _field_safe(rows, field):
     return [[x if not isinstance(x, Fraction) or x.denominator % field.p else 0 for x in row] for row in rows]
 
 
+def sparse_columns(m: Mat, field) -> list[dict]:
+    return [{i: x for i in range(m.rows) if (x := field.reduce(m.entry(i, j)))} for j in range(m.cols)]
+
+
+def assert_matches_dense(m: Mat, field, rng: random.Random):
+    assert rank(m, field) == dense_rank(m, field)
+    assert rank(m.transpose(), field) == rank(m, field)
+    orders = random_orders(rng, m.cols)
+    for order in orders:
+        assert column_prefix_ranks(m, field, order) == dense_column_prefix_ranks(m, field, order)
+    # one reduction of all columns, in any order, gives every row-suffix rank
+    reversed_rows = list(range(m.rows))[::-1]
+    suffix = dense_column_prefix_ranks(m.transpose(), field, reversed_rows)
+    cols = sparse_columns(m, field)
+    for order in orders[1:3]:  # the identity and a permutation
+        ranks, pivots = reduce_columns(cols, field, order)
+        assert ranks == dense_column_prefix_ranks(m, field, order)
+        assert row_suffix_ranks(pivots, m.rows) == suffix
+    assert cols == sparse_columns(m, field)  # the reduction leaves its input alone
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
 def test_ranks_match_dense_reference(field):
     rng = random.Random(20261018)
     for _ in range(300):
-        m = Mat.from_rows(_field_safe(random_matrix(rng), field), field)
-        assert rank(m, field) == dense_rank(m, field)
-        assert rank(m.transpose(), field) == rank(m, field)
-        for order in random_orders(rng, m.cols):
-            assert column_prefix_ranks(m, field, order) == dense_column_prefix_ranks(m, field, order)
+        assert_matches_dense(Mat.from_rows(_field_safe(random_matrix(rng), field), field), field, rng)
 
 
 def test_rational_matrices_ranked_over_f2():
-    f2 = GF(2)
     rng = random.Random(61)
     for _ in range(300):
-        m = Mat.from_rows(random_matrix(rng, odd_denominators=True), QQ)
-        assert rank(m, f2) == dense_rank(m, f2)
-        for order in random_orders(rng, m.cols):
-            assert column_prefix_ranks(m, f2, order) == dense_column_prefix_ranks(m, f2, order)
+        assert_matches_dense(Mat.from_rows(random_matrix(rng, odd_denominators=True), QQ), GF(2), rng)
 
 
 def test_empty_shapes_and_orders():
@@ -94,9 +109,20 @@ def test_empty_shapes_and_orders():
             assert column_prefix_ranks(z, field, []) == []
 
 
+def densify(cols: list[dict], rows: int, field) -> Mat:
+    flat = [field.zero()] * (rows * len(cols))
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            assert x
+            flat[i * len(cols) + j] = x
+    return Mat(rows, len(cols), tuple(flat))
+
+
 def assert_pageinf_matches_dense(fc, field, a=None):
     z = build(fc, a, field)
-    assert list(total_complex(z).complex.diffs) == dense_total_differentials(build(fc, a, field))
+    diffs = list(total_complex(z).complex.diffs)
+    assert diffs == dense_total_differentials(build(fc, a, field))
+    assert [densify(cols, d.rows, field) for cols, d in zip(z._total_columns, diffs, strict=True)] == diffs
     assert page(z, math.inf).dims == dense_infinity_dims(build(fc, a, field))
 
 

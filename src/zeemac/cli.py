@@ -324,11 +324,12 @@ def _cmd_hilbert(bundle, args, out, doc) -> int:
             a = (0,) * fc.ambient_dim
         if not fc.has_geometry:
             raise MissingGeometryError("degreewise evaluation needs lattice geometry")
-        on = [f.id for f in fc.faces if fc.contains_degree(f.id, a)]
+        containing = fc.faces_containing(a)
+        on = sorted(containing)
         out.append(f"degree: ({','.join(str(x) for x in a)})")
         out.append(f"quotient component dimension: {1 if on else 0}")
         out.append("faces containing the degree: " + (", ".join(fc.face(i).label for i in on) if on else "none"))
-        relint = [f.id for f in fc.faces if fc.relint_contains(f.id, a)]
+        relint = [i for i in on if fc.relint_contains(i, a)]
         out.append(
             "relative interior (canonical-module indicator 1): "
             + (", ".join(fc.face(i).label for i in relint) if relint else "none")
@@ -341,7 +342,7 @@ def _cmd_hilbert(bundle, args, out, doc) -> int:
             res = total_resolution(fc, field)
             alt = 0
             for i, term in enumerate(res.terms):
-                comp = sum(1 for g in term.faces if fc.contains_degree(g, a))
+                comp = sum(1 for g in term.faces if g in containing)
                 alt += (-1) ** i * comp
             quotient = 1 if on else 0
             doc["resolution-alternating-sum"] = alt

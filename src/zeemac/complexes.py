@@ -137,6 +137,15 @@ class FaceComplex:
                 "cone_of_simplicial or face_lattice to evaluate lattice degrees"
             )
 
+    def faces_containing(self, a) -> set[int]:
+        """The ids of the faces on which the lattice point ``a`` lies: one
+        evaluation of the functionals, then a subset test per face."""
+        self._require_geometry()
+        zero = self.semigroup.zero_set(a)
+        if zero is None:
+            return set()
+        return {fid for fid, cf in self.cone_faces.items() if cf.vanishing <= zero}
+
     def contains_degree(self, fid: int, a) -> bool:
         """Whether the lattice point ``a`` lies on the face ``fid``."""
         self._require_geometry()

@@ -160,17 +160,18 @@ def reduced_cohomology_dims(faces, field: Field) -> dict:
         dom = by_card.get(k, [])
         cod = by_card.get(k + 1, [])
         idx = {s: i for i, s in enumerate(cod)}
-        rows = [[field.zero()] * len(dom) for _ in cod]
+        w = len(dom)
+        flat = [field.zero()] * (len(cod) * w)
         for j, s in enumerate(dom):
             for v in vertices:
                 if v in s:
                     continue
                 t = s | {v}
-                i = idx.get(frozenset(t))
+                i = idx.get(t)
                 if i is not None:
                     pos = sorted(t).index(v)
-                    rows[i][j] = field.reduce(-1 if pos % 2 else 1)
-        mats[k] = Mat.from_rows(rows, field)
+                    flat[i * w + j] = field.reduce(-1 if pos % 2 else 1)
+        mats[k] = Mat(len(cod), w, tuple(flat))
     dims = {}
     for k in range(top + 1):
         n_k = len(by_card.get(k, []))

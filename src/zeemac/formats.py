@@ -19,9 +19,9 @@ computations apply.  A semigroup file cuts the cone out by primitive
 functionals; optional ``delta`` lines select the subcomplex generated by
 the faces on which the named functionals (1-based) vanish, defaulting to
 the whole face lattice.  A malformed line (a missing or non-integer value,
-a cover that names an unknown face, a ``delta`` index outside
-``1..#functionals``, bytes that are not UTF-8) raises ``InputFormatError``
-naming the line.
+a ``vertices`` count outside ``1..MAX_VERTICES`` (16), a cover that names
+an unknown face, a ``delta`` index outside ``1..#functionals``, bytes that
+are not UTF-8) raises ``InputFormatError`` naming the line.
 
 Resolutions serialize to JSON documents that embed the input complex, the
 terms (face keys per copy), the scalar block matrices, the augmentation
@@ -46,6 +46,9 @@ from .complexes import (
 from .linalg import Field, Mat, QQ, parse_field
 from .resolutions import FaceModuleComplex, FaceModule
 from .semigroup import AffineSemigroup, face_lattice
+
+
+MAX_VERTICES = 16  # the orthant N^d has 2^d faces, and exactness checks visit each one
 
 
 class InputFormatError(ValueError):
@@ -119,6 +122,8 @@ def _parse_simplicial(body) -> InputBundle:
     for lineno, toks in body:
         if toks[0] == "vertices":
             (d,) = _ints(toks, lineno, 1, exact=True)
+            if not 1 <= d <= MAX_VERTICES:
+                raise InputFormatError(f"line {lineno}: 'vertices' must lie in 1..{MAX_VERTICES}, got {d}")
         elif toks[0] == "facet":
             facets.append(frozenset(_ints(toks, lineno, len(toks) - 1)))
         else:

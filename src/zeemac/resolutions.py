@@ -267,16 +267,15 @@ def verify_exactness(c: FaceModuleComplex, fc: FaceComplex | None = None, field:
         "finite certificate is complete"
     )
     for a in degrees:
-        on_face = {f.id: fc.contains_degree(f.id, a) for f in fc.faces}
-        quotient_dim = 1 if any(on_face.values()) else 0
-        active = [
-            [k for k, g in enumerate(term.faces) if on_face[g]] for term in c.terms
-        ]
+        on_face = fc.faces_containing(a)
+        quotient_dim = 1 if on_face else 0
+        active = [[k for k, g in enumerate(term.faces) if g in on_face] for term in c.terms]
         sub = []
         for i, m in enumerate(c.maps):
             rows_idx, cols_idx = active[i + 1], active[i]
-            rows = [[m.entry(r, col) for col in cols_idx] for r in rows_idx]
-            sub.append(Mat.from_rows(rows, field) if rows_idx or cols_idx else Mat.zeros(0, 0, field))
+            e, w = m.entries, m.cols
+            entries = tuple(e[r * w + col] for r in rows_idx for col in cols_idx)
+            sub.append(Mat(len(rows_idx), len(cols_idx), entries))
         ranks = [rank(m, field) for m in sub]
         ok = True
         if c.augmentation is not None:

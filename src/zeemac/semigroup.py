@@ -6,6 +6,18 @@ trivial unit group and generates the ambient lattice.  Faces are the loci
 where a closed set of functionals vanishes; each face knows a lattice
 point in its relative interior (the sum of its primitive ray generators).
 
+The orthant N^d, over which every simplicial input lives, is built in
+closed form: its faces are the coordinate supports S, with vanishing set
+the complement of S, dimension |S|, interior point the 0/1 indicator of S
+and the unit vectors of S as rays.  The generic ray and face enumeration
+runs only for cones given by their functionals.
+
+Lattice membership goes through one evaluator: ``zero_set(a)`` evaluates
+each functional once and returns the functionals that vanish at ``a``
+(``None`` when ``a`` lies outside Q).  Then ``a`` lies on a face exactly
+when the face's vanishing set is contained in that zero set, and in its
+relative interior exactly when the two are equal.
+
 Incidence signs on the face lattice come from orientations: each face
 carries the canonical echelon basis of its linear span, and the sign of a
 cover (G, F) is the determinant sign of [basis of G, interior point of F]
@@ -17,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from .complexes import Cover, Face, FaceComplex
@@ -86,7 +99,30 @@ class AffineSemigroup:
 
     @classmethod
     def orthant(cls, d: int) -> "AffineSemigroup":
-        return cls(d, [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)])
+        """N^d, cut out by the unit functionals, built in closed form.
+
+        Equal to ``AffineSemigroup(d, unit functionals)`` in functionals,
+        rays, face order and rays per face, without the generic
+        enumeration: the face with coordinate support S vanishes on the
+        complement of S, has dimension |S|, interior point the indicator
+        of S and the unit vectors of S as rays.
+        """
+        if d < 1:
+            raise ValueError(f"cone is not full-dimensional: the orthant needs d >= 1, got {d}")
+        q = cls.__new__(cls)
+        q.d = d
+        q.functionals = tuple(tuple(1 if j == i else 0 for j in range(d)) for i in range(d))
+        q.rays = tuple(reversed(q.functionals))  # sorted: e_{d-1} < ... < e_0
+        faces = []
+        q._rays_of = {}
+        for k in range(d + 1):  # the generic order: by dim, then sorted vanishing set
+            for vanishing in combinations(range(d), d - k):
+                vanishing = frozenset(vanishing)
+                faces.append(ConeFace(vanishing, k, tuple(0 if i in vanishing else 1 for i in range(d))))
+                q._rays_of[vanishing] = tuple(q.functionals[i] for i in reversed(range(d)) if i not in vanishing)
+        q._faces = tuple(faces)
+        q._faces_by_vanishing = {f.vanishing: f for f in faces}
+        return q
 
     # -- construction internals -------------------------------------------
 
@@ -94,8 +130,6 @@ class AffineSemigroup:
         return sum(c * x for c, x in zip(self.functionals[i], a))
 
     def _enumerate_rays(self) -> tuple[tuple[int, ...], ...]:
-        from itertools import combinations
-
         n = len(self.functionals)
         found = set()
         for subset in combinations(range(n), self.d - 1) if self.d > 1 else [()]:
@@ -173,34 +207,32 @@ class AffineSemigroup:
     def rays_of(self, face: ConeFace) -> tuple:
         return self._rays_of[face.vanishing]
 
-    def membership(self, face: ConeFace, a) -> bool:
-        """Whether ``a`` lies on the face: zero on its vanishing set and
-        nonnegative on every functional."""
+    def zero_set(self, a) -> frozenset | None:
+        """The functionals (0-based) that vanish at ``a``, or ``None`` when
+        some functional is negative there (``a`` is not in Q).  Each
+        functional is evaluated once."""
         a = tuple(a)
         if len(a) != self.d:
             raise ValueError(f"degree vector has length {len(a)}, expected {self.d}")
+        zero = []
         for i in range(len(self.functionals)):
             v = self.evaluate(i, a)
             if v < 0:
-                return False
-            if v != 0 and i in face.vanishing:
-                return False
-        return True
+                return None
+            if v == 0:
+                zero.append(i)
+        return frozenset(zero)
+
+    def membership(self, face: ConeFace, a) -> bool:
+        """Whether ``a`` lies on the face: zero on its vanishing set and
+        nonnegative on every functional."""
+        zero = self.zero_set(a)
+        return zero is not None and face.vanishing <= zero
 
     def relint_membership(self, face: ConeFace, a) -> bool:
         """Whether ``a`` lies in the relative interior of the face: zero on
         the vanishing set, strictly positive elsewhere."""
-        a = tuple(a)
-        if len(a) != self.d:
-            raise ValueError(f"degree vector has length {len(a)}, expected {self.d}")
-        for i in range(len(self.functionals)):
-            v = self.evaluate(i, a)
-            if i in face.vanishing:
-                if v != 0:
-                    return False
-            elif v <= 0:
-                return False
-        return True
+        return self.zero_set(a) == face.vanishing
 
 
 def face_lattice(q: AffineSemigroup) -> FaceComplex:

@@ -111,10 +111,7 @@ def build(fc: FaceComplex, a=None, field: Field = QQ) -> ZeemanComplex:
             "graded evaluation at a nonzero degree needs semigroup geometry"
         )
 
-    def face_admits(g: int) -> bool:
-        return a is None or fc.contains_degree(g, a)
-
-    admitted = {g.id for g in fc.faces if face_admits(g.id)}
+    admitted = {g.id for g in fc.faces} if a is None else fc.faces_containing(a)
     blocks: dict = {}
     for g in sorted(admitted):
         qg = -fc.face(g).dim

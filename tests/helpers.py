@@ -31,6 +31,24 @@ def square_cone() -> AffineSemigroup:
     return AffineSemigroup(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
 
 
+def hexagon_cone() -> AffineSemigroup:
+    return AffineSemigroup(
+        3,
+        [(-1, -1, 1), (0, -1, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1)],
+    )
+
+
+def cube_cone() -> AffineSemigroup:
+    return AffineSemigroup(
+        4,
+        [
+            (1, 0, 0, 0), (-1, 0, 0, 1),
+            (0, 1, 0, 0), (0, -1, 0, 1),
+            (0, 0, 1, 0), (0, 0, -1, 1),
+        ],
+    )
+
+
 def square_cone_two_facets():
     """The subcomplex of the square cone generated by the two maximal faces
     adjacent along the ray (0,0,1)."""

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from zeemac import QQ, verify_exactness
+from zeemac import QQ, SimplicialComplex, verify_exactness
+from zeemac import formats
 from zeemac.cli import run
 from zeemac.formats import (
     InputFormatError,
@@ -133,6 +134,7 @@ MALFORMED = {  # each must exit 2 with a diagnostic naming the line, never a tra
     ),
     "delta_out_of_range": (SQUARE.encode() + b"delta 9\n", "line 9"),
     "not_utf8": (b"simplicial\nvertices 3\nfacet 1 2\xff\xfe\n", "line 3"),
+    "vertices_zero": (b"simplicial\nvertices 0\nfacet\n", "line 2"),
 }
 
 
@@ -146,6 +148,22 @@ def test_cli_malformed_input_exits_2_naming_the_line(tmp_path, capsys, name):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {line}:")
     assert "Traceback" not in captured.err
+
+
+def test_cli_rejects_too_many_vertices_without_building_faces(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("faces were built for an input over the vertex limit")
+
+    monkeypatch.setattr(formats, "cone_of_simplicial", refuse)
+    monkeypatch.setattr(SimplicialComplex, "faces", refuse)
+    assert formats.MAX_VERTICES == 16
+    for count in (formats.MAX_VERTICES + 1, 40):
+        path = write(tmp_path, f"v{count}.txt", f"simplicial\nvertices {count}\nfacet 1 2\n")
+        assert run(["cm-check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 2:")
+        assert f"1..{formats.MAX_VERTICES}" in captured.err
 
 
 def test_cli_validate(tmp_path, capsys):

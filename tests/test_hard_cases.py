@@ -26,6 +26,8 @@ from zeemac import (
 )
 from zeemac.complexes import subcomplex
 
+from .helpers import cube_cone, hexagon_cone
+
 
 def octahedron() -> SimplicialComplex:
     # boundary of the cross-polytope: antipodal pairs (1,4), (2,5), (3,6)
@@ -35,24 +37,6 @@ def octahedron() -> SimplicialComplex:
             for c in (3, 6):
                 facets.append({a, b, c})
     return SimplicialComplex.from_facets(6, facets)
-
-
-def hexagon_cone() -> AffineSemigroup:
-    return AffineSemigroup(
-        3,
-        [(-1, -1, 1), (0, -1, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1)],
-    )
-
-
-def cube_cone() -> AffineSemigroup:
-    return AffineSemigroup(
-        4,
-        [
-            (1, 0, 0, 0), (-1, 0, 0, 1),
-            (0, 1, 0, 0), (0, -1, 0, 1),
-            (0, 0, 1, 0), (0, 0, -1, 1),
-        ],
-    )
 
 
 def test_octahedron_full_pipeline():

@@ -1,13 +1,17 @@
+import random
+
 import pytest
 
 from zeemac import (
     AffineSemigroup,
     QQ,
+    SimplicialComplex,
+    cone_of_simplicial,
     face_lattice,
     validate,
 )
 
-from .helpers import square_cone
+from .helpers import cube_cone, hexagon_cone, square_cone
 
 
 def test_orthant_two_faces_and_dims():
@@ -128,3 +132,60 @@ def test_incidence_axiom_on_orthants():
         assert len(fc.faces) == 2**d
         rep = validate(fc)
         assert rep.ok, rep.problems
+
+
+def _units(d):
+    return [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+
+
+def test_orthant_closed_form_equals_generic_enumeration():
+    for d in range(1, 9):
+        closed, generic = AffineSemigroup.orthant(d), AffineSemigroup(d, _units(d))
+        assert closed.functionals == generic.functionals
+        assert closed.rays == generic.rays
+        assert closed.faces() == generic.faces()  # same faces in the same order
+        for f in generic.faces():
+            assert closed.rays_of(f) == generic.rays_of(f)
+        for k in range(d + 1):
+            for f in generic.faces():
+                sel = sorted(f.vanishing)[:k]
+                assert closed.face_with_vanishing(sel) == generic.face_with_vanishing(sel)
+
+
+def test_orthant_needs_a_positive_dimension():
+    for d in (0, -1):
+        with pytest.raises(ValueError):
+            AffineSemigroup.orthant(d)
+
+
+def _membership_oracle(q, cf, a):
+    """(on the face, in its relative interior), evaluating every functional."""
+    values = [sum(c * x for c, x in zip(t, a)) for t in q.functionals]
+    if any(v < 0 for v in values):
+        return False, False
+    zero = {i for i, v in enumerate(values) if v == 0}
+    return cf.vanishing <= zero, cf.vanishing == zero
+
+
+def _probe_degrees(q, rng, n=40):
+    out = [(0,) * q.d]
+    out += [f.interior_point for f in q.faces()]
+    out += [tuple(x - 1 if j == 0 else x for j, x in enumerate(f.interior_point)) for f in q.faces()]
+    for _ in range(n):
+        out.append(tuple(rng.choice((-2, -1, 0, 0, 0, 1, 2, 3)) for _ in range(q.d)))
+    return out
+
+
+def test_face_membership_agrees_with_direct_evaluation():
+    rng = random.Random(6061)
+    complexes = [face_lattice(AffineSemigroup.orthant(d)) for d in range(1, 6)]
+    complexes += [face_lattice(q) for q in (square_cone(), hexagon_cone(), cube_cone())]
+    complexes.append(cone_of_simplicial(SimplicialComplex.from_facets(4, [{1, 2}, {2, 3, 4}])))
+    for fc in complexes:
+        q = fc.semigroup
+        for a in _probe_degrees(q, rng):
+            containing = fc.faces_containing(a)
+            for f in fc.faces:
+                on, relint = _membership_oracle(q, fc.cone_faces[f.id], a)
+                assert (f.id in containing) == on == fc.contains_degree(f.id, a), (a, f.label)
+                assert fc.relint_contains(f.id, a) == relint, (a, f.label)

@@ -168,7 +168,7 @@ def _emit_resolution(res, bundle, field, out, args, certificates, doc) -> None:
     for i, m in enumerate(res.maps):
         out.append(f"map W^{i} -> W^{i+1} ({m.rows}x{m.cols}):")
         for r in range(m.rows):
-            out.append("  [" + " ".join(str(m.entry(r, c)) for c in range(m.cols)) + "]")
+            out.append("  [" + " ".join(str(x) for x in m.row(r)) + "]")
     if res.augmentation is not None:
         out.append("augmentation: [" + " ".join(str(x) for x in res.augmentation) + "]")
     for key, val in sorted(certificates.items()):

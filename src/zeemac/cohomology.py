@@ -107,14 +107,11 @@ def cochain_complex(fc: FaceComplex, g: int, field: Field) -> VSComplex:
         dom = ups.degree(p)
         cod = ups.degree(p + 1)
         cod_index = {f: i for i, f in enumerate(cod)}
-        w = len(dom)
-        flat = [field.zero()] * (len(cod) * w)
-        for j, f in enumerate(dom):
-            for f2, sign in fc.covers_above(f):
-                i = cod_index.get(f2)
-                if i is not None:
-                    flat[i * w + j] = field.reduce(sign)
-        diffs.append(Mat(len(cod), w, tuple(flat)))
+        columns = [
+            {cod_index[f2]: field.reduce(sign) for f2, sign in fc.covers_above(f) if f2 in cod_index}
+            for f in dom
+        ]
+        diffs.append(Mat(len(cod), len(dom), columns, field))
     return VSComplex(ups.lo, ups.hi, labels, tuple(diffs))
 
 
@@ -131,8 +128,7 @@ def echelon_representatives(kernel, image, field: Field):
     cols = list(image) + list(kernel)
     if n == 0:
         return ()
-    rows = [[field.reduce(c[i]) for c in cols] for i in range(n)]
-    pivots = _rref(rows, field)
+    pivots = _rref([[c[i] for c in cols] for i in range(n)], field)
     picked = [j - len(image) for j in pivots if j >= len(image)]
     return tuple(kernel[j] for j in picked)
 
@@ -200,9 +196,8 @@ def _restriction_core(fc: FaceComplex, g: int, g_prime: int, field: Field, p: in
         sol = solve_in_subspace(vec, generators, field)
         if sol is None:
             raise RuntimeError("a cocycle failed to reduce in the larger complex")
-        out_cols.append([field.reduce(sign * c) for c in sol[: len(dst_reps)]])
-    rows_data = [[out_cols[j][i] for j in range(cols)] for i in range(rows)]
-    return Mat.from_rows(rows_data, field)
+        out_cols.append({i: x for i, c in enumerate(sol[:rows]) if (x := field.reduce(sign * c))})
+    return Mat(rows, cols, out_cols, field)
 
 
 def restriction_map(fc: FaceComplex, g: int, g_prime: int, field: Field, p: int) -> Mat:

@@ -82,10 +82,9 @@ class DualFreeComplex:
         for i, m in enumerate(self.maps):
             rows = self.terms[i]
             cols = self.terms[i + 1]
-            for r in range(m.rows):
-                for c in range(m.cols):
-                    if m.entry(r, c) != 0 and not (cols[c] >= rows[r]):
-                        return False
+            for c, col in enumerate(m.columns):
+                if any(not cols[c] >= rows[r] for r in col):
+                    return False
         return True
 
     def check_composition(self, field: Field) -> bool:
@@ -160,18 +159,14 @@ def reduced_cohomology_dims(faces, field: Field) -> dict:
         dom = by_card.get(k, [])
         cod = by_card.get(k + 1, [])
         idx = {s: i for i, s in enumerate(cod)}
-        w = len(dom)
-        flat = [field.zero()] * (len(cod) * w)
-        for j, s in enumerate(dom):
+        columns = []
+        for s in dom:
+            col = {}
             for v in vertices:
-                if v in s:
-                    continue
-                t = s | {v}
-                i = idx.get(t)
-                if i is not None:
-                    pos = sorted(t).index(v)
-                    flat[i * w + j] = field.reduce(-1 if pos % 2 else 1)
-        mats[k] = Mat(len(cod), w, tuple(flat))
+                if v not in s and (t := s | {v}) in idx:
+                    col[idx[t]] = field.reduce(-1 if sorted(t).index(v) % 2 else 1)
+            columns.append(col)
+        mats[k] = Mat(len(cod), len(dom), columns, field)
     dims = {}
     for k in range(top + 1):
         n_k = len(by_card.get(k, []))

@@ -18,10 +18,13 @@ covers explicitly; it carries no lattice geometry, so only degree-zero
 computations apply.  A semigroup file cuts the cone out by primitive
 functionals; optional ``delta`` lines select the subcomplex generated by
 the faces on which the named functionals (1-based) vanish, defaulting to
-the whole face lattice.  A malformed line (a missing or non-integer value,
-a ``vertices`` count outside ``1..MAX_VERTICES`` (16), a cover that names
-an unknown face, a ``delta`` index outside ``1..#functionals``, bytes that
-are not UTF-8) raises ``InputFormatError`` naming the line.
+the whole face lattice.  A bare ``facet`` line is the empty facet: alone
+it gives the complex {empty face}, whose quotient k[Q]/m = k is
+Cohen-Macaulay of dimension 0.  A malformed line (a missing or
+non-integer value, a ``vertices`` count outside ``1..MAX_VERTICES`` (16),
+a facet that repeats a vertex or leaves ``1..vertices``, a cover that
+names an unknown face, a ``delta`` index outside ``1..#functionals``,
+bytes that are not UTF-8) raises ``InputFormatError`` naming the line.
 
 Resolutions serialize to JSON documents that embed the input complex, the
 terms (face keys per copy), the scalar block matrices, the augmentation
@@ -125,11 +128,18 @@ def _parse_simplicial(body) -> InputBundle:
             if not 1 <= d <= MAX_VERTICES:
                 raise InputFormatError(f"line {lineno}: 'vertices' must lie in 1..{MAX_VERTICES}, got {d}")
         elif toks[0] == "facet":
-            facets.append(frozenset(_ints(toks, lineno, len(toks) - 1)))
+            facet = _ints(toks, lineno, len(toks) - 1)
+            if len(set(facet)) != len(facet):
+                raise InputFormatError(f"line {lineno}: facet {facet} names a vertex twice")
+            facets.append((lineno, frozenset(facet)))
         else:
             raise InputFormatError(f"line {lineno}: unexpected {toks[0]!r} in a simplicial file")
     if d is None:
         raise InputFormatError("missing 'vertices' line")
+    for lineno, facet in facets:
+        if not all(1 <= v <= d for v in facet):
+            raise InputFormatError(f"line {lineno}: facet {sorted(facet)} leaves the vertex range 1..{d}")
+    facets = [facet for _, facet in facets]
     try:
         sc = SimplicialComplex.from_facets(d, facets)
     except ValueError as exc:
@@ -225,8 +235,11 @@ def _mat_to_doc(m: Mat) -> dict:
 
 
 def _mat_from_doc(doc: dict, field: Field) -> Mat:
-    entries = tuple(_scalar_from_str(s, field) for s in doc["entries"])
-    return Mat(doc["rows"], doc["cols"], entries)
+    rows, cols = doc["rows"], doc["cols"]
+    entries = [Fraction(s) for s in doc["entries"]]
+    if len(entries) != rows * cols:
+        raise ValueError("entry count does not match rows*cols")
+    return Mat.from_rows((entries[i * cols : (i + 1) * cols] for i in range(rows)), field, cols)
 
 
 def complex_to_doc(bundle: InputBundle) -> dict:

@@ -2,38 +2,43 @@
 
 Everything downstream (cochain complexes, spectral-sequence pages,
 resolution certificates) reduces to ranks, kernels, images and solves
-computed here.  Matrices are stored dense; rational arithmetic uses
-`fractions.Fraction`, and prime-field scalars are canonical
-representatives in ``[0, p)``.
+computed here.  Rational arithmetic uses `fractions.Fraction`, and
+prime-field scalars are canonical representatives in ``[0, p)``.
 
-Two elimination kernels serve two needs.  Kernels, images, solves and
-representatives go through a canonical reduced echelon form (``_rref``:
-deterministic first-nonzero pivoting in column order), so every basis
-they return is reproducible.  Ranks depend on no pivot choice, so they go
-through one sparse column reduction (``reduce_columns``) of columns
-``{row: value}`` that hold only the nonzero entries; it works mod p over
-F_p and fraction-free over the integers for rationals.  One pass gives
-the rank after every column prefix and, from the pivot (largest) rows of
-the surviving columns, the rank of every row suffix
-(``row_suffix_ranks``), with no transpose.  ``rank`` and
-``column_prefix_ranks`` read a dense ``Mat`` into such columns first;
-callers that already hold sparse columns pass them in directly.
+There is one matrix type, ``Mat``, and it is sparse: ``columns[j]`` maps
+the row of each nonzero entry of column j to its scalar.  A matrix knows
+its field; scalars are reduced into it once, when the matrix is built, and
+no zero is stored, so two matrices are ``==`` exactly when their fields
+and entries are.  An operation asked for another field reads the matrix
+over that field (``Mat.over``) instead of trusting scalars reduced for a
+different one.  Products, transposes and zero tests walk the nonzeros
+only; ``dense_rows`` and ``entries`` are derived dense views.
+
+Two elimination kernels serve two needs.  Ranks depend on no pivot
+choice, so they go through one sparse column reduction
+(``reduce_columns``) of the columns themselves; it works mod p over F_p
+and fraction-free over the integers for rationals.  One pass gives the
+rank after every column prefix and, from the pivot (largest) rows of the
+surviving columns, the rank of every row suffix (``row_suffix_ranks``),
+with no transpose.  Kernels, images, solves and representatives go
+through a canonical reduced echelon form (``_rref``: deterministic
+first-nonzero pivoting in column order), so every basis they return is
+reproducible; ``_rref`` is the only kernel that works on dense rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain
 from math import gcd, lcm
-from operator import is_not
 
 
 class FieldMismatchError(ValueError):
     """An entry cannot be reduced into the requested field."""
 
 
-_QQ_ZERO = Fraction(0)  # one shared zero, so sparse reads can skip zeros by identity
+_QQ_ZERO = Fraction(0)  # shared: constructing a Fraction runs Python code
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -135,94 +140,124 @@ def parse_field(text: str) -> Field:
 
 @dataclass(frozen=True)
 class Mat:
-    """A dense matrix with entries stored row-major as a flat tuple."""
+    """A sparse matrix over ``field``: ``columns[j]`` is column j as
+    ``{row: scalar}``.
+
+    The scalars are nonzero and reduced into ``field``; builders that hold
+    such scalars pass their columns straight in, and ``from_rows`` reduces
+    dense rows.  Operations take a field and read the matrix over it
+    (``over``), which re-reduces the entries only when that field is not
+    the matrix's own.  The entry accessors read a zero entry as
+    ``field.zero()``.
+    """
 
     rows: int
     cols: int
-    entries: tuple
+    columns: tuple
+    field: Field
 
     def __post_init__(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match rows*cols")
+        object.__setattr__(self, "columns", tuple(self.columns))
+        if len(self.columns) != self.cols:
+            raise ValueError("column count does not match cols")
 
     @classmethod
-    def from_rows(cls, rows, field: Field) -> "Mat":
-        data = []
-        ncols = None
+    def from_rows(cls, rows, field: Field, cols: int | None = None) -> "Mat":
+        """The matrix with these dense rows, every entry reduced into
+        ``field``; ``cols`` fixes the width, which a matrix with no rows
+        cannot show."""
+        columns = None if cols is None else [{} for _ in range(cols)]
         nrows = 0
-        for row in rows:
-            row = list(row)
-            if ncols is None:
-                ncols = len(row)
-            elif len(row) != ncols:
+        for i, row in enumerate(rows):
+            row = [field.reduce(x) for x in row]
+            if columns is None:
+                columns = [{} for _ in row]
+            elif len(row) != len(columns):
                 raise ValueError("ragged rows")
-            data.extend(field.reduce(x) for x in row)
-            nrows += 1
-        if ncols is None:
-            ncols = 0
-        return cls(nrows, ncols, tuple(data))
+            for j, x in enumerate(row):
+                if x:
+                    columns[j][i] = x
+            nrows = i + 1
+        columns = columns or []
+        return cls(nrows, len(columns), columns, field)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field: Field) -> "Mat":
-        return cls(rows, cols, (field.zero(),) * (rows * cols))
+        return cls(rows, cols, [{} for _ in range(cols)], field)
 
     @classmethod
     def identity(cls, n: int, field: Field) -> "Mat":
-        z, o = field.zero(), field.one()
-        return cls(n, n, tuple(o if i == j else z for i in range(n) for j in range(n)))
+        return cls(n, n, [{j: field.one()} for j in range(n)], field)
+
+    def over(self, field: Field) -> "Mat":
+        """This matrix read over ``field``: itself when that is its own
+        field, else a copy with every entry reduced into ``field``."""
+        if field == self.field:
+            return self
+        columns = [{i: y for i, x in col.items() if (y := field.reduce(x))} for col in self.columns]
+        return Mat(self.rows, self.cols, columns, field)
+
+    def dense_rows(self) -> list[list]:
+        """The rows as new lists, zeros included (a dense copy)."""
+        z = self.field.zero()
+        rows = [[z] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                rows[i][j] = x
+        return rows
+
+    @property
+    def entries(self) -> tuple:
+        """The entries row-major, zeros included (a dense copy)."""
+        return tuple(chain.from_iterable(self.dense_rows()))
 
     def entry(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
+        return self.columns[j].get(i, self.field.zero())
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        z = self.field.zero()
+        return tuple(col.get(i, z) for col in self.columns)
 
     def col(self, j: int) -> tuple:
-        return self.entries[j :: self.cols]
-
-    def nonzero_indices(self, field: Field):
-        """Flat indexes of every nonzero entry, and of any zero that is not
-        ``field.zero()`` itself.  Skipping by identity keeps the scan in C
-        (a Fraction's truth test runs Python code)."""
-        return compress(range(len(self.entries)), map(is_not, self.entries, repeat(field.zero())))
-
-    def to_lists(self) -> list[list]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        col, z = self.columns[j], self.field.zero()
+        return tuple(col.get(i, z) for i in range(self.rows))
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, tuple(chain.from_iterable(self.col(j) for j in range(self.cols))))
+        out: list[dict] = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                out[i][j] = x
+        return Mat(self.cols, self.rows, out, self.field)
 
     def mul_vec(self, v, field: Field) -> tuple:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        v = [field.reduce(x) for x in v]
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            s = field.zero()
-            for j, x in enumerate(v):
-                if x:
-                    s += self.entries[base + j] * x
-            out.append(field.reduce(s))
-        return tuple(out)
+        acc = _combine(self.over(field).columns, enumerate(field.reduce(x) for x in v))
+        return tuple(field.reduce(acc.get(i, 0)) for i in range(self.rows))
 
     def mul(self, other: "Mat", field: Field) -> "Mat":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
+        columns = self.over(field).columns
         out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(other.cols):
-                s = field.zero()
-                for k in range(self.cols):
-                    a = self.entries[base + k]
-                    if a:
-                        s += a * other.entries[k * other.cols + j]
-                out.append(field.reduce(s))
-        return Mat(self.rows, other.cols, tuple(out))
+        for col in other.over(field).columns:
+            acc = _combine(columns, col.items())
+            out.append({i: y for i, x in acc.items() if (y := field.reduce(x))})
+        return Mat(self.rows, other.cols, out, field)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(self.columns)
+
+
+def _combine(columns, coefficients) -> dict:
+    """``sum(c * columns[k])`` over the pairs ``(k, c)``, as ``{row: sum}``
+    (sums unreduced, zero sums kept)."""
+    acc: dict = {}
+    for k, c in coefficients:
+        if c:
+            for i, x in columns[k].items():
+                acc[i] = acc.get(i, 0) + x * c
+    return acc
 
 
 def _rref(rows: list[list], field: Field) -> list[int]:
@@ -273,20 +308,6 @@ def _rref(rows: list[list], field: Field) -> list[int]:
         if r == nrows:
             break
     return pivots
-
-
-def _sparse_columns(m: Mat, field: Field) -> list[dict]:
-    """The nonzero entries of ``m`` as columns ``{row: value}``, one per
-    column of ``m``; ``field.reduce`` runs on the nonzeros only."""
-    ncols = m.cols
-    entries = m.entries
-    cols: list[dict] = [{} for _ in range(ncols)]
-    for idx in m.nonzero_indices(field):
-        x = field.reduce(entries[idx])
-        if x:
-            i, j = divmod(idx, ncols)
-            cols[j][i] = x
-    return cols
 
 
 def reduce_columns(cols, field: Field, order) -> tuple[list[int], list[int]]:
@@ -374,15 +395,7 @@ def rank(m: Mat, field: Field) -> int:
     """Row rank (= column rank) of ``m`` over ``field``."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    return len(reduce_columns(_sparse_columns(m, field), field, range(m.cols))[1])
-
-
-def column_prefix_ranks(m: Mat, field: Field, order: list[int]) -> list[int]:
-    """Rank of the submatrix on the first ``k`` columns of ``order``, all k.
-
-    Returns a list of length ``len(order)``; one elimination pass total.
-    """
-    return reduce_columns(_sparse_columns(m, field), field, order)[0]
+    return len(reduce_columns(m.over(field).columns, field, range(m.cols))[1])
 
 
 def kernel_basis(m: Mat, field: Field) -> list[tuple]:
@@ -396,7 +409,7 @@ def kernel_basis(m: Mat, field: Field) -> list[tuple]:
     if m.rows == 0:
         z, o = field.zero(), field.one()
         return [tuple(o if i == j else z for i in range(m.cols)) for j in range(m.cols)]
-    rows = [[field.reduce(x) for x in m.row(i)] for i in range(m.rows)]
+    rows = m.over(field).dense_rows()
     pivots = _rref(rows, field)
     pivot_set = set(pivots)
     z, o = field.zero(), field.one()
@@ -418,9 +431,8 @@ def image_basis(m: Mat, field: Field) -> list[tuple]:
     """The pivot columns of ``m``: a basis of its column space."""
     if m.rows == 0 or m.cols == 0:
         return []
-    rows = [[field.reduce(x) for x in m.row(i)] for i in range(m.rows)]
-    pivots = _rref(rows, field)
-    return [m.col(j) for j in pivots]
+    m = m.over(field)
+    return [m.col(j) for j in _rref(m.dense_rows(), field)]
 
 
 def solve_in_subspace(target, generators, field: Field):
@@ -449,6 +461,3 @@ def solve_in_subspace(target, generators, field: Field):
         coeffs[pc] = rows[t][len(gens)]
     return tuple(coeffs)
 
-
-def in_span(target, generators, field: Field) -> bool:
-    return solve_in_subspace(target, generators, field) is not None

@@ -105,10 +105,9 @@ class FaceModuleComplex:
         for i, m in enumerate(self.maps):
             dom = self.terms[i].faces
             cod = self.terms[i + 1].faces
-            for r in range(m.rows):
-                for c in range(m.cols):
-                    if m.entry(r, c) != 0 and cod[r] not in below[dom[c]]:
-                        return False
+            for c, col in enumerate(m.columns):
+                if any(cod[r] not in below[dom[c]] for r in col):
+                    return False
         return True
 
     def check_composition(self) -> bool:
@@ -154,20 +153,16 @@ def total_resolution(fc: FaceComplex, field: Field = QQ) -> FaceModuleComplex:
 
     maps = []
     for i in range(hi):
-        dom = pair_lists[i]
-        cod = pair_lists[i + 1]
-        rows = [[field.zero()] * len(dom) for _ in cod]
-        for j, (g, f) in enumerate(dom):
-            for g2, sign in fc.covers_below(g):
-                k = index[i + 1].get((g2, f))
-                if k is not None:
-                    rows[k][j] = field.reduce(sign)
+        cod = index[i + 1]
+        columns = []
+        for g, f in pair_lists[i]:
+            col = {cod[(g2, f)]: field.reduce(sign) for g2, sign in fc.covers_below(g) if (g2, f) in cod}
             twist = -1 if fc.face(g).dim % 2 else 1
             for f2, sign in fc.covers_above(f):
-                k = index[i + 1].get((g, f2))
-                if k is not None:
-                    rows[k][j] = field.reduce(twist * sign)
-        maps.append(Mat.from_rows(rows, field))
+                if (g, f2) in cod:
+                    col[cod[(g, f2)]] = field.reduce(twist * sign)
+            columns.append(col)
+        maps.append(Mat(len(cod), len(columns), columns, field))
 
     aug = [
         field.reduce(diagonal_sign(fc.face(g).dim)) if g == f else field.zero()
@@ -208,19 +203,16 @@ def minimal_linear_resolution(fc: FaceComplex, field: Field = QQ) -> FaceModuleC
     terms = [FaceModule(faces) for faces in term_faces]
     maps = []
     for i in range(len(terms) - 1):
-        dom, cod = terms[i], terms[i + 1]
-        rows = [[field.zero()] * len(dom) for _ in range(len(cod))]
-        for g, (c0, cm) in offsets[i].items():
+        columns = [{} for _ in range(len(terms[i]))]
+        for g, (c0, _) in offsets[i].items():
             for g2, _ in fc.covers_below(g):
                 tgt = offsets[i + 1].get(g2)
                 if tgt is None:
                     continue
-                r0, rm = tgt
-                block = restriction_map(fc, g, g2, field, n)
-                for r in range(rm):
-                    for c in range(cm):
-                        rows[r0 + r][c0 + c] = block.entry(r, c)
-        maps.append(Mat.from_rows(rows, field))
+                r0 = tgt[0]
+                for c, col in enumerate(restriction_map(fc, g, g2, field, n).columns):
+                    columns[c0 + c].update((r0 + r, x) for r, x in col.items())
+        maps.append(Mat(len(terms[i + 1]), len(columns), columns, field))
     aug = [field.one()] * len(terms[0])
     return FaceModuleComplex(fc, field, terms, maps, augmentation=aug, variant="minimal-linear")
 
@@ -268,25 +260,21 @@ def verify_exactness(c: FaceModuleComplex, fc: FaceComplex | None = None, field:
     )
     for a in degrees:
         on_face = fc.faces_containing(a)
-        quotient_dim = 1 if on_face else 0
+        if not on_face:
+            continue  # every component is zero there, the quotient's too
         active = [[k for k, g in enumerate(term.faces) if g in on_face] for term in c.terms]
-        sub = []
+        ranks = []
         for i, m in enumerate(c.maps):
-            rows_idx, cols_idx = active[i + 1], active[i]
-            e, w = m.entries, m.cols
-            entries = tuple(e[r * w + col] for r in rows_idx for col in cols_idx)
-            sub.append(Mat(len(rows_idx), len(cols_idx), entries))
-        ranks = [rank(m, field) for m in sub]
+            pos = {r: k for k, r in enumerate(active[i + 1])}
+            cols = [{pos[r]: x for r, x in m.columns[j].items() if r in pos} for j in active[i]]
+            ranks.append(rank(Mat(len(pos), len(cols), cols, m.field), field))
         ok = True
-        if c.augmentation is not None:
-            aug = [c.augmentation[k] for k in active[0]]
-            if quotient_dim == 1 and not any(aug):
-                ok = False
+        if c.augmentation is not None and not any(c.augmentation[k] for k in active[0]):
+            ok = False
         for i in range(len(c.terms)):
-            dim_i = len(active[i])
-            out_rank = ranks[i] if i < len(sub) else 0
-            in_rank = ranks[i - 1] if i > 0 else (quotient_dim if c.augmentation is not None else 0)
-            if dim_i - out_rank - in_rank != 0:
+            out_rank = ranks[i] if i < len(ranks) else 0
+            in_rank = ranks[i - 1] if i > 0 else (1 if c.augmentation is not None else 0)
+            if len(active[i]) - out_rank - in_rank != 0:
                 ok = False
                 break
         if not ok:
@@ -330,10 +318,8 @@ def minimality_scan(c: FaceModuleComplex) -> MinimalityScan:
     for i, m in enumerate(c.maps):
         dom = c.terms[i].faces
         cod = c.terms[i + 1].faces
-        for col in range(m.cols):
-            for row in range(m.rows):
-                if dom[col] == cod[row] and m.entry(row, col) != 0:
-                    found.append((i, col, row))
+        for col, column in enumerate(m.columns):
+            found.extend((i, col, row) for row in sorted(column) if cod[row] == dom[col])
     return MinimalityScan(tuple(found), certificate_complete=is_linear(c))
 
 

@@ -63,7 +63,6 @@ class ZeemanComplex:
     _page1: object = dfield(default=None, repr=False)
     _page2: object = dfield(default=None, repr=False)
     _total: object = dfield(default=None, repr=False)
-    _total_columns: object = dfield(default=None, repr=False)  # sparse columns of each total differential
 
     @property
     def pmax(self) -> int:
@@ -124,28 +123,21 @@ def build(fc: FaceComplex, a=None, field: Field = QQ) -> ZeemanComplex:
     vertical: dict = {}
     horizontal: dict = {}
     for (p, q), pairs in blocks.items():
-        w = len(pairs)
-        tgt_v = blocks.get((p, q + 1), ())
-        if tgt_v:
+        if (p, q + 1) in blocks:
             idx = index[(p, q + 1)]
-            flat = [field.zero()] * (len(tgt_v) * w)
-            for j, (f, g) in enumerate(pairs):
-                for g2, sign in fc.covers_below(g):
-                    i = idx.get((f, g2))
-                    if i is not None:
-                        flat[i * w + j] = field.reduce(sign)
-            vertical[(p, q)] = Mat(len(tgt_v), w, tuple(flat))
-        tgt_h = blocks.get((p + 1, q), ())
-        if tgt_h:
+            columns = [
+                {idx[(f, g2)]: field.reduce(sign) for g2, sign in fc.covers_below(g) if (f, g2) in idx}
+                for f, g in pairs
+            ]
+            vertical[(p, q)] = Mat(len(idx), len(pairs), columns, field)
+        if (p + 1, q) in blocks:
             idx = index[(p + 1, q)]
             twist = -1 if q % 2 else 1
-            flat = [field.zero()] * (len(tgt_h) * w)
-            for j, (f, g) in enumerate(pairs):
-                for f2, sign in fc.covers_above(f):
-                    i = idx.get((f2, g))
-                    if i is not None:
-                        flat[i * w + j] = field.reduce(twist * sign)
-            horizontal[(p, q)] = Mat(len(tgt_h), w, tuple(flat))
+            columns = [
+                {idx[(f2, g)]: field.reduce(twist * sign) for f2, sign in fc.covers_above(f) if (f2, g) in idx}
+                for f, g in pairs
+            ]
+            horizontal[(p, q)] = Mat(len(idx), len(pairs), columns, field)
     return ZeemanComplex(fc, field, a, blocks, vertical, horizontal)
 
 
@@ -177,25 +169,20 @@ def total_complex(z: ZeemanComplex) -> AugmentedTotal:
     index = [
         {lab: i for i, lab in enumerate(level)} for level in labels
     ]
-    # The block maps hold reduced nonzero scalars already: copy them into
-    # each flat differential instead of re-reducing dense rows, and into
-    # the sparse columns {row: value} that E-infinity reduces.
-    diffs = [[field.zero()] * (len(labels[n]) * len(labels[n + 1])) for n in range(hi)]
+    # The block maps hold reduced nonzero scalars already: copy their
+    # columns into those of the total differentials.
     columns = [[{} for _ in labels[n]] for n in range(hi)]
     for maps, step in ((z.horizontal, (1, 0)), (z.vertical, (0, 1))):
         for (p, q), m in maps.items():
             src, tgt = (p, q), (p + step[0], q + step[1])
             n = p + q
-            width = len(labels[n])
-            dom = [index[n][(src, pair)] for pair in z.blocks[src]]
             cod = [index[n + 1][(tgt, pair)] for pair in z.blocks[tgt]]
-            flat, cols, entries = diffs[n], columns[n], m.entries
-            for k in m.nonzero_indices(field):
-                i, j = divmod(k, m.cols)
-                r, c = cod[i], dom[j]
-                flat[r * width + c] = cols[c][r] = entries[k]
-    diffs = [Mat(len(labels[n + 1]), len(labels[n]), tuple(flat)) for n, flat in enumerate(diffs)]
-    vs = VSComplex(0, hi, tuple(labels), tuple(diffs))
+            for pair, col in zip(z.blocks[src], m.columns):
+                target = columns[n][index[n][(src, pair)]]
+                for i, x in col.items():
+                    target[cod[i]] = x
+    diffs = tuple(Mat(len(labels[n + 1]), len(labels[n]), cols, field) for n, cols in enumerate(columns))
+    vs = VSComplex(0, hi, tuple(labels), diffs)
     aug = []
     for (pq, (f, g)) in labels[0]:
         if f == g:
@@ -203,7 +190,7 @@ def total_complex(z: ZeemanComplex) -> AugmentedTotal:
         else:  # total degree 0 forces dim F = dim G, hence F = G
             aug.append(field.zero())
     result = AugmentedTotal(vs, tuple(aug))
-    z._total, z._total_columns = result, columns
+    z._total = result
     return result
 
 
@@ -263,14 +250,13 @@ def _page1_data(z: ZeemanComplex) -> _Page1Data:
     dmats: dict = {}
     for (p, q), src in sorted(owners.items()):
         row_of = {owner: i for i, owner in enumerate(owners.get((p, q + 1), ()))}
-        rows = [[field.zero()] * len(src) for _ in row_of]
-        for j, (g, k) in enumerate(src):
+        columns = [{} for _ in src]
+        for col, (g, k) in zip(columns, src):
             for g2, _ in fc.covers_below(g):
                 if (g2, 0) in row_of:
-                    block = restriction_map(fc, g, g2, field, p)
-                    for k2 in range(block.rows):
-                        rows[row_of[(g2, k2)]][j] = block.entry(k2, k)
-        dmats[(p, q)] = Mat.from_rows(rows, field) if rows else Mat.zeros(0, len(src), field)
+                    for k2, x in restriction_map(fc, g, g2, field, p).columns[k].items():
+                        col[row_of[(g2, k2)]] = x
+        dmats[(p, q)] = Mat(len(row_of), len(src), columns, field)
     data = _Page1Data(reps, dmats)
     z._page1 = data
     return data
@@ -327,7 +313,7 @@ def _page2_data(z: ZeemanComplex) -> _Page2Data:
             else:
                 u = [field.zero()] * len(z.block(p - 1, q + 2))
             if not tgt:
-                cols.append([])
+                cols.append({})
                 continue
             cob = z.horiz(p - 2, q + 2)
             gens1 = [list(t) for t in tgt_reps1] + [list(cob.col(j)) for j in range(cob.cols)]
@@ -342,9 +328,8 @@ def _page2_data(z: ZeemanComplex) -> _Page2Data:
             c2 = solve_in_subspace(c1, gens2, field)
             if c2 is None:
                 raise RuntimeError("page-2 image failed to reduce modulo page-1 boundaries")
-            cols.append(list(c2[: len(tgt)]))
-        rows = [[cols[j][i] for j in range(len(rlist))] for i in range(len(tgt))]
-        d2[(p, q)] = Mat.from_rows(rows, field) if tgt else Mat.zeros(0, len(rlist), field)
+            cols.append({i: x for i, x in enumerate(c2[: len(tgt)]) if x})
+        d2[(p, q)] = Mat(len(tgt), len(rlist), cols, field)
     data = _Page2Data(reps2, d2)
     z._page2 = data
     return data
@@ -368,8 +353,8 @@ def _infinity_dims(z: ZeemanComplex) -> dict:
     ]
     pref = []  # pref[n][k - 1]: rank of the first k columns of the differential out of degree n
     suff = [[]]  # suff[n][k - 1]: rank of the last k rows of the differential into degree n
-    for n, cols in enumerate(z._total_columns):
-        ranks, pivots = reduce_columns(cols, field, range(len(cols)))
+    for n, d in enumerate(tot.diffs):
+        ranks, pivots = reduce_columns(d.columns, field, range(d.cols))
         pref.append(ranks)
         suff.append(row_suffix_ranks(pivots, tot.dim(n + 1)))
     pref.append([0] * tot.dim(hi))

@@ -5,8 +5,10 @@ whole dense rows: fraction-free over the integers for QQ (each row scaled
 to integers first), mod p otherwise.  ``dense_total_differentials``
 assembles the total complex through dense rows and ``Mat.from_rows``, and
 ``dense_infinity_dims`` reads the terminal page off ranks of explicit
-submatrices of those differentials.  The library's sparse column reduction
-and direct total-complex fill must agree with all of them exactly.
+submatrices of those differentials.  ``dense_mul`` and ``dense_mul_vec``
+are the row-major loops of the dense ``Mat`` that the sparse one replaced.
+The library's sparse column reduction, sparse products and direct
+total-complex fill must agree with all of them exactly.
 """
 
 from __future__ import annotations
@@ -132,6 +134,41 @@ def dense_column_prefix_ranks(m: Mat, field: Field, order: list[int]) -> list[in
         return _int_forward_ranks(rows, checkpoints)
     rows = [[field.reduce(x) for x in row] for row in perm_rows]
     return _modp_forward_ranks(rows, field.p, checkpoints)
+
+
+def dense_mul_vec(m: Mat, v, field: Field) -> tuple:
+    """``m`` times the vector ``v``, over the dense entries of ``m``."""
+    if len(v) != m.cols:
+        raise ValueError("vector length does not match column count")
+    entries = m.entries
+    v = [field.reduce(x) for x in v]
+    out = []
+    for i in range(m.rows):
+        base = i * m.cols
+        s = field.zero()
+        for j, x in enumerate(v):
+            if x:
+                s += entries[base + j] * x
+        out.append(field.reduce(s))
+    return tuple(out)
+
+
+def dense_mul(m: Mat, other: Mat, field: Field) -> Mat:
+    """The product ``m * other``, over the dense entries of both."""
+    if m.cols != other.rows:
+        raise ValueError("inner dimensions do not match")
+    entries, other_entries = m.entries, other.entries
+    out = []
+    for i in range(m.rows):
+        base = i * m.cols
+        for j in range(other.cols):
+            s = field.zero()
+            for k in range(m.cols):
+                a = entries[base + k]
+                if a:
+                    s += a * other_entries[k * other.cols + j]
+            out.append(field.reduce(s))
+    return Mat.from_rows((out[i * other.cols : (i + 1) * other.cols] for i in range(m.rows)), field, other.cols)
 
 
 def dense_total_differentials(z: ZeemanComplex) -> list[Mat]:

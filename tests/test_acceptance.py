@@ -76,7 +76,7 @@ def _identities_hold(z) -> bool:
             return False
         a = z.vert(p + 1, q).mul(z.horiz(p, q), field)
         b = z.horiz(p, q + 1).mul(z.vert(p, q), field)
-        s = Mat(a.rows, a.cols, tuple(field.reduce(x + y) for x, y in zip(a.entries, b.entries)))
+        s = Mat.from_rows([[x + y for x, y in zip(a.row(i), b.row(i))] for i in range(a.rows)], field, a.cols)
         if not s.is_zero():
             return False
     return True

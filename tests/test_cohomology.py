@@ -110,10 +110,10 @@ def test_restriction_squares_compose_to_zero():
                         prod = second.mul(first, QQ)
                         if g2 in acc:
                             prev = acc[g2]
-                            acc[g2] = Mat(
-                                prod.rows,
+                            acc[g2] = Mat.from_rows(
+                                [[a + b for a, b in zip(prev.row(i), prod.row(i))] for i in range(prod.rows)],
+                                QQ,
                                 prod.cols,
-                                tuple(a + b for a, b in zip(prev.entries, prod.entries)),
                             )
                         else:
                             acc[g2] = prod

@@ -135,6 +135,8 @@ MALFORMED = {  # each must exit 2 with a diagnostic naming the line, never a tra
     "delta_out_of_range": (SQUARE.encode() + b"delta 9\n", "line 9"),
     "not_utf8": (b"simplicial\nvertices 3\nfacet 1 2\xff\xfe\n", "line 3"),
     "vertices_zero": (b"simplicial\nvertices 0\nfacet\n", "line 2"),
+    "facet_out_of_range": (b"simplicial\nvertices 3\nfacet 1 2\nfacet 1 4\n", "line 4"),
+    "facet_repeats_a_vertex": (b"simplicial\nvertices 3\nfacet 1 1 2\n", "line 3"),
 }
 
 
@@ -148,6 +150,15 @@ def test_cli_malformed_input_exits_2_naming_the_line(tmp_path, capsys, name):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {line}:")
     assert "Traceback" not in captured.err
+
+
+def test_cli_bare_facet_is_the_complex_of_the_empty_face(tmp_path, capsys):
+    # k[Q]/m = k: one face, Cohen-Macaulay of dimension 0
+    path = write(tmp_path, "empty_face.txt", "simplicial\nvertices 3\nfacet\n")
+    assert run(["cm-check", path]) == 0
+    out = capsys.readouterr().out
+    assert "(simplicial, ambient dimension 3, 1 faces, top dimension 0)" in out
+    assert "local-cohomology verdict: Cohen-Macaulay" in out
 
 
 def test_cli_rejects_too_many_vertices_without_building_faces(tmp_path, capsys, monkeypatch):

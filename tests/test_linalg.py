@@ -9,11 +9,10 @@ from zeemac.linalg import (
     GF,
     Mat,
     QQ,
-    column_prefix_ranks,
     image_basis,
-    in_span,
     kernel_basis,
     rank,
+    reduce_columns,
     solve_in_subspace,
 )
 
@@ -41,6 +40,25 @@ def test_rank_characteristic_collapse():
     m = mat([[2]])
     assert rank(m, F2) == 0
     assert rank(m, QQ) == 1
+    assert mat([[2]], F2).is_zero()
+
+
+def test_a_matrix_is_read_over_the_field_asked_for():
+    m = mat([[2, Fraction(1, 3)], [0, 1]])
+    assert m.field == QQ and m.over(QQ) is m
+    assert m.over(F2) == mat([[0, 1], [0, 1]], F2) != mat([[0, 1], [0, 1]])
+    assert kernel_basis(m, F2) == [(1, 0)]
+    assert image_basis(m, F2) == [(1, 1)]
+    assert m.mul(Mat.identity(2, QQ), F2) == m.over(F2)
+    assert m.mul_vec((1, 1), F2) == (1, 1)
+    with pytest.raises(FieldMismatchError):
+        rank(m, GF(3))
+
+
+def test_zero_entries_read_as_the_field_zero():
+    for field in (QQ, F2):
+        z = Mat.zeros(2, 1, field)
+        assert {type(x) for x in (z.entry(0, 0), *z.row(0), *z.col(0), *z.entries)} == {type(field.zero())}
 
 
 def test_rank_hollow_triangle_boundary():
@@ -152,7 +170,7 @@ def test_image_in_span_of_columns():
         m = _random_matrix(rng, QQ)
         cols = [m.col(j) for j in range(m.cols)]
         for v in image_basis(m, QQ):
-            assert in_span(v, cols, QQ)
+            assert solve_in_subspace(v, cols, QQ) is not None
 
 
 def test_column_prefix_ranks_match_direct_ranks():
@@ -164,7 +182,7 @@ def test_column_prefix_ranks_match_direct_ranks():
                 continue
             order = list(range(m.cols))
             rng.shuffle(order)
-            pref = column_prefix_ranks(m, field, order)
+            pref = reduce_columns(m.columns, field, order)[0]
             for k in range(1, m.cols + 1):
                 sub = Mat.from_rows(
                     [[m.entry(i, j) for j in order[:k]] for i in range(m.rows)], field

@@ -90,6 +90,25 @@ def test_dropping_a_summand_breaks_exactness():
     assert report.failing_degree is not None
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=lambda f: f.label())
+def test_broken_augmentation_witness_is_the_first_failing_degree(field):
+    # a connected graph, so both resolutions exist; the augmentation misses
+    # the copy of k[{1,2}], which only degrees with support {1,2} can see
+    fc = cone_of_simplicial(SimplicialComplex.from_facets(5, [{1, 2}, {1, 3}, {2, 3}, {3, 4}, {4, 5}]))
+    edge = next(f.id for f in fc.faces if f.label == "{1,2}")
+    degrees = evaluation_degrees(fc)
+    for res in (total_resolution(fc, field), minimal_linear_resolution(fc, field)):
+        aug = list(res.augmentation)
+        aug[res.terms[0].faces.index(edge)] = field.zero()
+        broken = FaceModuleComplex(fc, field, res.terms, res.maps, augmentation=aug)
+        report = verify_exactness(broken)
+        assert not report.exact
+        assert report.failing_degree == (1, 1, 0, 0, 0)  # the first degree with support {1,2}
+        # degrees no face contains come earlier; they are exact and skipped
+        earlier = degrees[: degrees.index(report.failing_degree)]
+        assert sum(1 for a in earlier if not fc.faces_containing(a)) == 5
+
+
 def test_exactness_at_unsupported_degree():
     fc = cone_of_simplicial(hollow_triangle())
     # nothing lives in degree (1,1,1): no face of the complex contains it

@@ -1,13 +1,16 @@
-"""The sparse rank kernel and the terminal page against dense references.
+"""The sparse ``Mat``, its rank kernel and the terminal page against dense
+references.
 
-``rank`` and ``column_prefix_ranks`` run one sparse column reduction
-(``reduce_columns``); ``dense_ranks`` keeps the dense row eliminations
-they replaced.  On seeded random matrices (entries beyond +-1,
-non-integral fractions, zero rows and columns, empty shapes and orders,
-permuted orders, rational matrices read over F_2) both must give the same
-column-prefix ranks, the row-suffix ranks read off the pivot rows must
-equal the dense prefix ranks of the transpose in reverse row order, and
-E-infinity must match the dense filtered-cohomology dimensions.
+``rank`` runs one sparse column reduction (``reduce_columns``) of the
+matrix's columns; ``dense_ranks`` keeps the dense row eliminations and the
+dense products they replaced.  On seeded random matrices (entries beyond
++-1, non-integral fractions, zero rows and columns, empty shapes and
+orders, permuted orders, rational matrices read over F_2) both must give
+the same column-prefix ranks, the row-suffix ranks read off the pivot rows
+must equal the dense prefix ranks of the transpose in reverse row order,
+products, transposes and entry reads must match the dense ones, no column
+may store a zero, and E-infinity must match the dense filtered-cohomology
+dimensions.
 """
 
 import itertools
@@ -18,9 +21,16 @@ from fractions import Fraction
 import pytest
 
 from zeemac import GF, QQ, SimplicialComplex, build, cone_of_simplicial, face_lattice, page, total_complex
-from zeemac.linalg import Mat, column_prefix_ranks, rank, reduce_columns, row_suffix_ranks
+from zeemac.linalg import Mat, rank, reduce_columns, row_suffix_ranks
 
-from .dense_ranks import dense_column_prefix_ranks, dense_infinity_dims, dense_rank, dense_total_differentials
+from .dense_ranks import (
+    dense_column_prefix_ranks,
+    dense_infinity_dims,
+    dense_mul,
+    dense_mul_vec,
+    dense_rank,
+    dense_total_differentials,
+)
 from .helpers import bowtie, hollow_triangle, random_sweep, rp2, square_cone, square_cone_two_facets
 
 FIELDS = (QQ, GF(2), GF(3), GF(2**61 - 1))
@@ -70,12 +80,41 @@ def sparse_columns(m: Mat, field) -> list[dict]:
     return [{i: x for i in range(m.rows) if (x := field.reduce(m.entry(i, j)))} for j in range(m.cols)]
 
 
+def assert_sparse(m: Mat):
+    """Exactly ``cols`` columns, rows in range, and no stored zero."""
+    assert len(m.columns) == m.cols
+    for col in m.columns:
+        assert all(0 <= i < m.rows and x for i, x in col.items())
+
+
+def assert_mat_matches_dense(m: Mat, dense: list[list], field):
+    """``m`` against its reduced dense rows: accessors, products, transpose."""
+    r, c = m.rows, m.cols
+    assert_sparse(m)
+    assert m.entries == tuple(x for row in dense for x in row)
+    assert [m.entry(i, j) for i in range(r) for j in range(c)] == [dense[i][j] for i in range(r) for j in range(c)]
+    assert [m.row(i) for i in range(r)] == [tuple(row) for row in dense]
+    assert [m.col(j) for j in range(c)] == [tuple(dense[i][j] for i in range(r)) for j in range(c)]
+    assert m.is_zero() == all(x == 0 for row in dense for x in row)
+    assert Mat.from_rows(dense, field, c) == m
+    assert Mat(r, c, [{i: dense[i][j] for i in range(r) if dense[i][j]} for j in range(c)], field) == m
+    t = m.transpose()
+    assert_sparse(t)
+    assert t == Mat.from_rows([[dense[i][j] for i in range(r)] for j in range(c)], field, r)
+    for a, b in ((m, t), (t, m)):
+        ab = a.mul(b, field)
+        assert_sparse(ab)
+        assert ab == dense_mul(a, b, field)
+    for v in [m.row(i) for i in range(r)] + [(1,) * c, (0,) * c]:
+        assert m.mul_vec(v, field) == dense_mul_vec(m, v, field)
+
+
 def assert_matches_dense(m: Mat, field, rng: random.Random):
     assert rank(m, field) == dense_rank(m, field)
     assert rank(m.transpose(), field) == rank(m, field)
     orders = random_orders(rng, m.cols)
     for order in orders:
-        assert column_prefix_ranks(m, field, order) == dense_column_prefix_ranks(m, field, order)
+        assert reduce_columns(m.over(field).columns, field, order)[0] == dense_column_prefix_ranks(m, field, order)
     # one reduction of all columns, in any order, gives every row-suffix rank
     reversed_rows = list(range(m.rows))[::-1]
     suffix = dense_column_prefix_ranks(m.transpose(), field, reversed_rows)
@@ -91,13 +130,23 @@ def assert_matches_dense(m: Mat, field, rng: random.Random):
 def test_ranks_match_dense_reference(field):
     rng = random.Random(20261018)
     for _ in range(300):
-        assert_matches_dense(Mat.from_rows(_field_safe(random_matrix(rng), field), field), field, rng)
+        rows = _field_safe(random_matrix(rng), field)
+        m = Mat.from_rows(rows, field)
+        assert_matches_dense(m, field, rng)
+        assert_mat_matches_dense(m, [[field.reduce(x) for x in row] for row in rows], field)
 
 
 def test_rational_matrices_ranked_over_f2():
     rng = random.Random(61)
     for _ in range(300):
-        assert_matches_dense(Mat.from_rows(random_matrix(rng, odd_denominators=True), QQ), GF(2), rng)
+        rows = random_matrix(rng, odd_denominators=True)
+        m = Mat.from_rows(rows, QQ)
+        assert_matches_dense(m, GF(2), rng)
+        t = m.transpose()
+        assert m.mul(t, GF(2)) == dense_mul(m, t, GF(2))
+        assert m.mul_vec((1,) * m.cols, GF(2)) == dense_mul_vec(m, (1,) * m.cols, GF(2))
+        assert m.over(GF(2)) == Mat.from_rows(rows, GF(2), m.cols)
+        assert_mat_matches_dense(m.over(GF(2)), [[GF(2).reduce(x) for x in row] for row in rows], GF(2))
 
 
 def test_empty_shapes_and_orders():
@@ -105,24 +154,14 @@ def test_empty_shapes_and_orders():
         for r, c in ((0, 0), (0, 4), (4, 0), (3, 3)):
             z = Mat.zeros(r, c, field)
             assert rank(z, field) == 0
-            assert column_prefix_ranks(z, field, list(range(c))) == [0] * c
-            assert column_prefix_ranks(z, field, []) == []
-
-
-def densify(cols: list[dict], rows: int, field) -> Mat:
-    flat = [field.zero()] * (rows * len(cols))
-    for j, col in enumerate(cols):
-        for i, x in col.items():
-            assert x
-            flat[i * len(cols) + j] = x
-    return Mat(rows, len(cols), tuple(flat))
+            assert reduce_columns(z.columns, field, list(range(c)))[0] == [0] * c
+            assert reduce_columns(z.columns, field, [])[0] == []
 
 
 def assert_pageinf_matches_dense(fc, field, a=None):
     z = build(fc, a, field)
     diffs = list(total_complex(z).complex.diffs)
     assert diffs == dense_total_differentials(build(fc, a, field))
-    assert [densify(cols, d.rows, field) for cols, d in zip(z._total_columns, diffs, strict=True)] == diffs
     assert page(z, math.inf).dims == dense_infinity_dims(build(fc, a, field))
 
 

@@ -62,7 +62,7 @@ def _check_identities(z):
             assert h2.mul(h1, field).is_zero()
         a = z.vert(p + 1, q).mul(z.horiz(p, q), field)
         b = z.horiz(p, q + 1).mul(z.vert(p, q), field)
-        s = Mat(a.rows, a.cols, tuple(field.reduce(x + y) for x, y in zip(a.entries, b.entries)))
+        s = Mat.from_rows([[x + y for x, y in zip(a.row(i), b.row(i))] for i in range(a.rows)], field, a.cols)
         assert s.is_zero()
 
 

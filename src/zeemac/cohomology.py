@@ -8,9 +8,13 @@ restriction maps between the cohomologies; the matrices returned here are
 scaled by the cover sign so they assemble directly into the vertical
 differential of the double complex and into minimal resolutions.
 
-Representative cocycles are the deterministic echelon lifts of a
-kernel-modulo-image complement, so every downstream matrix is reproducible
-byte for byte.
+Representative cocycles are the kernel basis vectors at the pivot columns
+of [image basis | kernel basis]: a kernel-modulo-image complement that the
+matrices fix whatever the pivot rule, so every downstream matrix is
+reproducible byte for byte.  Kernels, images, pivot columns and the
+solves behind restriction maps all come from the sparse column reduction
+of ``linalg``; each restriction block solves all of its cocycles in one
+reduction.
 
 Each face complex keeps one store per field: the upper-set complex, the
 cohomology summary and the restriction blocks of a face are computed once,
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .complexes import FaceComplex, upper_set
-from .linalg import Field, Mat, image_basis, kernel_basis, solve_in_subspace, _rref
+from .linalg import Field, Mat, image_basis, kernel_basis, pivot_columns, reduce_columns, solve_columns
 
 
 @dataclass(frozen=True)
@@ -119,18 +123,13 @@ def echelon_representatives(kernel, image, field: Field):
     """Kernel vectors extending the image to a basis of the kernel.
 
     Both inputs are lists of coordinate vectors with image <= kernel.  The
-    selection is the deterministic pivot choice on the matrix
-    [image | kernel], so representatives are canonical.
+    selection is the pivot columns of the matrix [image | kernel] (each
+    outside the span of the columns before it), so representatives are
+    canonical.
     """
-    if not kernel:
-        return ()
-    n = len(kernel[0])
-    cols = list(image) + list(kernel)
-    if n == 0:
-        return ()
-    pivots = _rref([[c[i] for c in cols] for i in range(n)], field)
-    picked = [j - len(image) for j in pivots if j >= len(image)]
-    return tuple(kernel[j] for j in picked)
+    cols = [{i: y for i, x in enumerate(v) if x and (y := field.reduce(x))} for v in (*image, *kernel)]
+    pivots = pivot_columns(reduce_columns(cols, field, range(len(cols)))[0])
+    return tuple(kernel[j - len(image)] for j in pivots if j >= len(image))
 
 
 def cohomology_summary(vs: VSComplex, field: Field) -> CohomologySummary:
@@ -181,22 +180,15 @@ def _restriction_core(fc: FaceComplex, g: int, g_prime: int, field: Field, p: in
     if rows == 0 or cols == 0:
         return Mat.zeros(rows, cols, field)
 
-    dst_basis = dst.basis(p)
-    dst_index = {f: i for i, f in enumerate(dst_basis)}
-    cob = dst.diff(p - 1, field)
-    generators = [list(r) for r in dst_reps]
-    for j in range(cob.cols):
-        generators.append(list(cob.col(j)))
-
+    dst_index = {f: i for i, f in enumerate(dst.basis(p))}
+    generators = [{i: x for i, x in enumerate(r) if x} for r in dst_reps]
+    generators += dst.diff(p - 1, field).columns
+    targets = [{dst_index[f]: x for f, x in zip(src.basis(p), rep) if x} for rep in src_reps]
     out_cols = []
-    for rep in src_reps:
-        vec = [field.zero()] * len(dst_basis)
-        for f, x in zip(src.basis(p), rep):
-            vec[dst_index[f]] = x
-        sol = solve_in_subspace(vec, generators, field)
+    for sol in solve_columns(targets, generators, field):
         if sol is None:
             raise RuntimeError("a cocycle failed to reduce in the larger complex")
-        out_cols.append({i: x for i, c in enumerate(sol[:rows]) if (x := field.reduce(sign * c))})
+        out_cols.append({i: field.reduce(sign * c) for i, c in sol.items() if i < rows})
     return Mat(rows, cols, out_cols, field)
 
 

@@ -119,33 +119,93 @@ def _ints(toks, lineno: int, count: int, exact: bool = False) -> list[int]:
     return out
 
 
-def _parse_simplicial(body) -> InputBundle:
-    d = None
-    facets = []
-    for lineno, toks in body:
-        if toks[0] == "vertices":
-            (d,) = _ints(toks, lineno, 1, exact=True)
-            if not 1 <= d <= MAX_VERTICES:
-                raise InputFormatError(f"line {lineno}: 'vertices' must lie in 1..{MAX_VERTICES}, got {d}")
-        elif toks[0] == "facet":
-            facet = _ints(toks, lineno, len(toks) - 1)
-            if len(set(facet)) != len(facet):
-                raise InputFormatError(f"line {lineno}: facet {facet} names a vertex twice")
-            facets.append((lineno, frozenset(facet)))
-        else:
-            raise InputFormatError(f"line {lineno}: unexpected {toks[0]!r} in a simplicial file")
-    if d is None:
-        raise InputFormatError("missing 'vertices' line")
-    for lineno, facet in facets:
+def _vertex_count(where: str, d: int) -> int:
+    if not 1 <= d <= MAX_VERTICES:
+        raise InputFormatError(f"{where}: 'vertices' must lie in 1..{MAX_VERTICES}, got {d}")
+    return d
+
+
+def simplicial_bundle(vertices, facets) -> InputBundle:
+    """The simplicial input: ``vertices`` and ``facets`` are ``(where,
+    value)`` pairs, ``where`` naming the item (``line N`` or a JSON path)
+    in every input error.  The vertex count is checked before any face is
+    built."""
+    d = _vertex_count(*vertices)
+    for where, facet in facets:
+        if len(set(facet)) != len(facet):
+            raise InputFormatError(f"{where}: facet {list(facet)} names a vertex twice")
         if not all(1 <= v <= d for v in facet):
-            raise InputFormatError(f"line {lineno}: facet {sorted(facet)} leaves the vertex range 1..{d}")
-    facets = [facet for _, facet in facets]
+            raise InputFormatError(f"{where}: facet {sorted(facet)} leaves the vertex range 1..{d}")
     try:
-        sc = SimplicialComplex.from_facets(d, facets)
+        sc = SimplicialComplex.from_facets(d, [frozenset(facet) for _, facet in facets])
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
     fc = cone_of_simplicial(sc)
     return InputBundle("simplicial", fc, sc=sc, semigroup=fc.semigroup)
+
+
+def polyhedral_bundle(ambient: int, faces, covers) -> InputBundle:
+    """The polyhedral input from ``(where, id, dim, label)`` faces and
+    ``(where, lower, upper, sign)`` covers."""
+    faces = sorted(faces, key=lambda f: f[1:])
+    for k, (where, fid, _, _) in enumerate(faces):
+        if fid != k:
+            raise InputFormatError(f"{where}: face id {fid} breaks the numbering; face ids must be exactly 0..{len(faces) - 1}")
+    for where, lo, hi, sign in covers:
+        if not (0 <= lo < len(faces) and 0 <= hi < len(faces)):
+            raise InputFormatError(f"{where}: cover {lo} {hi} names a face that is not among the ids 0..{len(faces) - 1}")
+        if sign not in (1, -1):
+            raise InputFormatError(f"{where}: cover sign must be +1 or -1, got {sign}")
+    try:
+        fc = FaceComplex(
+            [Face(fid, dim, label, key=("p", fid)) for _, fid, dim, label in faces],
+            [Cover(lo, hi, sign) for _, lo, hi, sign in covers],
+            ambient,
+        )
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from exc
+    return InputBundle("polyhedral", fc)
+
+
+def semigroup_bundle(ambient: int, functionals, selectors) -> InputBundle:
+    """The semigroup input from ``(where, functional)`` and ``(where,
+    delta indices)`` pairs; with no selectors, the whole face lattice."""
+    for where, t in functionals:
+        try:
+            AffineSemigroup.primitive_functional(t, ambient)
+        except ValueError as exc:
+            raise InputFormatError(f"{where}: {exc}") from None
+    try:
+        q = AffineSemigroup(ambient, [t for _, t in functionals])
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from exc
+    full = face_lattice(q)
+    if not selectors:
+        return InputBundle("semigroup", full, semigroup=q)
+    ids = []
+    for where, sel in selectors:
+        if not all(1 <= i <= len(functionals) for i in sel):
+            raise InputFormatError(f"{where}: delta indices must lie in 1..{len(functionals)}, got {sel}")
+        cf = q.face_with_vanishing([i - 1 for i in sel])
+        ids.append(next(i for i, c in full.cone_faces.items() if c == cf))
+    chosen = tuple(sel for _, sel in selectors)
+    return InputBundle("semigroup", subcomplex(full, ids), semigroup=q, delta_selectors=chosen)
+
+
+def _parse_simplicial(body) -> InputBundle:
+    vertices = None
+    facets = []
+    for lineno, toks in body:
+        if toks[0] == "vertices":
+            vertices = (f"line {lineno}", *_ints(toks, lineno, 1, exact=True))
+            _vertex_count(*vertices)  # every 'vertices' line, though the last one counts
+        elif toks[0] == "facet":
+            facets.append((f"line {lineno}", tuple(_ints(toks, lineno, len(toks) - 1))))
+        else:
+            raise InputFormatError(f"line {lineno}: unexpected {toks[0]!r} in a simplicial file")
+    if vertices is None:
+        raise InputFormatError("missing 'vertices' line")
+    return simplicial_bundle(vertices, facets)
 
 
 def _parse_polyhedral(body) -> InputBundle:
@@ -157,31 +217,14 @@ def _parse_polyhedral(body) -> InputBundle:
             (ambient,) = _ints(toks, lineno, 1, exact=True)
         elif toks[0] == "face":
             fid, dim = _ints(toks, lineno, 2)
-            label = toks[3] if len(toks) > 3 else f"f{fid}"
-            faces.append((fid, dim, label))
+            faces.append((f"line {lineno}", fid, dim, toks[3] if len(toks) > 3 else f"f{fid}"))
         elif toks[0] == "cover":
-            covers.append((lineno, *_ints(toks, lineno, 3)))
+            covers.append((f"line {lineno}", *_ints(toks, lineno, 3)))
         else:
             raise InputFormatError(f"line {lineno}: unexpected {toks[0]!r} in a polyhedral file")
     if ambient is None:
         raise InputFormatError("missing 'ambient' line")
-    faces.sort()
-    if [f[0] for f in faces] != list(range(len(faces))):
-        raise InputFormatError("face ids must be exactly 0..n-1")
-    for lineno, lo, hi, sign in covers:
-        if not (0 <= lo < len(faces) and 0 <= hi < len(faces)):
-            raise InputFormatError(f"line {lineno}: cover {lo} {hi} names a face that is not among the ids 0..{len(faces) - 1}")
-        if sign not in (1, -1):
-            raise InputFormatError(f"line {lineno}: cover sign must be +1 or -1, got {sign}")
-    try:
-        fc = FaceComplex(
-            [Face(fid, dim, label, key=("p", fid)) for fid, dim, label in faces],
-            [Cover(lo, hi, sign) for _, lo, hi, sign in covers],
-            ambient,
-        )
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
-    return InputBundle("polyhedral", fc)
+    return polyhedral_bundle(ambient, faces, covers)
 
 
 def _parse_semigroup(body) -> InputBundle:
@@ -192,31 +235,14 @@ def _parse_semigroup(body) -> InputBundle:
         if toks[0] == "ambient":
             (ambient,) = _ints(toks, lineno, 1, exact=True)
         elif toks[0] == "functional":
-            functionals.append(tuple(_ints(toks, lineno, len(toks) - 1)))
+            functionals.append((f"line {lineno}", tuple(_ints(toks, lineno, len(toks) - 1))))
         elif toks[0] == "delta":
-            selectors.append((lineno, tuple(_ints(toks, lineno, len(toks) - 1))))
+            selectors.append((f"line {lineno}", tuple(_ints(toks, lineno, len(toks) - 1))))
         else:
             raise InputFormatError(f"line {lineno}: unexpected {toks[0]!r} in a semigroup file")
     if ambient is None:
         raise InputFormatError("missing 'ambient' line")
-    try:
-        q = AffineSemigroup(ambient, functionals)
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
-    full = face_lattice(q)
-    fc = full
-    chosen = None
-    if selectors:
-        ids = []
-        for lineno, sel in selectors:
-            if not all(1 <= i <= len(functionals) for i in sel):
-                raise InputFormatError(f"line {lineno}: delta indices must lie in 1..{len(functionals)}, got {sel}")
-            cf = q.face_with_vanishing([i - 1 for i in sel])
-            matches = [i for i, c in full.cone_faces.items() if c == cf]
-            ids.append(matches[0])
-        fc = subcomplex(full, ids)
-        chosen = tuple(sel for _, sel in selectors)
-    return InputBundle("semigroup", fc, semigroup=q, delta_selectors=chosen)
+    return semigroup_bundle(ambient, functionals, selectors)
 
 
 # -- JSON documents ---------------------------------------------------------
@@ -266,32 +292,23 @@ def complex_to_doc(bundle: InputBundle) -> dict:
 
 
 def bundle_from_doc(doc: dict) -> InputBundle:
+    """The input a ``complex_to_doc`` document describes; an input error
+    names the JSON path of a bad item."""
     t = doc["type"]
     if t == "simplicial":
-        sc = SimplicialComplex.from_facets(doc["vertices"], [frozenset(f) for f in doc["facets"]])
-        fc = cone_of_simplicial(sc)
-        return InputBundle("simplicial", fc, sc=sc, semigroup=fc.semigroup)
+        return simplicial_bundle(("vertices", doc["vertices"]), _items(doc, "facets"))
     if t == "semigroup":
-        q = AffineSemigroup(doc["ambient"], [tuple(f) for f in doc["functionals"]])
-        full = face_lattice(q)
-        fc = full
-        chosen = None
-        if doc.get("delta"):
-            ids = []
-            for sel in doc["delta"]:
-                cf = q.face_with_vanishing([i - 1 for i in sel])
-                ids.append([i for i, c in full.cone_faces.items() if c == cf][0])
-            fc = subcomplex(full, ids)
-            chosen = tuple(tuple(s) for s in doc["delta"])
-        return InputBundle("semigroup", fc, semigroup=q, delta_selectors=chosen)
+        return semigroup_bundle(doc["ambient"], _items(doc, "functionals"), _items(doc, "delta"))
     if t == "polyhedral":
-        fc = FaceComplex(
-            [Face(fid, dim, label, key=("p", fid)) for fid, dim, label in doc["faces"]],
-            [Cover(lo, hi, sign) for lo, hi, sign in doc["covers"]],
-            doc["ambient"],
-        )
-        return InputBundle("polyhedral", fc)
+        faces = [(where, *f) for where, f in _items(doc, "faces")]
+        covers = [(where, *c) for where, c in _items(doc, "covers")]
+        return polyhedral_bundle(doc["ambient"], faces, covers)
     raise InputFormatError(f"unknown complex type {t!r}")
+
+
+def _items(doc: dict, key: str) -> list:
+    """``(path, tuple(item))`` for each item of the list ``doc[key]`` (none if absent or null)."""
+    return [(f"{key}[{k}]", tuple(item)) for k, item in enumerate(doc.get(key) or ())]
 
 
 def _face_key_str(fc: FaceComplex, fid: int) -> str:

@@ -12,25 +12,28 @@ no zero is stored, so two matrices are ``==`` exactly when their fields
 and entries are.  An operation asked for another field reads the matrix
 over that field (``Mat.over``) instead of trusting scalars reduced for a
 different one.  Products, transposes and zero tests walk the nonzeros
-only; ``dense_rows`` and ``entries`` are derived dense views.
+only; ``entries`` is a derived dense view.
 
-Two elimination kernels serve two needs.  Ranks depend on no pivot
-choice, so they go through one sparse column reduction
-(``reduce_columns``) of the columns themselves; it works mod p over F_p
-and fraction-free over the integers for rationals.  One pass gives the
-rank after every column prefix and, from the pivot (largest) rows of the
+One elimination kernel serves every need: a sparse column reduction
+(``reduce_columns``) of the columns themselves, mod p over F_p and
+fraction-free over the integers for rationals.  One pass gives the rank
+after every column prefix, the pivot columns (those outside the span of
+the columns before them) and, from the pivot (largest) rows of the
 surviving columns, the rank of every row suffix (``row_suffix_ranks``),
-with no transpose.  Kernels, images, solves and representatives go
-through a canonical reduced echelon form (``_rref``: deterministic
-first-nonzero pivoting in column order), so every basis they return is
-reproducible; ``_rref`` is the only kernel that works on dense rows.
+with no transpose.  Kernels and solves read column relations off the same
+reduction with one tag row per column (``_relations``): the relation of a
+column in the span of the earlier ones has coefficient 1 at that column
+and is nonzero elsewhere only on earlier pivot columns, so it is fixed by
+the matrix whatever the pivot rule.  Every basis returned here is
+therefore the one the reduced row echelon form gives, with first-nonzero
+pivoting in column order, and is reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import gcd, lcm
 
 
@@ -197,19 +200,14 @@ class Mat:
         columns = [{i: y for i, x in col.items() if (y := field.reduce(x))} for col in self.columns]
         return Mat(self.rows, self.cols, columns, field)
 
-    def dense_rows(self) -> list[list]:
-        """The rows as new lists, zeros included (a dense copy)."""
-        z = self.field.zero()
-        rows = [[z] * self.cols for _ in range(self.rows)]
-        for j, col in enumerate(self.columns):
-            for i, x in col.items():
-                rows[i][j] = x
-        return rows
-
     @property
     def entries(self) -> tuple:
         """The entries row-major, zeros included (a dense copy)."""
-        return tuple(chain.from_iterable(self.dense_rows()))
+        out = [self.field.zero()] * (self.rows * self.cols)
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                out[i * self.cols + j] = x
+        return tuple(out)
 
     def entry(self, i: int, j: int):
         return self.columns[j].get(i, self.field.zero())
@@ -260,57 +258,7 @@ def _combine(columns, coefficients) -> dict:
     return acc
 
 
-def _rref(rows: list[list], field: Field) -> list[int]:
-    """Fully reduce ``rows`` in place; return the pivot column indices.
-
-    Pivot choice is deterministic: columns are scanned left to right and
-    the first row with a nonzero entry is used.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    p = field.p
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pivot_row = rows[r]
-        pv = pivot_row[c]
-        if p is None:
-            inv = Fraction(1) / pv
-            for j in range(c, ncols):
-                pivot_row[j] *= inv
-        else:
-            inv = pow(pv, -1, p)
-            for j in range(c, ncols):
-                pivot_row[j] = pivot_row[j] * inv % p
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f == 0:
-                continue
-            ri = rows[i]
-            if p is None:
-                for j in range(c, ncols):
-                    ri[j] -= f * pivot_row[j]
-            else:
-                for j in range(c, ncols):
-                    ri[j] = (ri[j] - f * pivot_row[j]) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def reduce_columns(cols, field: Field, order) -> tuple[list[int], list[int]]:
+def reduce_columns(cols, field: Field, order) -> tuple[list[int], dict]:
     """Sparse column reduction of ``cols`` taken in ``order``.
 
     ``cols[j]`` is column j as ``{row: value}`` with nonzero reduced
@@ -323,10 +271,12 @@ def reduce_columns(cols, field: Field, order) -> tuple[list[int], list[int]]:
     after each step.
 
     Returns ``(ranks, pivots)``: ``ranks[k]`` is the rank of the columns
-    ``order[:k + 1]``, and ``pivots`` holds the pivot row of every
-    surviving column.  The reduced matrix is the original times an
-    invertible matrix and its pivot rows are distinct, so the rank of the
-    rows ``>= r`` of the selected columns is the number of pivots ``>= r``
+    ``order[:k + 1]``, and ``pivots`` maps the pivot row of every surviving
+    column to that reduced column (a set of rows over F_2, scaled to 1 at
+    its pivot row over F_p, a primitive integer column over QQ).  The
+    reduced matrix is the original times an invertible matrix and its
+    pivot rows are distinct, so the rank of the rows ``>= r`` of the
+    selected columns is the number of pivots ``>= r``
     (``row_suffix_ranks``).
     """
     p = field.p
@@ -379,7 +329,7 @@ def reduce_columns(cols, field: Field, order) -> tuple[list[int], list[int]]:
                     else:
                         del col[i]
         out.append(len(owner))
-    return out, list(owner)
+    return out, owner
 
 
 def row_suffix_ranks(pivots, nrows: int) -> list[int]:
@@ -391,6 +341,51 @@ def row_suffix_ranks(pivots, nrows: int) -> list[int]:
     return list(accumulate(reversed(hits)))
 
 
+def pivot_columns(ranks) -> list[int]:
+    """The positions at which the prefix ranks ``ranks`` go up: the columns
+    outside the span of the columns before them."""
+    return [j for j, r in enumerate(ranks) if r > (ranks[j - 1] if j else 0)]
+
+
+def _relations(cols, field: Field) -> dict:
+    """``{j: relation}`` for every column j in the span of the columns
+    before it; the other columns are the pivot columns.
+
+    The relation ``{k: c}`` has ``sum(c * cols[k]) == 0``, ``c == 1`` at j
+    and is nonzero elsewhere only on earlier pivot columns, so it is unique.
+    Column j carries a tag row j below the matrix rows (shifted up by
+    ``len(cols)``); if its matrix part reduces to zero, its tag rows hold
+    the relation, and it owns tag row j, which no other column has as its
+    largest row, so nothing is eliminated against it.
+    """
+    n, one = len(cols), field.one()
+    tagged = [{j: one} | {i + n: x for i, x in col.items()} for j, col in enumerate(cols)]
+    owner = reduce_columns(tagged, field, range(n))[1]
+    relations = {j: owner[j] for j in range(n) if j in owner}
+    if field.p == 2:
+        return {j: dict.fromkeys(rel, 1) for j, rel in relations.items()}
+    if field.p is None:
+        return {j: {k: Fraction(x, rel[j]) for k, x in rel.items()} for j, rel in relations.items()}
+    return relations
+
+
+def solve_columns(targets, generators, field: Field) -> list:
+    """``solve_in_subspace`` for every target at once, from one reduction
+    of the generators followed by the targets (columns ``{row: scalar}``,
+    nonzero and reduced).  Each answer is ``{i: c}`` without the free
+    generators, or None for a target outside the span."""
+    k = len(generators)
+    relations = _relations(list(generators) + list(targets), field)
+    out = []
+    for t in range(k, k + len(targets)):
+        rel = relations.get(t)
+        if rel is None or any(i >= k for i in rel if i != t):
+            out.append(None)  # a pivot, or a relation through an earlier target
+        else:
+            out.append({i: field.reduce(-c) for i, c in rel.items() if i != t})
+    return out
+
+
 def rank(m: Mat, field: Field) -> int:
     """Row rank (= column rank) of ``m`` over ``field``."""
     if m.rows == 0 or m.cols == 0:
@@ -399,40 +394,22 @@ def rank(m: Mat, field: Field) -> int:
 
 
 def kernel_basis(m: Mat, field: Field) -> list[tuple]:
-    """A canonical basis of the right kernel of ``m``.
-
-    One vector per free column of the reduced echelon form: the free
-    coordinate is 1 and pivot coordinates are the negated echelon entries.
-    """
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        z, o = field.zero(), field.one()
-        return [tuple(o if i == j else z for i in range(m.cols)) for j in range(m.cols)]
-    rows = m.over(field).dense_rows()
-    pivots = _rref(rows, field)
-    pivot_set = set(pivots)
-    z, o = field.zero(), field.one()
+    """A canonical basis of the right kernel of ``m``: the relation of each
+    non-pivot column, as a vector (that coordinate is 1)."""
+    z = field.zero()
     basis = []
-    for j in range(m.cols):
-        if j in pivot_set:
-            continue
+    for rel in _relations(m.over(field).columns, field).values():
         v = [z] * m.cols
-        v[j] = o
-        for t, pc in enumerate(pivots):
-            e = rows[t][j]
-            if e != 0:
-                v[pc] = field.reduce(-e)
+        for k, c in rel.items():
+            v[k] = c
         basis.append(tuple(v))
     return basis
 
 
 def image_basis(m: Mat, field: Field) -> list[tuple]:
     """The pivot columns of ``m``: a basis of its column space."""
-    if m.rows == 0 or m.cols == 0:
-        return []
     m = m.over(field)
-    return [m.col(j) for j in _rref(m.dense_rows(), field)]
+    return [m.col(j) for j in pivot_columns(reduce_columns(m.columns, field, range(m.cols))[0])]
 
 
 def solve_in_subspace(target, generators, field: Field):
@@ -442,22 +419,9 @@ def solve_in_subspace(target, generators, field: Field):
     answer is deterministic), or None when the target lies outside the
     span.  All vectors must have equal length.
     """
-    target = [field.reduce(x) for x in target]
-    gens = [[field.reduce(x) for x in g] for g in generators]
-    n = len(target)
-    for g in gens:
-        if len(g) != n:
-            raise ValueError("generator length does not match target length")
-    if not gens:
-        return () if all(x == 0 for x in target) else None
-    if n == 0:
-        return (field.zero(),) * len(gens)
-    rows = [[gens[k][i] for k in range(len(gens))] + [target[i]] for i in range(n)]
-    pivots = _rref(rows, field)
-    if len(gens) in pivots:
-        return None
-    coeffs = [field.zero()] * len(gens)
-    for t, pc in enumerate(pivots):
-        coeffs[pc] = rows[t][len(gens)]
-    return tuple(coeffs)
-
+    vectors = [target, *generators]
+    if any(len(v) != len(target) for v in vectors):
+        raise ValueError("generator length does not match target length")
+    target, *gens = ({i: y for i, x in enumerate(v) if x and (y := field.reduce(x))} for v in vectors)
+    sol = solve_columns([target], gens, field)[0]
+    return None if sol is None else tuple(sol.get(i, field.zero()) for i in range(len(gens)))

@@ -258,8 +258,9 @@ def verify_exactness(c: FaceModuleComplex, fc: FaceComplex | None = None, field:
         "depend only on the smallest face containing the degree, so this "
         "finite certificate is complete"
     )
-    for a in degrees:
-        on_face = fc.faces_containing(a)
+    for a, ambient_face in zip(degrees, fc.semigroup.faces()):
+        # a is the interior point of ambient_face: exactly its functionals vanish there
+        on_face = fc.faces_vanishing_on(ambient_face.vanishing)
         if not on_face:
             continue  # every component is zero there, the quotient's too
         active = [[k for k, g in enumerate(term.faces) if g in on_face] for term in c.terms]

@@ -33,7 +33,7 @@ from itertools import combinations
 from math import gcd
 
 from .complexes import Cover, Face, FaceComplex
-from .linalg import Mat, QQ, kernel_basis, rank
+from .linalg import Mat, QQ, _relations, kernel_basis, rank
 
 
 @dataclass(frozen=True)
@@ -74,18 +74,7 @@ class AffineSemigroup:
 
     def __init__(self, d: int, functionals):
         self.d = d
-        fs = []
-        for t in functionals:
-            t = tuple(int(x) for x in t)
-            if len(t) != d:
-                raise ValueError(f"functional {t} does not have length {d}")
-            g = 0
-            for x in t:
-                g = gcd(g, x)
-            if g != 1:
-                raise ValueError(f"functional {t} is not primitive (gcd {g})")
-            fs.append(t)
-        self.functionals = tuple(fs)
+        self.functionals = tuple(self.primitive_functional(t, d) for t in functionals)
         tau = Mat.from_rows(list(self.functionals), QQ)
         if rank(tau, QQ) != d:
             raise ValueError("cone is not pointed: the functionals do not have full rank")
@@ -96,6 +85,20 @@ class AffineSemigroup:
             raise ValueError("cone is not full-dimensional: rays do not span")
         self._faces = self._enumerate_faces()
         self._faces_by_vanishing = {f.vanishing: f for f in self._faces}
+
+    @staticmethod
+    def primitive_functional(t, d: int) -> tuple[int, ...]:
+        """``t`` as a tuple of ints; ValueError unless it has length ``d``
+        and its entries have gcd 1."""
+        t = tuple(int(x) for x in t)
+        if len(t) != d:
+            raise ValueError(f"functional {t} does not have length {d}")
+        g = 0
+        for x in t:
+            g = gcd(g, x)
+        if g != 1:
+            raise ValueError(f"functional {t} is not primitive (gcd {g})")
+        return t
 
     @classmethod
     def orthant(cls, d: int) -> "AffineSemigroup":
@@ -270,14 +273,24 @@ def face_lattice(q: AffineSemigroup) -> FaceComplex:
 
 def _echelon_basis(rays) -> tuple[tuple[Fraction, ...], ...]:
     """Canonical ordered basis of the span of the given rays: the nonzero
-    rows of the reduced row echelon form (lexicographically smallest)."""
+    rows of the reduced row echelon form (lexicographically smallest).
+
+    Row t has 1 at the t-th pivot column of the ray matrix and, at each
+    other column, minus that pivot's coefficient in the column's relation.
+    """
     if not rays:
         return ()
-    from .linalg import _rref
-
-    rows = [[Fraction(x) for x in r] for r in rays]
-    _rref(rows, QQ)
-    return tuple(tuple(row) for row in rows if any(row))
+    m = Mat.from_rows(rays, QQ)
+    relations = _relations(m.columns, QQ)
+    basis = []
+    for pc in (j for j in range(m.cols) if j not in relations):
+        row = [QQ.zero()] * m.cols
+        row[pc] = QQ.one()
+        for j, rel in relations.items():
+            if pc in rel:
+                row[j] = -rel[pc]
+        basis.append(tuple(row))
+    return tuple(basis)
 
 
 def _coords_in_echelon_basis(v, basis):

@@ -7,8 +7,14 @@ assembles the total complex through dense rows and ``Mat.from_rows``, and
 ``dense_infinity_dims`` reads the terminal page off ranks of explicit
 submatrices of those differentials.  ``dense_mul`` and ``dense_mul_vec``
 are the row-major loops of the dense ``Mat`` that the sparse one replaced.
-The library's sparse column reduction, sparse products and direct
-total-complex fill must agree with all of them exactly.
+``_rref`` is the dense reduced row echelon form over ``Fraction`` or mod p
+rows that kernels, images, solves and representatives ran through before
+they were read off the sparse column reduction; ``dense_kernel_basis``,
+``dense_image_basis``, ``dense_solve_in_subspace``,
+``dense_echelon_representatives`` and ``dense_echelon_basis`` are the
+bodies that called it.  The library's sparse column reduction, sparse
+products and direct total-complex fill must agree with all of them
+exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from zeemac.linalg import Field, Mat
+from zeemac.linalg import QQ, Field, Mat
 from zeemac.zeeman import ZeemanComplex, total_complex
 
 
@@ -134,6 +140,153 @@ def dense_column_prefix_ranks(m: Mat, field: Field, order: list[int]) -> list[in
         return _int_forward_ranks(rows, checkpoints)
     rows = [[field.reduce(x) for x in row] for row in perm_rows]
     return _modp_forward_ranks(rows, field.p, checkpoints)
+
+
+def _rref(rows: list[list], field: Field) -> list[int]:
+    """Fully reduce ``rows`` in place; return the pivot column indices.
+
+    Pivot choice is deterministic: columns are scanned left to right and
+    the first row with a nonzero entry is used.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    p = field.p
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot_row = rows[r]
+        pv = pivot_row[c]
+        if p is None:
+            inv = Fraction(1) / pv
+            for j in range(c, ncols):
+                pivot_row[j] *= inv
+        else:
+            inv = pow(pv, -1, p)
+            for j in range(c, ncols):
+                pivot_row[j] = pivot_row[j] * inv % p
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f == 0:
+                continue
+            ri = rows[i]
+            if p is None:
+                for j in range(c, ncols):
+                    ri[j] -= f * pivot_row[j]
+            else:
+                for j in range(c, ncols):
+                    ri[j] = (ri[j] - f * pivot_row[j]) % p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _dense_rows(m: Mat) -> list[list]:
+    entries = m.entries
+    return [list(entries[i * m.cols : (i + 1) * m.cols]) for i in range(m.rows)]
+
+
+def dense_kernel_basis(m: Mat, field: Field) -> list[tuple]:
+    """A canonical basis of the right kernel of ``m``.
+
+    One vector per free column of the reduced echelon form: the free
+    coordinate is 1 and pivot coordinates are the negated echelon entries.
+    """
+    if m.cols == 0:
+        return []
+    if m.rows == 0:
+        z, o = field.zero(), field.one()
+        return [tuple(o if i == j else z for i in range(m.cols)) for j in range(m.cols)]
+    rows = _dense_rows(m.over(field))
+    pivots = _rref(rows, field)
+    pivot_set = set(pivots)
+    z, o = field.zero(), field.one()
+    basis = []
+    for j in range(m.cols):
+        if j in pivot_set:
+            continue
+        v = [z] * m.cols
+        v[j] = o
+        for t, pc in enumerate(pivots):
+            e = rows[t][j]
+            if e != 0:
+                v[pc] = field.reduce(-e)
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_image_basis(m: Mat, field: Field) -> list[tuple]:
+    """The pivot columns of ``m``: a basis of its column space."""
+    if m.rows == 0 or m.cols == 0:
+        return []
+    m = m.over(field)
+    return [m.col(j) for j in _rref(_dense_rows(m), field)]
+
+
+def dense_solve_in_subspace(target, generators, field: Field):
+    """Coefficients ``c`` with ``sum(c_i * generators[i]) == target``.
+
+    Returns a tuple of coefficients (free variables set to zero, so the
+    answer is deterministic), or None when the target lies outside the
+    span.  All vectors must have equal length.
+    """
+    target = [field.reduce(x) for x in target]
+    gens = [[field.reduce(x) for x in g] for g in generators]
+    n = len(target)
+    for g in gens:
+        if len(g) != n:
+            raise ValueError("generator length does not match target length")
+    if not gens:
+        return () if all(x == 0 for x in target) else None
+    if n == 0:
+        return (field.zero(),) * len(gens)
+    rows = [[gens[k][i] for k in range(len(gens))] + [target[i]] for i in range(n)]
+    pivots = _rref(rows, field)
+    if len(gens) in pivots:
+        return None
+    coeffs = [field.zero()] * len(gens)
+    for t, pc in enumerate(pivots):
+        coeffs[pc] = rows[t][len(gens)]
+    return tuple(coeffs)
+
+
+def dense_echelon_representatives(kernel, image, field: Field):
+    """Kernel vectors extending the image to a basis of the kernel.
+
+    Both inputs are lists of coordinate vectors with image <= kernel.  The
+    selection is the deterministic pivot choice on the matrix
+    [image | kernel], so representatives are canonical.
+    """
+    if not kernel:
+        return ()
+    n = len(kernel[0])
+    cols = list(image) + list(kernel)
+    if n == 0:
+        return ()
+    pivots = _rref([[c[i] for c in cols] for i in range(n)], field)
+    picked = [j - len(image) for j in pivots if j >= len(image)]
+    return tuple(kernel[j] for j in picked)
+
+
+def dense_echelon_basis(rays) -> tuple[tuple[Fraction, ...], ...]:
+    """Canonical ordered basis of the span of the given rays: the nonzero
+    rows of the reduced row echelon form (lexicographically smallest)."""
+    if not rays:
+        return ()
+    rows = [[Fraction(x) for x in r] for r in rays]
+    _rref(rows, QQ)
+    return tuple(tuple(row) for row in rows if any(row))
 
 
 def dense_mul_vec(m: Mat, v, field: Field) -> tuple:

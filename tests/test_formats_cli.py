@@ -89,6 +89,22 @@ def test_bundle_doc_roundtrip():
         assert [f.dim for f in b2.fc.faces] == [f.dim for f in b.fc.faces]
 
 
+def test_bundle_from_doc_names_the_bad_item():
+    # the JSON reader goes through the same constructors as the text parser
+    cases = [
+        ({"type": "simplicial", "vertices": 3, "facets": [[1, 2], [1, 4]]}, "facets[1]: "),
+        ({"type": "simplicial", "vertices": 17, "facets": [[1, 2]]}, "vertices: "),
+        ({"type": "semigroup", "ambient": 2, "functionals": [[1, 0], [0, 2]], "delta": None}, "functionals[1]: "),
+        ({"type": "semigroup", "ambient": 2, "functionals": [[1, 0], [0, 1]], "delta": [[1], [3]]}, "delta[1]: "),
+        ({"type": "polyhedral", "ambient": 1, "faces": [[0, 0, "o"], [2, 1, "r"]], "covers": []}, "faces[1]: "),
+        ({"type": "polyhedral", "ambient": 1, "faces": [[0, 0, "o"], [1, 1, "r"]], "covers": [[0, 1, 2]]}, "covers[0]: "),
+    ]
+    for doc, prefix in cases:
+        with pytest.raises(InputFormatError) as exc:
+            bundle_from_doc(doc)
+        assert str(exc.value).startswith(prefix)
+
+
 def test_cli_cm_check_exit_codes(tmp_path, capsys):
     ht = write(tmp_path, "ht.txt", HOLLOW)
     assert run(["cm-check", ht, "--field", "q"]) == 0
@@ -135,8 +151,13 @@ MALFORMED = {  # each must exit 2 with a diagnostic naming the line, never a tra
     "delta_out_of_range": (SQUARE.encode() + b"delta 9\n", "line 9"),
     "not_utf8": (b"simplicial\nvertices 3\nfacet 1 2\xff\xfe\n", "line 3"),
     "vertices_zero": (b"simplicial\nvertices 0\nfacet\n", "line 2"),
+    "vertices_out_of_range_then_repeated": (b"simplicial\nvertices 40\nvertices 3\nfacet 1 2\n", "line 2"),
     "facet_out_of_range": (b"simplicial\nvertices 3\nfacet 1 2\nfacet 1 4\n", "line 4"),
     "facet_repeats_a_vertex": (b"simplicial\nvertices 3\nfacet 1 1 2\n", "line 3"),
+    "functional_zero": (b"semigroup\nambient 2\nfunctional 1 0\nfunctional 0 0\n", "line 4"),
+    "functional_not_primitive": (b"semigroup\nambient 2\nfunctional 2 0\nfunctional 0 1\n", "line 3"),
+    "functional_wrong_length": (b"semigroup\nambient 2\nfunctional 1 0\nfunctional 0 1 1\n", "line 4"),
+    "face_ids_skip_one": (b"polyhedral\nambient 1\nface 0 0 apex\nface 2 1 ray\ncover 0 2 +1\n", "line 4"),
 }
 
 

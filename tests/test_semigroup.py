@@ -189,3 +189,14 @@ def test_face_membership_agrees_with_direct_evaluation():
                 on, relint = _membership_oracle(q, fc.cone_faces[f.id], a)
                 assert (f.id in containing) == on == fc.contains_degree(f.id, a), (a, f.label)
                 assert fc.relint_contains(f.id, a) == relint, (a, f.label)
+
+
+def test_each_interior_point_vanishes_exactly_on_its_face():
+    # verify_exactness reads the zero set of each evaluation degree off its face
+    cones = [AffineSemigroup.orthant(d) for d in range(1, 6)] + [square_cone(), hexagon_cone(), cube_cone()]
+    for q in cones:
+        for f in q.faces():
+            assert q.zero_set(f.interior_point) == f.vanishing, (q.functionals, f.label())
+        fc = face_lattice(q)
+        for f in q.faces():
+            assert fc.faces_vanishing_on(f.vanishing) == fc.faces_containing(f.interior_point)

@@ -10,7 +10,10 @@ the same column-prefix ranks, the row-suffix ranks read off the pivot rows
 must equal the dense prefix ranks of the transpose in reverse row order,
 products, transposes and entry reads must match the dense ones, no column
 may store a zero, and E-infinity must match the dense filtered-cohomology
-dimensions.
+dimensions.  Kernels, images, solves (one at a time and in one batch),
+echelon representatives and the echelon bases of ray matrices, all read off
+the same column reduction, must equal what the dense ``_rref`` gave, value
+for value and scalar type for scalar type.
 """
 
 import itertools
@@ -21,14 +24,30 @@ from fractions import Fraction
 import pytest
 
 from zeemac import GF, QQ, SimplicialComplex, build, cone_of_simplicial, face_lattice, page, total_complex
-from zeemac.linalg import Mat, rank, reduce_columns, row_suffix_ranks
+from zeemac.cohomology import echelon_representatives
+from zeemac.linalg import (
+    Mat,
+    image_basis,
+    kernel_basis,
+    rank,
+    reduce_columns,
+    row_suffix_ranks,
+    solve_columns,
+    solve_in_subspace,
+)
+from zeemac.semigroup import _echelon_basis
 
 from .dense_ranks import (
     dense_column_prefix_ranks,
+    dense_echelon_basis,
+    dense_echelon_representatives,
+    dense_image_basis,
     dense_infinity_dims,
+    dense_kernel_basis,
     dense_mul,
     dense_mul_vec,
     dense_rank,
+    dense_solve_in_subspace,
     dense_total_differentials,
 )
 from .helpers import bowtie, hollow_triangle, random_sweep, rp2, square_cone, square_cone_two_facets
@@ -126,14 +145,65 @@ def assert_matches_dense(m: Mat, field, rng: random.Random):
     assert cols == sparse_columns(m, field)  # the reduction leaves its input alone
 
 
+def assert_same(got, want):
+    """Equal, with the same scalar types throughout."""
+    assert got == want
+    if isinstance(want, (tuple, list)):
+        assert type(got) is type(want) and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same(a, b)
+    else:
+        assert type(got) is type(want)
+
+
+def _sparse_vector(v, field) -> dict:
+    return {i: y for i, x in enumerate(v) if (y := field.reduce(x))}
+
+
+def assert_eliminations_match_dense(m: Mat, field, rows) -> tuple[int, int]:
+    """Kernel, image, solves, representatives and the echelon basis of the
+    rows against the dense ``_rref``; returns how many targets were
+    solvable and how many were not."""
+    ker = kernel_basis(m, field)
+    assert_same(ker, dense_kernel_basis(m, field))
+    assert_same(image_basis(m, field), dense_image_basis(m, field))
+    assert len(ker) + rank(m, field) == m.cols
+    for v in ker:
+        assert m.mul_vec(v, field) == (field.zero(),) * m.rows
+    mf = m.over(field)
+    gens = [mf.col(j) for j in range(m.cols)]
+    units = [tuple(field.one() if i == k else field.zero() for i in range(m.rows)) for k in range(m.rows)]
+    targets = units + gens + [m.mul_vec((1,) * m.cols, field), (0,) * m.rows]
+    want = [dense_solve_in_subspace(t, gens, field) for t in targets]
+    for t, w in zip(targets, want):
+        assert_same(solve_in_subspace(t, gens, field), w)
+    batch = solve_columns([_sparse_vector(t, field) for t in targets], [_sparse_vector(g, field) for g in gens], field)
+    z = field.zero()
+    assert [None if b is None else tuple(b.get(i, z) for i in range(len(gens))) for b in batch] == want
+    # pivot selection on [image | kernel], inside and outside a true kernel
+    pairs = [(ker, [tuple(field.reduce(a + b) for a, b in zip(u, v)) for u, v in zip(ker, ker[1:])])]
+    if m.rows:
+        prod = mf.mul(mf.transpose(), field)
+        pairs.append((gens, [prod.col(j) for j in range(prod.cols)]))
+    for kernel, image in pairs:
+        assert_same(echelon_representatives(kernel, image, field), dense_echelon_representatives(kernel, image, field))
+        assert_same(echelon_representatives(kernel, [], field), dense_echelon_representatives(kernel, [], field))
+    assert_same(_echelon_basis(rows), dense_echelon_basis(rows))
+    return sum(w is not None for w in want), sum(w is None for w in want)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
 def test_ranks_match_dense_reference(field):
     rng = random.Random(20261018)
+    solved = unsolved = 0
     for _ in range(300):
         rows = _field_safe(random_matrix(rng), field)
         m = Mat.from_rows(rows, field)
         assert_matches_dense(m, field, rng)
         assert_mat_matches_dense(m, [[field.reduce(x) for x in row] for row in rows], field)
+        a, b = assert_eliminations_match_dense(m, field, rows)
+        solved, unsolved = solved + a, unsolved + b
+    assert solved > 1000 and unsolved > 100
 
 
 def test_rational_matrices_ranked_over_f2():
@@ -147,6 +217,7 @@ def test_rational_matrices_ranked_over_f2():
         assert m.mul_vec((1,) * m.cols, GF(2)) == dense_mul_vec(m, (1,) * m.cols, GF(2))
         assert m.over(GF(2)) == Mat.from_rows(rows, GF(2), m.cols)
         assert_mat_matches_dense(m.over(GF(2)), [[GF(2).reduce(x) for x in row] for row in rows], GF(2))
+        assert_eliminations_match_dense(m, GF(2), rows)
 
 
 def test_empty_shapes_and_orders():
@@ -156,6 +227,9 @@ def test_empty_shapes_and_orders():
             assert rank(z, field) == 0
             assert reduce_columns(z.columns, field, list(range(c)))[0] == [0] * c
             assert reduce_columns(z.columns, field, [])[0] == []
+            assert_eliminations_match_dense(z, field, [[0] * c for _ in range(r)])
+        for rows in ([[1, 0, 1], [0, 0, 1]], [[0, 0], [0, 2]], [[0, 3, 0, 3]], [[0], [0], [5]]):
+            assert_eliminations_match_dense(Mat.from_rows(rows, field), field, rows)
 
 
 def assert_pageinf_matches_dense(fc, field, a=None):

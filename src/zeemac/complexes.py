@@ -369,6 +369,7 @@ def alexander_dual(sc: SimplicialComplex):
                 dual_faces.append(s)
     if not dual_faces:
         return VOID_COMPLEX
+    # s is a facet iff no one-vertex extension of s is a dual face
     dual_set = set(dual_faces)
-    facets = [s for s in dual_faces if not any(s < t for t in dual_set)]
+    facets = [s for s in dual_faces if not any(s | {v} in dual_set for v in universe - s)]
     return SimplicialComplex.from_facets(d, facets)

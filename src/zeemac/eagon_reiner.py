@@ -7,13 +7,35 @@ copy of k[G] in position i becomes a free generator of multidegree
 scalar blocks transpose.  Betti tables read the generator multiplicities.
 
 ``betti_hochster`` is the independent oracle: it computes the same table
-from reduced cochain cohomology of induced subcomplexes,
+from reduced cochain cohomology of induced subcomplexes (Hochster's
+formula),
 
     beta_{i,sigma} = dim H~^{|sigma|-i-2}(restriction of the dual to sigma)
 
 with the reduced complex of the empty-face-only complex contributing k in
-degree -1.  The two routes share nothing but the scalar field, so their
-agreement is a real cross-check.
+degree -1.  The dual's faces are vertex bitmasks, and its reduced
+coboundary is built once per (dual, field): one column per face, the sign
+(-1)^(position of v in F+{v}) at the row of each coface F+{v}, reduced
+into the field once.  The complex induced on sigma takes the columns of
+the faces inside sigma and keeps their rows inside sigma; the sign does not
+depend on sigma.  Most subsets are answered without elimination, and
+exactly:
+
+* only s = sigma & (vertices of the dual) matters, since a vertex that is
+  not a face adds no face; each distinct s is evaluated once, and s empty
+  gives {empty face}, with H~^{-1} = k;
+* if s is a face, the induced complex is a simplex, which is acyclic;
+* if some v in s is a cone point (F+{v} is a face for every face F inside
+  s) the induced complex is a cone, which is acyclic.  It suffices to test
+  F = G & s for each facet G of the dual, since every face inside s lies
+  in one of those.
+
+The remaining subsets are reduced with ``linalg.reduce_columns``, once.
+``reduced_cohomology_dims`` is the same routine evaluated at the full
+vertex set.  The oracle reads only the dual's facets: it shares nothing
+with the face-poset and local-cohomology store but the scalar field and
+the elimination kernel, and never looks at links or at local cohomology,
+so its agreement with the dualized resolution is a real cross-check.
 
 Degenerate duals carry explicit markers: when the original complex is the
 full simplex its dual is void and both routes report an empty table marked
@@ -22,11 +44,12 @@ void (the dual ideal is the unit ideal).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .complexes import SimplicialComplex, VoidComplex
-from .linalg import Field, Mat, rank
+from .linalg import Field, reduce_columns
 from .resolutions import FaceModuleComplex
 
 
@@ -136,6 +159,76 @@ def betti_from_dual(dc: DualFreeComplex) -> BettiTable:
     return BettiTable(entries)
 
 
+class _Coboundary:
+    """The reduced coboundary of one face family, built once and evaluated
+    on any induced subcomplex (see the module docstring).  Faces are vertex
+    bitmasks whose bit order follows the vertex order."""
+
+    def __init__(self, masks, field: Field):
+        self.field = field
+        self.faces = sorted(masks, key=int.bit_count)  # by cardinality
+        self.index = {m: i for i, m in enumerate(self.faces)}
+        self.vertices = 0
+        for m in self.faces:
+            self.vertices |= m
+        one, minus = field.reduce(1), field.reduce(-1)
+        self.columns = []  # per face: (vertex bit, row, scalar) of each coface
+        for m in self.faces:
+            col = []
+            rest = self.vertices & ~m
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                row = self.index.get(m | b)
+                if row is not None:
+                    col.append((b, row, minus if (m & (b - 1)).bit_count() & 1 else one))
+            self.columns.append(col)
+        self.facets = [m for m, col in zip(self.faces, self.columns) if not col]
+
+    def dims(self, s: int) -> dict:
+        """Reduced cohomology dimensions of the subcomplex induced on the
+        vertex set ``s`` (inside ``self.vertices``); degree j holds the faces
+        with j+1 vertices."""
+        if not s:
+            return {-1: 1}  # {empty face}
+        if s in self.index or self._has_cone_point(s):
+            return {}  # a simplex, or a cone: acyclic
+        return self._eliminate(s)
+
+    def _has_cone_point(self, s: int) -> bool:
+        """Whether some v in s has F+{v} a face for every face F inside s.
+        It suffices to test the largest such F, the traces G & s of the
+        facets G, since every face inside s lies in one of them."""
+        candidates = s
+        for g in self.facets:
+            trace = g & s
+            rest = candidates & ~g
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                if trace | b not in self.index:
+                    candidates ^= b
+            if not candidates:
+                return False
+        return True
+
+    def _eliminate(self, s: int) -> dict:
+        inside = [i for i, m in enumerate(self.faces) if not m & ~s]
+        cols = [{row: x for b, row, x in self.columns[i] if b & s} for i in inside]
+        ranks = reduce_columns(cols, self.field, range(len(cols)))[0]
+        # the faces come in cardinality order and the coboundary out of
+        # cardinality k lands in cardinality k + 1 alone, so the prefix
+        # rank at the end of a cardinality block sums the blocks' ranks
+        ends = list(accumulate(Counter(self.faces[i].bit_count() for i in inside).values()))
+        dims, rank_in = {}, 0
+        for k, (start, end) in enumerate(zip([0] + ends, ends)):
+            rank_out = ranks[end - 1] - (ranks[start - 1] if start else 0)
+            if h := end - start - rank_out - rank_in:
+                dims[k - 1] = h  # degree shift: k vertices sit in degree k-1
+            rank_in = rank_out
+        return dims
+
+
 def reduced_cohomology_dims(faces, field: Field) -> dict:
     """Reduced cochain cohomology dimensions of a simplicial face family.
 
@@ -147,35 +240,21 @@ def reduced_cohomology_dims(faces, field: Field) -> dict:
     faces = set(faces)
     if frozenset() not in faces:
         raise ValueError("the face family must contain the empty face")
-    vertices = sorted(set().union(*faces))
-    by_card: dict[int, list] = {}
-    for s in faces:
-        by_card.setdefault(len(s), []).append(s)
-    for k in by_card:
-        by_card[k].sort(key=sorted)
-    top = max(by_card)
-    mats = {}
-    for k in range(top):
-        dom = by_card.get(k, [])
-        cod = by_card.get(k + 1, [])
-        idx = {s: i for i, s in enumerate(cod)}
-        columns = []
-        for s in dom:
-            col = {}
-            for v in vertices:
-                if v not in s and (t := s | {v}) in idx:
-                    col[idx[t]] = field.reduce(-1 if sorted(t).index(v) % 2 else 1)
-            columns.append(col)
-        mats[k] = Mat(len(cod), len(dom), columns, field)
-    dims = {}
-    for k in range(top + 1):
-        n_k = len(by_card.get(k, []))
-        out_rank = rank(mats[k], field) if k in mats else 0
-        in_rank = rank(mats[k - 1], field) if (k - 1) in mats else 0
-        h = n_k - out_rank - in_rank
-        if h:
-            dims[k - 1] = h  # degree shift: k vertices sit in degree k-1
-    return dims
+    bit = {v: 1 << i for i, v in enumerate(sorted(set().union(*faces)))}
+    cob = _Coboundary({sum(bit[v] for v in f) for f in faces}, field)
+    return cob.dims(cob.vertices)
+
+
+def _face_masks(facets) -> set[int]:
+    """Every face of the facets, as bitmasks with bit v for vertex v."""
+    out = set()
+    for f in facets:
+        m = sub = sum(1 << v for v in f)
+        while sub:
+            out.add(sub)
+            sub = (sub - 1) & m
+    out.add(0)
+    return out
 
 
 def betti_hochster(sc_star, field: Field) -> BettiTable:
@@ -186,17 +265,22 @@ def betti_hochster(sc_star, field: Field) -> BettiTable:
     if not isinstance(sc_star, SimplicialComplex):
         raise TypeError("expected a SimplicialComplex or the void marker")
     d = sc_star.d
-    all_faces = sc_star.faces()
+    cob = _Coboundary(_face_masks(sc_star.facets), field)
+    dims_of: dict = {}  # one evaluation per distinct sigma & (vertices of the dual)
     entries: dict = {}
+    bits = [1 << v for v in range(1, d + 1)]
     for size in range(1, d + 1):
-        for c in combinations(range(1, d + 1), size):
-            sigma = frozenset(c)
-            induced = {f for f in all_faces if f <= sigma}
-            dims = reduced_cohomology_dims(induced, field)
-            for i in range(size):
-                h = dims.get(size - i - 2, 0)
-                if h:
-                    entries[(i, sigma)] = h
+        for c in combinations(bits, size):
+            s = cob.vertices & sum(c)  # a vertex that is no face adds no face
+            dims = dims_of.get(s)
+            if dims is None:
+                dims = dims_of[s] = cob.dims(s)
+            if dims:
+                sigma = frozenset(b.bit_length() - 1 for b in c)
+                for i in range(size):
+                    h = dims.get(size - i - 2, 0)
+                    if h:
+                        entries[(i, sigma)] = h
     return BettiTable(entries)
 
 

@@ -22,9 +22,10 @@ the whole face lattice.  A bare ``facet`` line is the empty facet: alone
 it gives the complex {empty face}, whose quotient k[Q]/m = k is
 Cohen-Macaulay of dimension 0.  A malformed line (a missing or
 non-integer value, a ``vertices`` count outside ``1..MAX_VERTICES`` (16),
-a facet that repeats a vertex or leaves ``1..vertices``, a cover that
-names an unknown face, a ``delta`` index outside ``1..#functionals``,
-bytes that are not UTF-8) raises ``InputFormatError`` naming the line.
+a second ``vertices`` or ``ambient`` line, a facet that repeats a vertex
+or leaves ``1..vertices``, a cover that names an unknown face, a
+``delta`` index outside ``1..#functionals``, bytes that are not UTF-8)
+raises ``InputFormatError`` naming the line.
 
 Resolutions serialize to JSON documents that embed the input complex, the
 terms (face keys per copy), the scalar block matrices, the augmentation
@@ -192,13 +193,20 @@ def semigroup_bundle(ambient: int, functionals, selectors) -> InputBundle:
     return InputBundle("semigroup", subcomplex(full, ids), semigroup=q, delta_selectors=chosen)
 
 
+def _first_header(seen, lineno: int, keyword: str) -> None:
+    """A header line (``vertices``, ``ambient``) may appear only once."""
+    if seen is not None:
+        raise InputFormatError(f"line {lineno}: a second {keyword!r} line; give it once")
+
+
 def _parse_simplicial(body) -> InputBundle:
     vertices = None
     facets = []
     for lineno, toks in body:
         if toks[0] == "vertices":
+            _first_header(vertices, lineno, "vertices")
             vertices = (f"line {lineno}", *_ints(toks, lineno, 1, exact=True))
-            _vertex_count(*vertices)  # every 'vertices' line, though the last one counts
+            _vertex_count(*vertices)
         elif toks[0] == "facet":
             facets.append((f"line {lineno}", tuple(_ints(toks, lineno, len(toks) - 1))))
         else:
@@ -214,6 +222,7 @@ def _parse_polyhedral(body) -> InputBundle:
     covers = []
     for lineno, toks in body:
         if toks[0] == "ambient":
+            _first_header(ambient, lineno, "ambient")
             (ambient,) = _ints(toks, lineno, 1, exact=True)
         elif toks[0] == "face":
             fid, dim = _ints(toks, lineno, 2)
@@ -233,6 +242,7 @@ def _parse_semigroup(body) -> InputBundle:
     selectors = []
     for lineno, toks in body:
         if toks[0] == "ambient":
+            _first_header(ambient, lineno, "ambient")
             (ambient,) = _ints(toks, lineno, 1, exact=True)
         elif toks[0] == "functional":
             functionals.append((f"line {lineno}", tuple(_ints(toks, lineno, len(toks) - 1))))

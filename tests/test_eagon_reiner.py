@@ -17,10 +17,11 @@ from zeemac import (
 )
 from zeemac.complexes import VOID_COMPLEX
 from zeemac.eagon_reiner import BettiTable, UnsupportedAmbientError, reduced_cohomology_dims
-from zeemac.formats import parse_input_text
+from zeemac.formats import MAX_VERTICES, parse_input_text
 from zeemac.resolutions import _one_minus_t_pow, _poly_mul, total_resolution
 
-from .helpers import bowtie, hollow_triangle, random_simplicial
+from .brute_hochster import brute_betti_hochster, brute_reduced_cohomology_dims
+from .helpers import bowtie, hollow_triangle, link_family, random_simplicial, rp2
 
 
 def koszul_table(d):
@@ -147,6 +148,52 @@ def test_reduced_cohomology_basics():
     # two points
     two = {frozenset(), frozenset({1}), frozenset({2})}
     assert reduced_cohomology_dims(two, QQ) == {0: 1}
+
+
+def _oracle_cases() -> list:
+    rng = random.Random(29)
+    cases = [
+        alexander_dual(hollow_triangle()),  # {empty face}: the Koszul table
+        alexander_dual(SimplicialComplex.from_facets(3, [{1, 2, 3}])),  # void
+        SimplicialComplex.from_facets(5, [{1, 2}, {2, 3}]),  # ghost vertices 4 and 5
+        bowtie(),  # {1,2,3,4} induces a cone on 3 that is no face
+        rp2(),  # needs elimination, and the answer depends on the field
+    ]
+    while len(cases) < 65:
+        sc = random_simplicial(rng)
+        cases += [sc, alexander_dual(sc)]  # the first often has ghost vertices
+    return cases
+
+
+def test_hochster_matches_the_brute_force_oracle():
+    for dual in _oracle_cases():
+        for field in (QQ, GF(2), GF(3)):
+            fast = betti_hochster(dual, field)
+            slow = brute_betti_hochster(dual, field)
+            # same entries, inserted in the same order
+            assert list(fast.entries.items()) == list(slow.entries.items()), (dual, field.label())
+            assert fast.void_dual == slow.void_dual
+
+
+def test_reduced_cohomology_matches_the_brute_force_oracle():
+    rng = random.Random(31)
+    for _ in range(40):
+        sc = random_simplicial(rng)
+        for s in [f for f in sc.faces() if len(f) <= 1]:  # the complex and its vertex links
+            family = link_family(sc, s)
+            for field in (QQ, GF(2), GF(3)):
+                assert reduced_cohomology_dims(family, field) == brute_reduced_cohomology_dims(family, field)
+    with pytest.raises(ValueError):
+        reduced_cohomology_dims({frozenset({1})}, QQ)
+
+
+def test_hochster_at_the_vertex_guard():
+    # the dual of one edge on d vertices is the join of that edge with the
+    # boundary of the simplex on the other d - 2 vertices: its ideal is
+    # principal, generated by the product of those d - 2 variables
+    d = MAX_VERTICES
+    dual = alexander_dual(SimplicialComplex.from_facets(d, [{1, 2}]))
+    assert betti_hochster(dual, QQ).entries == {(0, frozenset(range(3, d + 1))): 1}
 
 
 def test_betti_euler_matches_series_numerator():

@@ -152,6 +152,9 @@ MALFORMED = {  # each must exit 2 with a diagnostic naming the line, never a tra
     "not_utf8": (b"simplicial\nvertices 3\nfacet 1 2\xff\xfe\n", "line 3"),
     "vertices_zero": (b"simplicial\nvertices 0\nfacet\n", "line 2"),
     "vertices_out_of_range_then_repeated": (b"simplicial\nvertices 40\nvertices 3\nfacet 1 2\n", "line 2"),
+    "vertices_repeated": (b"simplicial\nvertices 3\nvertices 4\nfacet 1 2\n", "line 3"),
+    "ambient_repeated_polyhedral": (b"polyhedral\nambient 1\nface 0 0 apex\nambient 2\n", "line 4"),
+    "ambient_repeated_semigroup": (b"semigroup\nambient 2\nfunctional 1 0\nambient 2\nfunctional 0 1\n", "line 4"),
     "facet_out_of_range": (b"simplicial\nvertices 3\nfacet 1 2\nfacet 1 4\n", "line 4"),
     "facet_repeats_a_vertex": (b"simplicial\nvertices 3\nfacet 1 1 2\n", "line 3"),
     "functional_zero": (b"semigroup\nambient 2\nfunctional 1 0\nfunctional 0 0\n", "line 4"),

@@ -77,12 +77,14 @@ class VSComplex:
 
 @dataclass(frozen=True)
 class CohomologySummary:
-    """Per-degree cohomology dimensions with stored representative cocycles."""
+    """Per-degree cohomology dimensions with stored representative cocycles,
+    each a sparse vector ``{basis index: scalar}`` over the basis of its
+    degree (nonzero scalars reduced into the field, as in ``linalg``)."""
 
     lo: int
     hi: int
     dims: tuple
-    representatives: tuple  # per degree: tuple of coordinate vectors
+    representatives: tuple  # per degree: tuple of sparse vectors {basis index: scalar}
 
     def dim(self, p: int) -> int:
         if self.lo <= p <= self.hi:
@@ -122,12 +124,12 @@ def cochain_complex(fc: FaceComplex, g: int, field: Field) -> VSComplex:
 def echelon_representatives(kernel, image, field: Field):
     """Kernel vectors extending the image to a basis of the kernel.
 
-    Both inputs are lists of coordinate vectors with image <= kernel.  The
-    selection is the pivot columns of the matrix [image | kernel] (each
-    outside the span of the columns before it), so representatives are
-    canonical.
+    Both inputs are lists of sparse vectors ``{index: scalar}`` (nonzero
+    scalars reduced into ``field``) with image <= kernel.  The selection is
+    the pivot columns of the matrix [image | kernel] (each outside the span
+    of the columns before it), so representatives are canonical.
     """
-    cols = [{i: y for i, x in enumerate(v) if x and (y := field.reduce(x))} for v in (*image, *kernel)]
+    cols = [*image, *kernel]
     pivots = pivot_columns(reduce_columns(cols, field, range(len(cols)))[0])
     return tuple(kernel[j - len(image)] for j in pivots if j >= len(image))
 
@@ -181,9 +183,9 @@ def _restriction_core(fc: FaceComplex, g: int, g_prime: int, field: Field, p: in
         return Mat.zeros(rows, cols, field)
 
     dst_index = {f: i for i, f in enumerate(dst.basis(p))}
-    generators = [{i: x for i, x in enumerate(r) if x} for r in dst_reps]
-    generators += dst.diff(p - 1, field).columns
-    targets = [{dst_index[f]: x for f, x in zip(src.basis(p), rep) if x} for rep in src_reps]
+    src_basis = src.basis(p)
+    generators = [*dst_reps, *dst.diff(p - 1, field).columns]
+    targets = [{dst_index[src_basis[i]]: x for i, x in rep.items()} for rep in src_reps]
     out_cols = []
     for sol in solve_columns(targets, generators, field):
         if sol is None:

@@ -20,12 +20,12 @@ functionals; optional ``delta`` lines select the subcomplex generated by
 the faces on which the named functionals (1-based) vanish, defaulting to
 the whole face lattice.  A bare ``facet`` line is the empty facet: alone
 it gives the complex {empty face}, whose quotient k[Q]/m = k is
-Cohen-Macaulay of dimension 0.  A malformed line (a missing or
-non-integer value, a ``vertices`` count outside ``1..MAX_VERTICES`` (16),
-a second ``vertices`` or ``ambient`` line, a facet that repeats a vertex
-or leaves ``1..vertices``, a cover that names an unknown face, a
-``delta`` index outside ``1..#functionals``, bytes that are not UTF-8)
-raises ``InputFormatError`` naming the line.
+Cohen-Macaulay of dimension 0.  A malformed line (a word after the input
+kind, a missing or non-integer value, a ``vertices`` count outside
+``1..MAX_VERTICES`` (16), a second ``vertices`` or ``ambient`` line, a
+facet that repeats a vertex or leaves ``1..vertices``, a cover that names
+an unknown face, a ``delta`` index outside ``1..#functionals``, bytes that
+are not UTF-8) raises ``InputFormatError`` naming the line.
 
 Resolutions serialize to JSON documents that embed the input complex, the
 terms (face keys per copy), the scalar block matrices, the augmentation
@@ -79,18 +79,17 @@ def parse_input_text(text: str) -> InputBundle:
     rows = list(_lines(text))
     if not rows:
         raise InputFormatError("empty input file")
-    _, head = rows[0]
-    kind = head[0].lower()
-    body = rows[1:]
-    if kind == "simplicial":
-        return _parse_simplicial(body)
-    if kind == "polyhedral":
-        return _parse_polyhedral(body)
-    if kind == "semigroup":
-        return _parse_semigroup(body)
-    raise InputFormatError(
-        f"line 1: unknown input kind {head[0]!r}; expected simplicial, polyhedral or semigroup"
+    lineno, head = rows[0]
+    parse = {"simplicial": _parse_simplicial, "polyhedral": _parse_polyhedral, "semigroup": _parse_semigroup}.get(
+        head[0].lower()
     )
+    if parse is None:
+        raise InputFormatError(
+            f"line {lineno}: unknown input kind {head[0]!r}; expected simplicial, polyhedral or semigroup"
+        )
+    if len(head) > 1:
+        raise InputFormatError(f"line {lineno}: unexpected {' '.join(head[1:])!r} after the input kind {head[0]!r}")
+    return parse(rows[1:])
 
 
 def load_input(path: str) -> InputBundle:

@@ -14,6 +14,12 @@ over that field (``Mat.over``) instead of trusting scalars reduced for a
 different one.  Products, transposes and zero tests walk the nonzeros
 only; ``entries`` is a derived dense view.
 
+A vector is a sparse column too: ``{index: scalar}``, its scalars nonzero
+and reduced into the field, exactly like a column of a ``Mat``.  Kernel and
+image bases and solutions come out in that form, and downstream code
+(representatives, restriction maps, the page-2 zigzag) keeps it; only
+``Mat.mul_vec`` takes and gives dense tuples.
+
 One elimination kernel serves every need: a sparse column reduction
 (``reduce_columns``) of the columns themselves, mod p over F_p and
 fraction-free over the integers for rationals.  One pass gives the rank
@@ -230,32 +236,30 @@ class Mat:
     def mul_vec(self, v, field: Field) -> tuple:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        acc = _combine(self.over(field).columns, enumerate(field.reduce(x) for x in v))
-        return tuple(field.reduce(acc.get(i, 0)) for i in range(self.rows))
+        acc = _combine(self.over(field).columns, enumerate(field.reduce(x) for x in v), field)
+        z = field.zero()
+        return tuple(acc.get(i, z) for i in range(self.rows))
 
     def mul(self, other: "Mat", field: Field) -> "Mat":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         columns = self.over(field).columns
-        out = []
-        for col in other.over(field).columns:
-            acc = _combine(columns, col.items())
-            out.append({i: y for i, x in acc.items() if (y := field.reduce(x))})
+        out = [_combine(columns, col.items(), field) for col in other.over(field).columns]
         return Mat(self.rows, other.cols, out, field)
 
     def is_zero(self) -> bool:
         return not any(self.columns)
 
 
-def _combine(columns, coefficients) -> dict:
-    """``sum(c * columns[k])`` over the pairs ``(k, c)``, as ``{row: sum}``
-    (sums unreduced, zero sums kept)."""
+def _combine(columns, coefficients, field: Field) -> dict:
+    """``sum(c * columns[k])`` over the pairs ``(k, c)``: a sparse column,
+    its scalars nonzero and reduced into ``field``."""
     acc: dict = {}
     for k, c in coefficients:
         if c:
             for i, x in columns[k].items():
                 acc[i] = acc.get(i, 0) + x * c
-    return acc
+    return {i: y for i, x in acc.items() if (y := field.reduce(x))}
 
 
 def reduce_columns(cols, field: Field, order) -> tuple[list[int], dict]:
@@ -370,10 +374,11 @@ def _relations(cols, field: Field) -> dict:
 
 
 def solve_columns(targets, generators, field: Field) -> list:
-    """``solve_in_subspace`` for every target at once, from one reduction
-    of the generators followed by the targets (columns ``{row: scalar}``,
-    nonzero and reduced).  Each answer is ``{i: c}`` without the free
-    generators, or None for a target outside the span."""
+    """Coefficients ``{i: c}`` with ``sum(c * generators[i]) == target``
+    for every target at once, from one reduction of the generators followed
+    by the targets.  Each answer leaves the free generators out (their
+    coefficient is zero, so it is canonical); a target outside the span
+    gets None."""
     k = len(generators)
     relations = _relations(list(generators) + list(targets), field)
     out = []
@@ -393,35 +398,14 @@ def rank(m: Mat, field: Field) -> int:
     return len(reduce_columns(m.over(field).columns, field, range(m.cols))[1])
 
 
-def kernel_basis(m: Mat, field: Field) -> list[tuple]:
+def kernel_basis(m: Mat, field: Field) -> list[dict]:
     """A canonical basis of the right kernel of ``m``: the relation of each
-    non-pivot column, as a vector (that coordinate is 1)."""
-    z = field.zero()
-    basis = []
-    for rel in _relations(m.over(field).columns, field).values():
-        v = [z] * m.cols
-        for k, c in rel.items():
-            v[k] = c
-        basis.append(tuple(v))
-    return basis
+    non-pivot column, a sparse vector that is 1 at that column."""
+    return list(_relations(m.over(field).columns, field).values())
 
 
-def image_basis(m: Mat, field: Field) -> list[tuple]:
-    """The pivot columns of ``m``: a basis of its column space."""
+def image_basis(m: Mat, field: Field) -> list[dict]:
+    """The pivot columns of ``m``, as sparse vectors: a basis of its column
+    space."""
     m = m.over(field)
-    return [m.col(j) for j in pivot_columns(reduce_columns(m.columns, field, range(m.cols))[0])]
-
-
-def solve_in_subspace(target, generators, field: Field):
-    """Coefficients ``c`` with ``sum(c_i * generators[i]) == target``.
-
-    Returns a tuple of coefficients (free variables set to zero, so the
-    answer is deterministic), or None when the target lies outside the
-    span.  All vectors must have equal length.
-    """
-    vectors = [target, *generators]
-    if any(len(v) != len(target) for v in vectors):
-        raise ValueError("generator length does not match target length")
-    target, *gens = ({i: y for i, x in enumerate(v) if x and (y := field.reduce(x))} for v in vectors)
-    sol = solve_columns([target], gens, field)[0]
-    return None if sol is None else tuple(sol.get(i, field.zero()) for i in range(len(gens)))
+    return [m.columns[j] for j in pivot_columns(reduce_columns(m.columns, field, range(m.cols))[0])]

@@ -141,7 +141,7 @@ class AffineSemigroup:
             if subset:
                 if len(ker) != 1:
                     continue
-                g = _fraction_vector_to_primitive_int(ker[0])
+                g = _fraction_vector_to_primitive_int([ker[0].get(i, 0) for i in range(self.d)])
             else:
                 # d == 1: the candidate line is the whole lattice
                 g = (1,)

@@ -33,12 +33,13 @@ from .linalg import (
     Field,
     Mat,
     QQ,
+    _combine,
     image_basis,
     kernel_basis,
     rank,
     reduce_columns,
     row_suffix_ranks,
-    solve_in_subspace,
+    solve_columns,
 )
 
 
@@ -220,7 +221,7 @@ class SSPage:
 
 class _Page1Data:
     def __init__(self, summaries, dmats):
-        self.summaries = summaries  # (p,q) -> list of rep vectors (D-coordinates)
+        self.summaries = summaries  # (p,q) -> tuple of sparse rep vectors over block (p,q)
         self.dmats = dmats  # (p,q) -> Mat of the induced vertical map
 
 
@@ -238,11 +239,8 @@ def _page1_data(z: ZeemanComplex) -> _Page1Data:
         for g in sorted({g for _, g in pairs}):
             basis = local_complex(fc, g, field).basis(p)
             for k, rep in enumerate(local_cohomology(fc, g, field).reps(p)):
-                vec = [field.zero()] * len(pairs)
-                for f, x in zip(basis, rep):
-                    vec[pos[(f, g)]] = x
-                last = max(pos[(f, g)] for f, x in zip(basis, rep) if x)
-                found.append((last, tuple(vec), (g, k)))
+                vec = {pos[(basis[i], g)]: x for i, x in rep.items()}
+                found.append((max(vec), vec, (g, k)))
         if found:
             found.sort(key=lambda t: t[0])
             reps[(p, q)] = tuple(vec for _, vec, _ in found)
@@ -264,7 +262,7 @@ def _page1_data(z: ZeemanComplex) -> _Page1Data:
 
 class _Page2Data:
     def __init__(self, reps, d2):
-        self.reps = reps  # (p,q) -> tuple of vectors in page-1 coordinates
+        self.reps = reps  # (p,q) -> tuple of sparse vectors in page-1 coordinates
         self.d2 = d2
 
 
@@ -290,45 +288,31 @@ def _page2_data(z: ZeemanComplex) -> _Page2Data:
         if chosen:
             reps2[(p, q)] = chosen
 
+    # d2 by zigzag, one solve per step and bidegree: lift each class to a
+    # horizontal cocycle x, push it down (v = vert x), pull v back
+    # horizontally (v = horiz w), push w down (u = vert w), and read u in
+    # page-1 classes modulo horizontal coboundaries, then modulo d1.
     d2: dict = {}
     for (p, q), rlist in sorted(reps2.items()):
         tgt = reps2.get((p - 1, q + 2), ())
-        src_reps1 = p1.summaries.get((p, q), ())
         tgt_reps1 = p1.summaries.get((p - 1, q + 2), ())
-        cols = []
-        for e in rlist:
-            zvec = [field.zero()] * len(z.block(p, q))
-            for c, rep in zip(e, src_reps1):
-                if c:
-                    for i, x in enumerate(rep):
-                        zvec[i] += c * x
-            zvec = [field.reduce(x) for x in zvec]
-            v = z.vert(p, q).mul_vec(zvec, field) if z.block(p, q + 1) else ()
-            if any(v):
-                h = z.horiz(p - 1, q + 1)
-                w = solve_in_subspace(v, [h.col(j) for j in range(h.cols)], field)
-                if w is None:
-                    raise RuntimeError("page-2 class has a non-exact vertical image")
-                u = z.vert(p - 1, q + 1).mul_vec(w, field) if z.block(p - 1, q + 2) else ()
-            else:
-                u = [field.zero()] * len(z.block(p - 1, q + 2))
-            if not tgt:
-                cols.append({})
-                continue
-            cob = z.horiz(p - 2, q + 2)
-            gens1 = [list(t) for t in tgt_reps1] + [list(cob.col(j)) for j in range(cob.cols)]
-            c1 = solve_in_subspace(u, gens1, field)
-            if c1 is None:
-                raise RuntimeError("page-2 image failed to reduce to page-1 classes")
-            c1 = list(c1[: len(tgt_reps1)])
-            gens2 = [list(t) for t in tgt]
-            dm = dmat(p - 1, q + 1)
-            for j in range(dm.cols):
-                gens2.append(list(dm.col(j)))
-            c2 = solve_in_subspace(c1, gens2, field)
-            if c2 is None:
-                raise RuntimeError("page-2 image failed to reduce modulo page-1 boundaries")
-            cols.append({i: x for i, x in enumerate(c2[: len(tgt)]) if x})
+        zvecs = [_combine(p1.summaries[(p, q)], e.items(), field) for e in rlist]
+        vs = [_combine(z.vert(p, q).columns, zvec.items(), field) for zvec in zvecs]
+        ws = solve_columns(vs, z.horiz(p - 1, q + 1).columns, field)
+        if None in ws:
+            raise RuntimeError("page-2 class has a non-exact vertical image")
+        if not tgt:
+            d2[(p, q)] = Mat.zeros(0, len(rlist), field)
+            continue
+        us = [_combine(z.vert(p - 1, q + 1).columns, w.items(), field) for w in ws]
+        c1s = solve_columns(us, [*tgt_reps1, *z.horiz(p - 2, q + 2).columns], field)
+        if None in c1s:
+            raise RuntimeError("page-2 image failed to reduce to page-1 classes")
+        c1s = [{i: x for i, x in c1.items() if i < len(tgt_reps1)} for c1 in c1s]
+        c2s = solve_columns(c1s, [*tgt, *dmat(p - 1, q + 1).columns], field)
+        if None in c2s:
+            raise RuntimeError("page-2 image failed to reduce modulo page-1 boundaries")
+        cols = [{i: x for i, x in c2.items() if i < len(tgt)} for c2 in c2s]
         d2[(p, q)] = Mat(len(tgt), len(rlist), cols, field)
     data = _Page2Data(reps2, d2)
     z._page2 = data

@@ -26,6 +26,12 @@ def rp2() -> SimplicialComplex:
     return SimplicialComplex.from_facets(6, RP2_FACETS)
 
 
+def d2_witness() -> SimplicialComplex:
+    """A complex whose page-2 differential is nonzero and is read modulo a
+    nonzero image of d1 (the reduction changes its coefficients)."""
+    return SimplicialComplex.from_facets(6, [{1, 3}, {1, 6}, {2, 3}, {2, 5, 6}, {3, 4, 5}])
+
+
 def square_cone() -> AffineSemigroup:
     # cone over the unit square at height one
     return AffineSemigroup(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)])
@@ -99,3 +105,14 @@ def face_id_of_vertices(fc, verts) -> int:
 def cone_with_ids(sc: SimplicialComplex):
     fc = cone_of_simplicial(sc)
     return fc, {tuple(sorted(v for v in f.key[1])): f.id for f in fc.faces}
+
+
+def densify(v: dict, n: int, field) -> tuple:
+    """The sparse vector ``v`` as a dense tuple of length ``n``."""
+    z = field.zero()
+    return tuple(v.get(i, z) for i in range(n))
+
+
+def sparsify(v, field) -> dict:
+    """The dense vector ``v`` as a sparse one: nonzero reduced scalars."""
+    return {i: y for i, x in enumerate(v) if (y := field.reduce(x))}

@@ -10,8 +10,11 @@ d1 matrices, and everything page 2 derives from them.
 from __future__ import annotations
 
 from zeemac.cohomology import VSComplex, cohomology_summary
-from zeemac.linalg import Mat, solve_in_subspace
+from zeemac.linalg import Mat
 from zeemac.zeeman import ZeemanComplex, _Page1Data
+
+from .dense_ranks import dense_solve_in_subspace
+from .helpers import densify
 
 
 def row_page1_data(z: ZeemanComplex) -> _Page1Data:
@@ -32,7 +35,7 @@ def row_page1_data(z: ZeemanComplex) -> _Page1Data:
     for (p, q), rlist in sorted(reps.items()):
         tgt = reps.get((p, q + 1), ())
         cob = z.horiz(p - 1, q + 1)
-        generators = [list(t) for t in tgt]
+        generators = [list(densify(t, cob.rows, field)) for t in tgt]
         for j in range(cob.cols):
             generators.append(list(cob.col(j)))
         if not tgt:
@@ -41,11 +44,11 @@ def row_page1_data(z: ZeemanComplex) -> _Page1Data:
         cols = []
         vmat = z.vert(p, q)
         for rep in rlist:
-            v = vmat.mul_vec(rep, field) if vmat.rows else ()
+            v = vmat.mul_vec(densify(rep, vmat.cols, field), field) if vmat.rows else ()
             if len(v) == 0:
                 cols.append([field.zero()] * len(tgt))
                 continue
-            sol = solve_in_subspace(v, generators, field)
+            sol = dense_solve_in_subspace(v, generators, field)
             if sol is None:
                 raise RuntimeError("vertical image failed to reduce on page 1")
             cols.append(list(sol[: len(tgt)]))

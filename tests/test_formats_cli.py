@@ -161,6 +161,10 @@ MALFORMED = {  # each must exit 2 with a diagnostic naming the line, never a tra
     "functional_not_primitive": (b"semigroup\nambient 2\nfunctional 2 0\nfunctional 0 1\n", "line 3"),
     "functional_wrong_length": (b"semigroup\nambient 2\nfunctional 1 0\nfunctional 0 1 1\n", "line 4"),
     "face_ids_skip_one": (b"polyhedral\nambient 1\nface 0 0 apex\nface 2 1 ray\ncover 0 2 +1\n", "line 4"),
+    "kind_unknown_after_comments": (b"# comment\n\nbogus\n", "line 3"),
+    "kind_then_a_count": (b"simplicial 3\nvertices 3\nfacet 1 2\n", "line 1"),
+    "kind_then_a_word_after_a_comment": (b"# c\npolyhedral junk\nambient 1\nface 0 0 apex\n", "line 2"),
+    "kind_then_two_words": (b"semigroup x y\nambient 1\nfunctional 1\n", "line 1"),
 }
 
 

@@ -3,8 +3,10 @@
 The library assembles page 1 from the cohomology near each face and its
 restriction blocks; ``row_page1.row_page1_data`` reduces each whole row of
 the double complex instead.  Representatives, d1, and the page 2 built on
-them must agree exactly, and per-face cohomology must be computed once
-however many consumers read it.
+them must agree exactly; so must the library's batched sparse page 2 and
+``dense_page2.dense_page2_data``, the per-class dense zigzag run on the
+reference page 1.  Per-face cohomology must be computed once however many
+consumers read it.
 """
 
 import pytest
@@ -21,9 +23,10 @@ from zeemac import (
     page,
 )
 from zeemac import cohomology
-from zeemac.zeeman import _page1_data
+from zeemac.zeeman import _page1_data, _page2_data
 
-from .helpers import bowtie, hollow_triangle, random_sweep, rp2, square_cone, square_cone_two_facets
+from .dense_page2 import dense_page2_data
+from .helpers import bowtie, d2_witness, densify, hollow_triangle, random_sweep, rp2, square_cone, square_cone_two_facets
 from .row_page1 import row_page1_data
 
 FIELDS = (QQ, GF(2), GF(3))
@@ -38,6 +41,10 @@ def assert_matches_row_reference(fc, field, a=None):
     p2, ref2 = page(z, 2), page(ref, 2)
     assert p2.dims == ref2.dims
     assert list(p2.diffs.items()) == list(ref2.diffs.items())
+    got, want = _page2_data(z), dense_page2_data(ref)
+    reps = {k: tuple(densify(v, len(new.summaries[k]), field) for v in vs) for k, vs in got.reps.items()}
+    assert list(reps.items()) == list(want.reps.items())
+    assert list(got.d2.items()) == list(want.d2.items())
 
 
 def fixtures():
@@ -45,6 +52,7 @@ def fixtures():
         cone_of_simplicial(hollow_triangle()),
         cone_of_simplicial(bowtie()),
         cone_of_simplicial(rp2()),
+        cone_of_simplicial(d2_witness()),
         face_lattice(square_cone()),
         square_cone_two_facets()[0],
     ]

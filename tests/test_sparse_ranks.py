@@ -33,7 +33,6 @@ from zeemac.linalg import (
     reduce_columns,
     row_suffix_ranks,
     solve_columns,
-    solve_in_subspace,
 )
 from zeemac.semigroup import _echelon_basis
 
@@ -50,7 +49,7 @@ from .dense_ranks import (
     dense_solve_in_subspace,
     dense_total_differentials,
 )
-from .helpers import bowtie, hollow_triangle, random_sweep, rp2, square_cone, square_cone_two_facets
+from .helpers import bowtie, densify, hollow_triangle, random_sweep, rp2, sparsify, square_cone, square_cone_two_facets
 
 FIELDS = (QQ, GF(2), GF(3), GF(2**61 - 1))
 
@@ -156,38 +155,50 @@ def assert_same(got, want):
         assert type(got) is type(want)
 
 
-def _sparse_vector(v, field) -> dict:
-    return {i: y for i, x in enumerate(v) if (y := field.reduce(x))}
+def assert_sparse_vectors(vectors, n: int, field):
+    """Sparse vectors over ``n`` coordinates: no stored zero, scalars reduced."""
+    for v in vectors:
+        assert all(0 <= i < n and x and field.reduce(x) == x for i, x in v.items())
 
 
 def assert_eliminations_match_dense(m: Mat, field, rows) -> tuple[int, int]:
     """Kernel, image, solves, representatives and the echelon basis of the
     rows against the dense ``_rref``; returns how many targets were
     solvable and how many were not."""
-    ker = kernel_basis(m, field)
-    assert_same(ker, dense_kernel_basis(m, field))
-    assert_same(image_basis(m, field), dense_image_basis(m, field))
+    ker, img = kernel_basis(m, field), image_basis(m, field)
+    assert_sparse_vectors(ker, m.cols, field)
+    assert_sparse_vectors(img, m.rows, field)
+    dense_ker = [densify(v, m.cols, field) for v in ker]
+    assert_same(dense_ker, dense_kernel_basis(m, field))
+    assert_same([densify(v, m.rows, field) for v in img], dense_image_basis(m, field))
     assert len(ker) + rank(m, field) == m.cols
-    for v in ker:
+    for v in dense_ker:
         assert m.mul_vec(v, field) == (field.zero(),) * m.rows
     mf = m.over(field)
     gens = [mf.col(j) for j in range(m.cols)]
     units = [tuple(field.one() if i == k else field.zero() for i in range(m.rows)) for k in range(m.rows)]
     targets = units + gens + [m.mul_vec((1,) * m.cols, field), (0,) * m.rows]
     want = [dense_solve_in_subspace(t, gens, field) for t in targets]
+
+    def dense_answers(answers):
+        return [None if a is None else densify(a, len(gens), field) for a in answers]
+
+    sparse_gens = [sparsify(g, field) for g in gens]
     for t, w in zip(targets, want):
-        assert_same(solve_in_subspace(t, gens, field), w)
-    batch = solve_columns([_sparse_vector(t, field) for t in targets], [_sparse_vector(g, field) for g in gens], field)
-    z = field.zero()
-    assert [None if b is None else tuple(b.get(i, z) for i in range(len(gens))) for b in batch] == want
+        assert_same(dense_answers(solve_columns([sparsify(t, field)], sparse_gens, field)), [w])
+    batch = solve_columns([sparsify(t, field) for t in targets], sparse_gens, field)
+    assert_sparse_vectors([b for b in batch if b is not None], len(gens), field)
+    assert_same(dense_answers(batch), want)
     # pivot selection on [image | kernel], inside and outside a true kernel
-    pairs = [(ker, [tuple(field.reduce(a + b) for a, b in zip(u, v)) for u, v in zip(ker, ker[1:])])]
+    pairs = [(dense_ker, [tuple(field.reduce(a + b) for a, b in zip(u, v)) for u, v in zip(dense_ker, dense_ker[1:])], m.cols)]
     if m.rows:
         prod = mf.mul(mf.transpose(), field)
-        pairs.append((gens, [prod.col(j) for j in range(prod.cols)]))
-    for kernel, image in pairs:
-        assert_same(echelon_representatives(kernel, image, field), dense_echelon_representatives(kernel, image, field))
-        assert_same(echelon_representatives(kernel, [], field), dense_echelon_representatives(kernel, [], field))
+        pairs.append((gens, [prod.col(j) for j in range(prod.cols)], m.rows))
+    for kernel, image, n in pairs:
+        sparse_kernel = [sparsify(v, field) for v in kernel]
+        for im in (image, []):
+            got = echelon_representatives(sparse_kernel, [sparsify(v, field) for v in im], field)
+            assert_same(tuple(densify(v, n, field) for v in got), dense_echelon_representatives(kernel, im, field))
     assert_same(_echelon_basis(rows), dense_echelon_basis(rows))
     return sum(w is not None for w in want), sum(w is None for w in want)
 

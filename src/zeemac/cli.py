@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import formats
-from .cohomology import is_cohen_macaulay, local_cohomology
+from .cohomology import is_cohen_macaulay
 from .complexes import MissingGeometryError, SimplicialComplex, VoidComplex, alexander_dual, validate
 from .eagon_reiner import betti_from_dual, betti_hochster, dualize, is_linear_table
 from .linalg import QQ, parse_field
@@ -24,14 +24,13 @@ from .resolutions import (
     NotCohenMacaulayError,
     coarse_hilbert_numerator,
     coarse_resolution_numerator,
-    canonical_module_hilbert,
     is_linear,
     minimal_linear_resolution,
     minimality_scan,
     total_resolution,
     verify_exactness,
 )
-from .zeeman import build, concentration_check, page, total_complex
+from .zeeman import build, concentration_check, page
 
 
 def _parse_degree(text: str, d: int) -> tuple | None:

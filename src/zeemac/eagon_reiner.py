@@ -117,7 +117,7 @@ class DualFreeComplex:
         return True
 
 
-def dualize(res: FaceModuleComplex, d: int | None = None) -> DualFreeComplex:
+def dualize(res: FaceModuleComplex) -> DualFreeComplex:
     """Transport a resolution over the orthant to the dual free complex.
 
     Each copy of k[G] in position i becomes a generator of multidegree
@@ -126,8 +126,7 @@ def dualize(res: FaceModuleComplex, d: int | None = None) -> DualFreeComplex:
     ambients are supported.
     """
     fc = res.fc
-    if d is None:
-        d = fc.ambient_dim
+    d = fc.ambient_dim
     universe = frozenset(range(1, d + 1))
     vertex_sets = []
     for f in fc.faces:

@@ -23,9 +23,11 @@ it gives the complex {empty face}, whose quotient k[Q]/m = k is
 Cohen-Macaulay of dimension 0.  A malformed line (a word after the input
 kind, a missing or non-integer value, a ``vertices`` count outside
 ``1..MAX_VERTICES`` (16), a second ``vertices`` or ``ambient`` line, a
-facet that repeats a vertex or leaves ``1..vertices``, a cover that names
-an unknown face, a ``delta`` index outside ``1..#functionals``, bytes that
-are not UTF-8) raises ``InputFormatError`` naming the line.
+facet that repeats a vertex or leaves ``1..vertices``, a ``cover`` with
+other than three integers, a ``face`` with more than an id, a dimension
+and one label, a cover that names an unknown face, a ``delta`` index
+outside ``1..#functionals``, bytes that are not UTF-8) raises
+``InputFormatError`` naming the line.
 
 Resolutions serialize to JSON documents that embed the input complex, the
 terms (face keys per copy), the scalar block matrices, the augmentation
@@ -47,7 +49,7 @@ from .complexes import (
     cone_of_simplicial,
     subcomplex,
 )
-from .linalg import Field, Mat, QQ, parse_field
+from .linalg import Field, Mat, parse_field
 from .resolutions import FaceModuleComplex, FaceModule
 from .semigroup import AffineSemigroup, face_lattice
 
@@ -225,9 +227,11 @@ def _parse_polyhedral(body) -> InputBundle:
             (ambient,) = _ints(toks, lineno, 1, exact=True)
         elif toks[0] == "face":
             fid, dim = _ints(toks, lineno, 2)
+            if len(toks) > 4:
+                raise InputFormatError(f"line {lineno}: unexpected {' '.join(toks[4:])!r} after the face label {toks[3]!r}")
             faces.append((f"line {lineno}", fid, dim, toks[3] if len(toks) > 3 else f"f{fid}"))
         elif toks[0] == "cover":
-            covers.append((f"line {lineno}", *_ints(toks, lineno, 3)))
+            covers.append((f"line {lineno}", *_ints(toks, lineno, 3, exact=True)))
         else:
             raise InputFormatError(f"line {lineno}: unexpected {toks[0]!r} in a polyhedral file")
     if ambient is None:

@@ -6,8 +6,10 @@ when G' is a face of G (the canonical surjection k[G] -> k[G']).  Two
 resolutions of the quotient by the radical monomial ideal of a complex are
 built here:
 
-* the total resolution, collecting every pair F >= G with the total
-  differential of the double complex (always exact, rarely minimal);
+* the total resolution, which is the total complex of the face-pair
+  double complex at the ordinary degree (``zeeman.total_complex``) read as
+  face modules: one copy of k[G] per pair F >= G, in (dim G, G, F) order
+  (always exact, rarely minimal);
 * the minimal linear resolution, whose i-th term gathers k[G] with
   multiplicity dim H^n_G for faces G of dimension n-i (n the top
   dimension), with sign-weighted restriction maps; it exists exactly when
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from .cohomology import is_cohen_macaulay, local_cohomology, restriction_map
 from .complexes import DegenerateComplexError, FaceComplex, MissingGeometryError
 from .linalg import Field, Mat, QQ, rank
-from .zeeman import diagonal_sign
+from .zeeman import build, total_complex
 
 
 class NotCohenMacaulayError(ValueError):
@@ -42,14 +44,9 @@ class NotCohenMacaulayError(ValueError):
 
 @dataclass(frozen=True)
 class FaceModule:
-    """A direct sum of face rings, one entry of ``faces`` per copy.
-
-    ``tags`` optionally records the provenance of each copy (for the total
-    resolution: which upper face produced the pair).
-    """
+    """A direct sum of face rings, one entry of ``faces`` per copy."""
 
     faces: tuple
-    tags: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.faces)
@@ -66,13 +63,6 @@ class FaceModule:
         return tuple((f, m) for f, m in out)
 
 
-@dataclass(frozen=True)
-class FaceModuleMap:
-    """A scalar block map between face modules (rows index the codomain)."""
-
-    matrix: Mat
-
-
 class FaceModuleComplex:
     """Terms W^0, W^1, ... with maps and an optional augmentation from the
     face quotient (a scalar per W^0 summand)."""
@@ -81,7 +71,7 @@ class FaceModuleComplex:
         self.fc = fc
         self.field = field
         self.terms = tuple(terms)
-        self.maps = tuple(m.matrix if isinstance(m, FaceModuleMap) else m for m in maps)
+        self.maps = tuple(maps)
         self.augmentation = tuple(augmentation) if augmentation is not None else None
         self.variant = variant
         if len(self.maps) != max(len(self.terms) - 1, 0):
@@ -122,53 +112,17 @@ class FaceModuleComplex:
 
 
 def total_resolution(fc: FaceComplex, field: Field = QQ) -> FaceModuleComplex:
-    """The resolution collecting every pair F >= G, graded by dim F - dim G.
-
-    The copy indexed by (F, G) is a copy of k[G]; the maps assemble the
-    facet covers of G (with their signs) and the cofacet covers of F (with
-    the row twist), exactly the total differential of the double complex.
-    The augmentation hits the diagonal copies with the alternating signs.
-    """
-    zero = fc.faces_of_dim(0)
-    if len(zero) != 1:
+    """The total complex of the double complex at the ordinary degree, read
+    as a complex of face modules: the copy indexed by the pair (F, G) of
+    total degree dim F - dim G is a copy of k[G], the copies come in the
+    (dim G, G, F) order of ``total_complex``, and the maps and the diagonal
+    augmentation are its differentials and augmentation."""
+    if len(fc.faces_of_dim(0)) != 1:
         raise DegenerateComplexError("the complex must have a unique minimal face")
-    pairs_by_gap: dict[int, list] = {}
-    for g in fc.faces:
-        for f in fc.above(g.id):
-            gap = fc.face(f).dim - g.dim
-            pairs_by_gap.setdefault(gap, []).append((g.id, f))
-    hi = max(pairs_by_gap)
-    terms = []
-    index = []
-    for i in range(hi + 1):
-        pairs = sorted(pairs_by_gap.get(i, []))
-        terms.append(
-            FaceModule(
-                tuple(g for g, f in pairs),
-                tags=tuple(fc.face(f).label for g, f in pairs),
-            )
-        )
-        index.append({pair: k for k, pair in enumerate(pairs)})
-    pair_lists = [sorted(pairs_by_gap.get(i, [])) for i in range(hi + 1)]
-
-    maps = []
-    for i in range(hi):
-        cod = index[i + 1]
-        columns = []
-        for g, f in pair_lists[i]:
-            col = {cod[(g2, f)]: field.reduce(sign) for g2, sign in fc.covers_below(g) if (g2, f) in cod}
-            twist = -1 if fc.face(g).dim % 2 else 1
-            for f2, sign in fc.covers_above(f):
-                if (g, f2) in cod:
-                    col[cod[(g, f2)]] = field.reduce(twist * sign)
-            columns.append(col)
-        maps.append(Mat(len(cod), len(columns), columns, field))
-
-    aug = [
-        field.reduce(diagonal_sign(fc.face(g).dim)) if g == f else field.zero()
-        for g, f in pair_lists[0]
-    ]
-    return FaceModuleComplex(fc, field, terms, maps, augmentation=aug, variant="total")
+    tot = total_complex(build(fc, None, field))
+    vs = tot.complex
+    terms = [FaceModule(tuple(g for _, (_, g) in vs.basis(i))) for i in range(vs.hi + 1)]
+    return FaceModuleComplex(fc, field, terms, vs.diffs, augmentation=tot.augmentation, variant="total")
 
 
 def minimal_linear_resolution(fc: FaceComplex, field: Field = QQ) -> FaceModuleComplex:
@@ -222,7 +176,6 @@ class ExactnessReport:
     exact: bool
     failing_degree: tuple | None
     checked_degrees: tuple
-    note: str
 
     def __bool__(self) -> bool:
         return self.exact
@@ -240,8 +193,9 @@ def evaluation_degrees(fc: FaceComplex) -> tuple:
     return tuple(f.interior_point for f in q.faces())
 
 
-def verify_exactness(c: FaceModuleComplex, fc: FaceComplex | None = None, field: Field | None = None) -> ExactnessReport:
-    """Degreewise exactness of the augmented complex at every ambient face.
+def verify_exactness(c: FaceModuleComplex) -> ExactnessReport:
+    """Degreewise exactness of the augmented complex at every ambient face
+    of the semigroup that ``c.fc`` carries, over ``c.field``.
 
     At each evaluation degree the component of k[G] is k exactly when the
     degree lies on G, the quotient's component is k exactly when the degree
@@ -250,14 +204,8 @@ def verify_exactness(c: FaceModuleComplex, fc: FaceComplex | None = None, field:
     certifies exactness of the whole graded complex (components are
     constant on the relative interior of each ambient face).
     """
-    fc = fc if fc is not None else c.fc
-    field = field if field is not None else c.field
+    fc, field = c.fc, c.field
     degrees = evaluation_degrees(fc)
-    note = (
-        "checked one representative degree per ambient cone face; components "
-        "depend only on the smallest face containing the degree, so this "
-        "finite certificate is complete"
-    )
     for a, ambient_face in zip(degrees, fc.semigroup.faces()):
         # a is the interior point of ambient_face: exactly its functionals vanish there
         on_face = fc.faces_vanishing_on(ambient_face.vanishing)
@@ -279,13 +227,13 @@ def verify_exactness(c: FaceModuleComplex, fc: FaceComplex | None = None, field:
                 ok = False
                 break
         if not ok:
-            return ExactnessReport(False, tuple(a), degrees, note)
-    return ExactnessReport(True, None, degrees, note)
+            return ExactnessReport(False, tuple(a), degrees)
+    return ExactnessReport(True, None, degrees)
 
 
-def is_linear(c: FaceModuleComplex, fc: FaceComplex | None = None) -> bool:
+def is_linear(c: FaceModuleComplex) -> bool:
     """Whether term i is pure of dimension (top dimension) - i."""
-    fc = fc if fc is not None else c.fc
+    fc = c.fc
     top = fc.dim
     for i, term in enumerate(c.terms):
         for g in term.faces:

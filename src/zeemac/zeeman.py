@@ -152,9 +152,10 @@ class AugmentedTotal:
 
 def total_complex(z: ZeemanComplex) -> AugmentedTotal:
     """Collapse to total degrees; the degree-n term collects pairs with
-    dim F - dim G = n, ordered with small dim G first (the row filtration
-    reads off column prefixes).  The augmentation hits the diagonal pairs
-    (F, F) with the alternating sign pattern that makes it a cocycle."""
+    dim F - dim G = n, ordered by (dim G, G, F): small dim G first, so the
+    row filtration reads off column prefixes.  The augmentation hits the
+    diagonal pairs (F, F) with the alternating sign pattern that makes it
+    a cocycle."""
     if z._total is not None:
         return z._total
     field = z.field
@@ -165,7 +166,7 @@ def total_complex(z: ZeemanComplex) -> AugmentedTotal:
     labels = []
     for n in range(hi + 1):
         entries = by_total.get(n, [])
-        entries.sort(key=lambda t: (-t[0][1], t[1]))  # dim G ascending, then pair
+        entries.sort(key=lambda t: (-t[0][1], t[1][1], t[1][0]))  # (dim G, G, F)
         labels.append(tuple(entries))
     index = [
         {lab: i for i, lab in enumerate(level)} for level in labels
@@ -375,10 +376,7 @@ def _infinity_dims(z: ZeemanComplex) -> dict:
 
 
 def page(z: ZeemanComplex, r) -> SSPage:
-    """Page ``r`` of the spectral sequence; r may be 0, 1, 2, or infinity
-    (math.inf or the string "inf")."""
-    if r in ("inf", "infinity"):
-        r = math.inf
+    """Page ``r`` of the spectral sequence; r may be 0, 1, 2 or math.inf."""
     if r == 0:
         dims = {k: len(v) for k, v in z.blocks.items()}
         diffs = {k: z.horiz(*k) for k in z.blocks}
@@ -393,7 +391,7 @@ def page(z: ZeemanComplex, r) -> SSPage:
         return SSPage(2, dims, dict(data.d2))
     if r == math.inf:
         return SSPage(math.inf, _infinity_dims(z), {})
-    raise UnsupportedPageError(f"unsupported page index {r!r}; use 0, 1, 2 or inf")
+    raise UnsupportedPageError(f"unsupported page index {r!r}; use 0, 1, 2 or math.inf")
 
 
 class ConcentrationResult:
@@ -406,7 +404,7 @@ class ConcentrationResult:
         return self.ok
 
 
-def concentration_check(z: ZeemanComplex, n: int | None = None) -> ConcentrationResult:
+def concentration_check(z: ZeemanComplex) -> ConcentrationResult:
     """Whether page 1 is concentrated in the column of the top dimension.
 
     The dimensions come from ranks of the whole-row matrices of ``build``
@@ -414,8 +412,7 @@ def concentration_check(z: ZeemanComplex, n: int | None = None) -> Concentration
     ``page(z, 1)`` and ``is_cohen_macaulay``, so agreement between this
     check and the Cohen-Macaulay verdict is a real cross-check.
     """
-    if n is None:
-        n = z.fc.dim
+    n = z.fc.dim
     violations = tuple(
         (p, q, d) for (p, q), d in sorted(horizontal_cohomology_dims(z).items()) if p != n
     )

@@ -160,6 +160,8 @@ MALFORMED = {  # each must exit 2 with a diagnostic naming the line, never a tra
     "functional_zero": (b"semigroup\nambient 2\nfunctional 1 0\nfunctional 0 0\n", "line 4"),
     "functional_not_primitive": (b"semigroup\nambient 2\nfunctional 2 0\nfunctional 0 1\n", "line 3"),
     "functional_wrong_length": (b"semigroup\nambient 2\nfunctional 1 0\nfunctional 0 1 1\n", "line 4"),
+    "cover_extra_words": (b"polyhedral\nambient 1\nface 0 0 apex\nface 1 1 ray\ncover 0 1 +1 7 simplicial\n", "line 5"),
+    "face_extra_words": (b"polyhedral\nambient 1\nface 0 0 apex junk\nface 1 1 ray\ncover 0 1 +1\n", "line 3"),
     "face_ids_skip_one": (b"polyhedral\nambient 1\nface 0 0 apex\nface 2 1 ray\ncover 0 2 +1\n", "line 4"),
     "kind_unknown_after_comments": (b"# comment\n\nbogus\n", "line 3"),
     "kind_then_a_count": (b"simplicial 3\nvertices 3\nfacet 1 2\n", "line 1"),

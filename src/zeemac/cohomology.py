@@ -11,10 +11,14 @@ differential of the double complex and into minimal resolutions.
 Representative cocycles are the kernel basis vectors at the pivot columns
 of [image basis | kernel basis]: a kernel-modulo-image complement that the
 matrices fix whatever the pivot rule, so every downstream matrix is
-reproducible byte for byte.  Kernels, images, pivot columns and the
-solves behind restriction maps all come from the sparse column reduction
-of ``linalg``; each restriction block solves all of its cocycles in one
-reduction.
+reproducible byte for byte.  Each differential is reduced once
+(``linalg.kernel_and_image``): that one tagged reduction gives the kernel
+basis out of its degree and a reduced image basis in the next.  The
+representatives of degree p are the kernel vectors that still raise the
+rank when reduced against the image kept from degree p - 1, which are
+exactly those pivot columns.  The solves behind restriction maps come from
+the same sparse column reduction; each restriction block solves all of its
+cocycles in one reduction.
 
 Each face complex keeps one store per field: the upper-set complex, the
 cohomology summary and the restriction blocks of a face are computed once,
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .complexes import FaceComplex, upper_set
-from .linalg import Field, Mat, image_basis, kernel_basis, pivot_columns, reduce_columns, solve_columns
+from .linalg import Field, Mat, kernel_and_image, reduce_columns, solve_columns
 
 
 @dataclass(frozen=True)
@@ -121,32 +125,35 @@ def cochain_complex(fc: FaceComplex, g: int, field: Field) -> VSComplex:
     return VSComplex(ups.lo, ups.hi, labels, tuple(diffs))
 
 
-def echelon_representatives(kernel, image, field: Field):
-    """Kernel vectors extending the image to a basis of the kernel.
+def representatives(kernel, image: dict, field: Field) -> tuple:
+    """Kernel vectors extending an image to a basis of the kernel.
 
-    Both inputs are lists of sparse vectors ``{index: scalar}`` (nonzero
-    scalars reduced into ``field``) with image <= kernel.  The selection is
-    the pivot columns of the matrix [image | kernel] (each outside the span
-    of the columns before it), so representatives are canonical.
+    ``kernel`` is a list of sparse vectors ``{index: scalar}`` (nonzero
+    scalars reduced into ``field``); ``image`` is a reduced basis of a
+    subspace of their span, as ``kernel_and_image`` returns it.  A kernel
+    vector is chosen when it lies outside the span of the image and of the
+    kernel vectors before it: the pivot columns of [image basis | kernel]
+    past the image, for any basis of that image, so representatives are
+    canonical.
     """
-    cols = [*image, *kernel]
-    pivots = pivot_columns(reduce_columns(cols, field, range(len(cols)))[0])
-    return tuple(kernel[j - len(image)] for j in pivots if j >= len(image))
+    if len(kernel) == len(image):
+        return ()  # the image is the whole kernel
+    ranks = reduce_columns(kernel, field, range(len(kernel)), image)[0]
+    return tuple(v for v, r, before in zip(kernel, ranks, [len(image), *ranks]) if r > before)
 
 
 def cohomology_summary(vs: VSComplex, field: Field) -> CohomologySummary:
-    """Kernel-mod-image dimensions and echelon representatives per degree."""
+    """Kernel-mod-image dimensions and echelon representatives per degree,
+    from one reduction of each differential."""
     dims = []
     reps = []
+    image: dict = {}  # reduced image of the differential into degree p
     for p in range(vs.lo, vs.hi + 1):
-        ker = kernel_basis(vs.diff(p, field), field)
-        if p > vs.lo:
-            img = image_basis(vs.diff(p - 1, field), field)
-        else:
-            img = []
-        chosen = echelon_representatives(ker, img, field)
+        kernel, next_image = kernel_and_image(vs.diff(p, field), field)
+        chosen = representatives(kernel, image, field)
         dims.append(len(chosen))
         reps.append(chosen)
+        image = next_image
     return CohomologySummary(vs.lo, vs.hi, tuple(dims), tuple(reps))
 
 

@@ -2,8 +2,10 @@
 
 Everything downstream (cochain complexes, spectral-sequence pages,
 resolution certificates) reduces to ranks, kernels, images and solves
-computed here.  Rational arithmetic uses `fractions.Fraction`, and
-prime-field scalars are canonical representatives in ``[0, p)``.
+computed here.  A rational scalar is an ``int`` when it is integral and a
+`fractions.Fraction` otherwise, so the +-1 incidence matrices never build
+a ``Fraction``; prime-field scalars are canonical representatives in
+``[0, p)``.
 
 There is one matrix type, ``Mat``, and it is sparse: ``columns[j]`` maps
 the row of each nonzero entry of column j to its scalar.  A matrix knows
@@ -30,9 +32,12 @@ with no transpose.  Kernels and solves read column relations off the same
 reduction with one tag row per column (``_relations``): the relation of a
 column in the span of the earlier ones has coefficient 1 at that column
 and is nonzero elsewhere only on earlier pivot columns, so it is fixed by
-the matrix whatever the pivot rule.  Every basis returned here is
+the matrix whatever the pivot rule.  Every kernel basis returned here is
 therefore the one the reduced row echelon form gives, with first-nonzero
-pivoting in column order, and is reproducible.
+pivoting in column order, and is reproducible.  The surviving columns of
+that same tagged reduction, tag rows stripped, are a reduced basis of the
+image (``kernel_and_image``), which a later reduction can start from
+(``reduce_columns``'s ``owner``) instead of eliminating the matrix again.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ class FieldMismatchError(ValueError):
     """An entry cannot be reduced into the requested field."""
 
 
-_QQ_ZERO = Fraction(0)  # shared: constructing a Fraction runs Python code
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -93,25 +97,28 @@ class Field:
         return self.p is None
 
     def zero(self):
-        return _QQ_ZERO if self.p is None else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return 1
 
     def reduce(self, x):
         """Coerce ``x`` to a canonical scalar of this field.
 
-        Accepts ints and Fractions.  Over F_p a Fraction reduces via the
-        inverse of its denominator; a denominator divisible by p (or any
-        non-exact type such as float) raises FieldMismatchError.
+        Accepts ints and Fractions.  Over QQ the canonical scalar is an
+        ``int`` when the value is integral and a ``Fraction`` otherwise
+        (``Fraction(n) == n`` and the two hash alike).  Over F_p a Fraction
+        reduces via the inverse of its denominator; a denominator divisible
+        by p (or any non-exact type such as float) raises
+        FieldMismatchError.
         """
         if isinstance(x, bool):
             x = int(x)
         if self.p is None:
             if isinstance(x, int):
-                return Fraction(x)
-            if isinstance(x, Fraction):
                 return x
+            if isinstance(x, Fraction):
+                return x.numerator if x.denominator == 1 else x
             raise FieldMismatchError(f"not an exact rational scalar: {x!r}")
         if isinstance(x, int):
             return x % self.p
@@ -262,7 +269,7 @@ def _combine(columns, coefficients, field: Field) -> dict:
     return {i: y for i, x in acc.items() if (y := field.reduce(x))}
 
 
-def reduce_columns(cols, field: Field, order) -> tuple[list[int], dict]:
+def reduce_columns(cols, field: Field, order, owner=None) -> tuple[list[int], dict]:
     """Sparse column reduction of ``cols`` taken in ``order``.
 
     ``cols[j]`` is column j as ``{row: value}`` with nonzero reduced
@@ -270,21 +277,26 @@ def reduce_columns(cols, field: Field, order) -> tuple[list[int], dict]:
     ``order``, each eliminated on its largest row index against the reduced
     column that owns that row.  A column that survives owns its largest row
     (its pivot row) and adds one to the rank.  Over F_p the arithmetic is
-    mod p (over F_2 a column is just its set of rows); over QQ each column
-    is scaled to integers and reduced fraction-free, divided by its content
-    after each step.
+    mod p (over F_2 a column is just its set of rows); over QQ a column
+    that holds a ``Fraction`` is first scaled to integers, and every column
+    is reduced fraction-free, divided by its content after each step.
+
+    ``owner`` starts the reduction from columns reduced earlier: a
+    ``{pivot row: reduced column}`` dict in the form returned here, such as
+    the image of ``kernel_and_image``.  It is copied, not modified, and its
+    columns count in every rank.
 
     Returns ``(ranks, pivots)``: ``ranks[k]`` is the rank of the columns
-    ``order[:k + 1]``, and ``pivots`` maps the pivot row of every surviving
-    column to that reduced column (a set of rows over F_2, scaled to 1 at
-    its pivot row over F_p, a primitive integer column over QQ).  The
-    reduced matrix is the original times an invertible matrix and its
-    pivot rows are distinct, so the rank of the rows ``>= r`` of the
-    selected columns is the number of pivots ``>= r``
+    ``order[:k + 1]`` together with those of ``owner``, and ``pivots`` maps
+    the pivot row of every surviving column to that reduced column (a set
+    of rows over F_2, scaled to 1 at its pivot row over F_p, an integer
+    column over QQ).  The reduced matrix is the original times an
+    invertible matrix and its pivot rows are distinct, so the rank of the
+    rows ``>= r`` of the selected columns is the number of pivots ``>= r``
     (``row_suffix_ranks``).
     """
     p = field.p
-    owner: dict = {}  # row -> the reduced column whose largest row it is
+    owner = {} if owner is None else dict(owner)  # row -> the reduced column whose largest row it is
     out = []
     for j in order:
         col = cols[j]
@@ -297,8 +309,11 @@ def reduce_columns(cols, field: Field, order) -> tuple[list[int], dict]:
                     break
                 col ^= piv
         elif p is None:
-            mult = lcm(*(x.denominator for x in col.values()))
-            col = {i: x.numerator * (mult // x.denominator) for i, x in col.items()}
+            if Fraction in map(type, col.values()):
+                mult = lcm(*(x.denominator for x in col.values()))
+                col = {i: x.numerator * (mult // x.denominator) for i, x in col.items()}
+            else:
+                col = dict(col)
             while col:
                 piv = owner.get(low := max(col))
                 g = gcd(*col.values())
@@ -345,32 +360,34 @@ def row_suffix_ranks(pivots, nrows: int) -> list[int]:
     return list(accumulate(reversed(hits)))
 
 
-def pivot_columns(ranks) -> list[int]:
-    """The positions at which the prefix ranks ``ranks`` go up: the columns
-    outside the span of the columns before them."""
-    return [j for j, r in enumerate(ranks) if r > (ranks[j - 1] if j else 0)]
-
-
-def _relations(cols, field: Field) -> dict:
-    """``{j: relation}`` for every column j in the span of the columns
-    before it; the other columns are the pivot columns.
+def _relations(cols, field: Field) -> tuple[dict, dict]:
+    """``({j: relation}, owner)``: the relation of every column j in the
+    span of the columns before it (the other columns are the pivot
+    columns), and the tagged reduction that gave them.
 
     The relation ``{k: c}`` has ``sum(c * cols[k]) == 0``, ``c == 1`` at j
     and is nonzero elsewhere only on earlier pivot columns, so it is unique.
     Column j carries a tag row j below the matrix rows (shifted up by
     ``len(cols)``); if its matrix part reduces to zero, its tag rows hold
     the relation, and it owns tag row j, which no other column has as its
-    largest row, so nothing is eliminated against it.
+    largest row, so nothing is eliminated against it.  Every other
+    surviving column owns a matrix row (``owner`` keys ``>= len(cols)``).
+    Each column enters ``owner`` once, at its own step, so the relations
+    come out in column order.
     """
-    n, one = len(cols), field.one()
-    tagged = [{j: one} | {i + n: x for i, x in col.items()} for j, col in enumerate(cols)]
+    n = len(cols)
+    tagged = [{j: 1} | {i + n: x for i, x in col.items()} for j, col in enumerate(cols)]
     owner = reduce_columns(tagged, field, range(n))[1]
-    relations = {j: owner[j] for j in range(n) if j in owner}
+    relations = {j: rel for j, rel in owner.items() if j < n}
     if field.p == 2:
-        return {j: dict.fromkeys(rel, 1) for j, rel in relations.items()}
-    if field.p is None:
-        return {j: {k: Fraction(x, rel[j]) for k, x in rel.items()} for j, rel in relations.items()}
-    return relations
+        relations = {j: dict.fromkeys(rel, 1) for j, rel in relations.items()}
+    elif field.p is None:
+        # rel[j] > 0: the reduction scales a column only by positive factors
+        relations = {
+            j: rel if (d := rel[j]) == 1 else {k: QQ.reduce(Fraction(x, d)) for k, x in rel.items()}
+            for j, rel in relations.items()
+        }
+    return relations, owner
 
 
 def solve_columns(targets, generators, field: Field) -> list:
@@ -380,7 +397,7 @@ def solve_columns(targets, generators, field: Field) -> list:
     coefficient is zero, so it is canonical); a target outside the span
     gets None."""
     k = len(generators)
-    relations = _relations(list(generators) + list(targets), field)
+    relations = _relations(list(generators) + list(targets), field)[0]
     out = []
     for t in range(k, k + len(targets)):
         rel = relations.get(t)
@@ -401,11 +418,25 @@ def rank(m: Mat, field: Field) -> int:
 def kernel_basis(m: Mat, field: Field) -> list[dict]:
     """A canonical basis of the right kernel of ``m``: the relation of each
     non-pivot column, a sparse vector that is 1 at that column."""
-    return list(_relations(m.over(field).columns, field).values())
+    return list(_relations(m.over(field).columns, field)[0].values())
 
 
-def image_basis(m: Mat, field: Field) -> list[dict]:
-    """The pivot columns of ``m``, as sparse vectors: a basis of its column
-    space."""
-    m = m.over(field)
-    return [m.columns[j] for j in pivot_columns(reduce_columns(m.columns, field, range(m.cols))[0])]
+def kernel_and_image(m: Mat, field: Field) -> tuple[list[dict], dict]:
+    """``(kernel, image)`` of ``m`` from one tagged reduction.
+
+    ``kernel`` is the canonical basis of ``kernel_basis``.  ``image`` maps
+    a pivot row to the matrix part of the column that owns it, tag rows
+    stripped, in the form ``reduce_columns`` keeps (a set of rows over
+    F_2, 1 at the pivot row over F_p, an integer column over QQ).  These
+    columns are a basis of the column space of ``m`` with distinct largest
+    rows, so a later ``reduce_columns`` can start from them as its
+    ``owner``.
+    """
+    cols = m.over(field).columns
+    n = len(cols)
+    relations, owner = _relations(cols, field)
+    if field.p == 2:
+        image = {r - n: {i - n for i in col if i >= n} for r, col in owner.items() if r >= n}
+    else:
+        image = {r - n: {i - n: x for i, x in col.items() if i >= n} for r, col in owner.items() if r >= n}
+    return list(relations.values()), image

@@ -271,7 +271,7 @@ def face_lattice(q: AffineSemigroup) -> FaceComplex:
     )
 
 
-def _echelon_basis(rays) -> tuple[tuple[Fraction, ...], ...]:
+def _echelon_basis(rays) -> tuple[tuple[int | Fraction, ...], ...]:
     """Canonical ordered basis of the span of the given rays: the nonzero
     rows of the reduced row echelon form (lexicographically smallest).
 
@@ -281,7 +281,7 @@ def _echelon_basis(rays) -> tuple[tuple[Fraction, ...], ...]:
     if not rays:
         return ()
     m = Mat.from_rows(rays, QQ)
-    relations = _relations(m.columns, QQ)
+    relations = _relations(m.columns, QQ)[0]
     basis = []
     for pc in (j for j in range(m.cols) if j not in relations):
         row = [QQ.zero()] * m.cols
@@ -313,7 +313,7 @@ def _coords_in_echelon_basis(v, basis):
 
 
 def _det_sign(rows) -> int:
-    """Sign of the determinant of a small square Fraction matrix."""
+    """Sign of the determinant of a small square rational matrix."""
     n = len(rows)
     m = [list(r) for r in rows]
     sign = 1
@@ -326,7 +326,7 @@ def _det_sign(rows) -> int:
             sign = -sign
         for i in range(c + 1, n):
             if m[i][c] != 0:
-                f = m[i][c] / m[c][c]
+                f = Fraction(m[i][c], m[c][c])
                 for j in range(c, n):
                     m[i][j] -= f * m[c][j]
         if m[c][c] < 0:

@@ -27,15 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dfield
 
-from .cohomology import VSComplex, echelon_representatives, local_cohomology, local_complex, restriction_map
+from .cohomology import VSComplex, local_cohomology, local_complex, representatives, restriction_map
 from .complexes import FaceComplex, MissingGeometryError
 from .linalg import (
     Field,
     Mat,
     QQ,
     _combine,
-    image_basis,
-    kernel_basis,
+    kernel_and_image,
     rank,
     reduce_columns,
     row_suffix_ranks,
@@ -279,13 +278,12 @@ def _page2_data(z: ZeemanComplex) -> _Page2Data:
             return Mat.zeros(len(p1.summaries.get((p, q + 1), ())), len(p1.summaries.get((p, q), ())), field)
         return m
 
+    # one reduction per d1: its kernel at (p, q), its image at (p, q + 1)
+    reduced = {key: kernel_and_image(dmat(*key), field) for key in p1.summaries}
     reps2: dict = {}
-    for (p, q), rlist in sorted(p1.summaries.items()):
-        out = dmat(p, q)
-        inc = dmat(p, q - 1)
-        ker = kernel_basis(out, field)
-        img = image_basis(inc, field)
-        chosen = echelon_representatives(ker, img, field)
+    for p, q in sorted(p1.summaries):
+        image = reduced[(p, q - 1)][1] if (p, q - 1) in reduced else {}
+        chosen = representatives(reduced[(p, q)][0], image, field)
         if chosen:
             reps2[(p, q)] = chosen
 

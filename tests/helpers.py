@@ -116,3 +116,24 @@ def densify(v: dict, n: int, field) -> tuple:
 def sparsify(v, field) -> dict:
     """The dense vector ``v`` as a sparse one: nonzero reduced scalars."""
     return {i: y for i, x in enumerate(v) if (y := field.reduce(x))}
+
+
+def canonical(x, field):
+    """A dense oracle's output with every scalar in ``field``'s canonical
+    form (over QQ an ``int`` when integral), lists, tuples and None kept."""
+    if x is None:
+        return None
+    if isinstance(x, (tuple, list)):
+        return type(x)(canonical(y, field) for y in x)
+    return field.reduce(x)
+
+
+def assert_same(got, want):
+    """Equal, with the same scalar types throughout."""
+    assert got == want
+    if isinstance(want, (tuple, list)):
+        assert type(got) is type(want) and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same(a, b)
+    else:
+        assert type(got) is type(want)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -9,14 +10,17 @@ from zeemac.linalg import (
     GF,
     Mat,
     QQ,
-    image_basis,
+    kernel_and_image,
     kernel_basis,
     rank,
     reduce_columns,
     solve_columns,
 )
 
-from .helpers import densify, sparsify
+from zeemac.formats import _mat_from_doc, _mat_to_doc
+
+from .dense_ranks import dense_kernel_basis, dense_solve_in_subspace
+from .helpers import assert_same, canonical, densify, sparsify
 
 F2 = GF(2)
 
@@ -50,7 +54,7 @@ def test_a_matrix_is_read_over_the_field_asked_for():
     assert m.field == QQ and m.over(QQ) is m
     assert m.over(F2) == mat([[0, 1], [0, 1]], F2) != mat([[0, 1], [0, 1]])
     assert kernel_basis(m, F2) == [{0: 1}]
-    assert image_basis(m, F2) == [{0: 1, 1: 1}]
+    assert kernel_and_image(m, F2) == ([{0: 1}], {1: {0, 1}})
     assert m.mul(Mat.identity(2, QQ), F2) == m.over(F2)
     assert m.mul_vec((1, 1), F2) == (1, 1)
     with pytest.raises(FieldMismatchError):
@@ -86,14 +90,15 @@ def test_kernel_of_sum_functional():
 
 
 def test_image_identity_and_zero():
-    assert image_basis(Mat.identity(3, QQ), QQ) == [{0: 1}, {1: 1}, {2: 1}]
-    assert image_basis(Mat.zeros(2, 2, QQ), QQ) == []
+    assert kernel_and_image(Mat.identity(3, QQ), QQ) == ([], {0: {0: 1}, 1: {1: 1}, 2: {2: 1}})
+    assert kernel_and_image(Mat.zeros(2, 2, QQ), QQ) == ([{0: 1}, {1: 1}], {})
 
 
 def test_image_rank_one():
-    img = image_basis(mat([[1, 2], [2, 4]]), QQ)
-    assert len(img) == 1
-    x, y = densify(img[0], 2, QQ)
+    ker, img = kernel_and_image(mat([[1, 2], [2, 4]]), QQ)
+    assert ker == [{0: -2, 1: 1}]
+    assert list(img) == [1]
+    x, y = densify(img[1], 2, QQ)
     assert y == 2 * x and x != 0
 
 
@@ -168,7 +173,10 @@ def test_image_in_span_of_columns():
     rng = random.Random(7)
     for _ in range(20):
         m = _random_matrix(rng, QQ)
-        assert None not in solve_columns(image_basis(m, QQ), m.columns, QQ)
+        ker, img = kernel_and_image(m, QQ)
+        assert ker == kernel_basis(m, QQ)
+        assert len(img) == rank(m, QQ) and all(r == max(col) for r, col in img.items())
+        assert None not in solve_columns(list(img.values()), m.columns, QQ)
 
 
 def test_column_prefix_ranks_match_direct_ranks():
@@ -192,6 +200,46 @@ def test_field_reduce_rationals():
     assert QQ.reduce(3) == Fraction(3)
     with pytest.raises(FieldMismatchError):
         QQ.reduce(0.5)
+
+
+def test_integral_rationals_are_ints():
+    two, half = QQ.reduce(Fraction(4, 2)), QQ.reduce(Fraction(1, 2))
+    assert two == 2 and type(two) is int
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    assert type(QQ.one()) is int and type(QQ.zero()) is int
+    assert type(QQ.reduce(True)) is int
+    m = mat([[Fraction(6, 3), Fraction(-3, 4)], [0, -1]])
+    assert [type(x) for x in m.entries] == [int, Fraction, int, int]
+
+
+# a QQ matrix with non-integral entries: column 1 is -3/2 column 0 and
+# column 2 is 2 column 0, so its kernel mixes ints and Fractions
+HALVES = [
+    [Fraction(1, 2), Fraction(-3, 4), 1, 0],
+    [1, Fraction(-3, 2), 2, Fraction(1, 2)],
+    [0, 0, 0, Fraction(-3, 4)],
+]
+
+
+def test_non_integral_rationals_match_the_dense_oracle():
+    m = mat(HALVES)
+    ker = [densify(v, m.cols, QQ) for v in kernel_basis(m, QQ)]
+    assert_same(ker, canonical(dense_kernel_basis(m, QQ), QQ))
+    assert ker == [(Fraction(3, 2), 1, 0, 0), (-2, 0, 1, 0)]
+    gens = [m.col(j) for j in range(m.cols)]
+    units = [tuple(int(i == k) for i in range(m.rows)) for k in range(m.rows)]
+    targets = gens + units + [m.mul_vec((1, Fraction(1, 3), -1, 2), QQ)]
+    got = solve_columns([sparsify(t, QQ) for t in targets], [sparsify(g, QQ) for g in gens], QQ)
+    want = [canonical(dense_solve_in_subspace(t, gens, QQ), QQ) for t in targets]
+    assert_same([None if a is None else densify(a, len(gens), QQ) for a in got], want)
+    assert got.count(None) == 3  # no unit vector lies in the plane the columns span
+
+
+def test_json_round_trip_keeps_a_rational_matrix():
+    m = mat(HALVES + [[Fraction(8, 4), -1, 0, 3]])
+    back = _mat_from_doc(json.loads(json.dumps(_mat_to_doc(m))), QQ)
+    assert back == m
+    assert [type(x) for x in back.entries] == [type(x) for x in m.entries]
 
 
 def test_field_reduce_mod_p():

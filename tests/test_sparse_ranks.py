@@ -10,10 +10,15 @@ the same column-prefix ranks, the row-suffix ranks read off the pivot rows
 must equal the dense prefix ranks of the transpose in reverse row order,
 products, transposes and entry reads must match the dense ones, no column
 may store a zero, and E-infinity must match the dense filtered-cohomology
-dimensions.  Kernels, images, solves (one at a time and in one batch),
-echelon representatives and the echelon bases of ray matrices, all read off
-the same column reduction, must equal what the dense ``_rref`` gave, value
-for value and scalar type for scalar type.
+dimensions.  Kernels, solves (one at a time and in one batch), echelon
+representatives and the echelon bases of ray matrices, all read off the
+same column reduction, must equal what the dense ``_rref`` gave, value for
+value and scalar type for scalar type, once the oracle's scalars are put
+in canonical form (over QQ an ``int`` when integral).  The reduced image
+that the kernel's own reduction leaves must span what the dense pivot
+columns span, and the per-degree cohomology summary, which reduces each
+differential once, must equal the dense kernel, image and representative
+selection degree by degree.
 """
 
 import itertools
@@ -24,10 +29,10 @@ from fractions import Fraction
 import pytest
 
 from zeemac import GF, QQ, SimplicialComplex, build, cone_of_simplicial, face_lattice, page, total_complex
-from zeemac.cohomology import echelon_representatives
+from zeemac.cohomology import CohomologySummary, VSComplex, cochain_complex, cohomology_summary, representatives
 from zeemac.linalg import (
     Mat,
-    image_basis,
+    kernel_and_image,
     kernel_basis,
     rank,
     reduce_columns,
@@ -49,7 +54,18 @@ from .dense_ranks import (
     dense_solve_in_subspace,
     dense_total_differentials,
 )
-from .helpers import bowtie, densify, hollow_triangle, random_sweep, rp2, sparsify, square_cone, square_cone_two_facets
+from .helpers import (
+    assert_same,
+    bowtie,
+    canonical,
+    densify,
+    hollow_triangle,
+    random_sweep,
+    rp2,
+    sparsify,
+    square_cone,
+    square_cone_two_facets,
+)
 
 FIELDS = (QQ, GF(2), GF(3), GF(2**61 - 1))
 
@@ -144,33 +160,37 @@ def assert_matches_dense(m: Mat, field, rng: random.Random):
     assert cols == sparse_columns(m, field)  # the reduction leaves its input alone
 
 
-def assert_same(got, want):
-    """Equal, with the same scalar types throughout."""
-    assert got == want
-    if isinstance(want, (tuple, list)):
-        assert type(got) is type(want) and len(got) == len(want)
-        for a, b in zip(got, want):
-            assert_same(a, b)
-    else:
-        assert type(got) is type(want)
-
-
 def assert_sparse_vectors(vectors, n: int, field):
     """Sparse vectors over ``n`` coordinates: no stored zero, scalars reduced."""
     for v in vectors:
         assert all(0 <= i < n and x and field.reduce(x) == x for i, x in v.items())
 
 
+def assert_image_matches_dense(image: dict, dense_image, n: int, field):
+    """A reduced image against the dense pivot columns: as many columns,
+    each keyed by its largest row (scaled to 1 there over F_p), spanning
+    the same space.  Over F_2 the reduced columns are sets of rows."""
+    cols = [dict.fromkeys(col, 1) if field.p == 2 else col for col in image.values()]
+    assert len(cols) == len(dense_image)
+    assert_sparse_vectors(cols, n, field)
+    for r, col in zip(image, cols):
+        assert r == max(col)
+        assert field.p is None or col[r] == 1
+    dense_cols = [sparsify(v, field) for v in dense_image]
+    assert None not in solve_columns(cols, dense_cols, field)
+    assert None not in solve_columns(dense_cols, cols, field)
+
+
 def assert_eliminations_match_dense(m: Mat, field, rows) -> tuple[int, int]:
     """Kernel, image, solves, representatives and the echelon basis of the
     rows against the dense ``_rref``; returns how many targets were
     solvable and how many were not."""
-    ker, img = kernel_basis(m, field), image_basis(m, field)
+    ker, img = kernel_and_image(m, field)
+    assert ker == kernel_basis(m, field)
     assert_sparse_vectors(ker, m.cols, field)
-    assert_sparse_vectors(img, m.rows, field)
     dense_ker = [densify(v, m.cols, field) for v in ker]
-    assert_same(dense_ker, dense_kernel_basis(m, field))
-    assert_same([densify(v, m.rows, field) for v in img], dense_image_basis(m, field))
+    assert_same(dense_ker, canonical(dense_kernel_basis(m, field), field))
+    assert_image_matches_dense(img, canonical(dense_image_basis(m, field), field), m.rows, field)
     assert len(ker) + rank(m, field) == m.cols
     for v in dense_ker:
         assert m.mul_vec(v, field) == (field.zero(),) * m.rows
@@ -178,7 +198,7 @@ def assert_eliminations_match_dense(m: Mat, field, rows) -> tuple[int, int]:
     gens = [mf.col(j) for j in range(m.cols)]
     units = [tuple(field.one() if i == k else field.zero() for i in range(m.rows)) for k in range(m.rows)]
     targets = units + gens + [m.mul_vec((1,) * m.cols, field), (0,) * m.rows]
-    want = [dense_solve_in_subspace(t, gens, field) for t in targets]
+    want = [canonical(dense_solve_in_subspace(t, gens, field), field) for t in targets]
 
     def dense_answers(answers):
         return [None if a is None else densify(a, len(gens), field) for a in answers]
@@ -189,7 +209,8 @@ def assert_eliminations_match_dense(m: Mat, field, rows) -> tuple[int, int]:
     batch = solve_columns([sparsify(t, field) for t in targets], sparse_gens, field)
     assert_sparse_vectors([b for b in batch if b is not None], len(gens), field)
     assert_same(dense_answers(batch), want)
-    # pivot selection on [image | kernel], inside and outside a true kernel
+    # pivot selection on [image | kernel], inside and outside a true kernel;
+    # the image is reduced once and the kernel reduced against it
     pairs = [(dense_ker, [tuple(field.reduce(a + b) for a, b in zip(u, v)) for u, v in zip(dense_ker, dense_ker[1:])], m.cols)]
     if m.rows:
         prod = mf.mul(mf.transpose(), field)
@@ -197,9 +218,11 @@ def assert_eliminations_match_dense(m: Mat, field, rows) -> tuple[int, int]:
     for kernel, image, n in pairs:
         sparse_kernel = [sparsify(v, field) for v in kernel]
         for im in (image, []):
-            got = echelon_representatives(sparse_kernel, [sparsify(v, field) for v in im], field)
-            assert_same(tuple(densify(v, n, field) for v in got), dense_echelon_representatives(kernel, im, field))
-    assert_same(_echelon_basis(rows), dense_echelon_basis(rows))
+            reduced = kernel_and_image(Mat(n, len(im), [sparsify(v, field) for v in im], field), field)[1]
+            got = representatives(sparse_kernel, reduced, field)
+            want_reps = canonical(dense_echelon_representatives(kernel, im, field), field)
+            assert_same(tuple(densify(v, n, field) for v in got), want_reps)
+    assert_same(_echelon_basis(rows), canonical(dense_echelon_basis(rows), QQ))
     return sum(w is not None for w in want), sum(w is None for w in want)
 
 
@@ -241,6 +264,86 @@ def test_empty_shapes_and_orders():
             assert_eliminations_match_dense(z, field, [[0] * c for _ in range(r)])
         for rows in ([[1, 0, 1], [0, 0, 1]], [[0, 0], [0, 2]], [[0, 3, 0, 3]], [[0], [0], [5]]):
             assert_eliminations_match_dense(Mat.from_rows(rows, field), field, rows)
+
+
+def hand_made_complexes(field) -> list[VSComplex]:
+    """Small cochain complexes with empty degrees, a negative lowest
+    degree and entries beyond +-1 (fractions only where ``field`` has
+    them)."""
+
+    def vs(lo, dims, diffs):
+        labels = tuple(tuple(range(d)) for d in dims)
+        mats = tuple(Mat.from_rows(rows, field, dims[i]) for i, rows in enumerate(diffs))
+        return VSComplex(lo, lo + len(dims) - 1, labels, mats)
+
+    out = [
+        vs(0, [0, 2, 0], [[[], []], []]),
+        vs(-1, [1, 0, 1], [[], [[]]]),
+        vs(0, [2, 0, 2], [[], [[], []]]),
+        vs(0, [1, 2, 1], [[[3], [6]], [[2, -1]]]),
+        vs(1, [2, 3, 1], [[[1, 1], [-1, 0], [0, -1]], [[1, 1, 1]]]),
+        vs(0, [3, 3], [[[2, 0, 2], [0, 0, 0], [1, 4, 1]]]),
+    ]
+    if field.p != 2:
+        out.append(vs(0, [1, 2, 1], [[[Fraction(1, 2)], [1]], [[2, -1]]]))
+    return out
+
+
+def summary_cases(field) -> list[VSComplex]:
+    """The hand-made complexes and the upper-set complex of every face of
+    some random simplicial cones."""
+    cases = hand_made_complexes(field)
+    for sc in random_sweep(8, 2026):
+        fc = cone_of_simplicial(sc)
+        cases.extend(cochain_complex(fc, f.id, field) for f in fc.faces)
+    return cases
+
+
+def assert_summary_matches_dense(vs: VSComplex, field, summary: CohomologySummary):
+    """A cohomology summary against the dense oracle, degree by degree: the
+    kernel of d_p, the image of d_{p-1} and the pivot selection on
+    [image | kernel], by value and by scalar type."""
+    assert (summary.lo, summary.hi) == (vs.lo, vs.hi)
+    for p in range(vs.lo, vs.hi + 1):
+        ker = dense_kernel_basis(vs.diff(p, field), field)
+        img = dense_image_basis(vs.diff(p - 1, field), field) if p > vs.lo else []
+        want = canonical(dense_echelon_representatives(ker, img, field), field)
+        assert_same(tuple(densify(v, vs.dim(p), field) for v in summary.reps(p)), want)
+        assert summary.dim(p) == len(want)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+def test_cohomology_summary_matches_dense_oracle(field):
+    cases = summary_cases(field)
+    nonzero = 0
+    for vs in cases:
+        summary = cohomology_summary(vs, field)
+        assert_summary_matches_dense(vs, field, summary)
+        nonzero += summary.total() > 0
+    assert len(cases) > 150 and nonzero > 20
+
+
+def misseeded_summary(vs: VSComplex, field, own_image: bool) -> CohomologySummary:
+    """The summary with each kernel of d_p reduced against the wrong image:
+    that of d_p itself (``own_image``) or none."""
+    reps = []
+    for p in range(vs.lo, vs.hi + 1):
+        kernel, image = kernel_and_image(vs.diff(p, field), field)
+        reps.append(representatives(kernel, image if own_image else {}, field))
+    return CohomologySummary(vs.lo, vs.hi, tuple(map(len, reps)), tuple(reps))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+def test_summary_oracle_rejects_a_misseeded_reduction(field):
+    cases = summary_cases(field)
+    for own_image in (True, False):
+        caught = 0
+        for vs in cases:
+            try:
+                assert_summary_matches_dense(vs, field, misseeded_summary(vs, field, own_image))
+            except AssertionError:
+                caught += 1
+        assert caught > len(cases) // 2
 
 
 def assert_pageinf_matches_dense(fc, field, a=None):

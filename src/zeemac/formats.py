@@ -27,7 +27,8 @@ facet that repeats a vertex or leaves ``1..vertices``, a ``cover`` with
 other than three integers, a ``face`` with more than an id, a dimension
 and one label, a cover that names an unknown face, a ``delta`` index
 outside ``1..#functionals``, bytes that are not UTF-8) raises
-``InputFormatError`` naming the line.
+``InputFormatError`` naming the line; so does a polyhedral input with no
+face, without a line to name.
 
 Resolutions serialize to JSON documents that embed the input complex, the
 terms (face keys per copy), the scalar block matrices, the augmentation
@@ -66,7 +67,6 @@ class InputBundle:
     kind: str  # simplicial | polyhedral | semigroup
     fc: FaceComplex
     sc: SimplicialComplex | None = None
-    semigroup: AffineSemigroup | None = None
     delta_selectors: tuple | None = None  # for semigroup inputs
 
 
@@ -143,12 +143,14 @@ def simplicial_bundle(vertices, facets) -> InputBundle:
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
     fc = cone_of_simplicial(sc)
-    return InputBundle("simplicial", fc, sc=sc, semigroup=fc.semigroup)
+    return InputBundle("simplicial", fc, sc=sc)
 
 
 def polyhedral_bundle(ambient: int, faces, covers) -> InputBundle:
     """The polyhedral input from ``(where, id, dim, label)`` faces and
     ``(where, lower, upper, sign)`` covers."""
+    if not faces:
+        raise InputFormatError("no faces: a polyhedral complex needs at least its minimal face")
     faces = sorted(faces, key=lambda f: f[1:])
     for k, (where, fid, _, _) in enumerate(faces):
         if fid != k:
@@ -183,7 +185,7 @@ def semigroup_bundle(ambient: int, functionals, selectors) -> InputBundle:
         raise InputFormatError(str(exc)) from exc
     full = face_lattice(q)
     if not selectors:
-        return InputBundle("semigroup", full, semigroup=q)
+        return InputBundle("semigroup", full)
     ids = []
     for where, sel in selectors:
         if not all(1 <= i <= len(functionals) for i in sel):
@@ -191,7 +193,7 @@ def semigroup_bundle(ambient: int, functionals, selectors) -> InputBundle:
         cf = q.face_with_vanishing([i - 1 for i in sel])
         ids.append(next(i for i, c in full.cone_faces.items() if c == cf))
     chosen = tuple(sel for _, sel in selectors)
-    return InputBundle("semigroup", subcomplex(full, ids), semigroup=q, delta_selectors=chosen)
+    return InputBundle("semigroup", subcomplex(full, ids), delta_selectors=chosen)
 
 
 def _first_header(seen, lineno: int, keyword: str) -> None:
@@ -291,8 +293,8 @@ def complex_to_doc(bundle: InputBundle) -> dict:
     if bundle.kind == "semigroup":
         return {
             "type": "semigroup",
-            "ambient": bundle.semigroup.d,
-            "functionals": [list(t) for t in bundle.semigroup.functionals],
+            "ambient": bundle.fc.semigroup.d,
+            "functionals": [list(t) for t in bundle.fc.semigroup.functionals],
             "delta": [list(s) for s in bundle.delta_selectors] if bundle.delta_selectors else None,
         }
     fc = bundle.fc

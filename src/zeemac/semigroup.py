@@ -18,17 +18,17 @@ each functional once and returns the functionals that vanish at ``a``
 when the face's vanishing set is contained in that zero set, and in its
 relative interior exactly when the two are equal.
 
-Incidence signs on the face lattice come from orientations: each face
-carries the canonical echelon basis of its linear span, and the sign of a
-cover (G, F) is the determinant sign of [basis of G, interior point of F]
-expressed in the basis of F.  This satisfies the diamond axiom, which
-``complexes.validate`` re-checks in the test suite.
+Incidence signs on the face lattice come from orientations: the sign of a
+cover (G, F) is the determinant sign of [rref basis of the span of G,
+interior point of F] expressed in the rref basis of the span of F.  It is
+read off the column relations of one sparse reduction of each face's ray
+matrix (``face_lattice``), with no dense elimination.  This satisfies the
+diamond axiom, which ``complexes.validate`` re-checks in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -241,27 +241,24 @@ class AffineSemigroup:
 def face_lattice(q: AffineSemigroup) -> FaceComplex:
     """The full face lattice of the cone as a validated FaceComplex.
 
-    Signs come from the orientation-determinant rule with the canonical
-    echelon basis of each face's span and the face's interior point as the
-    inward vector.
+    Each face's ray matrix (rays as rows) is reduced once; its pivot
+    columns P are the columns without a relation.  For a cover G < F, P_F
+    is P_G and one more column e, G's relation r at e is 1 at e and
+    otherwise nonzero only on P_G, and the sign is
+    ``(-1)^#{p in P_G : p > e} * sign(sum(r[k] * w[k]))`` with w the
+    interior point of F: the determinant sign of [rref basis of G; w] in
+    the rref basis of F.  The minimal face has no rays, so every column
+    has the relation {j: 1} and P is empty.
     """
     cone_faces = list(q.faces())
-    index = {cf.vanishing: i for i, cf in enumerate(cone_faces)}
     faces = [Face(i, cf.dim, cf.label(), key=("v", tuple(sorted(cf.vanishing)))) for i, cf in enumerate(cone_faces)]
-
-    bases = {i: _echelon_basis(q.rays_of(cf)) for i, cf in enumerate(cone_faces)}
-
+    relations = [_relations(Mat.from_rows(q.rays_of(cf), QQ, q.d).columns, QQ)[0] for cf in cone_faces]
     covers = []
     for gi, g in enumerate(cone_faces):
         for fi, f in enumerate(cone_faces):
-            if f.dim != g.dim + 1:
-                continue
-            if not (g.vanishing > f.vanishing):
-                continue
-            if not set(q.rays_of(g)) <= set(q.rays_of(f)):
-                continue
-            sign = _orientation_sign(bases[gi], f.interior_point, bases[fi])
-            covers.append(Cover(gi, fi, sign))
+            # vanishing sets are closed, so this is the cover relation
+            if f.dim == g.dim + 1 and g.vanishing > f.vanishing:
+                covers.append(Cover(gi, fi, _cover_sign(relations[gi], relations[fi], f.interior_point)))
     return FaceComplex(
         faces,
         covers,
@@ -271,75 +268,15 @@ def face_lattice(q: AffineSemigroup) -> FaceComplex:
     )
 
 
-def _echelon_basis(rays) -> tuple[tuple[int | Fraction, ...], ...]:
-    """Canonical ordered basis of the span of the given rays: the nonzero
-    rows of the reduced row echelon form (lexicographically smallest).
-
-    Row t has 1 at the t-th pivot column of the ray matrix and, at each
-    other column, minus that pivot's coefficient in the column's relation.
-    """
-    if not rays:
-        return ()
-    m = Mat.from_rows(rays, QQ)
-    relations = _relations(m.columns, QQ)[0]
-    basis = []
-    for pc in (j for j in range(m.cols) if j not in relations):
-        row = [QQ.zero()] * m.cols
-        row[pc] = QQ.one()
-        for j, rel in relations.items():
-            if pc in rel:
-                row[j] = -rel[pc]
-        basis.append(tuple(row))
-    return tuple(basis)
-
-
-def _coords_in_echelon_basis(v, basis):
-    """Coordinates of v in an rref basis: read off the pivot columns."""
-    pivots = []
-    for b in basis:
-        for j, x in enumerate(b):
-            if x != 0:
-                pivots.append(j)
-                break
-    coords = [Fraction(v[j]) for j in pivots]
-    # consistency: v must lie in the span
-    residual = [Fraction(x) for x in v]
-    for c, b in zip(coords, basis):
-        for j in range(len(residual)):
-            residual[j] -= c * b[j]
-    if any(residual):
-        raise ValueError("vector does not lie in the span of the basis")
-    return coords
-
-
-def _det_sign(rows) -> int:
-    """Sign of the determinant of a small square rational matrix."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = Fraction(m[i][c], m[c][c])
-                for j in range(c, n):
-                    m[i][j] -= f * m[c][j]
-        if m[c][c] < 0:
-            sign = -sign
-    return sign
-
-
-def _orientation_sign(basis_g, interior_f, basis_f) -> int:
-    """Determinant sign of [basis of G; interior point of F] in basis of F."""
-    rows = [_coords_in_echelon_basis(b, basis_f) for b in basis_g]
-    rows.append(_coords_in_echelon_basis(interior_f, basis_f))
-    s = _det_sign(rows)
-    if s == 0:
+def _cover_sign(relations_g: dict, relations_f: dict, w) -> int:
+    """The incidence sign of a cover G < F from the column relations of
+    the two ray matrices and the interior point ``w`` of F."""
+    extra = relations_g.keys() - relations_f.keys()  # P_F minus P_G
+    pairing = 0
+    if len(extra) == 1:
+        (e,) = extra
+        pairing = sum(c * w[k] for k, c in relations_g[e].items())
+    if not pairing:
         raise ValueError("degenerate orientation data on a cover pair")
-    return s
-
+    flips = sum(p not in relations_g for p in range(e + 1, len(w)))
+    return (-1) ** flips * (1 if pairing > 0 else -1)

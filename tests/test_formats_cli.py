@@ -4,7 +4,7 @@ import pytest
 
 from zeemac import QQ, SimplicialComplex, verify_exactness
 from zeemac import formats
-from zeemac.cli import run
+from zeemac.cli import _COMMANDS, run
 from zeemac.formats import (
     InputFormatError,
     bundle_from_doc,
@@ -103,6 +103,20 @@ def test_bundle_from_doc_names_the_bad_item():
         with pytest.raises(InputFormatError) as exc:
             bundle_from_doc(doc)
         assert str(exc.value).startswith(prefix)
+
+
+def test_polyhedral_input_without_faces_is_an_input_error(tmp_path, capsys):
+    # no 'face' line: every command exits 2 at the reader, text and JSON alike
+    path = write(tmp_path, "no_faces.txt", "polyhedral\nambient 2\n")
+    for command in _COMMANDS:
+        for fmt in ("text", "json"):
+            assert run([command, path, "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: no faces")
+            assert "Traceback" not in captured.err
+    with pytest.raises(InputFormatError, match="^no faces"):
+        bundle_from_doc({"type": "polyhedral", "ambient": 2, "faces": [], "covers": []})
 
 
 def test_cli_cm_check_exit_codes(tmp_path, capsys):

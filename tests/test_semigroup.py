@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,7 +12,9 @@ from zeemac import (
     validate,
 )
 
-from .helpers import cube_cone, hexagon_cone, square_cone
+from .dense_orientation import _echelon_basis, dense_covers
+from .dense_ranks import dense_echelon_basis
+from .helpers import assert_same, canonical, cube_cone, hexagon_cone, square_cone
 
 
 def test_orthant_two_faces_and_dims():
@@ -200,3 +203,43 @@ def test_each_interior_point_vanishes_exactly_on_its_face():
         fc = face_lattice(q)
         for f in q.faces():
             assert fc.faces_vanishing_on(f.vanishing) == fc.faces_containing(f.interior_point)
+
+
+def _random_pointed_cone(rng: random.Random, d: int) -> AffineSemigroup:
+    """A pointed, full-dimensional cone in dimension ``d``, cut out by
+    functionals with entries in -2..3 that are positive on (1, ..., 1);
+    ``d + 1`` to ``d + 4`` are drawn, again until they have full rank."""
+    while True:
+        functionals = set()
+        for _ in range(rng.randint(d + 1, d + 4)):
+            t = [rng.randint(-2, 3) for _ in range(d)]
+            g = math.gcd(*t)
+            if sum(t) > 0:
+                functionals.add(tuple(x // g for x in t))
+        try:
+            return AffineSemigroup(d, sorted(functionals))
+        except ValueError:
+            continue
+
+
+def _oracle_cones():
+    rng = random.Random(13013)
+    cones = [AffineSemigroup.orthant(d) for d in range(1, 6)]
+    cones += [square_cone(), hexagon_cone(), cube_cone()]
+    cones += [_random_pointed_cone(rng, d) for _ in range(50) for d in (2, 3, 4)]
+    return cones
+
+
+def test_cover_signs_match_the_dense_orientation_oracle():
+    # each sign read off the relations of one reduction per face equals the
+    # determinant sign of the dense rref bases, cover for cover
+    checked = nonsimplicial = 0
+    for q in _oracle_cones():
+        got = [(c.lower, c.upper, c.sign) for c in face_lattice(q).covers]
+        assert got == dense_covers(q), q.functionals
+        checked += len(got)
+        nonsimplicial += any(len(q.rays_of(f)) > f.dim for f in q.faces())
+        for f in q.faces():
+            rays = q.rays_of(f)
+            assert_same(_echelon_basis(rays), canonical(dense_echelon_basis(rays), QQ))
+    assert checked > 3000 and nonsimplicial > 50

@@ -153,12 +153,12 @@ def _cmd_zeeman(bundle, args, out, doc) -> int:
     return 0
 
 
-def _emit_resolution(res, bundle, field, out, args, certificates, doc) -> None:
+def _emit_resolution(res, bundle, out, args, certificates, doc) -> None:
     if args.format == "json":
         doc.clear()
-        doc.update(formats.resolution_to_doc(res, bundle, field, certificates))
+        doc.update(formats.resolution_to_doc(res, bundle, certificates))
         return
-    out.append(f"field: {field.label()}  variant: {res.variant}")
+    out.append(f"field: {res.field.label()}  variant: {res.variant}")
     out.append(f"term sizes: {list(res.term_sizes())}")
     fc = res.fc
     for i, term in enumerate(res.terms):
@@ -174,14 +174,17 @@ def _emit_resolution(res, bundle, field, out, args, certificates, doc) -> None:
         out.append(f"certificate {key}: {val}")
 
 
-def _resolution_certificates(res, graded_ok: bool) -> dict:
+def _resolution_certificates(res) -> dict:
+    """All three certificates a resolution needs (composition, block
+    support, exactness; exactness presumes the other two), plus linearity
+    and the split pairs of the minimality scan."""
     certs = {
         "composition-zero": res.check_composition(),
         "block-support": res.check_block_support(),
         "linear": is_linear(res),
         "split-pairs": len(minimality_scan(res).pairs),
     }
-    if graded_ok:
+    if res.fc.has_geometry:
         report = verify_exactness(res)
         certs["exact"] = report.exact
         certs["checked-degrees"] = len(report.checked_degrees)
@@ -205,16 +208,13 @@ def _cmd_irres(bundle, args, out, doc) -> int:
         doc["refused"] = True
         doc["witness"] = {"face": fc.face(g).label, "degree": p, "dimension": dim}
         return 1
-    certs = _resolution_certificates(res, fc.has_geometry)
-    _emit_resolution(res, bundle, field, out, args, certs, doc)
+    _emit_resolution(res, bundle, out, args, _resolution_certificates(res), doc)
     return 0
 
 
 def _cmd_total_irres(bundle, args, out, doc) -> int:
-    field = args.field
-    res = total_resolution(bundle.fc, field)
-    certs = _resolution_certificates(res, bundle.fc.has_geometry)
-    _emit_resolution(res, bundle, field, out, args, certs, doc)
+    res = total_resolution(bundle.fc, args.field)
+    _emit_resolution(res, bundle, out, args, _resolution_certificates(res), doc)
     return 0
 
 
@@ -424,7 +424,7 @@ def run(argv) -> int:
     doc: dict = {"command": args.command, "input": args.input}
     try:
         code = _COMMANDS[args.command](bundle, args, out, doc)
-    except (formats.InputFormatError, MissingGeometryError, ValueError) as exc:
+    except ValueError as exc:  # input errors and missing geometry included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":

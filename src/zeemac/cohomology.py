@@ -20,10 +20,12 @@ exactly those pivot columns.  The solves behind restriction maps come from
 the same sparse column reduction; each restriction block solves all of its
 cocycles in one reduction.
 
-Each face complex keeps one store per field: the upper-set complex, the
-cohomology summary and the restriction blocks of a face are computed once,
-on first use, and shared by the Cohen-Macaulay scan, the minimal linear
-resolution and page 1 of the double complex.
+A cochain complex carries its field, as each of its differentials does,
+and no operation on it takes the field again.  Each face complex keeps one
+store per field: the upper-set complex, the cohomology summary and the
+restriction blocks of a face are computed once, on first use, and shared
+by the Cohen-Macaulay scan, the minimal linear resolution and page 1 of
+the double complex.
 """
 
 from __future__ import annotations
@@ -41,13 +43,14 @@ class VSComplex:
 
     ``labels[i]`` names the basis of degree lo+i; ``diffs[i]`` is the
     matrix of the map from degree lo+i to degree lo+i+1 (rows index the
-    target basis).
+    target basis), over ``field``.
     """
 
     lo: int
     hi: int
     labels: tuple
     diffs: tuple
+    field: Field
 
     def __post_init__(self):
         if len(self.labels) != self.hi - self.lo + 1:
@@ -57,6 +60,8 @@ class VSComplex:
         for i, d in enumerate(self.diffs):
             if d.cols != len(self.labels[i]) or d.rows != len(self.labels[i + 1]):
                 raise ValueError(f"differential {i} has shape {d.rows}x{d.cols}")
+            if d.field != self.field:
+                raise ValueError(f"differential {i} is over {d.field.label()}, not {self.field.label()}")
 
     def basis(self, p: int) -> tuple:
         if self.lo <= p <= self.hi:
@@ -66,15 +71,15 @@ class VSComplex:
     def dim(self, p: int) -> int:
         return len(self.basis(p))
 
-    def diff(self, p: int, field: Field) -> Mat:
+    def diff(self, p: int) -> Mat:
         """The differential out of degree p (a zero map outside the range)."""
         if self.lo <= p < self.hi:
             return self.diffs[p - self.lo]
-        return Mat.zeros(self.dim(p + 1), self.dim(p), field)
+        return Mat.zeros(self.dim(p + 1), self.dim(p), self.field)
 
-    def is_complex(self, field: Field) -> bool:
+    def is_complex(self) -> bool:
         for i in range(len(self.diffs) - 1):
-            if not self.diffs[i + 1].mul(self.diffs[i], field).is_zero():
+            if not self.diffs[i + 1].mul(self.diffs[i]).is_zero():
                 return False
         return True
 
@@ -122,7 +127,7 @@ def cochain_complex(fc: FaceComplex, g: int, field: Field) -> VSComplex:
             for f in dom
         ]
         diffs.append(Mat(len(cod), len(dom), columns, field))
-    return VSComplex(ups.lo, ups.hi, labels, tuple(diffs))
+    return VSComplex(ups.lo, ups.hi, labels, tuple(diffs), field)
 
 
 def representatives(kernel, image: dict, field: Field) -> tuple:
@@ -138,19 +143,19 @@ def representatives(kernel, image: dict, field: Field) -> tuple:
     """
     if len(kernel) == len(image):
         return ()  # the image is the whole kernel
-    ranks = reduce_columns(kernel, field, range(len(kernel)), image)[0]
+    ranks = reduce_columns(kernel, field, image)[0]
     return tuple(v for v, r, before in zip(kernel, ranks, [len(image), *ranks]) if r > before)
 
 
-def cohomology_summary(vs: VSComplex, field: Field) -> CohomologySummary:
+def cohomology_summary(vs: VSComplex) -> CohomologySummary:
     """Kernel-mod-image dimensions and echelon representatives per degree,
     from one reduction of each differential."""
     dims = []
     reps = []
     image: dict = {}  # reduced image of the differential into degree p
     for p in range(vs.lo, vs.hi + 1):
-        kernel, next_image = kernel_and_image(vs.diff(p, field), field)
-        chosen = representatives(kernel, image, field)
+        kernel, next_image = kernel_and_image(vs.diff(p))
+        chosen = representatives(kernel, image, vs.field)
         dims.append(len(chosen))
         reps.append(chosen)
         image = next_image
@@ -175,7 +180,7 @@ def local_cohomology(fc: FaceComplex, g: int, field: Field) -> CohomologySummary
     """Cohomology of the upper-set complex near ``g``, with representatives;
     computed once per complex and field."""
     return _stored(
-        fc, field, ("summary", g), lambda: cohomology_summary(local_complex(fc, g, field), field)
+        fc, field, ("summary", g), lambda: cohomology_summary(local_complex(fc, g, field))
     )
 
 
@@ -191,7 +196,7 @@ def _restriction_core(fc: FaceComplex, g: int, g_prime: int, field: Field, p: in
 
     dst_index = {f: i for i, f in enumerate(dst.basis(p))}
     src_basis = src.basis(p)
-    generators = [*dst_reps, *dst.diff(p - 1, field).columns]
+    generators = [*dst_reps, *dst.diff(p - 1).columns]
     targets = [{dst_index[src_basis[i]]: x for i, x in rep.items()} for rep in src_reps]
     out_cols = []
     for sol in solve_columns(targets, generators, field):

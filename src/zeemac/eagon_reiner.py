@@ -110,9 +110,9 @@ class DualFreeComplex:
                     return False
         return True
 
-    def check_composition(self, field: Field) -> bool:
+    def check_composition(self) -> bool:
         for i in range(len(self.maps) - 1):
-            if not self.maps[i].mul(self.maps[i + 1], field).is_zero():
+            if not self.maps[i].mul(self.maps[i + 1]).is_zero():
                 return False
         return True
 
@@ -214,7 +214,7 @@ class _Coboundary:
     def _eliminate(self, s: int) -> dict:
         inside = [i for i, m in enumerate(self.faces) if not m & ~s]
         cols = [{row: x for b, row, x in self.columns[i] if b & s} for i in inside]
-        ranks = reduce_columns(cols, self.field, range(len(cols)))[0]
+        ranks = reduce_columns(cols, self.field)[0]
         # the faces come in cardinality order and the coboundary out of
         # cardinality k lands in cardinality k + 1 alone, so the prefix
         # rank at the end of a cardinality block sums the blocks' ranks

@@ -263,16 +263,8 @@ def _parse_semigroup(body) -> InputBundle:
 # -- JSON documents ---------------------------------------------------------
 
 
-def _scalar_to_str(x) -> str:
-    return str(x)
-
-
-def _scalar_from_str(s: str, field: Field):
-    return field.reduce(Fraction(s))
-
-
 def _mat_to_doc(m: Mat) -> dict:
-    return {"rows": m.rows, "cols": m.cols, "entries": [_scalar_to_str(x) for x in m.entries]}
+    return {"rows": m.rows, "cols": m.cols, "entries": [str(x) for x in m.entries]}
 
 
 def _mat_from_doc(doc: dict, field: Field) -> Mat:
@@ -336,18 +328,8 @@ def _face_key_str(fc: FaceComplex, fid: int) -> str:
     return tag + ":" + ",".join(str(v) for v in payload)
 
 
-def _face_id_from_key(fc: FaceComplex, s: str) -> int:
-    tag, _, payload = s.partition(":")
-    if tag == "id":
-        return int(payload)
-    parts = tuple(int(t) for t in payload.split(",")) if payload else ()
-    for f in fc.faces:
-        if f.key == (tag, parts):
-            return f.id
-    raise InputFormatError(f"no face with key {s!r} in the complex")
-
-
-def resolution_to_doc(res: FaceModuleComplex, bundle: InputBundle, field: Field, certificates: dict | None = None) -> dict:
+def resolution_to_doc(res: FaceModuleComplex, bundle: InputBundle, certificates: dict) -> dict:
+    field = res.field
     return {
         "kind": "irreducible-resolution",
         "variant": res.variant,
@@ -355,10 +337,8 @@ def resolution_to_doc(res: FaceModuleComplex, bundle: InputBundle, field: Field,
         "complex": complex_to_doc(bundle),
         "terms": [[_face_key_str(res.fc, g) for g in term.faces] for term in res.terms],
         "maps": [_mat_to_doc(m) for m in res.maps],
-        "augmentation": [_scalar_to_str(x) for x in res.augmentation]
-        if res.augmentation is not None
-        else None,
-        "certificates": certificates or {},
+        "augmentation": [str(x) for x in res.augmentation] if res.augmentation is not None else None,
+        "certificates": certificates,
     }
 
 
@@ -369,11 +349,17 @@ def resolution_from_doc(doc: dict):
     field = parse_field(doc["field"])
     bundle = bundle_from_doc(doc["complex"])
     fc = bundle.fc
-    terms = [FaceModule(tuple(_face_id_from_key(fc, s) for s in term)) for term in doc["terms"]]
+    ids = {_face_key_str(fc, f.id): f.id for f in fc.faces}
+    terms = []
+    for i, term in enumerate(doc["terms"]):
+        for j, key in enumerate(term):
+            if not isinstance(key, str) or key not in ids:
+                raise InputFormatError(f"terms[{i}][{j}]: no face with key {key!r} in the complex")
+        terms.append(FaceModule(tuple(ids[key] for key in term)))
     maps = [_mat_from_doc(m, field) for m in doc["maps"]]
     aug = None
     if doc.get("augmentation") is not None:
-        aug = tuple(_scalar_from_str(s, field) for s in doc["augmentation"])
+        aug = tuple(field.reduce(Fraction(s)) for s in doc["augmentation"])
     res = FaceModuleComplex(fc, field, terms, maps, augmentation=aug, variant=doc.get("variant", ""))
     return res, bundle, field
 

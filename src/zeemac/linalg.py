@@ -11,10 +11,11 @@ There is one matrix type, ``Mat``, and it is sparse: ``columns[j]`` maps
 the row of each nonzero entry of column j to its scalar.  A matrix knows
 its field; scalars are reduced into it once, when the matrix is built, and
 no zero is stored, so two matrices are ``==`` exactly when their fields
-and entries are.  An operation asked for another field reads the matrix
-over that field (``Mat.over``) instead of trusting scalars reduced for a
-different one.  Products, transposes and zero tests walk the nonzeros
-only; ``entries`` is a derived dense view.
+and entries are.  No operation on a matrix takes the field again: ranks,
+kernels, images and products read a matrix over its own field, and a
+product of matrices over two fields raises ``ValueError``.  Products,
+transposes and zero tests walk the nonzeros only; ``entries`` is a derived
+dense view whose zeros are the int 0.
 
 A vector is a sparse column too: ``{index: scalar}``, its scalars nonzero
 and reduced into the field, exactly like a column of a ``Mat``.  Kernel and
@@ -96,12 +97,6 @@ class Field:
     def is_rationals(self) -> bool:
         return self.p is None
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def reduce(self, x):
         """Coerce ``x`` to a canonical scalar of this field.
 
@@ -161,10 +156,8 @@ class Mat:
 
     The scalars are nonzero and reduced into ``field``; builders that hold
     such scalars pass their columns straight in, and ``from_rows`` reduces
-    dense rows.  Operations take a field and read the matrix over it
-    (``over``), which re-reduces the entries only when that field is not
-    the matrix's own.  The entry accessors read a zero entry as
-    ``field.zero()``.
+    dense rows.  Every operation reads the matrix over its own field.  The
+    entry accessors read a zero entry as the int 0.
     """
 
     rows: int
@@ -203,35 +196,26 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int, field: Field) -> "Mat":
-        return cls(n, n, [{j: field.one()} for j in range(n)], field)
-
-    def over(self, field: Field) -> "Mat":
-        """This matrix read over ``field``: itself when that is its own
-        field, else a copy with every entry reduced into ``field``."""
-        if field == self.field:
-            return self
-        columns = [{i: y for i, x in col.items() if (y := field.reduce(x))} for col in self.columns]
-        return Mat(self.rows, self.cols, columns, field)
+        return cls(n, n, [{j: 1} for j in range(n)], field)
 
     @property
     def entries(self) -> tuple:
         """The entries row-major, zeros included (a dense copy)."""
-        out = [self.field.zero()] * (self.rows * self.cols)
+        out = [0] * (self.rows * self.cols)
         for j, col in enumerate(self.columns):
             for i, x in col.items():
                 out[i * self.cols + j] = x
         return tuple(out)
 
     def entry(self, i: int, j: int):
-        return self.columns[j].get(i, self.field.zero())
+        return self.columns[j].get(i, 0)
 
     def row(self, i: int) -> tuple:
-        z = self.field.zero()
-        return tuple(col.get(i, z) for col in self.columns)
+        return tuple(col.get(i, 0) for col in self.columns)
 
     def col(self, j: int) -> tuple:
-        col, z = self.columns[j], self.field.zero()
-        return tuple(col.get(i, z) for i in range(self.rows))
+        col = self.columns[j]
+        return tuple(col.get(i, 0) for i in range(self.rows))
 
     def transpose(self) -> "Mat":
         out: list[dict] = [{} for _ in range(self.rows)]
@@ -240,19 +224,22 @@ class Mat:
                 out[i][j] = x
         return Mat(self.cols, self.rows, out, self.field)
 
-    def mul_vec(self, v, field: Field) -> tuple:
+    def mul_vec(self, v) -> tuple:
+        """This matrix times the dense vector ``v``, its scalars reduced
+        into the matrix's field."""
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        acc = _combine(self.over(field).columns, enumerate(field.reduce(x) for x in v), field)
-        z = field.zero()
-        return tuple(acc.get(i, z) for i in range(self.rows))
+        field = self.field
+        acc = _combine(self.columns, enumerate(field.reduce(x) for x in v), field)
+        return tuple(acc.get(i, 0) for i in range(self.rows))
 
-    def mul(self, other: "Mat", field: Field) -> "Mat":
+    def mul(self, other: "Mat") -> "Mat":
+        if other.field != self.field:
+            raise ValueError(f"cannot multiply a matrix over {self.field.label()} by one over {other.field.label()}")
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        columns = self.over(field).columns
-        out = [_combine(columns, col.items(), field) for col in other.over(field).columns]
-        return Mat(self.rows, other.cols, out, field)
+        out = [_combine(self.columns, col.items(), self.field) for col in other.columns]
+        return Mat(self.rows, other.cols, out, self.field)
 
     def is_zero(self) -> bool:
         return not any(self.columns)
@@ -269,12 +256,12 @@ def _combine(columns, coefficients, field: Field) -> dict:
     return {i: y for i, x in acc.items() if (y := field.reduce(x))}
 
 
-def reduce_columns(cols, field: Field, order, owner=None) -> tuple[list[int], dict]:
-    """Sparse column reduction of ``cols`` taken in ``order``.
+def reduce_columns(cols, field: Field, owner=None) -> tuple[list[int], dict]:
+    """Sparse column reduction of ``cols``.
 
     ``cols[j]`` is column j as ``{row: value}`` with nonzero reduced
-    scalars; it is not modified.  The columns are reduced left to right in
-    ``order``, each eliminated on its largest row index against the reduced
+    scalars; it is not modified.  The columns are reduced left to right,
+    each eliminated on its largest row index against the reduced
     column that owns that row.  A column that survives owns its largest row
     (its pivot row) and adds one to the rank.  Over F_p the arithmetic is
     mod p (over F_2 a column is just its set of rows); over QQ a column
@@ -287,7 +274,7 @@ def reduce_columns(cols, field: Field, order, owner=None) -> tuple[list[int], di
     columns count in every rank.
 
     Returns ``(ranks, pivots)``: ``ranks[k]`` is the rank of the columns
-    ``order[:k + 1]`` together with those of ``owner``, and ``pivots`` maps
+    ``cols[:k + 1]`` together with those of ``owner``, and ``pivots`` maps
     the pivot row of every surviving column to that reduced column (a set
     of rows over F_2, scaled to 1 at its pivot row over F_p, an integer
     column over QQ).  The reduced matrix is the original times an
@@ -298,8 +285,7 @@ def reduce_columns(cols, field: Field, order, owner=None) -> tuple[list[int], di
     p = field.p
     owner = {} if owner is None else dict(owner)  # row -> the reduced column whose largest row it is
     out = []
-    for j in order:
-        col = cols[j]
+    for col in cols:
         if p == 2:
             col = set(col)
             while col:
@@ -377,7 +363,7 @@ def _relations(cols, field: Field) -> tuple[dict, dict]:
     """
     n = len(cols)
     tagged = [{j: 1} | {i + n: x for i, x in col.items()} for j, col in enumerate(cols)]
-    owner = reduce_columns(tagged, field, range(n))[1]
+    owner = reduce_columns(tagged, field)[1]
     relations = {j: rel for j, rel in owner.items() if j < n}
     if field.p == 2:
         relations = {j: dict.fromkeys(rel, 1) for j, rel in relations.items()}
@@ -408,20 +394,20 @@ def solve_columns(targets, generators, field: Field) -> list:
     return out
 
 
-def rank(m: Mat, field: Field) -> int:
-    """Row rank (= column rank) of ``m`` over ``field``."""
+def rank(m: Mat) -> int:
+    """Row rank (= column rank) of ``m`` over its field."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    return len(reduce_columns(m.over(field).columns, field, range(m.cols))[1])
+    return len(reduce_columns(m.columns, m.field)[1])
 
 
-def kernel_basis(m: Mat, field: Field) -> list[dict]:
+def kernel_basis(m: Mat) -> list[dict]:
     """A canonical basis of the right kernel of ``m``: the relation of each
     non-pivot column, a sparse vector that is 1 at that column."""
-    return list(_relations(m.over(field).columns, field)[0].values())
+    return list(_relations(m.columns, m.field)[0].values())
 
 
-def kernel_and_image(m: Mat, field: Field) -> tuple[list[dict], dict]:
+def kernel_and_image(m: Mat) -> tuple[list[dict], dict]:
     """``(kernel, image)`` of ``m`` from one tagged reduction.
 
     ``kernel`` is the canonical basis of ``kernel_basis``.  ``image`` maps
@@ -432,10 +418,9 @@ def kernel_and_image(m: Mat, field: Field) -> tuple[list[dict], dict]:
     rows, so a later ``reduce_columns`` can start from them as its
     ``owner``.
     """
-    cols = m.over(field).columns
-    n = len(cols)
-    relations, owner = _relations(cols, field)
-    if field.p == 2:
+    n = m.cols
+    relations, owner = _relations(m.columns, m.field)
+    if m.field.p == 2:
         image = {r - n: {i - n for i in col if i >= n} for r, col in owner.items() if r >= n}
     else:
         image = {r - n: {i - n: x for i, x in col.items() if i >= n} for r, col in owner.items() if r >= n}

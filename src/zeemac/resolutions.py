@@ -64,8 +64,8 @@ class FaceModule:
 
 
 class FaceModuleComplex:
-    """Terms W^0, W^1, ... with maps and an optional augmentation from the
-    face quotient (a scalar per W^0 summand)."""
+    """Terms W^0, W^1, ... with maps over ``field`` and an optional
+    augmentation from the face quotient (a scalar per W^0 summand)."""
 
     def __init__(self, fc: FaceComplex, field: Field, terms, maps, augmentation=None, variant=""):
         self.fc = fc
@@ -79,6 +79,8 @@ class FaceModuleComplex:
         for i, m in enumerate(self.maps):
             if m.cols != len(self.terms[i]) or m.rows != len(self.terms[i + 1]):
                 raise ValueError(f"map {i} has shape {m.rows}x{m.cols}")
+            if m.field != field:
+                raise ValueError(f"map {i} is over {m.field.label()}, not {field.label()}")
         if self.augmentation is not None and self.terms:
             if len(self.augmentation) != len(self.terms[0]):
                 raise ValueError("augmentation length does not match the first term")
@@ -103,10 +105,10 @@ class FaceModuleComplex:
     def check_composition(self) -> bool:
         """Consecutive maps compose to zero; augmentation lands in the kernel."""
         for i in range(len(self.maps) - 1):
-            if not self.maps[i + 1].mul(self.maps[i], self.field).is_zero():
+            if not self.maps[i + 1].mul(self.maps[i]).is_zero():
                 return False
         if self.augmentation is not None and self.maps:
-            if any(self.maps[0].mul_vec(self.augmentation, self.field)):
+            if any(self.maps[0].mul_vec(self.augmentation)):
                 return False
         return True
 
@@ -167,7 +169,7 @@ def minimal_linear_resolution(fc: FaceComplex, field: Field = QQ) -> FaceModuleC
                 for c, col in enumerate(restriction_map(fc, g, g2, field, n).columns):
                     columns[c0 + c].update((r0 + r, x) for r, x in col.items())
         maps.append(Mat(len(terms[i + 1]), len(columns), columns, field))
-    aug = [field.one()] * len(terms[0])
+    aug = [1] * len(terms[0])
     return FaceModuleComplex(fc, field, terms, maps, augmentation=aug, variant="minimal-linear")
 
 
@@ -197,6 +199,12 @@ def verify_exactness(c: FaceModuleComplex) -> ExactnessReport:
     """Degreewise exactness of the augmented complex at every ambient face
     of the semigroup that ``c.fc`` carries, over ``c.field``.
 
+    The check presumes that ``c`` is a complex of face modules: it compares
+    ranks with dimensions only, so a sequence whose maps do not compose to
+    zero can pass it.  Re-verifying a resolution read from outside
+    therefore takes all three certificates: ``check_composition``,
+    ``check_block_support`` and this one.
+
     At each evaluation degree the component of k[G] is k exactly when the
     degree lies on G, the quotient's component is k exactly when the degree
     lies on some face of the complex, and every map restricts to the
@@ -204,7 +212,7 @@ def verify_exactness(c: FaceModuleComplex) -> ExactnessReport:
     certifies exactness of the whole graded complex (components are
     constant on the relative interior of each ambient face).
     """
-    fc, field = c.fc, c.field
+    fc = c.fc
     degrees = evaluation_degrees(fc)
     for a, ambient_face in zip(degrees, fc.semigroup.faces()):
         # a is the interior point of ambient_face: exactly its functionals vanish there
@@ -216,7 +224,7 @@ def verify_exactness(c: FaceModuleComplex) -> ExactnessReport:
         for i, m in enumerate(c.maps):
             pos = {r: k for k, r in enumerate(active[i + 1])}
             cols = [{pos[r]: x for r, x in m.columns[j].items() if r in pos} for j in active[i]]
-            ranks.append(rank(Mat(len(pos), len(cols), cols, m.field), field))
+            ranks.append(rank(Mat(len(pos), len(cols), cols, m.field)))
         ok = True
         if c.augmentation is not None and not any(c.augmentation[k] for k in active[0]):
             ok = False

@@ -76,12 +76,12 @@ class AffineSemigroup:
         self.d = d
         self.functionals = tuple(self.primitive_functional(t, d) for t in functionals)
         tau = Mat.from_rows(list(self.functionals), QQ)
-        if rank(tau, QQ) != d:
+        if rank(tau) != d:
             raise ValueError("cone is not pointed: the functionals do not have full rank")
         self.rays = self._enumerate_rays()
         if not self.rays:
             raise ValueError("cone is not full-dimensional: no extreme rays found")
-        if rank(Mat.from_rows([list(r) for r in self.rays], QQ), QQ) != d:
+        if rank(Mat.from_rows([list(r) for r in self.rays], QQ)) != d:
             raise ValueError("cone is not full-dimensional: rays do not span")
         self._faces = self._enumerate_faces()
         self._faces_by_vanishing = {f.vanishing: f for f in self._faces}
@@ -137,7 +137,7 @@ class AffineSemigroup:
         found = set()
         for subset in combinations(range(n), self.d - 1) if self.d > 1 else [()]:
             m = Mat.from_rows([list(self.functionals[i]) for i in subset], QQ) if subset else Mat.zeros(0, self.d, QQ)
-            ker = kernel_basis(m, QQ) if subset else None
+            ker = kernel_basis(m) if subset else None
             if subset:
                 if len(ker) != 1:
                     continue
@@ -164,7 +164,7 @@ class AffineSemigroup:
             for r in rays:
                 vanishing &= ray_vanish[r]
             interior = tuple(sum(r[j] for r in rays) for j in range(self.d))
-            dim = rank(Mat.from_rows([list(r) for r in rays], QQ), QQ)
+            dim = rank(Mat.from_rows([list(r) for r in rays], QQ))
             return ConeFace(frozenset(vanishing), dim, interior), tuple(sorted(rays))
 
         faces: dict[frozenset, tuple[ConeFace, tuple]] = {}

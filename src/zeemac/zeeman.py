@@ -183,13 +183,13 @@ def total_complex(z: ZeemanComplex) -> AugmentedTotal:
                 for i, x in col.items():
                     target[cod[i]] = x
     diffs = tuple(Mat(len(labels[n + 1]), len(labels[n]), cols, field) for n, cols in enumerate(columns))
-    vs = VSComplex(0, hi, tuple(labels), diffs)
+    vs = VSComplex(0, hi, tuple(labels), diffs, field)
     aug = []
     for (pq, (f, g)) in labels[0]:
         if f == g:
             aug.append(field.reduce(diagonal_sign(z.fc.face(f).dim)))
         else:  # total degree 0 forces dim F = dim G, hence F = G
-            aug.append(field.zero())
+            aug.append(0)
     result = AugmentedTotal(vs, tuple(aug))
     z._total = result
     return result
@@ -279,7 +279,7 @@ def _page2_data(z: ZeemanComplex) -> _Page2Data:
         return m
 
     # one reduction per d1: its kernel at (p, q), its image at (p, q + 1)
-    reduced = {key: kernel_and_image(dmat(*key), field) for key in p1.summaries}
+    reduced = {key: kernel_and_image(dmat(*key)) for key in p1.summaries}
     reps2: dict = {}
     for p, q in sorted(p1.summaries):
         image = reduced[(p, q - 1)][1] if (p, q - 1) in reduced else {}
@@ -337,7 +337,7 @@ def _infinity_dims(z: ZeemanComplex) -> dict:
     pref = []  # pref[n][k - 1]: rank of the first k columns of the differential out of degree n
     suff = [[]]  # suff[n][k - 1]: rank of the last k rows of the differential into degree n
     for n, d in enumerate(tot.diffs):
-        ranks, pivots = reduce_columns(d.columns, field, range(d.cols))
+        ranks, pivots = reduce_columns(d.columns, field)
         pref.append(ranks)
         suff.append(row_suffix_ranks(pivots, tot.dim(n + 1)))
     pref.append([0] * tot.dim(hi))
@@ -420,7 +420,7 @@ def concentration_check(z: ZeemanComplex) -> ConcentrationResult:
 def _rank_only_dims(z: ZeemanComplex, maps: dict, step: tuple) -> dict:
     """Cohomology dimensions of the complexes made by ``maps``, each map
     going from (p, q) to (p + step[0], q + step[1]); ranks only."""
-    ranks = {k: rank(m, z.field) for k, m in maps.items()}
+    ranks = {k: rank(m) for k, m in maps.items()}
     dims: dict = {}
     for (p, q), pairs in z.blocks.items():
         d = len(pairs) - ranks.get((p, q), 0) - ranks.get((p - step[0], q - step[1]), 0)

@@ -52,8 +52,8 @@ def brute_reduced_cohomology_dims(faces, field: Field) -> dict:
     dims = {}
     for k in range(top + 1):
         n_k = len(by_card.get(k, []))
-        out_rank = rank(mats[k], field) if k in mats else 0
-        in_rank = rank(mats[k - 1], field) if (k - 1) in mats else 0
+        out_rank = rank(mats[k]) if k in mats else 0
+        in_rank = rank(mats[k - 1]) if (k - 1) in mats else 0
         h = n_k - out_rank - in_rank
         if h:
             dims[k - 1] = h  # degree shift: k vertices sit in degree k-1

@@ -50,8 +50,8 @@ def _echelon_basis(rays) -> tuple[tuple[int | Fraction, ...], ...]:
     relations = _relations(m.columns, QQ)[0]
     basis = []
     for pc in (j for j in range(m.cols) if j not in relations):
-        row = [QQ.zero()] * m.cols
-        row[pc] = QQ.one()
+        row = [0] * m.cols
+        row[pc] = 1
         for j, rel in relations.items():
             if pc in rel:
                 row[j] = -rel[pc]

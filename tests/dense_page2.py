@@ -25,7 +25,7 @@ def dense_page2_data(z: ZeemanComplex) -> _Page2Data:
     in page-1 coordinates.  Nothing is cached on ``z``."""
     field = z.field
     p1 = _page1_data(z)
-    summaries = {k: [densify(v, len(z.block(*k)), field) for v in vs] for k, vs in p1.summaries.items()}
+    summaries = {k: [densify(v, len(z.block(*k))) for v in vs] for k, vs in p1.summaries.items()}
 
     def dmat(p, q):
         m = p1.dmats.get((p, q))
@@ -50,21 +50,21 @@ def dense_page2_data(z: ZeemanComplex) -> _Page2Data:
         tgt_reps1 = summaries.get((p - 1, q + 2), ())
         cols = []
         for e in rlist:
-            zvec = [field.zero()] * len(z.block(p, q))
+            zvec = [0] * len(z.block(p, q))
             for c, rep in zip(e, src_reps1):
                 if c:
                     for i, x in enumerate(rep):
                         zvec[i] += c * x
             zvec = [field.reduce(x) for x in zvec]
-            v = z.vert(p, q).mul_vec(zvec, field) if z.block(p, q + 1) else ()
+            v = z.vert(p, q).mul_vec(zvec) if z.block(p, q + 1) else ()
             if any(v):
                 h = z.horiz(p - 1, q + 1)
                 w = dense_solve_in_subspace(v, [h.col(j) for j in range(h.cols)], field)
                 if w is None:
                     raise RuntimeError("page-2 class has a non-exact vertical image")
-                u = z.vert(p - 1, q + 1).mul_vec(w, field) if z.block(p - 1, q + 2) else ()
+                u = z.vert(p - 1, q + 1).mul_vec(w) if z.block(p - 1, q + 2) else ()
             else:
-                u = [field.zero()] * len(z.block(p - 1, q + 2))
+                u = [0] * len(z.block(p - 1, q + 2))
             if not tgt:
                 cols.append({})
                 continue

@@ -206,18 +206,16 @@ def dense_kernel_basis(m: Mat, field: Field) -> list[tuple]:
     if m.cols == 0:
         return []
     if m.rows == 0:
-        z, o = field.zero(), field.one()
-        return [tuple(o if i == j else z for i in range(m.cols)) for j in range(m.cols)]
-    rows = _dense_rows(m.over(field))
+        return [tuple(int(i == j) for i in range(m.cols)) for j in range(m.cols)]
+    rows = [[field.reduce(x) for x in row] for row in _dense_rows(m)]
     pivots = _rref(rows, field)
     pivot_set = set(pivots)
-    z, o = field.zero(), field.one()
     basis = []
     for j in range(m.cols):
         if j in pivot_set:
             continue
-        v = [z] * m.cols
-        v[j] = o
+        v = [0] * m.cols
+        v[j] = 1
         for t, pc in enumerate(pivots):
             e = rows[t][j]
             if e != 0:
@@ -230,8 +228,8 @@ def dense_image_basis(m: Mat, field: Field) -> list[tuple]:
     """The pivot columns of ``m``: a basis of its column space."""
     if m.rows == 0 or m.cols == 0:
         return []
-    m = m.over(field)
-    return [m.col(j) for j in _rref(_dense_rows(m), field)]
+    rows = [[field.reduce(x) for x in row] for row in _dense_rows(m)]
+    return [tuple(row[j] for row in rows) for j in _rref([list(row) for row in rows], field)]
 
 
 def dense_solve_in_subspace(target, generators, field: Field):
@@ -250,12 +248,12 @@ def dense_solve_in_subspace(target, generators, field: Field):
     if not gens:
         return () if all(x == 0 for x in target) else None
     if n == 0:
-        return (field.zero(),) * len(gens)
+        return (0,) * len(gens)
     rows = [[gens[k][i] for k in range(len(gens))] + [target[i]] for i in range(n)]
     pivots = _rref(rows, field)
     if len(gens) in pivots:
         return None
-    coeffs = [field.zero()] * len(gens)
+    coeffs = [0] * len(gens)
     for t, pc in enumerate(pivots):
         coeffs[pc] = rows[t][len(gens)]
     return tuple(coeffs)
@@ -298,7 +296,7 @@ def dense_mul_vec(m: Mat, v, field: Field) -> tuple:
     out = []
     for i in range(m.rows):
         base = i * m.cols
-        s = field.zero()
+        s = 0
         for j, x in enumerate(v):
             if x:
                 s += entries[base + j] * x
@@ -315,7 +313,7 @@ def dense_mul(m: Mat, other: Mat, field: Field) -> Mat:
     for i in range(m.rows):
         base = i * m.cols
         for j in range(other.cols):
-            s = field.zero()
+            s = 0
             for k in range(m.cols):
                 a = entries[base + k]
                 if a:
@@ -334,7 +332,7 @@ def dense_total_differentials(z: ZeemanComplex) -> list[Mat]:
     for n in range(len(labels) - 1):
         dom, cod = labels[n], labels[n + 1]
         cod_pos = index[n + 1]
-        rows = [[field.zero()] * len(dom) for _ in cod]
+        rows = [[0] * len(dom) for _ in cod]
         for j, ((p, q), pair) in enumerate(dom):
             jloc = blk_index[(p, q)][pair]
             h = z.horizontal.get((p, q))

@@ -61,7 +61,7 @@ def direct_total_resolution(fc: FaceComplex, field: Field = QQ) -> FaceModuleCom
         maps.append(Mat(len(cod), len(columns), columns, field))
 
     aug = [
-        field.reduce(diagonal_sign(fc.face(g).dim)) if g == f else field.zero()
+        field.reduce(diagonal_sign(fc.face(g).dim)) if g == f else 0
         for g, f in pair_lists[0]
     ]
     return FaceModuleComplex(fc, field, terms, maps, augmentation=aug, variant="total")

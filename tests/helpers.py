@@ -107,10 +107,9 @@ def cone_with_ids(sc: SimplicialComplex):
     return fc, {tuple(sorted(v for v in f.key[1])): f.id for f in fc.faces}
 
 
-def densify(v: dict, n: int, field) -> tuple:
+def densify(v: dict, n: int) -> tuple:
     """The sparse vector ``v`` as a dense tuple of length ``n``."""
-    z = field.zero()
-    return tuple(v.get(i, z) for i in range(n))
+    return tuple(v.get(i, 0) for i in range(n))
 
 
 def sparsify(v, field) -> dict:

@@ -25,8 +25,8 @@ def row_page1_data(z: ZeemanComplex) -> _Page1Data:
     for q in sorted({q for (_, q) in z.blocks}, reverse=True):
         labels = tuple(z.block(p, q) for p in range(z.pmax + 1))
         diffs = tuple(z.horiz(p, q) for p in range(z.pmax))
-        row = VSComplex(0, z.pmax, labels, diffs)
-        summary = cohomology_summary(row, field)
+        row = VSComplex(0, z.pmax, labels, diffs, field)
+        summary = cohomology_summary(row)
         for p in range(z.pmax + 1):
             r = summary.reps(p)
             if r:
@@ -35,7 +35,7 @@ def row_page1_data(z: ZeemanComplex) -> _Page1Data:
     for (p, q), rlist in sorted(reps.items()):
         tgt = reps.get((p, q + 1), ())
         cob = z.horiz(p - 1, q + 1)
-        generators = [list(densify(t, cob.rows, field)) for t in tgt]
+        generators = [list(densify(t, cob.rows)) for t in tgt]
         for j in range(cob.cols):
             generators.append(list(cob.col(j)))
         if not tgt:
@@ -44,9 +44,9 @@ def row_page1_data(z: ZeemanComplex) -> _Page1Data:
         cols = []
         vmat = z.vert(p, q)
         for rep in rlist:
-            v = vmat.mul_vec(densify(rep, vmat.cols, field), field) if vmat.rows else ()
+            v = vmat.mul_vec(densify(rep, vmat.cols)) if vmat.rows else ()
             if len(v) == 0:
-                cols.append([field.zero()] * len(tgt))
+                cols.append([0] * len(tgt))
                 continue
             sol = dense_solve_in_subspace(v, generators, field)
             if sol is None:

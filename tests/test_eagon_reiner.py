@@ -39,7 +39,7 @@ def test_dualize_hollow_triangle():
     dc = dualize(minimal_linear_resolution(fc, QQ))
     assert [sorted(len(s) for s in t) for t in dc.terms] == [[1, 1, 1], [2, 2, 2], [3]]
     assert dc.check_support()
-    assert dc.check_composition(QQ)
+    assert dc.check_composition()
     assert betti_from_dual(dc).same_entries(koszul_table(3))
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -314,6 +315,17 @@ def test_resolution_json_roundtrip(tmp_path, capsys):
     # the emitted certificates describe what we re-derive
     assert doc["certificates"]["exact"] is True
     assert doc["certificates"]["linear"] is True
+
+
+@pytest.mark.parametrize("key", ["id:99", "id:x", ["id", 1]])
+def test_resolution_term_key_naming_no_face_is_an_input_error(tmp_path, capsys, key):
+    hollow = write(tmp_path, "hollow.txt", POLY_HOLLOW_FLIPPED.replace("cover 1 4 +1", "cover 1 4 -1"))
+    assert run(["irres", hollow, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert resolution_from_doc(doc)[0].term_sizes() == (3, 3, 1)
+    doc["terms"][0][0] = key
+    with pytest.raises(InputFormatError, match=re.escape(f"terms[0][0]: no face with key {key!r}")):
+        resolution_from_doc(doc)
 
 
 def test_semigroup_json_roundtrip(tmp_path, capsys):

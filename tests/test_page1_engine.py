@@ -42,7 +42,7 @@ def assert_matches_row_reference(fc, field, a=None):
     assert p2.dims == ref2.dims
     assert list(p2.diffs.items()) == list(ref2.diffs.items())
     got, want = _page2_data(z), dense_page2_data(ref)
-    reps = {k: tuple(densify(v, len(new.summaries[k]), field) for v in vs) for k, vs in got.reps.items()}
+    reps = {k: tuple(densify(v, len(new.summaries[k])) for v in vs) for k, vs in got.reps.items()}
     assert list(reps.items()) == list(want.reps.items())
     assert list(got.d2.items()) == list(want.d2.items())
 
@@ -87,9 +87,9 @@ def test_each_face_summary_computed_once(monkeypatch, field):
     built_near = []
     summarize = cohomology.cohomology_summary
 
-    def counting(vs, fld):
+    def counting(vs):
         built_near.append(vs.basis(vs.lo))  # the upper set of g starts at g alone
-        return summarize(vs, fld)
+        return summarize(vs)
 
     monkeypatch.setattr(cohomology, "cohomology_summary", counting)
     is_cohen_macaulay(fc, field)

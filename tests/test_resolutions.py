@@ -99,7 +99,7 @@ def test_broken_augmentation_witness_is_the_first_failing_degree(field):
     degrees = evaluation_degrees(fc)
     for res in (total_resolution(fc, field), minimal_linear_resolution(fc, field)):
         aug = list(res.augmentation)
-        aug[res.terms[0].faces.index(edge)] = field.zero()
+        aug[res.terms[0].faces.index(edge)] = 0
         broken = FaceModuleComplex(fc, field, res.terms, res.maps, augmentation=aug)
         report = verify_exactness(broken)
         assert not report.exact
@@ -125,7 +125,7 @@ def test_minimal_resolution_hollow_triangle():
     assert is_linear(res)
     assert minimality_scan(res).pairs == ()
     assert minimality_scan(res).certificate_complete
-    assert res.augmentation == tuple([QQ.one()] * 3)
+    assert res.augmentation == tuple([1] * 3)
 
 
 def test_minimal_resolution_full_simplex():
@@ -292,3 +292,16 @@ def test_every_summand_is_a_face_of_the_complex():
         valid = {f.id for f in fc.faces}
         for term in res.terms:
             assert set(term.faces) <= valid
+
+
+def test_exactness_presumes_a_complex():
+    # W^0 = k[{1}]^2 with augmentation (1, 0) and the map [1 1] onto W^1 =
+    # k[{1}]: the ranks fit at every degree, but the map does not kill the
+    # augmentation, so only check_composition sees that this is no complex
+    fc, ids = cone_with_ids(SimplicialComplex.from_facets(1, [{1}]))
+    g = ids[(1,)]
+    res = FaceModuleComplex(
+        fc, QQ, [FaceModule((g, g)), FaceModule((g,))], [Mat.from_rows([[1, 1]], QQ)], augmentation=(1, 0)
+    )
+    assert verify_exactness(res).exact and res.check_block_support()
+    assert not res.check_composition()

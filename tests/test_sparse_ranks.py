@@ -133,25 +133,25 @@ def assert_mat_matches_dense(m: Mat, dense: list[list], field):
     assert_sparse(t)
     assert t == Mat.from_rows([[dense[i][j] for i in range(r)] for j in range(c)], field, r)
     for a, b in ((m, t), (t, m)):
-        ab = a.mul(b, field)
+        ab = a.mul(b)
         assert_sparse(ab)
         assert ab == dense_mul(a, b, field)
     for v in [m.row(i) for i in range(r)] + [(1,) * c, (0,) * c]:
-        assert m.mul_vec(v, field) == dense_mul_vec(m, v, field)
+        assert m.mul_vec(v) == dense_mul_vec(m, v, field)
 
 
 def assert_matches_dense(m: Mat, field, rng: random.Random):
-    assert rank(m, field) == dense_rank(m, field)
-    assert rank(m.transpose(), field) == rank(m, field)
+    assert rank(m) == dense_rank(m, field)
+    assert rank(m.transpose()) == rank(m)
     orders = random_orders(rng, m.cols)
     for order in orders:
-        assert reduce_columns(m.over(field).columns, field, order)[0] == dense_column_prefix_ranks(m, field, order)
+        assert reduce_columns([m.columns[j] for j in order], field)[0] == dense_column_prefix_ranks(m, field, order)
     # one reduction of all columns, in any order, gives every row-suffix rank
     reversed_rows = list(range(m.rows))[::-1]
     suffix = dense_column_prefix_ranks(m.transpose(), field, reversed_rows)
     cols = sparse_columns(m, field)
     for order in orders[1:3]:  # the identity and a permutation
-        ranks, pivots = reduce_columns(cols, field, order)
+        ranks, pivots = reduce_columns([cols[j] for j in order], field)
         assert ranks == dense_column_prefix_ranks(m, field, order)
         assert row_suffix_ranks(pivots, m.rows) == suffix
     assert cols == sparse_columns(m, field)  # the reduction leaves its input alone
@@ -182,23 +182,22 @@ def assert_eliminations_match_dense(m: Mat, field) -> tuple[int, int]:
     """Kernel, image, solves and representatives against the dense
     ``_rref``; returns how many targets were solvable and how many were
     not."""
-    ker, img = kernel_and_image(m, field)
-    assert ker == kernel_basis(m, field)
+    ker, img = kernel_and_image(m)
+    assert ker == kernel_basis(m)
     assert_sparse_vectors(ker, m.cols, field)
-    dense_ker = [densify(v, m.cols, field) for v in ker]
+    dense_ker = [densify(v, m.cols) for v in ker]
     assert_same(dense_ker, canonical(dense_kernel_basis(m, field), field))
     assert_image_matches_dense(img, canonical(dense_image_basis(m, field), field), m.rows, field)
-    assert len(ker) + rank(m, field) == m.cols
+    assert len(ker) + rank(m) == m.cols
     for v in dense_ker:
-        assert m.mul_vec(v, field) == (field.zero(),) * m.rows
-    mf = m.over(field)
-    gens = [mf.col(j) for j in range(m.cols)]
-    units = [tuple(field.one() if i == k else field.zero() for i in range(m.rows)) for k in range(m.rows)]
-    targets = units + gens + [m.mul_vec((1,) * m.cols, field), (0,) * m.rows]
+        assert m.mul_vec(v) == (0,) * m.rows
+    gens = [m.col(j) for j in range(m.cols)]
+    units = [tuple(1 if i == k else 0 for i in range(m.rows)) for k in range(m.rows)]
+    targets = units + gens + [m.mul_vec((1,) * m.cols), (0,) * m.rows]
     want = [canonical(dense_solve_in_subspace(t, gens, field), field) for t in targets]
 
     def dense_answers(answers):
-        return [None if a is None else densify(a, len(gens), field) for a in answers]
+        return [None if a is None else densify(a, len(gens)) for a in answers]
 
     sparse_gens = [sparsify(g, field) for g in gens]
     for t, w in zip(targets, want):
@@ -210,15 +209,15 @@ def assert_eliminations_match_dense(m: Mat, field) -> tuple[int, int]:
     # the image is reduced once and the kernel reduced against it
     pairs = [(dense_ker, [tuple(field.reduce(a + b) for a, b in zip(u, v)) for u, v in zip(dense_ker, dense_ker[1:])], m.cols)]
     if m.rows:
-        prod = mf.mul(mf.transpose(), field)
+        prod = m.mul(m.transpose())
         pairs.append((gens, [prod.col(j) for j in range(prod.cols)], m.rows))
     for kernel, image, n in pairs:
         sparse_kernel = [sparsify(v, field) for v in kernel]
         for im in (image, []):
-            reduced = kernel_and_image(Mat(n, len(im), [sparsify(v, field) for v in im], field), field)[1]
+            reduced = kernel_and_image(Mat(n, len(im), [sparsify(v, field) for v in im], field))[1]
             got = representatives(sparse_kernel, reduced, field)
             want_reps = canonical(dense_echelon_representatives(kernel, im, field), field)
-            assert_same(tuple(densify(v, n, field) for v in got), want_reps)
+            assert_same(tuple(densify(v, n) for v in got), want_reps)
     return sum(w is not None for w in want), sum(w is None for w in want)
 
 
@@ -240,13 +239,14 @@ def test_rational_matrices_ranked_over_f2():
     rng = random.Random(61)
     for _ in range(300):
         rows = random_matrix(rng, odd_denominators=True)
-        m = Mat.from_rows(rows, QQ)
+        mq = Mat.from_rows(rows, QQ)
+        m = Mat.from_rows(rows, GF(2), mq.cols)
         assert_matches_dense(m, GF(2), rng)
-        t = m.transpose()
-        assert m.mul(t, GF(2)) == dense_mul(m, t, GF(2))
-        assert m.mul_vec((1,) * m.cols, GF(2)) == dense_mul_vec(m, (1,) * m.cols, GF(2))
-        assert m.over(GF(2)) == Mat.from_rows(rows, GF(2), m.cols)
-        assert_mat_matches_dense(m.over(GF(2)), [[GF(2).reduce(x) for x in row] for row in rows], GF(2))
+        # the dense oracle reduces the rational products into F_2 at the end
+        assert m.mul(m.transpose()) == dense_mul(mq, mq.transpose(), GF(2))
+        assert m.mul_vec((1,) * m.cols) == dense_mul_vec(mq, (1,) * m.cols, GF(2))
+        assert dense_rank(mq, GF(2)) == rank(m)
+        assert_mat_matches_dense(m, [[GF(2).reduce(x) for x in row] for row in rows], GF(2))
         assert_eliminations_match_dense(m, GF(2))
 
 
@@ -254,9 +254,9 @@ def test_empty_shapes_and_orders():
     for field in FIELDS:
         for r, c in ((0, 0), (0, 4), (4, 0), (3, 3)):
             z = Mat.zeros(r, c, field)
-            assert rank(z, field) == 0
-            assert reduce_columns(z.columns, field, list(range(c)))[0] == [0] * c
-            assert reduce_columns(z.columns, field, [])[0] == []
+            assert rank(z) == 0
+            assert reduce_columns(z.columns, field)[0] == [0] * c
+            assert reduce_columns([], field)[0] == []
             assert_eliminations_match_dense(z, field)
         for rows in ([[1, 0, 1], [0, 0, 1]], [[0, 0], [0, 2]], [[0, 3, 0, 3]], [[0], [0], [5]]):
             assert_eliminations_match_dense(Mat.from_rows(rows, field), field)
@@ -270,7 +270,7 @@ def hand_made_complexes(field) -> list[VSComplex]:
     def vs(lo, dims, diffs):
         labels = tuple(tuple(range(d)) for d in dims)
         mats = tuple(Mat.from_rows(rows, field, dims[i]) for i, rows in enumerate(diffs))
-        return VSComplex(lo, lo + len(dims) - 1, labels, mats)
+        return VSComplex(lo, lo + len(dims) - 1, labels, mats, field)
 
     out = [
         vs(0, [0, 2, 0], [[[], []], []]),
@@ -301,10 +301,10 @@ def assert_summary_matches_dense(vs: VSComplex, field, summary: CohomologySummar
     [image | kernel], by value and by scalar type."""
     assert (summary.lo, summary.hi) == (vs.lo, vs.hi)
     for p in range(vs.lo, vs.hi + 1):
-        ker = dense_kernel_basis(vs.diff(p, field), field)
-        img = dense_image_basis(vs.diff(p - 1, field), field) if p > vs.lo else []
+        ker = dense_kernel_basis(vs.diff(p), field)
+        img = dense_image_basis(vs.diff(p - 1), field) if p > vs.lo else []
         want = canonical(dense_echelon_representatives(ker, img, field), field)
-        assert_same(tuple(densify(v, vs.dim(p), field) for v in summary.reps(p)), want)
+        assert_same(tuple(densify(v, vs.dim(p)) for v in summary.reps(p)), want)
         assert summary.dim(p) == len(want)
 
 
@@ -313,7 +313,7 @@ def test_cohomology_summary_matches_dense_oracle(field):
     cases = summary_cases(field)
     nonzero = 0
     for vs in cases:
-        summary = cohomology_summary(vs, field)
+        summary = cohomology_summary(vs)
         assert_summary_matches_dense(vs, field, summary)
         nonzero += summary.total() > 0
     assert len(cases) > 150 and nonzero > 20
@@ -324,7 +324,7 @@ def misseeded_summary(vs: VSComplex, field, own_image: bool) -> CohomologySummar
     that of d_p itself (``own_image``) or none."""
     reps = []
     for p in range(vs.lo, vs.hi + 1):
-        kernel, image = kernel_and_image(vs.diff(p, field), field)
+        kernel, image = kernel_and_image(vs.diff(p))
         reps.append(representatives(kernel, image if own_image else {}, field))
     return CohomologySummary(vs.lo, vs.hi, tuple(map(len, reps)), tuple(reps))
 

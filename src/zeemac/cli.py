@@ -28,6 +28,7 @@ from .resolutions import (
     minimal_linear_resolution,
     minimality_scan,
     total_resolution,
+    total_resolution_terms,
     verify_exactness,
 )
 from .zeeman import build, concentration_check, page
@@ -316,7 +317,6 @@ def _poly_str(coeffs) -> str:
 
 def _cmd_hilbert(bundle, args, out, doc) -> int:
     fc = bundle.fc
-    field = args.field
     if args.degree is not None:
         a = _parse_degree(args.degree, fc.ambient_dim)
         if a is None:
@@ -338,9 +338,8 @@ def _cmd_hilbert(bundle, args, out, doc) -> int:
         doc["faces-containing"] = [fc.face(i).label for i in on]
         doc["relative-interior-of"] = [fc.face(i).label for i in relint]
         if args.check_resolution:
-            res = total_resolution(fc, field)
             alt = 0
-            for i, term in enumerate(res.terms):
+            for i, term in enumerate(total_resolution_terms(fc)):
                 comp = sum(1 for g in term.faces if g in containing)
                 alt += (-1) ** i * comp
             quotient = 1 if on else 0
@@ -355,8 +354,7 @@ def _cmd_hilbert(bundle, args, out, doc) -> int:
     doc["denominator"] = f"(1-t)^{fc.ambient_dim}"
     out.append(f"coarse hilbert series of the quotient: ({_poly_str(num)}) / (1-t)^{fc.ambient_dim}")
     if args.check_resolution:
-        res = total_resolution(fc, field)
-        num2 = coarse_resolution_numerator(res)
+        num2 = coarse_resolution_numerator(fc, total_resolution_terms(fc))
         doc["resolution-numerator-coefficients"] = num2
         out.append(
             "resolution-side numerator: "

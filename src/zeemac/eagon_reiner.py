@@ -30,7 +30,10 @@ exactly:
   F = G & s for each facet G of the dual, since every face inside s lies
   in one of those.
 
-The remaining subsets are reduced with ``linalg.reduce_columns``, once.
+The remaining subsets are reduced once each, one cardinality block after
+another with clearing (``linalg.reduce_chain``): the coboundary squares to
+zero, so the column of a face that is a pivot row of the block below is
+skipped.
 ``reduced_cohomology_dims`` is the same routine evaluated at the full
 vertex set.  The oracle reads only the dual's facets: it shares nothing
 with the face-poset and local-cohomology store but the scalar field and
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 from .complexes import SimplicialComplex, VoidComplex
-from .linalg import Field, reduce_columns
+from .linalg import Field, reduce_chain
 from .resolutions import FaceModuleComplex
 
 
@@ -161,7 +164,10 @@ def betti_from_dual(dc: DualFreeComplex) -> BettiTable:
 class _Coboundary:
     """The reduced coboundary of one face family, built once and evaluated
     on any induced subcomplex (see the module docstring).  Faces are vertex
-    bitmasks whose bit order follows the vertex order."""
+    bitmasks whose bit order follows the vertex order, sorted by
+    cardinality; a face's index labels both its column and its row, so the
+    coboundary out of each cardinality block is one differential of a
+    chain that ``_eliminate`` reduces with clearing."""
 
     def __init__(self, masks, field: Field):
         self.field = field
@@ -170,6 +176,9 @@ class _Coboundary:
         self.vertices = 0
         for m in self.faces:
             self.vertices |= m
+        # the faces with k vertices are self.faces[starts[k]:starts[k + 1]]
+        sizes = Counter(m.bit_count() for m in self.faces)
+        self.starts = [0, *accumulate(sizes[k] for k in range(len(sizes)))]
         one, minus = field.reduce(1), field.reduce(-1)
         self.columns = []  # per face: (vertex bit, row, scalar) of each coface
         for m in self.faces:
@@ -212,17 +221,18 @@ class _Coboundary:
         return True
 
     def _eliminate(self, s: int) -> dict:
-        inside = [i for i, m in enumerate(self.faces) if not m & ~s]
-        cols = [{row: x for b, row, x in self.columns[i] if b & s} for i in inside]
-        ranks = reduce_columns(cols, self.field)[0]
-        # the faces come in cardinality order and the coboundary out of
-        # cardinality k lands in cardinality k + 1 alone, so the prefix
-        # rank at the end of a cardinality block sums the blocks' ranks
-        ends = list(accumulate(Counter(self.faces[i].bit_count() for i in inside).values()))
+        # One differential per cardinality block, from k to k + 1 vertices:
+        # a column is labelled by its face's index, and so is a row, so the
+        # blocks form a chain for clearing.
+        inside = [
+            [i for i in range(start, end) if not self.faces[i] & ~s]
+            for start, end in zip(self.starts, self.starts[1:])
+        ]
+        diffs = [[(i, {row: x for b, row, x in self.columns[i] if b & s}) for i in block] for block in inside]
         dims, rank_in = {}, 0
-        for k, (start, end) in enumerate(zip([0] + ends, ends)):
-            rank_out = ranks[end - 1] - (ranks[start - 1] if start else 0)
-            if h := end - start - rank_out - rank_in:
+        for k, (block, (_, pivots)) in enumerate(zip(inside, reduce_chain(diffs, self.field))):
+            rank_out = len(pivots)
+            if h := len(block) - rank_out - rank_in:
                 dims[k - 1] = h  # degree shift: k vertices sit in degree k-1
             rank_in = rank_out
         return dims

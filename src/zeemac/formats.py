@@ -22,7 +22,8 @@ the whole face lattice.  A bare ``facet`` line is the empty facet: alone
 it gives the complex {empty face}, whose quotient k[Q]/m = k is
 Cohen-Macaulay of dimension 0.  A malformed line (a word after the input
 kind, a missing or non-integer value, a ``vertices`` count outside
-``1..MAX_VERTICES`` (16), a second ``vertices`` or ``ambient`` line, a
+``1..MAX_VERTICES`` (16), a ``functional`` line past ``MAX_FUNCTIONALS``
+(12), a second ``vertices`` or ``ambient`` line, a
 facet that repeats a vertex or leaves ``1..vertices``, a ``cover`` with
 other than three integers, a ``face`` with more than an id, a dimension
 and one label, a cover that names an unknown face, a ``delta`` index
@@ -56,6 +57,7 @@ from .semigroup import AffineSemigroup, face_lattice
 
 
 MAX_VERTICES = 16  # the orthant N^d has 2^d faces, and exactness checks visit each one
+MAX_FUNCTIONALS = 12  # a cone cut out by n functionals can have 2^n faces, each enumerated
 
 
 class InputFormatError(ValueError):
@@ -173,7 +175,11 @@ def polyhedral_bundle(ambient: int, faces, covers) -> InputBundle:
 
 def semigroup_bundle(ambient: int, functionals, selectors) -> InputBundle:
     """The semigroup input from ``(where, functional)`` and ``(where,
-    delta indices)`` pairs; with no selectors, the whole face lattice."""
+    delta indices)`` pairs; with no selectors, the whole face lattice.
+    The functional count is checked before any face is enumerated."""
+    if len(functionals) > MAX_FUNCTIONALS:
+        where = functionals[MAX_FUNCTIONALS][0]
+        raise InputFormatError(f"{where}: more than {MAX_FUNCTIONALS} functionals; a semigroup input takes 1..{MAX_FUNCTIONALS}")
     for where, t in functionals:
         try:
             AffineSemigroup.primitive_functional(t, ambient)

@@ -39,6 +39,21 @@ pivoting in column order, and is reproducible.  The surviving columns of
 that same tagged reduction, tag rows stripped, are a reduced basis of the
 image (``kernel_and_image``), which a later reduction can start from
 (``reduce_columns``'s ``owner``) instead of eliminating the matrix again.
+
+A chain of differentials whose ranks alone are wanted is reduced with
+clearing (``reduce_chain``, the "twist" of Chen and Kerber): its premise is
+D_{n+1} D_n = 0, with the columns of D_{n+1} indexed like the rows of D_n
+and reduced in their order.  If a reduced column of D_n has pivot row i,
+then D_{n+1} applied to it is a relation with a nonzero coefficient at
+column i and otherwise only earlier columns, so column i of D_{n+1} lies
+in the span of the columns before it and reduces to zero: it is skipped,
+and every prefix rank and pivot comes out as without it.  Only rank-only paths use it: the terminal
+page, the page-1 row and column dimensions and the Hochster coboundary.
+The representative paths (``kernel_basis``, ``kernel_and_image`` and
+``_relations``) never clear, because their columns that reduce to zero
+are the kernel.  Neither does the exactness certificate, whose maps may
+come from a file and are not known to compose to zero: it ranks each map
+alone (``rank``).
 """
 
 from __future__ import annotations
@@ -335,6 +350,26 @@ def reduce_columns(cols, field: Field, owner=None) -> tuple[list[int], dict]:
                         del col[i]
         out.append(len(owner))
     return out, owner
+
+
+def reduce_chain(differentials, field: Field):
+    """``reduce_columns`` of each differential of a cochain complex, with
+    clearing.
+
+    ``differentials[n]`` yields the columns of D_n as ``(label, column)``
+    pairs in reduction order (``enumerate(m.columns)`` for a ``Mat``), and
+    the rows of D_n are labels of columns of D_{n+1}; the premise is
+    D_{n+1} D_n = 0 (see the module docstring).  The differentials are
+    reduced in order, and a column of D_{n+1} whose label is a pivot row
+    of D_n is not reduced: it lies in the span of the columns before it,
+    so its prefix rank repeats the one before.  Yields one ``(ranks,
+    pivots)`` per differential, equal to what ``reduce_columns`` gives on
+    its columns alone; only the last one is kept.
+    """
+    cleared: dict = {}
+    for pairs in differentials:
+        ranks, cleared = reduce_columns([{} if j in cleared else col for j, col in pairs], field)
+        yield ranks, cleared
 
 
 def row_suffix_ranks(pivots, nrows: int) -> list[int]:

@@ -119,12 +119,30 @@ def total_resolution(fc: FaceComplex, field: Field = QQ) -> FaceModuleComplex:
     total degree dim F - dim G is a copy of k[G], the copies come in the
     (dim G, G, F) order of ``total_complex``, and the maps and the diagonal
     augmentation are its differentials and augmentation."""
-    if len(fc.faces_of_dim(0)) != 1:
-        raise DegenerateComplexError("the complex must have a unique minimal face")
+    _require_unique_minimal_face(fc)
     tot = total_complex(build(fc, None, field))
     vs = tot.complex
     terms = [FaceModule(tuple(g for _, (_, g) in vs.basis(i))) for i in range(vs.hi + 1)]
     return FaceModuleComplex(fc, field, terms, vs.diffs, augmentation=tot.augmentation, variant="total")
+
+
+def total_resolution_terms(fc: FaceComplex) -> tuple[FaceModule, ...]:
+    """The terms of ``total_resolution(fc, field)``, the same over every
+    field, with no matrix built: term n holds one copy of k[G] for each
+    pair F >= G with dim F - dim G = n, in (dim G, G, F) order."""
+    _require_unique_minimal_face(fc)
+    pairs = sorted(
+        (fc.face(f).dim - g.dim, g.dim, g.id, f) for g in fc.faces for f in fc.above(g.id)
+    )
+    terms: list = [[] for _ in range(pairs[-1][0] + 1)]
+    for n, _, g, _ in pairs:
+        terms[n].append(g)
+    return tuple(FaceModule(tuple(t)) for t in terms)
+
+
+def _require_unique_minimal_face(fc: FaceComplex) -> None:
+    if len(fc.faces_of_dim(0)) != 1:
+        raise DegenerateComplexError("the complex must have a unique minimal face")
 
 
 def minimal_linear_resolution(fc: FaceComplex, field: Field = QQ) -> FaceModuleComplex:
@@ -203,7 +221,11 @@ def verify_exactness(c: FaceModuleComplex) -> ExactnessReport:
     ranks with dimensions only, so a sequence whose maps do not compose to
     zero can pass it.  Re-verifying a resolution read from outside
     therefore takes all three certificates: ``check_composition``,
-    ``check_block_support`` and this one.
+    ``check_block_support`` and this one.  For the same reason each
+    restricted map is ranked on its own (``linalg.rank``), never with
+    clearing (``linalg.reduce_chain``): clearing presumes that consecutive
+    maps compose to zero, which this check does not verify, and the maps
+    of a re-ingested file are untrusted.
 
     At each evaluation degree the component of k[G] is k exactly when the
     degree lies on G, the quotient's component is k exactly when the degree
@@ -324,15 +346,16 @@ def coarse_hilbert_numerator(fc: FaceComplex) -> list:
     return total
 
 
-def coarse_resolution_numerator(c: FaceModuleComplex) -> list:
+def coarse_resolution_numerator(fc: FaceComplex, terms) -> list:
     """Numerator over (1-t)^d of the alternating sum of the coarse Hilbert
-    series of the terms: each copy of k[G] contributes (1-t)^(d-dimG).
-    Equals ``coarse_hilbert_numerator`` wherever the resolution is exact."""
-    fc = c.fc
+    series of the face modules ``terms`` (a resolution's ``terms``, say):
+    each copy of k[G] contributes (1-t)^(d-dimG).  Equals
+    ``coarse_hilbert_numerator`` wherever the terms carry an exact
+    resolution of the quotient of ``fc``."""
     _require_simplicial_ambient(fc)
     d = fc.ambient_dim
     total = [0] * (d + 1)
-    for i, term in enumerate(c.terms):
+    for i, term in enumerate(terms):
         sign = -1 if i % 2 else 1
         for g in term.faces:
             pw = _one_minus_t_pow(d - fc.face(g).dim)

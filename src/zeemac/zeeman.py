@@ -25,6 +25,7 @@ from ranks of the whole rows, sharing no code with that assembly.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dfield
 
 from .cohomology import VSComplex, local_cohomology, local_complex, representatives, restriction_map
@@ -35,8 +36,7 @@ from .linalg import (
     QQ,
     _combine,
     kernel_and_image,
-    rank,
-    reduce_columns,
+    reduce_chain,
     row_suffix_ranks,
     solve_columns,
 )
@@ -326,9 +326,13 @@ def _infinity_dims(z: ZeemanComplex) -> dict:
     (q >= s) is a prefix of the columns of the differential out of that
     degree and a suffix of the rows of the one into it.  Reducing the
     columns of each differential gives both: the rank after every column
-    prefix, and from the pivot rows the rank of every row suffix.
+    prefix, and from the pivot rows the rank of every row suffix.  The
+    degrees are reduced in increasing order with clearing
+    (``linalg.reduce_chain``): the total differential squares to zero and
+    the columns out of degree n + 1 come in the order of the rows into it,
+    so the columns at the pivot rows of the differential into a degree are
+    skipped without changing any of these ranks.
     """
-    field = z.field
     tot = total_complex(z).complex
     hi = tot.hi
     qs_of = [
@@ -336,8 +340,7 @@ def _infinity_dims(z: ZeemanComplex) -> dict:
     ]
     pref = []  # pref[n][k - 1]: rank of the first k columns of the differential out of degree n
     suff = [[]]  # suff[n][k - 1]: rank of the last k rows of the differential into degree n
-    for n, d in enumerate(tot.diffs):
-        ranks, pivots = reduce_columns(d.columns, field)
+    for n, (ranks, pivots) in enumerate(reduce_chain([enumerate(d.columns) for d in tot.diffs], z.field)):
         pref.append(ranks)
         suff.append(row_suffix_ranks(pivots, tot.dim(n + 1)))
     pref.append([0] * tot.dim(hi))
@@ -359,17 +362,20 @@ def _infinity_dims(z: ZeemanComplex) -> dict:
             continue
         full_rank_prev = rank_prefix(n - 1, len(qs_of[n - 1])) if n > 0 else 0
 
-        def filtered_h(s: int) -> int:
-            k = sum(1 for q in qs if q >= s)
+        def filtered_h(k: int) -> int:
+            """Cohomology at degree n of the filtration step whose degree-n
+            part is the first k basis elements."""
             kerdim = k - rank_prefix(n, k)
-            below = sum(1 for q in qs if q < s)
-            imdim = full_rank_prev - rank_suffix_rows(n, below)
+            imdim = full_rank_prev - rank_suffix_rows(n, len(qs) - k)
             return kerdim - imdim
 
-        for q in sorted(set(qs)):
-            d = filtered_h(q) - filtered_h(q + 1)
+        below = 0  # basis elements with a smaller q
+        for q, size in sorted(Counter(qs).items()):
+            k = len(qs) - below  # basis elements with q' >= q
+            d = filtered_h(k) - filtered_h(k - size)
             if d:
                 dims[(n - q, q)] = d
+            below += size
     return dims
 
 
@@ -419,8 +425,23 @@ def concentration_check(z: ZeemanComplex) -> ConcentrationResult:
 
 def _rank_only_dims(z: ZeemanComplex, maps: dict, step: tuple) -> dict:
     """Cohomology dimensions of the complexes made by ``maps``, each map
-    going from (p, q) to (p + step[0], q + step[1]); ranks only."""
-    ranks = {k: rank(m) for k, m in maps.items()}
+    going from (p, q) to (p + step[0], q + step[1]); ranks only.
+
+    The maps along one line of ``step`` compose to zero, and the columns
+    of a map come in the block order of its source, which is the row order
+    of the map into that block, so each maximal run of consecutive maps is
+    reduced as one chain with clearing (``linalg.reduce_chain``).
+    """
+    ranks: dict = {}
+    for key in sorted(maps):
+        prev = (key[0] - step[0], key[1] - step[1])
+        if prev in maps:
+            continue  # not the start of a run
+        run = [key]
+        while (nxt := (run[-1][0] + step[0], run[-1][1] + step[1])) in maps:
+            run.append(nxt)
+        reduced = reduce_chain([enumerate(maps[k].columns) for k in run], z.field)
+        ranks.update((k, len(pivots)) for k, (_, pivots) in zip(run, reduced))
     dims: dict = {}
     for (p, q), pairs in z.blocks.items():
         d = len(pairs) - ranks.get((p, q), 0) - ranks.get((p - step[0], q - step[1]), 0)

@@ -157,7 +157,7 @@ def sweep_results():
                     if alt != quotient:
                         failures[8].append(f"{tag}: alternating sum {alt} != {quotient} at {a}")
                         break
-                if coarse_resolution_numerator(res) != hilbert_rhs:
+                if coarse_resolution_numerator(fc, res.terms) != hilbert_rhs:
                     failures[8].append(f"{tag}: coarse series identity fails")
     elapsed = time.perf_counter() - t0
     return len(complexes), elapsed, failures

@@ -1,0 +1,165 @@
+"""Clearing against the uncleared reductions of ``uncleared``.
+
+``linalg.reduce_chain`` skips the columns of D_{n+1} at the pivot rows of
+D_n.  Its ranks and pivots per differential, the terminal page, the page-1
+row and column dimensions, reduced cohomology and the Hochster table must
+equal those of the reductions that look at every column, on a random
+sweep over three fields, on the benchmark's spheres over GF(2), on RP^2
+over QQ and at nonzero lattice degrees.
+"""
+
+import math
+from itertools import combinations
+
+import pytest
+
+from zeemac import GF, QQ, SimplicialComplex, alexander_dual, betti_hochster, build, cone_of_simplicial, page, total_complex
+from zeemac.complexes import VoidComplex
+from zeemac.eagon_reiner import reduced_cohomology_dims
+from zeemac.linalg import reduce_chain
+from zeemac.resolutions import evaluation_degrees
+from zeemac.zeeman import horizontal_cohomology_dims, vertical_cohomology_dims
+
+from .helpers import RP2_FACETS, bowtie, d2_witness, random_sweep, rp2
+from .uncleared import (
+    coboundary_blocks,
+    uncleared_chain,
+    uncleared_infinity_dims,
+    uncleared_rank_only_dims,
+    uncleared_reduced_cohomology_dims,
+)
+
+FIELDS = (QQ, GF(2), GF(3))
+BD_SIMPLEX7 = list(combinations(range(1, 8), 6))
+CROSS4 = [(a, b, c, d) for a in (1, 5) for b in (2, 6) for c in (3, 7) for d in (4, 8)]
+SPHERES = {
+    "bd_simplex7": (7, BD_SIMPLEX7),
+    "bd_cross4": (8, CROSS4),
+    "rp2": (6, RP2_FACETS),
+    "bd_simplex7_whisker": (8, BD_SIMPLEX7 + [(1, 8)]),
+}
+
+
+def cases():
+    """``(label, simplicial complex, field)``."""
+    for k, sc in enumerate(random_sweep(24, 20251018)):
+        for field in FIELDS:
+            yield f"sweep{k}", sc, field
+    for name, (d, facets) in SPHERES.items():
+        yield name, SimplicialComplex.from_facets(d, [frozenset(f) for f in facets]), GF(2)
+    yield "rp2/QQ", rp2(), QQ
+
+
+CASES = list(cases())
+
+
+def runs(maps: dict, step: tuple) -> list:
+    """The maximal runs of consecutive maps along ``step``, each a list of
+    maps in chain order."""
+    out = []
+    for key in sorted(maps):
+        if (key[0] - step[0], key[1] - step[1]) in maps:
+            continue
+        run = [maps[key]]
+        while (key := (key[0] + step[0], key[1] + step[1])) in maps:
+            run.append(maps[key])
+        out.append(run)
+    return out
+
+
+def chains(z) -> list:
+    """Every chain ``reduce_chain`` sees for ``z``: the total differentials,
+    and the runs of horizontal and of vertical maps."""
+    total = [total_complex(z).complex.diffs]
+    return total + runs(z.horizontal, (1, 0)) + runs(z.vertical, (0, 1))
+
+
+def assert_chain_matches(mats, field):
+    pairs = [list(enumerate(m.columns)) for m in mats]
+    for left, right in zip(mats, mats[1:]):  # the premise of clearing
+        assert right.mul(left).is_zero()
+    assert list(reduce_chain(pairs, field)) == uncleared_chain(pairs, field)
+
+
+def assert_dims_match(z):
+    assert page(z, math.inf).dims == uncleared_infinity_dims(z)
+    assert horizontal_cohomology_dims(z) == uncleared_rank_only_dims(z, z.horizontal, (1, 0))
+    assert vertical_cohomology_dims(z) == uncleared_rank_only_dims(z, z.vertical, (0, 1))
+
+
+@pytest.mark.parametrize("label,sc,field", CASES, ids=[f"{c[0]}-{c[2]}" for c in CASES])
+def test_cleared_ranks_and_dims_match_the_uncleared_ones(label, sc, field):
+    z = build(cone_of_simplicial(sc), None, field)
+    for mats in chains(z):
+        assert_chain_matches(mats, field)
+    assert_dims_match(z)
+
+
+def test_clearing_skips_columns_on_the_spheres():
+    # not vacuous: on every sphere some column of some differential is cleared
+    for name, (d, facets) in SPHERES.items():
+        z = build(cone_of_simplicial(SimplicialComplex.from_facets(d, [frozenset(f) for f in facets])), None, GF(2))
+        diffs = total_complex(z).complex.diffs
+        reduced = reduce_chain([enumerate(m.columns) for m in diffs], GF(2))
+        cleared = sum(1 for (_, pivots), m in zip(reduced, diffs[1:]) for j in pivots if m.columns[j])
+        assert cleared > 0, name
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_cleared_dims_match_at_nonzero_degrees(field):
+    for sc in (bowtie(), d2_witness(), rp2()):
+        fc = cone_of_simplicial(sc)
+        for a in evaluation_degrees(fc)[1:]:
+            z = build(fc, a, field)
+            for mats in chains(z):
+                assert_chain_matches(mats, field)
+            assert_dims_match(z)
+
+
+def induced_families(sc):
+    """The faces of ``sc`` and of its Alexander dual, and of the subcomplex
+    each induces on every vertex subset of size at least 2."""
+    complexes = [sc]
+    dual = alexander_dual(sc)
+    if not isinstance(dual, VoidComplex):
+        complexes.append(dual)
+    for c in complexes:
+        faces = set(c.faces())
+        yield faces
+        vertices = sorted(set().union(*faces))
+        for size in range(2, len(vertices)):
+            for sigma in combinations(vertices, size):
+                yield {f for f in faces if f <= set(sigma)}
+
+
+@pytest.mark.parametrize("label,sc,field", [c for c in CASES if c[1].d <= 7], ids=[f"{c[0]}-{c[2]}" for c in CASES if c[1].d <= 7])
+def test_cleared_reduced_cohomology_matches_the_uncleared_one(label, sc, field):
+    for faces in induced_families(sc):
+        assert reduced_cohomology_dims(faces, field) == uncleared_reduced_cohomology_dims(faces, field)
+        blocks, _ = coboundary_blocks(faces, field)
+        assert list(reduce_chain(blocks, field)) == uncleared_chain(blocks, field)
+
+
+def uncleared_hochster(dual, field) -> dict:
+    """Hochster's formula, each induced subcomplex of the dual on its own:
+    beta_{i,sigma} = dim H~^{|sigma|-i-2} of the dual restricted to sigma."""
+    faces = set(dual.faces())
+    entries = {}
+    for size in range(1, dual.d + 1):
+        for sigma in map(frozenset, combinations(range(1, dual.d + 1), size)):
+            dims = uncleared_reduced_cohomology_dims({f for f in faces if f <= sigma}, field)
+            for i in range(size):
+                if h := dims.get(size - i - 2, 0):
+                    entries[(i, sigma)] = h
+    return entries
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_cleared_hochster_table_matches_the_uncleared_one(field):
+    # a longer sweep than the others: a wrongly cleared coboundary column
+    # often leaves the rank of the whole block unchanged
+    complexes = random_sweep(150, 20251018) + [sc for _, sc, f in CASES if f == field and sc.d <= 7]
+    for sc in complexes:
+        dual = alexander_dual(sc)
+        if not isinstance(dual, VoidComplex):
+            assert betti_hochster(dual, field).normalized() == uncleared_hochster(dual, field), sorted(map(sorted, sc.facets))

@@ -5,8 +5,9 @@ and by bytes, and every command runs on the result in process.  Whatever
 the input, ``cli.run`` must return an exit code in {0, 1, 2} without an
 escaping exception or a traceback on stderr, and an exit of 1 (a false
 verdict) must come with the command's verdict line.  Mutated files stay
-small: at most 6 vertices, and for semigroup inputs, which have no size
-guard, an ambient dimension of at most 3 and at most 6 functionals.
+small: at most 6 vertices, and for semigroup inputs, whose guard still
+admits 12 functionals, an ambient dimension of at most 3 and at most 6
+functionals.
 """
 
 import contextlib

@@ -222,6 +222,36 @@ def test_cli_rejects_too_many_vertices_without_building_faces(tmp_path, capsys, 
         assert f"1..{formats.MAX_VERTICES}" in captured.err
 
 
+def _moment_cone(count: int) -> str:
+    """The cone in ambient 3 cut out by (1, t, t^2) for t = 1..count: every
+    functional is a facet, and the face lattice has 2 * count + 2 faces."""
+    return "semigroup\nambient 3\n" + "".join(f"functional 1 {t} {t * t}\n" for t in range(1, count + 1))
+
+
+def test_cli_rejects_too_many_functionals_without_building_faces(tmp_path, capsys, monkeypatch):
+    limit = formats.MAX_FUNCTIONALS
+    assert limit == 12
+    at_limit = write(tmp_path, "at_limit.txt", _moment_cone(limit))
+    assert run(["validate", at_limit]) == 0
+    assert f"{2 * limit + 2} faces" in capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("faces were built for an input over the functional limit")
+
+    monkeypatch.setattr(formats, "AffineSemigroup", refuse)
+    monkeypatch.setattr(formats, "face_lattice", refuse)
+    for count in (limit + 1, 40):
+        path = write(tmp_path, f"f{count}.txt", _moment_cone(count))
+        assert run(["validate", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # line 1 is the kind, line 2 the ambient dimension
+        assert captured.err.startswith(f"error: line {limit + 3}: more than {limit} functionals")
+    doc = {"type": "semigroup", "ambient": 3, "functionals": [[1, t, t * t] for t in range(1, limit + 2)]}
+    with pytest.raises(InputFormatError, match=re.escape(f"functionals[{limit}]: more than {limit}")):
+        bundle_from_doc(doc)
+
+
 def test_cli_validate(tmp_path, capsys):
     good = write(tmp_path, "edge.txt", POLY_EDGE)
     assert run(["validate", good]) == 0

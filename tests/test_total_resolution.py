@@ -9,8 +9,10 @@ of every term, every map and the augmentation.
 import pytest
 
 from zeemac import GF, QQ, cone_of_simplicial, face_lattice, total_resolution
+from zeemac.complexes import Cover, DegenerateComplexError, Face, FaceComplex
 from zeemac.formats import parse_input_text
 from zeemac.linalg import Mat
+from zeemac.resolutions import total_resolution_terms
 
 from .direct_total_resolution import direct_total_resolution
 from .helpers import (
@@ -83,3 +85,20 @@ def test_total_resolution_orders_copies_by_dim_g_then_g_then_f(field):
         assert res.maps[i] == permuted
     assert res.augmentation == tuple(ref.augmentation[k] for k in perm[0])
     assert res.check_composition() and res.check_block_support()
+
+
+def test_total_resolution_terms_are_those_of_the_total_resolution():
+    complexes = [*fixtures(), parse_input_text(OUT_OF_ORDER).fc]
+    complexes += [cone_of_simplicial(sc) for sc in random_sweep(30, 4242)]
+    for fc in complexes:
+        terms = total_resolution_terms(fc)
+        for field in FIELDS:
+            assert terms == total_resolution(fc, field).terms
+
+
+def test_total_resolution_terms_need_a_unique_minimal_face():
+    fc = FaceComplex([Face(0, 0, "a"), Face(1, 0, "b"), Face(2, 1, "ab")], [Cover(0, 2, 1), Cover(1, 2, -1)], 2)
+    with pytest.raises(DegenerateComplexError):
+        total_resolution_terms(fc)
+    with pytest.raises(DegenerateComplexError):
+        total_resolution(fc, QQ)

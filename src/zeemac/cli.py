@@ -12,6 +12,7 @@ documents (resolutions re-ingest via formats).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -376,7 +377,10 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built by the first ``run`` and reused by the
+    rest: parsing arguments leaves it as it was."""
     ap = argparse.ArgumentParser(
         prog="zeemac",
         description="face complexes: validation, Cohen-Macaulay checks, double-complex pages, irreducible resolutions, dual Betti tables",
@@ -399,9 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -23,7 +23,7 @@ it gives the complex {empty face}, whose quotient k[Q]/m = k is
 Cohen-Macaulay of dimension 0.  A malformed line (a word after the input
 kind, a missing or non-integer value, a ``vertices`` count outside
 ``1..MAX_VERTICES`` (16), a ``functional`` line past ``MAX_FUNCTIONALS``
-(12), a second ``vertices`` or ``ambient`` line, a
+(13), a second ``vertices`` or ``ambient`` line, a
 facet that repeats a vertex or leaves ``1..vertices``, a ``cover`` with
 other than three integers, a ``face`` with more than an id, a dimension
 and one label, a cover that names an unknown face, a ``delta`` index
@@ -57,7 +57,7 @@ from .semigroup import AffineSemigroup, face_lattice
 
 
 MAX_VERTICES = 16  # the orthant N^d has 2^d faces, and exactness checks visit each one
-MAX_FUNCTIONALS = 12  # a cone cut out by n functionals can have 2^n faces, each enumerated
+MAX_FUNCTIONALS = 13  # a cone cut out by n functionals can have 2^n faces, each reduced once
 
 
 class InputFormatError(ValueError):
@@ -273,12 +273,29 @@ def _mat_to_doc(m: Mat) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": [str(x) for x in m.entries]}
 
 
+def _scalar_from_doc(s, field: Field):
+    """A document entry reduced into ``field``.  A string is read by
+    ``int`` first; what ``int`` rejects (``"-7/4"``, ``"1.5"``) and a JSON
+    number go to ``Fraction``, which raises for a bad entry."""
+    try:
+        x = int(s) if isinstance(s, str) else Fraction(s)
+    except ValueError:
+        x = Fraction(s)
+    return field.reduce(x)
+
+
 def _mat_from_doc(doc: dict, field: Field) -> Mat:
+    """The matrix of a ``_mat_to_doc`` document; its nonzero entries go
+    straight into the sparse columns."""
     rows, cols = doc["rows"], doc["cols"]
-    entries = [Fraction(s) for s in doc["entries"]]
+    entries = doc["entries"]
     if len(entries) != rows * cols:
         raise ValueError("entry count does not match rows*cols")
-    return Mat.from_rows((entries[i * cols : (i + 1) * cols] for i in range(rows)), field, cols)
+    columns = [{} for _ in range(cols)]
+    for k, s in enumerate(entries):
+        if s != "0" and (x := _scalar_from_doc(s, field)):
+            columns[k % cols][k // cols] = x
+    return Mat(rows, cols, columns, field)
 
 
 def complex_to_doc(bundle: InputBundle) -> dict:
@@ -365,7 +382,7 @@ def resolution_from_doc(doc: dict):
     maps = [_mat_from_doc(m, field) for m in doc["maps"]]
     aug = None
     if doc.get("augmentation") is not None:
-        aug = tuple(field.reduce(Fraction(s)) for s in doc["augmentation"])
+        aug = tuple(_scalar_from_doc(s, field) for s in doc["augmentation"])
     res = FaceModuleComplex(fc, field, terms, maps, augmentation=aug, variant=doc.get("variant", ""))
     return res, bundle, field
 

@@ -12,18 +12,28 @@ the complement of S, dimension |S|, interior point the 0/1 indicator of S
 and the unit vectors of S as rays.  The generic ray and face enumeration
 runs only for cones given by their functionals.
 
+The generic enumeration finds faces by vanishing set.  Each ray's
+vanishing set is computed once; restricting a face to a functional keeps
+the face's rays on which it vanishes, and the intersection of their
+vanishing sets names the candidate face.  A candidate already found costs
+nothing more.  A new face's ray matrix is reduced once: its dimension is
+d minus the number of column relations, and the relations are kept for
+the cover signs.
+
 Lattice membership goes through one evaluator: ``zero_set(a)`` evaluates
 each functional once and returns the functionals that vanish at ``a``
 (``None`` when ``a`` lies outside Q).  Then ``a`` lies on a face exactly
 when the face's vanishing set is contained in that zero set, and in its
 relative interior exactly when the two are equal.
 
-Incidence signs on the face lattice come from orientations: the sign of a
-cover (G, F) is the determinant sign of [rref basis of the span of G,
-interior point of F] expressed in the rref basis of the span of F.  It is
-read off the column relations of one sparse reduction of each face's ray
-matrix (``face_lattice``), with no dense elimination.  This satisfies the
-diamond axiom, which ``complexes.validate`` re-checks in the test suite.
+Covers on the face lattice come from rays: the faces covering G are among
+the joins of G with one ray off G, whose vanishing set is the
+intersection of the two.  Incidence signs come from orientations: the
+sign of a cover (G, F) is the determinant sign of [rref basis of the span
+of G, interior point of F] expressed in the rref basis of the span of F.
+It is read off the kept column relations of G and F (``face_lattice``),
+with no further elimination.  This satisfies the diamond axiom, which
+``complexes.validate`` re-checks in the test suite.
 """
 
 from __future__ import annotations
@@ -69,6 +79,16 @@ def _fraction_vector_to_primitive_int(v) -> tuple[int, ...]:
     return _primitive(ints)
 
 
+class _OrthantRelations(dict):
+    """The orthant's column relations by vanishing set, made when asked:
+    the ray matrix of the face vanishing on V has the zero column j, with
+    the relation {j: 1}, for each j in V, and independent unit columns
+    elsewhere."""
+
+    def __missing__(self, vanishing):
+        return {j: {j: 1} for j in vanishing}
+
+
 class AffineSemigroup:
     """Lattice points of a pointed, full-dimensional rational cone."""
 
@@ -81,10 +101,9 @@ class AffineSemigroup:
         self.rays = self._enumerate_rays()
         if not self.rays:
             raise ValueError("cone is not full-dimensional: no extreme rays found")
-        if rank(Mat.from_rows([list(r) for r in self.rays], QQ)) != d:
-            raise ValueError("cone is not full-dimensional: rays do not span")
-        self._faces = self._enumerate_faces()
-        self._faces_by_vanishing = {f.vanishing: f for f in self._faces}
+        n = len(self.functionals)
+        self._ray_vanishing = {r: frozenset(i for i in range(n) if self.evaluate(i, r) == 0) for r in self.rays}
+        self._enumerate_faces()
 
     @staticmethod
     def primitive_functional(t, d: int) -> tuple[int, ...]:
@@ -105,10 +124,12 @@ class AffineSemigroup:
         """N^d, cut out by the unit functionals, built in closed form.
 
         Equal to ``AffineSemigroup(d, unit functionals)`` in functionals,
-        rays, face order and rays per face, without the generic
+        rays, face order, rays and relations per face, without the generic
         enumeration: the face with coordinate support S vanishes on the
         complement of S, has dimension |S|, interior point the indicator
-        of S and the unit vectors of S as rays.
+        of S and the unit vectors of S as rays.  Each column j outside S of
+        their matrix is zero and has the relation {j: 1}; no other column
+        has one.
         """
         if d < 1:
             raise ValueError(f"cone is not full-dimensional: the orthant needs d >= 1, got {d}")
@@ -116,6 +137,7 @@ class AffineSemigroup:
         q.d = d
         q.functionals = tuple(tuple(1 if j == i else 0 for j in range(d)) for i in range(d))
         q.rays = tuple(reversed(q.functionals))  # sorted: e_{d-1} < ... < e_0
+        q._ray_vanishing = {q.functionals[i]: frozenset(range(d)) - {i} for i in range(d)}
         faces = []
         q._rays_of = {}
         for k in range(d + 1):  # the generic order: by dim, then sorted vanishing set
@@ -123,6 +145,7 @@ class AffineSemigroup:
                 vanishing = frozenset(vanishing)
                 faces.append(ConeFace(vanishing, k, tuple(0 if i in vanishing else 1 for i in range(d))))
                 q._rays_of[vanishing] = tuple(q.functionals[i] for i in reversed(range(d)) if i not in vanishing)
+        q._relations = _OrthantRelations()
         q._faces = tuple(faces)
         q._faces_by_vanishing = {f.vanishing: f for f in faces}
         return q
@@ -151,44 +174,48 @@ class AffineSemigroup:
                     break
         return tuple(sorted(found))
 
-    def _ray_vanishing(self, ray) -> frozenset:
-        return frozenset(i for i in range(len(self.functionals)) if self.evaluate(i, ray) == 0)
+    def _enumerate_faces(self) -> None:
+        """Every face, from the top face down by vanishing set.
 
-    def _enumerate_faces(self) -> tuple[ConeFace, ...]:
-        n = len(self.functionals)
-        all_idx = frozenset(range(n))
-        ray_vanish = {r: self._ray_vanishing(r) for r in self.rays}
+        Restricting a face to a functional that does not vanish on it keeps
+        the face's rays on which the functional vanishes; the intersection
+        of their vanishing sets is the candidate face's.  A new face's ray
+        matrix is reduced once: its dimension is d minus its number of
+        column relations.  The rays span exactly when the top face has
+        dimension d.
+        """
+        ray_vanishing = self._ray_vanishing
+        self._rays_of, self._relations = {}, {}
 
-        def face_from_rays(rays):
-            vanishing = all_idx
-            for r in rays:
-                vanishing &= ray_vanish[r]
-            interior = tuple(sum(r[j] for r in rays) for j in range(self.d))
-            dim = rank(Mat.from_rows([list(r) for r in rays], QQ))
-            return ConeFace(frozenset(vanishing), dim, interior), tuple(sorted(rays))
+        def add(vanishing, rays) -> ConeFace:
+            # integer entries are QQ scalars already: the columns go in as they are
+            columns = [{i: r[j] for i, r in enumerate(rays) if r[j]} for j in range(len(rays[0]))]
+            relations = _relations(columns, QQ)[0]
+            self._rays_of[vanishing] = rays
+            self._relations[vanishing] = relations
+            return ConeFace(vanishing, len(columns) - len(relations), tuple(map(sum, zip(*rays))))
 
-        faces: dict[frozenset, tuple[ConeFace, tuple]] = {}
-        top, top_rays = face_from_rays(list(self.rays))
-        faces[top.vanishing] = (top, top_rays)
-        frontier = [top_rays]
-        while frontier:
-            new_frontier = []
-            for rays in frontier:
-                for i in range(n):
-                    sub = tuple(r for r in rays if self.evaluate(i, r) == 0)
-                    if not sub or len(sub) == len(rays):
-                        continue
-                    cf, rr = face_from_rays(list(sub))
-                    if cf.vanishing not in faces:
-                        faces[cf.vanishing] = (cf, rr)
-                        new_frontier.append(rr)
-            frontier = new_frontier
-        minimal = ConeFace(all_idx, 0, (0,) * self.d)
-        out = [minimal] + [cf for cf, _ in faces.values()]
-        out.sort(key=lambda f: (f.dim, sorted(f.vanishing), f.interior_point))
-        self._rays_of = {cf.vanishing: rr for cf, rr in faces.values()}
+        top = add(frozenset.intersection(*ray_vanishing.values()), self.rays)
+        if top.dim != self.d:
+            raise ValueError("cone is not full-dimensional: rays do not span")
+        faces = [top]
+        for face in faces:  # appended to while read: breadth first from the top
+            rays = self._rays_of[face.vanishing]
+            for i in range(len(self.functionals)):
+                if i in face.vanishing:
+                    continue
+                sub = tuple(r for r in rays if i in ray_vanishing[r])
+                if sub:
+                    vanishing = frozenset.intersection(*(ray_vanishing[r] for r in sub))
+                    if vanishing not in self._rays_of:
+                        faces.append(add(vanishing, sub))
+        minimal = ConeFace(frozenset(range(len(self.functionals))), 0, (0,) * self.d)
         self._rays_of[minimal.vanishing] = ()
-        return tuple(out)
+        self._relations[minimal.vanishing] = {j: {j: 1} for j in range(self.d)}  # every column is zero
+        faces.append(minimal)
+        faces.sort(key=lambda f: (f.dim, sorted(f.vanishing), f.interior_point))
+        self._faces = tuple(faces)
+        self._faces_by_vanishing = {f.vanishing: f for f in faces}
 
     # -- public queries -----------------------------------------------------
 
@@ -199,16 +226,19 @@ class AffineSemigroup:
         """The face on which the given functionals (0-based) vanish; the
         vanishing set is closed up automatically."""
         given = frozenset(indices)
-        rays = [r for r in self.rays if all(self.evaluate(i, r) == 0 for i in given)]
-        if not rays:
+        on = [v for v in self._ray_vanishing.values() if given <= v]
+        if not on:
             return self._faces[0]
-        vanishing = frozenset(
-            i for i in range(len(self.functionals)) if all(self.evaluate(i, r) == 0 for r in rays)
-        )
-        return self._faces_by_vanishing[vanishing]
+        return self._faces_by_vanishing[frozenset.intersection(*on)]
 
     def rays_of(self, face: ConeFace) -> tuple:
         return self._rays_of[face.vanishing]
+
+    def relations_of(self, face: ConeFace) -> dict:
+        """The column relations of the face's ray matrix (rays as rows), as
+        ``linalg._relations`` gives them: ``{j: relation}`` for each of the
+        d - dim columns in the span of the columns before it."""
+        return self._relations[face.vanishing]
 
     def zero_set(self, a) -> frozenset | None:
         """The functionals (0-based) that vanish at ``a``, or ``None`` when
@@ -241,7 +271,14 @@ class AffineSemigroup:
 def face_lattice(q: AffineSemigroup) -> FaceComplex:
     """The full face lattice of the cone as a validated FaceComplex.
 
-    Each face's ray matrix (rays as rows) is reduced once; its pivot
+    Covers come from rays: the join of a face G with a ray r off G is the
+    face whose vanishing set is the intersection of theirs, and every
+    cover of G is such a join of dimension dim G + 1, so the covers take
+    O(faces x rays) set intersections.  They are listed by lower face,
+    then upper face.
+
+    Signs come from the column relations that ``relations_of`` keeps from
+    the one reduction of each face's ray matrix (rays as rows); the pivot
     columns P are the columns without a relation.  For a cover G < F, P_F
     is P_G and one more column e, G's relation r at e is 1 at e and
     otherwise nonzero only on P_G, and the sign is
@@ -252,13 +289,14 @@ def face_lattice(q: AffineSemigroup) -> FaceComplex:
     """
     cone_faces = list(q.faces())
     faces = [Face(i, cf.dim, cf.label(), key=("v", tuple(sorted(cf.vanishing)))) for i, cf in enumerate(cone_faces)]
-    relations = [_relations(Mat.from_rows(q.rays_of(cf), QQ, q.d).columns, QQ)[0] for cf in cone_faces]
+    index = {cf.vanishing: i for i, cf in enumerate(cone_faces)}
+    relations = [q.relations_of(cf) for cf in cone_faces]
+    ray_vanishing = q._ray_vanishing.values()
     covers = []
     for gi, g in enumerate(cone_faces):
-        for fi, f in enumerate(cone_faces):
-            # vanishing sets are closed, so this is the cover relation
-            if f.dim == g.dim + 1 and g.vanishing > f.vanishing:
-                covers.append(Cover(gi, fi, _cover_sign(relations[gi], relations[fi], f.interior_point)))
+        joins = {index[g.vanishing & v] for v in ray_vanishing}
+        for fi in sorted(fi for fi in joins if cone_faces[fi].dim == g.dim + 1):
+            covers.append(Cover(gi, fi, _cover_sign(relations[gi], relations[fi], cone_faces[fi].interior_point)))
     return FaceComplex(
         faces,
         covers,

@@ -1,13 +1,17 @@
+import contextlib
+import io
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
-from zeemac import QQ, SimplicialComplex, verify_exactness
-from zeemac import formats
+from zeemac import FieldMismatchError, GF, QQ, Mat, SimplicialComplex, verify_exactness
+from zeemac import cli, formats
 from zeemac.cli import _COMMANDS, run
 from zeemac.formats import (
     InputFormatError,
+    _mat_from_doc,
     bundle_from_doc,
     complex_to_doc,
     load_input,
@@ -230,7 +234,7 @@ def _moment_cone(count: int) -> str:
 
 def test_cli_rejects_too_many_functionals_without_building_faces(tmp_path, capsys, monkeypatch):
     limit = formats.MAX_FUNCTIONALS
-    assert limit == 12
+    assert limit == 13
     at_limit = write(tmp_path, "at_limit.txt", _moment_cone(limit))
     assert run(["validate", at_limit]) == 0
     assert f"{2 * limit + 2} faces" in capsys.readouterr().out
@@ -297,6 +301,89 @@ def test_cli_reports_deterministic(tmp_path, capsys):
     run(["irres", ht, "--format", "json"])
     j2 = capsys.readouterr().out
     assert j1 == j2
+
+
+def _captured_run(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_reuses_one_parser_and_each_run_prints_what_it_prints_first(tmp_path):
+    path = write(tmp_path, "rp2.txt", RP2)
+    runs = [
+        ["betti", path, "--multigraded"],
+        ["betti", path],
+        ["validate", path, "--no-such-flag"],
+        ["zeeman", path, "--page", "inf"],
+        ["zeeman", path],
+        ["cm-check", path, "--field", "p:2"],
+        ["cm-check", path, "--page", "2"],
+        ["cm-check", path],
+        ["zeeman", path, "--field", "p:2", "--degree", "1,1,1,1,1,1"],
+        ["zeeman", path],
+    ]
+    first = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        first.append(_captured_run(argv))
+    cli._parser.cache_clear()
+    again = [_captured_run(argv) for argv in runs]
+    assert cli._parser.cache_info().misses == 1  # one parser served every run
+    assert again == first
+    codes = [code for code, _, _ in first]
+    assert codes == [0, 0, 2, 0, 0, 1, 2, 0, 0, 0]  # RP2 is Cohen-Macaulay over QQ only
+    assert "multigraded entries:" in first[0][1] and "multigraded entries:" not in first[1][1]
+    assert "page: inf" in first[3][1] and "page: 1" in first[4][1]
+    assert "field: GF(2)" in first[5][1] and "field: QQ" in first[7][1]
+    assert "unrecognized arguments: --no-such-flag" in first[2][2] and first[2][1] == ""
+
+
+def test_cli_parse_error_goes_to_the_redirected_stderr(tmp_path, capsys):
+    path = write(tmp_path, "ht.txt", HOLLOW)
+    run(["validate", path])  # the parser exists before stderr is redirected
+    capsys.readouterr()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run(["zeeman", path, "--page", "7"]) == 2
+    assert "invalid choice: '7'" in err.getvalue()
+    assert capsys.readouterr().err == ""
+
+
+def _outcome(build):
+    try:
+        m = build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return m, [type(x) for x in m.entries]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_mat_from_doc_reads_every_entry_as_fraction_does(field):
+    # the value, its type and the error of each entry, alone and in a row
+    entries = ["0", "-3", "4/2", "-7/4", "1.5", 5, -2.5, 4.0, "-0", "1"]
+    for row in [[s] for s in entries] + [entries, entries[:3] + entries[7:]]:
+        doc = {"rows": 1, "cols": len(row), "entries": row}
+        want = _outcome(lambda: Mat.from_rows([[Fraction(s) for s in row]], field))
+        assert _outcome(lambda: _mat_from_doc(doc, field)) == want, row
+    column = {"rows": 3, "cols": 1, "entries": ["-3", "0", "4/2"]}
+    assert _mat_from_doc(column, field) == Mat.from_rows([[-3], [0], [2]], field)
+    assert _mat_from_doc({"rows": 0, "cols": 2, "entries": []}, field) == Mat.zeros(0, 2, field)
+
+
+def test_mat_from_doc_errors():
+    with pytest.raises(FieldMismatchError):
+        _mat_from_doc({"rows": 1, "cols": 2, "entries": ["1", "1/2"]}, GF(2))
+    with pytest.raises(ValueError, match="entry count does not match rows\\*cols"):
+        _mat_from_doc({"rows": 2, "cols": 2, "entries": ["1", "0", "1"]}, QQ)
+    for bad in ("x", "1/0", "", "1 2"):
+        with pytest.raises((ValueError, ZeroDivisionError)) as want:
+            Fraction(bad)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            _mat_from_doc({"rows": 1, "cols": 1, "entries": [bad]}, QQ)
+    with pytest.raises(TypeError):
+        _mat_from_doc({"rows": 1, "cols": 1, "entries": [None]}, QQ)
 
 
 def test_cli_dual_and_betti(tmp_path, capsys):

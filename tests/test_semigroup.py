@@ -14,6 +14,7 @@ from zeemac import (
 
 from .dense_orientation import _echelon_basis, dense_covers
 from .dense_ranks import dense_echelon_basis
+from .pairwise_faces import pairwise_covers, pairwise_faces
 from .helpers import assert_same, canonical, cube_cone, hexagon_cone, square_cone
 
 
@@ -149,6 +150,8 @@ def test_orthant_closed_form_equals_generic_enumeration():
         assert closed.faces() == generic.faces()  # same faces in the same order
         for f in generic.faces():
             assert closed.rays_of(f) == generic.rays_of(f)
+            assert closed.relations_of(f) == generic.relations_of(f)
+            assert len(generic.relations_of(f)) == d - f.dim
         for k in range(d + 1):
             for f in generic.faces():
                 sel = sorted(f.vanishing)[:k]
@@ -243,3 +246,34 @@ def test_cover_signs_match_the_dense_orientation_oracle():
             rays = q.rays_of(f)
             assert_same(_echelon_basis(rays), canonical(dense_echelon_basis(rays), QQ))
     assert checked > 3000 and nonsimplicial > 50
+
+
+def _moment_functionals(count: int, d: int):
+    return [tuple(t**j for j in range(d)) for t in range(1, count + 1)]
+
+
+def test_faces_and_covers_match_the_pairwise_oracle():
+    # faces found by vanishing set, one reduction each, and covers from rays
+    # equal the per-pair enumeration and the all-pairs cover search
+    cones = _oracle_cones() + [AffineSemigroup(8, _units(8)), AffineSemigroup(7, _moment_functionals(8, 7))]
+    for q in cones:
+        faces, rays_of = pairwise_faces(q)
+        assert [(f.vanishing, f.dim, f.interior_point) for f in q.faces()] == faces, q.functionals
+        assert {f.vanishing: q.rays_of(f) for f in q.faces()} == rays_of
+        got = [(c.lower, c.upper, c.sign) for c in face_lattice(q).covers]
+        assert got == pairwise_covers(faces, rays_of), q.functionals
+    assert len(cones[-2].faces()) == 256 and len(cones[-1].faces()) == 226
+
+
+def test_face_with_vanishing_equals_direct_evaluation():
+    # the closure read off cached ray vanishing sets equals the one that
+    # evaluates every functional on every ray
+    rng = random.Random(404)
+    for q in _oracle_cones()[::7]:
+        n = len(q.functionals)
+        for _ in range(10):
+            given = rng.sample(range(n), rng.randint(0, n))
+            rays = [r for r in q.rays if all(q.evaluate(i, r) == 0 for i in given)]
+            vanishing = frozenset(i for i in range(n) if all(q.evaluate(i, r) == 0 for r in rays))
+            want = next(f for f in q.faces() if f.vanishing == vanishing) if rays else q.faces()[0]
+            assert q.face_with_vanishing(given) == want

@@ -8,17 +8,25 @@ restriction maps between the cohomologies; the matrices returned here are
 scaled by the cover sign so they assemble directly into the vertical
 differential of the double complex and into minimal resolutions.
 
-Representative cocycles are the kernel basis vectors at the pivot columns
-of [image basis | kernel basis]: a kernel-modulo-image complement that the
+Representative cocycles are the canonical kernel vectors V_j of d_p (the
+relation of a column j to the columns before it, which ends in row j) at
+the columns j that are not pivot rows of d_{p-1}.  These are the kernel
+vectors that raise the rank when the kernel, in column order, is reduced
+against the image of d_{p-1}: a kernel-modulo-image complement that the
 matrices fix whatever the pivot rule, so every downstream matrix is
-reproducible byte for byte.  Each differential is reduced once
-(``linalg.kernel_and_image``): that one tagged reduction gives the kernel
-basis out of its degree and a reduced image basis in the next.  The
-representatives of degree p are the kernel vectors that still raise the
-rank when reduced against the image kept from degree p - 1, which are
-exactly those pivot columns.  The solves behind restriction maps come from
-the same sparse column reduction; each restriction block solves all of its
-cocycles in one reduction.
+reproducible byte for byte.  The differentials are reduced once each, in
+degree order, with clearing (``linalg.chain_representatives``): the
+columns of d_p at the pivot rows of d_{p-1} are skipped, and the relations
+that the tagged reduction still finds are exactly the representatives.
+The module docstring of ``linalg`` gives the argument; no kernel is
+reduced against an image a second time.  Its premise, d_{p+1} d_p = 0, is
+the incidence axiom, which ``complexes.validate`` checks and the CLI
+requires of every input.
+
+The restriction blocks into a face g' are solved together: one reduction
+of [representatives | coboundaries] near g' in degree p, followed by the
+cocycles of every face that covers g', gives the block from each cover at
+once.  They are stored per (g', p).
 
 A cochain complex carries its field, as each of its differentials does,
 and no operation on it takes the field again.  Each face complex keeps one
@@ -30,11 +38,12 @@ the double complex.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .complexes import FaceComplex, upper_set
-from .linalg import Field, Mat, kernel_and_image, reduce_columns, solve_columns
+from .linalg import Field, Mat, chain_representatives, solve_columns
 
 
 @dataclass(frozen=True)
@@ -116,50 +125,24 @@ def cochain_complex(fc: FaceComplex, g: int, field: Field) -> VSComplex:
     differential from F to a cover F' is the cover sign.
     """
     ups = upper_set(fc, g)
-    labels = tuple(ups.degree(p) for p in range(ups.lo, ups.hi + 1))
+    labels = ups.by_degree
+    signs = {s: field.reduce(s) for s in (1, -1)}
     diffs = []
-    for p in range(ups.lo, ups.hi):
-        dom = ups.degree(p)
-        cod = ups.degree(p + 1)
+    for dom, cod in zip(labels, labels[1:]):
         cod_index = {f: i for i, f in enumerate(cod)}
         columns = [
-            {cod_index[f2]: field.reduce(sign) for f2, sign in fc.covers_above(f) if f2 in cod_index}
+            {cod_index[f2]: signs[sign] for f2, sign in fc.covers_above(f) if f2 in cod_index}
             for f in dom
         ]
         diffs.append(Mat(len(cod), len(dom), columns, field))
     return VSComplex(ups.lo, ups.hi, labels, tuple(diffs), field)
 
 
-def representatives(kernel, image: dict, field: Field) -> tuple:
-    """Kernel vectors extending an image to a basis of the kernel.
-
-    ``kernel`` is a list of sparse vectors ``{index: scalar}`` (nonzero
-    scalars reduced into ``field``); ``image`` is a reduced basis of a
-    subspace of their span, as ``kernel_and_image`` returns it.  A kernel
-    vector is chosen when it lies outside the span of the image and of the
-    kernel vectors before it: the pivot columns of [image basis | kernel]
-    past the image, for any basis of that image, so representatives are
-    canonical.
-    """
-    if len(kernel) == len(image):
-        return ()  # the image is the whole kernel
-    ranks = reduce_columns(kernel, field, image)[0]
-    return tuple(v for v, r, before in zip(kernel, ranks, [len(image), *ranks]) if r > before)
-
-
 def cohomology_summary(vs: VSComplex) -> CohomologySummary:
     """Kernel-mod-image dimensions and echelon representatives per degree,
-    from one reduction of each differential."""
-    dims = []
-    reps = []
-    image: dict = {}  # reduced image of the differential into degree p
-    for p in range(vs.lo, vs.hi + 1):
-        kernel, next_image = kernel_and_image(vs.diff(p))
-        chosen = representatives(kernel, image, vs.field)
-        dims.append(len(chosen))
-        reps.append(chosen)
-        image = next_image
-    return CohomologySummary(vs.lo, vs.hi, tuple(dims), tuple(reps))
+    from one reduction of each differential, with clearing."""
+    reps = tuple(chosen for chosen, _ in chain_representatives(vs.diff(p) for p in range(vs.lo, vs.hi + 1)))
+    return CohomologySummary(vs.lo, vs.hi, tuple(map(len, reps)), reps)
 
 
 def _stored(fc: FaceComplex, field: Field, key, compute):
@@ -184,26 +167,35 @@ def local_cohomology(fc: FaceComplex, g: int, field: Field) -> CohomologySummary
     )
 
 
-def _restriction_core(fc: FaceComplex, g: int, g_prime: int, field: Field, p: int) -> Mat:
-    src, dst = local_complex(fc, g, field), local_complex(fc, g_prime, field)
-    src_reps = local_cohomology(fc, g, field).reps(p)
-    dst_reps = local_cohomology(fc, g_prime, field).reps(p)
-    sign = fc.cover_sign(g_prime, g)
-    rows = len(dst_reps)
-    cols = len(src_reps)
-    if rows == 0 or cols == 0:
-        return Mat.zeros(rows, cols, field)
+def _restriction_blocks(fc: FaceComplex, g_prime: int, field: Field, p: int) -> dict:
+    """``{g: block}`` for every face ``g`` covering ``g_prime``: the
+    sign-weighted degree-p restriction from near ``g`` to near ``g_prime``.
 
+    The cocycles of every cover, read in the basis near ``g_prime``, are
+    solved against [representatives | coboundaries] near ``g_prime`` in
+    one reduction; the coefficients on the representatives make the block.
+    """
+    dst_reps = local_cohomology(fc, g_prime, field).reps(p)
+    covers = [(g, sign, local_cohomology(fc, g, field).reps(p)) for g, sign in fc.covers_above(g_prime)]
+    rows = len(dst_reps)
+    if not rows or not any(reps for _, _, reps in covers):
+        return {g: Mat.zeros(rows, len(reps), field) for g, _, reps in covers}
+    dst = local_complex(fc, g_prime, field)
     dst_index = {f: i for i, f in enumerate(dst.basis(p))}
-    src_basis = src.basis(p)
-    generators = [*dst_reps, *dst.diff(p - 1).columns]
-    targets = [{dst_index[src_basis[i]]: x for i, x in rep.items()} for rep in src_reps]
-    out_cols = []
-    for sol in solve_columns(targets, generators, field):
-        if sol is None:
-            raise RuntimeError("a cocycle failed to reduce in the larger complex")
-        out_cols.append({i: field.reduce(sign * c) for i, c in sol.items() if i < rows})
-    return Mat(rows, cols, out_cols, field)
+    targets = []
+    for g, _, reps in covers:
+        basis = local_complex(fc, g, field).basis(p)
+        targets.extend({dst_index[basis[i]]: x for i, x in rep.items()} for rep in reps)
+    solutions = iter(solve_columns(targets, [*dst_reps, *dst.diff(p - 1).columns], field))
+    blocks = {}
+    for g, sign, reps in covers:
+        out_cols = []
+        for sol in itertools.islice(solutions, len(reps)):
+            if sol is None:
+                raise RuntimeError("a cocycle failed to reduce in the larger complex")
+            out_cols.append({i: field.reduce(sign * c) for i, c in sol.items() if i < rows})
+        blocks[g] = Mat(rows, len(reps), out_cols, field)
+    return blocks
 
 
 def restriction_map(fc: FaceComplex, g: int, g_prime: int, field: Field, p: int) -> Mat:
@@ -212,13 +204,15 @@ def restriction_map(fc: FaceComplex, g: int, g_prime: int, field: Field, p: int)
     ``g_prime`` must be a facet of ``g``; the matrix sends the stored
     representative basis near ``g`` into the one near ``g_prime``, scaled
     by the cover sign, by re-expressing each representative inside the
-    larger upper-set complex modulo coboundaries.
+    larger upper-set complex modulo coboundaries.  The blocks from every
+    face covering ``g_prime`` come from one solve, stored per
+    (``g_prime``, ``p``).
     """
     if not fc.is_cover(g_prime, g):
         raise ValueError(f"face {g_prime} is not a facet of face {g}")
     return _stored(
-        fc, field, ("restriction", g, g_prime, p), lambda: _restriction_core(fc, g, g_prime, field, p)
-    )
+        fc, field, ("restriction", g_prime, p), lambda: _restriction_blocks(fc, g_prime, field, p)
+    )[g]
 
 
 class CMResult(NamedTuple):

@@ -280,12 +280,12 @@ def upper_set(fc: FaceComplex, g: int) -> UpperSet:
     if not (0 <= g < len(fc.faces)):
         raise KeyError(f"unknown face id {g}")
     ids = sorted(fc.above(g))
-    lo = fc.face(g).dim
-    hi = max(fc.face(i).dim for i in ids)
-    by_degree = []
-    for p in range(lo, hi + 1):
-        by_degree.append(tuple(i for i in ids if fc.face(i).dim == p))
-    return UpperSet(g, lo, hi, tuple(by_degree))
+    dims = [fc.faces[i].dim for i in ids]
+    lo, hi = fc.face(g).dim, max(dims)
+    by_degree: list[list[int]] = [[] for _ in range(lo, hi + 1)]
+    for i, dim in zip(ids, dims):
+        by_degree[dim - lo].append(i)
+    return UpperSet(g, lo, hi, tuple(map(tuple, by_degree)))
 
 
 def validate(fc: FaceComplex) -> ValidationReport:

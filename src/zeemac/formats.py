@@ -29,7 +29,10 @@ other than three integers, a ``face`` with more than an id, a dimension
 and one label, a cover that names an unknown face, a ``delta`` index
 outside ``1..#functionals``, bytes that are not UTF-8) raises
 ``InputFormatError`` naming the line; so does a polyhedral input with no
-face, without a line to name.
+face, without a line to name.  A cone that is not pointed or not
+full-dimensional raises it naming the ``functional`` lines at fault (all
+of them when their rank falls short, else those that vanish on the whole
+cone) and the rank found.
 
 Resolutions serialize to JSON documents that embed the input complex, the
 terms (face keys per copy), the scalar block matrices, the augmentation
@@ -53,7 +56,7 @@ from .complexes import (
 )
 from .linalg import Field, Mat, parse_field
 from .resolutions import FaceModuleComplex, FaceModule
-from .semigroup import AffineSemigroup, face_lattice
+from .semigroup import AffineSemigroup, DegenerateConeError, face_lattice
 
 
 MAX_VERTICES = 16  # the orthant N^d has 2^d faces, and exactness checks visit each one
@@ -187,6 +190,8 @@ def semigroup_bundle(ambient: int, functionals, selectors) -> InputBundle:
             raise InputFormatError(f"{where}: {exc}") from None
     try:
         q = AffineSemigroup(ambient, [t for _, t in functionals])
+    except DegenerateConeError as exc:
+        raise InputFormatError(f"{', '.join(functionals[i][0] for i in exc.functionals)}: {exc}") from None
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
     full = face_lattice(q)

@@ -35,25 +35,43 @@ column in the span of the earlier ones has coefficient 1 at that column
 and is nonzero elsewhere only on earlier pivot columns, so it is fixed by
 the matrix whatever the pivot rule.  Every kernel basis returned here is
 therefore the one the reduced row echelon form gives, with first-nonzero
-pivoting in column order, and is reproducible.  The surviving columns of
-that same tagged reduction, tag rows stripped, are a reduced basis of the
-image (``kernel_and_image``), which a later reduction can start from
-(``reduce_columns``'s ``owner``) instead of eliminating the matrix again.
+pivoting in column order, and is reproducible.
 
-A chain of differentials whose ranks alone are wanted is reduced with
-clearing (``reduce_chain``, the "twist" of Chen and Kerber): its premise is
-D_{n+1} D_n = 0, with the columns of D_{n+1} indexed like the rows of D_n
-and reduced in their order.  If a reduced column of D_n has pivot row i,
-then D_{n+1} applied to it is a relation with a nonzero coefficient at
-column i and otherwise only earlier columns, so column i of D_{n+1} lies
-in the span of the columns before it and reduces to zero: it is skipped,
-and every prefix rank and pivot comes out as without it.  Only rank-only paths use it: the terminal
-page, the page-1 row and column dimensions and the Hochster coboundary.
-The representative paths (``kernel_basis``, ``kernel_and_image`` and
-``_relations``) never clear, because their columns that reduce to zero
-are the kernel.  Neither does the exactness certificate, whose maps may
-come from a file and are not known to compose to zero: it ranks each map
-alone (``rank``).
+A cochain complex is reduced with clearing (the "twist" of Chen and
+Kerber): the premise is D_{n+1} D_n = 0, with the columns of D_{n+1}
+indexed like the rows of D_n and reduced in their order, and the
+differentials are reduced in degree order.  If a reduced column of D_n
+has pivot row i, then D_{n+1} applied to it is a relation with a nonzero
+coefficient at column i and otherwise only earlier columns, so column i of
+D_{n+1} lies in the span of the columns before it and reduces to zero: it
+is skipped, and every prefix rank and pivot comes out as without it.  The
+rank-only paths (``reduce_chain``: the terminal page, the page-1 row and
+column dimensions, the Hochster coboundary) and the representative paths
+(``chain_representatives``: local cohomology near a face and page 2) both
+use it.
+
+Clearing gives cohomology representatives exactly.  The kernel of D_n has
+the canonical basis V_j, one per column j in the span of the columns
+before it, and V_j is 1 at j and zero past it: it ends in row j.  The
+image of D_{n-1} lies in that kernel, so each reduced image column ends
+in some such j, and the pivot rows P of D_{n-1} are among these j.  The
+reduced image columns together with the V_j for j outside P end in
+distinct rows, so they are independent, and there are dim ker D_n of
+them: they are a basis of the kernel, and the V_j for j outside P
+represent the cohomology.  They are exactly the kernel vectors that raise
+the rank when the kernel, in column order, is reduced against the image.
+A V_j with j in P does not: written in that basis, no term ends past row
+j (the last rows are distinct and cannot cancel) and no V_k ends in j, so
+it is a combination of image columns and of V_k with k < j.  A V_j with j
+outside P does, as nothing before it ends in row j.  So the
+representatives are the relations that the tagged reduction of D_n still
+finds once the columns in P are cleared.  A cleared column reduces to zero
+at once and owns only its own tag row, which no other column ends in, so
+no other column changes.
+
+The exactness certificate does not clear: its maps may come from a file
+and are not known to compose to zero, so it ranks each map alone
+(``rank``).
 """
 
 from __future__ import annotations
@@ -271,7 +289,7 @@ def _combine(columns, coefficients, field: Field) -> dict:
     return {i: y for i, x in acc.items() if (y := field.reduce(x))}
 
 
-def reduce_columns(cols, field: Field, owner=None) -> tuple[list[int], dict]:
+def reduce_columns(cols, field: Field) -> tuple[list[int], dict]:
     """Sparse column reduction of ``cols``.
 
     ``cols[j]`` is column j as ``{row: value}`` with nonzero reduced
@@ -283,22 +301,16 @@ def reduce_columns(cols, field: Field, owner=None) -> tuple[list[int], dict]:
     that holds a ``Fraction`` is first scaled to integers, and every column
     is reduced fraction-free, divided by its content after each step.
 
-    ``owner`` starts the reduction from columns reduced earlier: a
-    ``{pivot row: reduced column}`` dict in the form returned here, such as
-    the image of ``kernel_and_image``.  It is copied, not modified, and its
-    columns count in every rank.
-
     Returns ``(ranks, pivots)``: ``ranks[k]`` is the rank of the columns
-    ``cols[:k + 1]`` together with those of ``owner``, and ``pivots`` maps
-    the pivot row of every surviving column to that reduced column (a set
-    of rows over F_2, scaled to 1 at its pivot row over F_p, an integer
-    column over QQ).  The reduced matrix is the original times an
-    invertible matrix and its pivot rows are distinct, so the rank of the
-    rows ``>= r`` of the selected columns is the number of pivots ``>= r``
-    (``row_suffix_ranks``).
+    ``cols[:k + 1]``, and ``pivots`` maps the pivot row of every surviving
+    column to that reduced column (a set of rows over F_2, scaled to 1 at
+    its pivot row over F_p, an integer column over QQ).  The reduced matrix
+    is the original times an invertible matrix and its pivot rows are
+    distinct, so the rank of the rows ``>= r`` of the selected columns is
+    the number of pivots ``>= r`` (``row_suffix_ranks``).
     """
     p = field.p
-    owner = {} if owner is None else dict(owner)  # row -> the reduced column whose largest row it is
+    owner: dict = {}  # row -> the reduced column whose largest row it is
     out = []
     for col in cols:
         if p == 2:
@@ -372,6 +384,29 @@ def reduce_chain(differentials, field: Field):
         yield ranks, cleared
 
 
+def chain_representatives(differentials):
+    """Cohomology representatives of a cochain complex, from one tagged
+    reduction of each differential, with clearing.
+
+    ``differentials`` yields the ``Mat`` D_n out of each degree n in
+    increasing order, the last one out of the top degree (a map to the
+    zero space), and the rows of D_n index the columns of D_{n+1}; the
+    premise is D_{n+1} D_n = 0 (see the module docstring).  A column of
+    D_{n+1} at a pivot row of D_n is cleared: it is reduced as the zero
+    column.  Yields one ``(representatives, pivots)`` per degree: the
+    canonical kernel vectors of D_n (those of ``kernel_basis``) at the
+    columns that were not cleared, a basis of the cohomology in degree n,
+    and the set of pivot rows of D_n.
+    """
+    pivots: frozenset = frozenset()
+    for d in differentials:
+        n = d.cols
+        relations, owner = _relations([{} if j in pivots else col for j, col in enumerate(d.columns)], d.field)
+        representatives = tuple(v for j, v in relations.items() if j not in pivots)
+        pivots = frozenset(r - n for r in owner if r >= n)
+        yield representatives, pivots
+
+
 def row_suffix_ranks(pivots, nrows: int) -> list[int]:
     """Rank of the last k rows, for k = 1..nrows, of the columns whose
     reduction (``reduce_columns``) left the pivot rows ``pivots``."""
@@ -440,23 +475,3 @@ def kernel_basis(m: Mat) -> list[dict]:
     """A canonical basis of the right kernel of ``m``: the relation of each
     non-pivot column, a sparse vector that is 1 at that column."""
     return list(_relations(m.columns, m.field)[0].values())
-
-
-def kernel_and_image(m: Mat) -> tuple[list[dict], dict]:
-    """``(kernel, image)`` of ``m`` from one tagged reduction.
-
-    ``kernel`` is the canonical basis of ``kernel_basis``.  ``image`` maps
-    a pivot row to the matrix part of the column that owns it, tag rows
-    stripped, in the form ``reduce_columns`` keeps (a set of rows over
-    F_2, 1 at the pivot row over F_p, an integer column over QQ).  These
-    columns are a basis of the column space of ``m`` with distinct largest
-    rows, so a later ``reduce_columns`` can start from them as its
-    ``owner``.
-    """
-    n = m.cols
-    relations, owner = _relations(m.columns, m.field)
-    if m.field.p == 2:
-        image = {r - n: {i - n for i in col if i >= n} for r, col in owner.items() if r >= n}
-    else:
-        image = {r - n: {i - n: x for i, x in col.items() if i >= n} for r, col in owner.items() if r >= n}
-    return list(relations.values()), image

@@ -79,6 +79,20 @@ def _fraction_vector_to_primitive_int(v) -> tuple[int, ...]:
     return _primitive(ints)
 
 
+class DegenerateConeError(ValueError):
+    """The functionals cut out a cone that is not pointed or not
+    full-dimensional.  ``functionals`` holds the 0-based indices of the
+    functionals at fault and ``rank`` the rank found: of all the
+    functionals when the cone is not pointed, of the cone's rays when it is
+    not full-dimensional, where the named functionals vanish on the whole
+    cone."""
+
+    def __init__(self, message: str, functionals, rank: int):
+        super().__init__(message)
+        self.functionals = tuple(functionals)
+        self.rank = rank
+
+
 class _OrthantRelations(dict):
     """The orthant's column relations by vanishing set, made when asked:
     the ray matrix of the face vanishing on V has the zero column j, with
@@ -95,13 +109,15 @@ class AffineSemigroup:
     def __init__(self, d: int, functionals):
         self.d = d
         self.functionals = tuple(self.primitive_functional(t, d) for t in functionals)
-        tau = Mat.from_rows(list(self.functionals), QQ)
-        if rank(tau) != d:
-            raise ValueError("cone is not pointed: the functionals do not have full rank")
+        n = len(self.functionals)
+        r = rank(Mat.from_rows(list(self.functionals), QQ))
+        if r != d:
+            raise DegenerateConeError(f"cone is not pointed: the functionals have rank {r}, not {d}", range(n), r)
         self.rays = self._enumerate_rays()
         if not self.rays:
-            raise ValueError("cone is not full-dimensional: no extreme rays found")
-        n = len(self.functionals)
+            raise DegenerateConeError(
+                f"cone is not full-dimensional: it is the apex alone, of rank 0, not {d}", range(n), 0
+            )
         self._ray_vanishing = {r: frozenset(i for i in range(n) if self.evaluate(i, r) == 0) for r in self.rays}
         self._enumerate_faces()
 
@@ -197,7 +213,12 @@ class AffineSemigroup:
 
         top = add(frozenset.intersection(*ray_vanishing.values()), self.rays)
         if top.dim != self.d:
-            raise ValueError("cone is not full-dimensional: rays do not span")
+            raise DegenerateConeError(
+                f"cone is not full-dimensional: its rays have rank {top.dim}, not {self.d}, "
+                f"and these functionals vanish on all of it",
+                sorted(top.vanishing),
+                top.dim,
+            )
         faces = [top]
         for face in faces:  # appended to while read: breadth first from the top
             rays = self._rays_of[face.vanishing]

@@ -28,14 +28,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field as dfield
 
-from .cohomology import VSComplex, local_cohomology, local_complex, representatives, restriction_map
+from .cohomology import VSComplex, local_cohomology, local_complex, restriction_map
 from .complexes import FaceComplex, MissingGeometryError
 from .linalg import (
     Field,
     Mat,
     QQ,
     _combine,
-    kernel_and_image,
+    chain_representatives,
     reduce_chain,
     row_suffix_ranks,
     solve_columns,
@@ -120,13 +120,14 @@ def build(fc: FaceComplex, a=None, field: Field = QQ) -> ZeemanComplex:
     blocks = {k: tuple(sorted(v)) for k, v in blocks.items()}
     index = {k: {pair: i for i, pair in enumerate(v)} for k, v in blocks.items()}
 
+    signs = {s: field.reduce(s) for s in (1, -1)}
     vertical: dict = {}
     horizontal: dict = {}
     for (p, q), pairs in blocks.items():
         if (p, q + 1) in blocks:
             idx = index[(p, q + 1)]
             columns = [
-                {idx[(f, g2)]: field.reduce(sign) for g2, sign in fc.covers_below(g) if (f, g2) in idx}
+                {idx[(f, g2)]: signs[sign] for g2, sign in fc.covers_below(g) if (f, g2) in idx}
                 for f, g in pairs
             ]
             vertical[(p, q)] = Mat(len(idx), len(pairs), columns, field)
@@ -134,7 +135,7 @@ def build(fc: FaceComplex, a=None, field: Field = QQ) -> ZeemanComplex:
             idx = index[(p + 1, q)]
             twist = -1 if q % 2 else 1
             columns = [
-                {idx[(f2, g)]: field.reduce(twist * sign) for f2, sign in fc.covers_above(f) if (f2, g) in idx}
+                {idx[(f2, g)]: signs[twist * sign] for f2, sign in fc.covers_above(f) if (f2, g) in idx}
                 for f, g in pairs
             ]
             horizontal[(p, q)] = Mat(len(idx), len(pairs), columns, field)
@@ -278,14 +279,17 @@ def _page2_data(z: ZeemanComplex) -> _Page2Data:
             return Mat.zeros(len(p1.summaries.get((p, q + 1), ())), len(p1.summaries.get((p, q), ())), field)
         return m
 
-    # one reduction per d1: its kernel at (p, q), its image at (p, q + 1)
-    reduced = {key: kernel_and_image(dmat(*key)) for key in p1.summaries}
+    # each column p of page 1 is a cochain complex under d1: one reduction
+    # per d1, in q order, with clearing
+    rows_of: dict = {}  # p -> the q of every page-1 block in column p
+    for p, q in p1.summaries:
+        rows_of.setdefault(p, []).append(q)
     reps2: dict = {}
-    for p, q in sorted(p1.summaries):
-        image = reduced[(p, q - 1)][1] if (p, q - 1) in reduced else {}
-        chosen = representatives(reduced[(p, q)][0], image, field)
-        if chosen:
-            reps2[(p, q)] = chosen
+    for p, rows in sorted(rows_of.items()):
+        qs = range(min(rows), max(rows) + 1)
+        for q, (chosen, _) in zip(qs, chain_representatives(dmat(p, q) for q in qs)):
+            if chosen:
+                reps2[(p, q)] = chosen
 
     # d2 by zigzag, one solve per step and bidegree: lift each class to a
     # horizontal cocycle x, push it down (v = vert x), pull v back

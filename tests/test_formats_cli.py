@@ -486,3 +486,36 @@ def test_cli_json_for_verdict_commands(tmp_path, capsys):
     assert run(["hilbert", ht, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["numerator-coefficients"] == [1, 0, 0, -1]
+
+
+DEGENERATE_CONES = {  # each exits 2 naming the functional lines at fault and the rank found
+    "half_plane": ("semigroup\nambient 2\nfunctional 1 0\n", "line 3: cone is not pointed: the functionals have rank 1, not 2"),
+    "two_lines_in_space": (
+        "semigroup\nambient 3\nfunctional 1 0 0\n# a comment\nfunctional 0 1 0\n",
+        "line 3, line 5: cone is not pointed: the functionals have rank 2, not 3",
+    ),
+    "ray_in_the_plane": (
+        "semigroup\nambient 2\nfunctional 0 1\nfunctional 1 0\nfunctional -1 0\n",
+        "line 4, line 5: cone is not full-dimensional: its rays have rank 1, not 2",
+    ),
+    "apex_alone": (
+        "semigroup\nambient 1\nfunctional 1\nfunctional -1\n",
+        "line 3, line 4: cone is not full-dimensional: it is the apex alone, of rank 0, not 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_CONES))
+def test_cli_degenerate_cone_names_the_functional_lines_and_the_rank(tmp_path, capsys, name):
+    text, message = DEGENERATE_CONES[name]
+    assert run(["validate", write(tmp_path, f"{name}.txt", text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert "Traceback" not in captured.err
+
+
+def test_semigroup_doc_with_a_degenerate_cone_names_the_functional_items():
+    doc = {"type": "semigroup", "ambient": 2, "functionals": [[0, 1], [1, 0], [-1, 0]]}
+    with pytest.raises(InputFormatError, match=re.escape("functionals[1], functionals[2]: cone is not full-dimensional")):
+        bundle_from_doc(doc)

@@ -10,7 +10,6 @@ from zeemac.linalg import (
     GF,
     Mat,
     QQ,
-    kernel_and_image,
     kernel_basis,
     rank,
     reduce_columns,
@@ -24,6 +23,7 @@ from zeemac.resolutions import FaceModule, FaceModuleComplex
 
 from .dense_ranks import dense_kernel_basis, dense_solve_in_subspace
 from .helpers import assert_same, canonical, densify, sparsify
+from .uncleared import kernel_and_image
 
 F2 = GF(2)
 

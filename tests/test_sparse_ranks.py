@@ -14,10 +14,11 @@ dimensions.  Kernels, solves (one at a time and in one batch) and echelon
 representatives, all read off the same column reduction, must equal what
 the dense ``_rref`` gave, value for value and scalar type for scalar type,
 once the oracle's scalars are put in canonical form (over QQ an ``int`` when integral).  The reduced image
-that the kernel's own reduction leaves must span what the dense pivot
-columns span, and the per-degree cohomology summary, which reduces each
-differential once, must equal the dense kernel, image and representative
-selection degree by degree.
+that the kernel's own reduction leaves (``uncleared.kernel_and_image``)
+must span what the dense pivot columns span, and the per-degree
+cohomology summary, which reduces each differential once with clearing,
+must equal the dense kernel, image and representative selection degree
+by degree.
 """
 
 import itertools
@@ -28,10 +29,9 @@ from fractions import Fraction
 import pytest
 
 from zeemac import GF, QQ, SimplicialComplex, build, cone_of_simplicial, face_lattice, page, total_complex
-from zeemac.cohomology import CohomologySummary, VSComplex, cochain_complex, cohomology_summary, representatives
+from zeemac.cohomology import CohomologySummary, VSComplex, cochain_complex, cohomology_summary
 from zeemac.linalg import (
     Mat,
-    kernel_and_image,
     kernel_basis,
     rank,
     reduce_columns,
@@ -63,6 +63,7 @@ from .helpers import (
     square_cone,
     square_cone_two_facets,
 )
+from .uncleared import kernel_and_image, representatives
 
 FIELDS = (QQ, GF(2), GF(3), GF(2**61 - 1))
 

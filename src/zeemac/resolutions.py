@@ -117,27 +117,25 @@ def total_resolution(fc: FaceComplex, field: Field = QQ) -> FaceModuleComplex:
     """The total complex of the double complex at the ordinary degree, read
     as a complex of face modules: the copy indexed by the pair (F, G) of
     total degree dim F - dim G is a copy of k[G], the copies come in the
-    (dim G, G, F) order of ``total_complex``, and the maps and the diagonal
-    augmentation are its differentials and augmentation."""
+    (dim G, G, F) order of ``build``, and the maps and the diagonal
+    augmentation are the differentials and augmentation of
+    ``total_complex``."""
     _require_unique_minimal_face(fc)
-    tot = total_complex(build(fc, None, field))
-    vs = tot.complex
-    terms = [FaceModule(tuple(g for _, (_, g) in vs.basis(i))) for i in range(vs.hi + 1)]
-    return FaceModuleComplex(fc, field, terms, vs.diffs, augmentation=tot.augmentation, variant="total")
+    z = build(fc, None, field)
+    tot = total_complex(z)
+    return FaceModuleComplex(fc, field, _terms(z), tot.complex.diffs, augmentation=tot.augmentation, variant="total")
 
 
 def total_resolution_terms(fc: FaceComplex) -> tuple[FaceModule, ...]:
     """The terms of ``total_resolution(fc, field)``, the same over every
-    field, with no matrix built: term n holds one copy of k[G] for each
-    pair F >= G with dim F - dim G = n, in (dim G, G, F) order."""
+    field, read off the pairs of ``build`` with no matrix built."""
     _require_unique_minimal_face(fc)
-    pairs = sorted(
-        (fc.face(f).dim - g.dim, g.dim, g.id, f) for g in fc.faces for f in fc.above(g.id)
-    )
-    terms: list = [[] for _ in range(pairs[-1][0] + 1)]
-    for n, _, g, _ in pairs:
-        terms[n].append(g)
-    return tuple(FaceModule(tuple(t)) for t in terms)
+    return _terms(build(fc))
+
+
+def _terms(z) -> tuple[FaceModule, ...]:
+    """One copy of k[G] per pair (F, G), term by term in the pair order of ``z``."""
+    return tuple(FaceModule(tuple(g for _, (_, g) in level)) for level in z.labels)
 
 
 def _require_unique_minimal_face(fc: FaceComplex) -> None:

@@ -8,6 +8,15 @@ horizontal differential acts on the F index through cofacet covers and
 carries the row twist (-1)^q, which makes the two differentials
 anticommute and the total differential square to zero.
 
+``build`` only lists the pairs, in one order: by total degree
+dim F - dim G, then (dim G, G, F).  Each block (p, q) is then a
+contiguous range of its total degree, its pairs in (G, F) order, and
+each horizontal or vertical block map is a row-and-column range of one
+total differential.  One method, ``ZeemanComplex._column``, writes the
+entries from the covers; the total differentials, the block maps of
+``horiz``/``vert`` and the whole rows behind the page-1 dimensions all
+come from it, each when it is asked for.
+
 Taking horizontal cohomology first gives the spectral sequence exposed by
 ``page``: page 0 is the raw double complex with its horizontal maps,
 page 1 the horizontal cohomology with the induced vertical maps, page 2
@@ -57,12 +66,15 @@ class ZeemanComplex:
     fc: FaceComplex
     field: Field
     degree: tuple | None  # None means the ordinary (all-zero) degree
-    blocks: dict  # (p, q) -> tuple of (f_id, g_id) pairs
-    vertical: dict  # (p, q) -> Mat into (p, q+1)
-    horizontal: dict  # (p, q) -> Mat into (p+1, q)
+    labels: tuple  # total degree n -> tuple of ((p, q), (f_id, g_id)) in (dim G, G, F) order
+    pos: dict  # (f_id, g_id) -> position of the pair in its total degree
+    blocks: dict  # (p, q) -> tuple of (f_id, g_id) pairs in (G, F) order
     _page1: object = dfield(default=None, repr=False)
     _page2: object = dfield(default=None, repr=False)
     _total: object = dfield(default=None, repr=False)
+
+    def __post_init__(self):
+        self._signs = {s: self.field.reduce(s) for s in (1, -1)}
 
     @property
     def pmax(self) -> int:
@@ -71,17 +83,42 @@ class ZeemanComplex:
     def block(self, p: int, q: int) -> tuple:
         return self.blocks.get((p, q), ())
 
+    def _column(self, f: int, g: int, vertical: bool, horizontal: bool, start: int = 0) -> dict:
+        """The column of the pair (f, g) in the differential out of its
+        total degree, at total positions less ``start``: the vertical part
+        through the facet covers of g, the horizontal part through the
+        cofacet covers of f with the row twist (-1)^q.  At ``start`` 0 the
+        row indices are the ints of ``pos`` themselves, not one copy per
+        entry, which keeps the total complex small."""
+        fc, pos, signs = self.fc, self.pos, self._signs
+        col = {}
+        if vertical:
+            for g2, sign in fc.covers_below(g):
+                i = pos.get((f, g2))  # None when g2 is not admitted
+                if i is not None:
+                    col[i - start if start else i] = signs[sign]
+        if horizontal:
+            twist = -1 if fc.face(g).dim % 2 else 1
+            for f2, sign in fc.covers_above(f):
+                i = pos[(f2, g)]
+                col[i - start if start else i] = signs[twist * sign]
+        return col
+
+    def _block_map(self, p: int, q: int, target: tuple, vertical: bool) -> Mat:
+        """The block map from (p, q) into ``target``: the rows and columns
+        of the total differential at the two blocks."""
+        rows = self.block(*target)
+        start = self.pos[rows[0]] if rows else 0
+        columns = [self._column(f, g, vertical, not vertical, start) for f, g in self.block(p, q)]
+        return Mat(len(rows), len(columns), columns, self.field)
+
     def vert(self, p: int, q: int) -> Mat:
-        m = self.vertical.get((p, q))
-        if m is None:
-            return Mat.zeros(len(self.block(p, q + 1)), len(self.block(p, q)), self.field)
-        return m
+        """The vertical block map from (p, q) into (p, q + 1), written on demand."""
+        return self._block_map(p, q, (p, q + 1), True)
 
     def horiz(self, p: int, q: int) -> Mat:
-        m = self.horizontal.get((p, q))
-        if m is None:
-            return Mat.zeros(len(self.block(p + 1, q)), len(self.block(p, q)), self.field)
-        return m
+        """The horizontal block map from (p, q) into (p + 1, q), written on demand."""
+        return self._block_map(p, q, (p + 1, q), False)
 
 
 def _check_degree(a, d: int) -> tuple | None:
@@ -98,7 +135,12 @@ def _check_degree(a, d: int) -> tuple | None:
 
 
 def build(fc: FaceComplex, a=None, field: Field = QQ) -> ZeemanComplex:
-    """Assemble the double complex of ``fc`` at lattice degree ``a``.
+    """List the pairs of the double complex of ``fc`` at lattice degree ``a``.
+
+    Total degree n = dim F - dim G holds its pairs in (dim G, G, F) order,
+    so each block (p, q) is one contiguous range of them, in (G, F) order.
+    No matrix is built: ``total_complex``, ``horiz`` and ``vert`` write
+    theirs from the covers when asked.
 
     ``a=None`` (or the zero vector) gives the ordinary degree, which needs
     no geometry; any other degree requires the complex to carry its
@@ -115,31 +157,13 @@ def build(fc: FaceComplex, a=None, field: Field = QQ) -> ZeemanComplex:
     for g in sorted(admitted):
         qg = -fc.face(g).dim
         for f in sorted(fc.above(g)):
-            key = (fc.face(f).dim, qg)
-            blocks.setdefault(key, []).append((f, g))
-    blocks = {k: tuple(sorted(v)) for k, v in blocks.items()}
-    index = {k: {pair: i for i, pair in enumerate(v)} for k, v in blocks.items()}
-
-    signs = {s: field.reduce(s) for s in (1, -1)}
-    vertical: dict = {}
-    horizontal: dict = {}
-    for (p, q), pairs in blocks.items():
-        if (p, q + 1) in blocks:
-            idx = index[(p, q + 1)]
-            columns = [
-                {idx[(f, g2)]: signs[sign] for g2, sign in fc.covers_below(g) if (f, g2) in idx}
-                for f, g in pairs
-            ]
-            vertical[(p, q)] = Mat(len(idx), len(pairs), columns, field)
-        if (p + 1, q) in blocks:
-            idx = index[(p + 1, q)]
-            twist = -1 if q % 2 else 1
-            columns = [
-                {idx[(f2, g)]: signs[twist * sign] for f2, sign in fc.covers_above(f) if (f2, g) in idx}
-                for f, g in pairs
-            ]
-            horizontal[(p, q)] = Mat(len(idx), len(pairs), columns, field)
-    return ZeemanComplex(fc, field, a, blocks, vertical, horizontal)
+            blocks.setdefault((fc.face(f).dim, qg), []).append((f, g))
+    by_degree: dict = {}
+    for p, q in sorted(blocks, key=lambda k: -k[1]):  # dim G ascending
+        by_degree.setdefault(p + q, []).extend(((p, q), pair) for pair in blocks[(p, q)])
+    labels = tuple(tuple(by_degree.get(n, ())) for n in range(max(by_degree, default=0) + 1))
+    pos = {pair: i for level in labels for i, (_, pair) in enumerate(level)}
+    return ZeemanComplex(fc, field, a, labels, pos, {k: tuple(v) for k, v in blocks.items()})
 
 
 @dataclass(frozen=True)
@@ -151,49 +175,22 @@ class AugmentedTotal:
 
 
 def total_complex(z: ZeemanComplex) -> AugmentedTotal:
-    """Collapse to total degrees; the degree-n term collects pairs with
-    dim F - dim G = n, ordered by (dim G, G, F): small dim G first, so the
+    """The total complex on the pairs of ``build``, written from the covers
+    on first call and kept.  Degree n holds the pairs with
+    dim F - dim G = n in (dim G, G, F) order: small dim G first, so the
     row filtration reads off column prefixes.  The augmentation hits the
-    diagonal pairs (F, F) with the alternating sign pattern that makes it
-    a cocycle."""
-    if z._total is not None:
-        return z._total
-    field = z.field
-    by_total: dict[int, list] = {}
-    for (p, q), pairs in z.blocks.items():
-        by_total.setdefault(p + q, []).extend(((p, q), pair) for pair in pairs)
-    hi = max(by_total) if by_total else 0
-    labels = []
-    for n in range(hi + 1):
-        entries = by_total.get(n, [])
-        entries.sort(key=lambda t: (-t[0][1], t[1][1], t[1][0]))  # (dim G, G, F)
-        labels.append(tuple(entries))
-    index = [
-        {lab: i for i, lab in enumerate(level)} for level in labels
-    ]
-    # The block maps hold reduced nonzero scalars already: copy their
-    # columns into those of the total differentials.
-    columns = [[{} for _ in labels[n]] for n in range(hi)]
-    for maps, step in ((z.horizontal, (1, 0)), (z.vertical, (0, 1))):
-        for (p, q), m in maps.items():
-            src, tgt = (p, q), (p + step[0], q + step[1])
-            n = p + q
-            cod = [index[n + 1][(tgt, pair)] for pair in z.blocks[tgt]]
-            for pair, col in zip(z.blocks[src], m.columns):
-                target = columns[n][index[n][(src, pair)]]
-                for i, x in col.items():
-                    target[cod[i]] = x
-    diffs = tuple(Mat(len(labels[n + 1]), len(labels[n]), cols, field) for n, cols in enumerate(columns))
-    vs = VSComplex(0, hi, tuple(labels), diffs, field)
-    aug = []
-    for (pq, (f, g)) in labels[0]:
-        if f == g:
-            aug.append(field.reduce(diagonal_sign(z.fc.face(f).dim)))
-        else:  # total degree 0 forces dim F = dim G, hence F = G
-            aug.append(0)
-    result = AugmentedTotal(vs, tuple(aug))
-    z._total = result
-    return result
+    diagonal pairs (F, F), the only ones of total degree 0, with the
+    alternating sign pattern that makes it a cocycle."""
+    if z._total is None:
+        labels = z.labels
+        diffs = tuple(
+            Mat(len(cod), len(dom), [z._column(f, g, True, True) for _, (f, g) in dom], z.field)
+            for dom, cod in zip(labels, labels[1:])
+        )
+        vs = VSComplex(0, len(labels) - 1, labels, diffs, z.field)
+        aug = tuple(z._signs[diagonal_sign(z.fc.face(f).dim)] for _, (f, _) in labels[0])
+        z._total = AugmentedTotal(vs, aug)
+    return z._total
 
 
 @dataclass(frozen=True)
@@ -232,20 +229,20 @@ def _page1_data(z: ZeemanComplex) -> _Page1Data:
     fc, field = z.fc, z.field
     reps: dict = {}
     owners: dict = {}  # (p,q) -> (face, index among its representatives) per rep
-    # The pivots of a block-diagonal row are those of its blocks, so its
-    # representatives are the per-face ones, ordered by their last nonzero pair.
+    # Row q is block-diagonal over its faces and a block lists them in
+    # turn, each in its local basis order, so the representatives of the
+    # row are the per-face ones shifted by a running offset, already in
+    # the order of their last nonzero pair.
     for (p, q), pairs in sorted(z.blocks.items(), key=lambda item: (-item[0][1], item[0][0])):
-        pos = {pair: i for i, pair in enumerate(pairs)}
-        found = []
-        for g in sorted({g for _, g in pairs}):
-            basis = local_complex(fc, g, field).basis(p)
+        vecs, who, offset = [], [], 0
+        for g in dict.fromkeys(g for _, g in pairs):
             for k, rep in enumerate(local_cohomology(fc, g, field).reps(p)):
-                vec = {pos[(basis[i], g)]: x for i, x in rep.items()}
-                found.append((max(vec), vec, (g, k)))
-        if found:
-            found.sort(key=lambda t: t[0])
-            reps[(p, q)] = tuple(vec for _, vec, _ in found)
-            owners[(p, q)] = [owner for _, _, owner in found]
+                vecs.append({offset + i: x for i, x in rep.items()})
+                who.append((g, k))
+            offset += len(local_complex(fc, g, field).basis(p))
+        if vecs:
+            reps[(p, q)] = tuple(vecs)
+            owners[(p, q)] = who
     dmats: dict = {}
     for (p, q), src in sorted(owners.items()):
         row_of = {owner: i for i, owner in enumerate(owners.get((p, q + 1), ()))}
@@ -339,9 +336,7 @@ def _infinity_dims(z: ZeemanComplex) -> dict:
     """
     tot = total_complex(z).complex
     hi = tot.hi
-    qs_of = [
-        [pq[1] for (pq, _) in tot.basis(n)] for n in range(hi + 1)
-    ]
+    qs_of = [[q for ((_, q), _) in level] for level in tot.labels]
     pref = []  # pref[n][k - 1]: rank of the first k columns of the differential out of degree n
     suff = [[]]  # suff[n][k - 1]: rank of the last k rows of the differential into degree n
     for n, (ranks, pivots) in enumerate(reduce_chain([enumerate(d.columns) for d in tot.diffs], z.field)):
@@ -415,7 +410,8 @@ class ConcentrationResult:
 def concentration_check(z: ZeemanComplex) -> ConcentrationResult:
     """Whether page 1 is concentrated in the column of the top dimension.
 
-    The dimensions come from ranks of the whole-row matrices of ``build``
+    The dimensions come from ranks of the whole rows of the double
+    complex, written block by block from the covers
     (``horizontal_cohomology_dims``), not from the per-face engine behind
     ``page(z, 1)`` and ``is_cohen_macaulay``, so agreement between this
     check and the Cohen-Macaulay verdict is a real cross-check.
@@ -427,27 +423,30 @@ def concentration_check(z: ZeemanComplex) -> ConcentrationResult:
     return ConcentrationResult(not violations, n, violations)
 
 
-def _rank_only_dims(z: ZeemanComplex, maps: dict, step: tuple) -> dict:
-    """Cohomology dimensions of the complexes made by ``maps``, each map
-    going from (p, q) to (p + step[0], q + step[1]); ranks only.
+def _rank_only_dims(z: ZeemanComplex, block_map, step: tuple) -> dict:
+    """Cohomology dimensions of the complexes made by the block maps
+    ``block_map(p, q)`` from (p, q) to (p + step[0], q + step[1]); ranks
+    only.
 
     The maps along one line of ``step`` compose to zero, and the columns
     of a map come in the block order of its source, which is the row order
-    of the map into that block, so each maximal run of consecutive maps is
-    reduced as one chain with clearing (``linalg.reduce_chain``).
+    of the map into that block, so the maps along each maximal line of
+    blocks are written one at a time and reduced as one chain with
+    clearing (``linalg.reduce_chain``).
     """
+    blocks = z.blocks
     ranks: dict = {}
-    for key in sorted(maps):
-        prev = (key[0] - step[0], key[1] - step[1])
-        if prev in maps:
-            continue  # not the start of a run
-        run = [key]
-        while (nxt := (run[-1][0] + step[0], run[-1][1] + step[1])) in maps:
-            run.append(nxt)
-        reduced = reduce_chain([enumerate(maps[k].columns) for k in run], z.field)
+    for start in sorted(blocks):
+        if (start[0] - step[0], start[1] - step[1]) in blocks:
+            continue  # not the start of a line
+        line = [start]
+        while (nxt := (line[-1][0] + step[0], line[-1][1] + step[1])) in blocks:
+            line.append(nxt)
+        run = line[:-1]
+        reduced = reduce_chain((enumerate(block_map(*k).columns) for k in run), z.field)
         ranks.update((k, len(pivots)) for k, (_, pivots) in zip(run, reduced))
     dims: dict = {}
-    for (p, q), pairs in z.blocks.items():
+    for (p, q), pairs in blocks.items():
         d = len(pairs) - ranks.get((p, q), 0) - ranks.get((p - step[0], q - step[1]), 0)
         if d:
             dims[(p, q)] = d
@@ -456,9 +455,9 @@ def _rank_only_dims(z: ZeemanComplex, maps: dict, step: tuple) -> dict:
 
 def horizontal_cohomology_dims(z: ZeemanComplex) -> dict:
     """Dimensions of the row-wise (horizontal-first) cohomology: page 1."""
-    return _rank_only_dims(z, z.horizontal, (1, 0))
+    return _rank_only_dims(z, z.horiz, (1, 0))
 
 
 def vertical_cohomology_dims(z: ZeemanComplex) -> dict:
     """Dimensions of the column-wise (vertical-first) cohomology."""
-    return _rank_only_dims(z, z.vertical, (0, 1))
+    return _rank_only_dims(z, z.vert, (0, 1))

@@ -3,7 +3,8 @@
 ``dense_rank`` and ``dense_column_prefix_ranks`` eliminate row by row over
 whole dense rows: fraction-free over the integers for QQ (each row scaled
 to integers first), mod p otherwise.  ``dense_total_differentials``
-assembles the total complex through dense rows and ``Mat.from_rows``, and
+writes the total complex from the covers through dense rows and
+``Mat.from_rows``, and
 ``dense_infinity_dims`` reads the terminal page off ranks of explicit
 submatrices of those differentials.  ``dense_mul`` and ``dense_mul_vec``
 are the row-major loops of the dense ``Mat`` that the sparse one replaced.
@@ -323,31 +324,30 @@ def dense_mul(m: Mat, other: Mat, field: Field) -> Mat:
 
 
 def dense_total_differentials(z: ZeemanComplex) -> list[Mat]:
-    """The differentials of ``total_complex(z)``, assembled as dense rows."""
-    field = z.field
+    """The differentials of ``total_complex(z)``, assembled as dense rows
+    in its basis order with every entry written from the covers: the
+    facet-cover sign of G, and the cofacet-cover sign of F times the row
+    twist (-1)^dim G.  At a nonzero degree only the pairs whose G contains
+    the degree are present.  Neither ``build``'s block maps nor its
+    column writer is read."""
+    fc, field = z.fc, z.field
+    admitted = {g.id for g in fc.faces} if z.degree is None else fc.faces_containing(z.degree)
     labels = total_complex(z).complex.labels
-    index = [{lab: i for i, lab in enumerate(level)} for level in labels]
-    blk_index = {k: {pair: i for i, pair in enumerate(v)} for k, v in z.blocks.items()}
+    pairs = [((fc.face(f).dim, -fc.face(g).dim), (f, g)) for g in admitted for f in fc.above(g)]
+    assert sorted(lab for level in labels for lab in level) == sorted(pairs)
+    index = [{pair: i for i, (_, pair) in enumerate(level)} for level in labels]
     diffs = []
     for n in range(len(labels) - 1):
-        dom, cod = labels[n], labels[n + 1]
-        cod_pos = index[n + 1]
-        rows = [[0] * len(dom) for _ in cod]
-        for j, ((p, q), pair) in enumerate(dom):
-            jloc = blk_index[(p, q)][pair]
-            h = z.horizontal.get((p, q))
-            if h is not None:
-                for i2, pair2 in enumerate(z.block(p + 1, q)):
-                    e = h.entry(i2, jloc)
-                    if e:
-                        rows[cod_pos[((p + 1, q), pair2)]][j] = e
-            v = z.vertical.get((p, q))
-            if v is not None:
-                for i2, pair2 in enumerate(z.block(p, q + 1)):
-                    e = v.entry(i2, jloc)
-                    if e:
-                        rows[cod_pos[((p, q + 1), pair2)]][j] = e
-        diffs.append(Mat.from_rows(rows, field))
+        cod = index[n + 1]
+        rows = [[0] * len(labels[n]) for _ in cod]
+        for j, (_, (f, g)) in enumerate(labels[n]):
+            for g2, sign in fc.covers_below(g):
+                if g2 in admitted:
+                    rows[cod[(f, g2)]][j] = sign
+            twist = -1 if fc.face(g).dim % 2 else 1
+            for f2, sign in fc.covers_above(f):
+                rows[cod[(f2, g)]][j] = twist * sign
+        diffs.append(Mat.from_rows(rows, field, len(labels[n])))
     return diffs
 
 

@@ -67,11 +67,17 @@ def runs(maps: dict, step: tuple) -> list:
     return out
 
 
+def block_maps(z, block_map, step: tuple) -> dict:
+    """``{(p, q): block_map(p, q)}`` for every block (p, q) of ``z`` followed
+    by a block along ``step``."""
+    return {k: block_map(*k) for k in z.blocks if (k[0] + step[0], k[1] + step[1]) in z.blocks}
+
+
 def chains(z) -> list:
     """Every chain ``reduce_chain`` sees for ``z``: the total differentials,
     and the runs of horizontal and of vertical maps."""
     total = [total_complex(z).complex.diffs]
-    return total + runs(z.horizontal, (1, 0)) + runs(z.vertical, (0, 1))
+    return total + runs(block_maps(z, z.horiz, (1, 0)), (1, 0)) + runs(block_maps(z, z.vert, (0, 1)), (0, 1))
 
 
 def assert_chain_matches(mats, field):
@@ -83,8 +89,8 @@ def assert_chain_matches(mats, field):
 
 def assert_dims_match(z):
     assert page(z, math.inf).dims == uncleared_infinity_dims(z)
-    assert horizontal_cohomology_dims(z) == uncleared_rank_only_dims(z, z.horizontal, (1, 0))
-    assert vertical_cohomology_dims(z) == uncleared_rank_only_dims(z, z.vertical, (0, 1))
+    assert horizontal_cohomology_dims(z) == uncleared_rank_only_dims(z, block_maps(z, z.horiz, (1, 0)), (1, 0))
+    assert vertical_cohomology_dims(z) == uncleared_rank_only_dims(z, block_maps(z, z.vert, (0, 1)), (0, 1))
 
 
 @pytest.mark.parametrize("label,sc,field", CASES, ids=[f"{c[0]}-{c[2]}" for c in CASES])

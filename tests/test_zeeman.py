@@ -21,10 +21,11 @@ from zeemac import (
 from zeemac.cohomology import cohomology_summary
 from zeemac.complexes import MissingGeometryError
 from zeemac.formats import parse_input_text
+from zeemac.resolutions import evaluation_degrees
 from zeemac.linalg import Mat
 from zeemac.zeeman import UnsupportedPageError, diagonal_sign
 
-from .helpers import bowtie, hollow_triangle, random_simplicial, rp2, sparsify
+from .helpers import bowtie, hollow_triangle, random_simplicial, random_sweep, rp2, sparsify
 
 
 def block_sizes(z):
@@ -121,7 +122,8 @@ def test_page1_bowtie_concentration_fails():
 
 def test_page1_matches_local_cohomology():
     # page 1 is assembled from per-face local cohomology; the rank-only row
-    # dimensions come from the whole-row matrices and share no code with it
+    # dimensions come from whole rows written from the covers, sharing no
+    # code with it
     rng = random.Random(71)
     for _ in range(12):
         fc = cone_of_simplicial(random_simplicial(rng))
@@ -224,3 +226,54 @@ def test_rp2_concentration_matches_cm():
     assert concentration_check(build(fc, None, QQ)).ok
     assert concentration_check(build(fc, None, GF(3))).ok
     assert not concentration_check(build(fc, None, GF(2))).ok
+
+
+def test_build_and_concentration_write_no_total_complex():
+    # cm-check builds and runs the concentration check only: neither may
+    # pay for the total complex, and build holds no matrix at all
+    for sc in (hollow_triangle(), bowtie(), rp2()):
+        z = build(cone_of_simplicial(sc), None, GF(2))
+        held = [x for v in vars(z).values() for x in (v.values() if isinstance(v, dict) else (v,))]
+        assert not any(isinstance(x, Mat) for x in held)
+        assert z._total is None
+        concentration_check(z)
+        assert z._total is None
+
+
+def assert_blocks_are_ranges_of_the_total(z):
+    """Each block is one contiguous range of its total degree, and
+    ``horiz``/``vert`` are the row-and-column ranges of the total
+    differential at the blocks they join, which together hold every entry."""
+    tot = total_complex(z).complex
+    index = [{pair: i for i, (_, pair) in enumerate(level)} for level in tot.labels]
+
+    def span(p, q):
+        pairs = z.block(p, q)
+        at = [index[p + q][pair] for pair in pairs]
+        start = at[0] if at else 0
+        assert at == list(range(start, start + len(at))), (p, q)
+        return start, len(at)
+
+    for (p, q) in z.blocks:
+        c0, cols = span(p, q)
+        d = tot.diff(p + q)
+        outside = [dict(d.columns[c0 + j]) for j in range(cols)]
+        for target, m in (((p + 1, q), z.horiz(p, q)), ((p, q + 1), z.vert(p, q))):
+            r0, rows = span(*target)
+            expected = [{i - r0: x for i, x in col.items() if r0 <= i < r0 + rows} for col in outside]
+            assert m == Mat(rows, cols, expected, z.field), ((p, q), target)
+            for col in outside:
+                for i in range(r0, r0 + rows):
+                    col.pop(i, None)
+        assert not any(outside), (p, q)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_block_maps_are_ranges_of_the_total_differentials(field):
+    for sc in random_sweep(30, 20261019):
+        assert_blocks_are_ranges_of_the_total(build(cone_of_simplicial(sc), None, field))
+    for sc in (bowtie(), rp2()):
+        fc = cone_of_simplicial(sc)
+        for a in evaluation_degrees(fc):
+            if any(a):
+                assert_blocks_are_ranges_of_the_total(build(fc, a, field))

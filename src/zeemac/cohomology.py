@@ -8,6 +8,12 @@ restriction maps between the cohomologies; the matrices returned here are
 scaled by the cover sign so they assemble directly into the vertical
 differential of the double complex and into minimal resolutions.
 
+One writer (``_upper_columns``) gives the bases and the columns of the
+differentials from the covers alone: the faces of dimension p + 1 above G
+are the faces covering one of dimension p, as a cover raises the
+dimension by one.  ``cochain_complex`` wraps its columns in a
+``VSComplex``; the store reduces them as they are.
+
 Representative cocycles are the canonical kernel vectors V_j of d_p (the
 relation of a column j to the columns before it, which ends in row j) at
 the columns j that are not pivot rows of d_{p-1}.  These are the kernel
@@ -15,35 +21,47 @@ vectors that raise the rank when the kernel, in column order, is reduced
 against the image of d_{p-1}: a kernel-modulo-image complement that the
 matrices fix whatever the pivot rule, so every downstream matrix is
 reproducible byte for byte.  The differentials are reduced once each, in
-degree order, with clearing (``linalg.chain_representatives``): the
-columns of d_p at the pivot rows of d_{p-1} are skipped, and the relations
-that the tagged reduction still finds are exactly the representatives.
+degree order, with clearing (``linalg.cochain_classes``): the columns of
+d_p at the pivot rows of d_{p-1} are skipped, and the relations that the
+tagged reduction still finds are exactly the representatives.  The
+differential out of the top degree is the zero map, so nothing is reduced
+there: every column is its own relation, and the representatives are the
+unit vectors e_j at the j off the pivot rows of the differential below.
 The module docstring of ``linalg`` gives the argument; no kernel is
 reduced against an image a second time.  Its premise, d_{p+1} d_p = 0, is
 the incidence axiom, which ``complexes.validate`` checks and the CLI
 requires of every input.
 
-The restriction blocks into a face g' are solved together: one reduction
-of [representatives | coboundaries] near g' in degree p, followed by the
-cocycles of every face that covers g', gives the block from each cover at
-once.  They are stored per (g', p).
+Each face complex keeps one store per field.  For a face g it keeps,
+after one pass (write, then reduce), what is read again: the bases, the
+cohomology summary, and in each degree p with representatives the
+reduced coboundaries that the reduction of d_{p-1} left, keyed by their
+distinct pivot rows.  It keeps no matrix and no complex.  The
+Cohen-Macaulay scan, the minimal linear resolution and page 1 of the
+double complex share it.
+
+The restriction blocks into g' read those kept columns.  In degree p the
+representatives V_j near g' end in distinct rows j off the pivot rows P
+and the kept coboundaries in distinct rows of P; together they are a
+basis of the cocycles near g', one ending in each row they cover.  A
+cocycle of a face covering g', read in the basis near g', is eliminated
+against them from its largest row down (``linalg.echelon_coordinates``).
+Its coordinates in a basis are unique, so the coefficients on the
+representatives are those any solve against [representatives |
+coboundaries] gives, and they make its column of the block.  The blocks
+from every cover of g' are stored per (g', p).
 
 A cochain complex carries its field, as each of its differentials does,
-and no operation on it takes the field again.  Each face complex keeps one
-store per field: the upper-set complex, the cohomology summary and the
-restriction blocks of a face are computed once, on first use, and shared
-by the Cohen-Macaulay scan, the minimal linear resolution and page 1 of
-the double complex.
+and no operation on it takes the field again.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .complexes import FaceComplex, upper_set
-from .linalg import Field, Mat, chain_representatives, solve_columns
+from .complexes import FaceComplex
+from .linalg import Field, Mat, chain_representatives, cochain_classes, echelon_coordinates
 
 
 @dataclass(frozen=True)
@@ -118,24 +136,38 @@ class CohomologySummary:
         return sum(self.dims)
 
 
+def _upper_columns(fc: FaceComplex, g: int, field: Field) -> tuple[list, list]:
+    """``(bases, columns)`` of the upper-set complex above ``g``, written
+    from the covers: ``bases[i]`` is the tuple of faces >= g of dimension
+    dim g + i in id order (the labels of ``upper_set``), and ``columns[i]``
+    the columns of the differential out of that degree, the cover signs
+    reduced into ``field``.  The columns out of the top degree are empty."""
+    up = fc._up
+    signs = {s: field.reduce(s) for s in (1, -1)}
+    bases, columns = [], []
+    level = (g,)
+    while level:
+        above = tuple(sorted({f2 for f in level for f2, _ in up[f]}))
+        index = {f: i for i, f in enumerate(above)}
+        bases.append(level)
+        columns.append([{index[f2]: signs[sign] for f2, sign in up[f]} for f in level])
+        level = above
+    return bases, columns
+
+
 def cochain_complex(fc: FaceComplex, g: int, field: Field) -> VSComplex:
     """The upper-set cochain complex of ``fc`` above the face ``g``.
 
     Degree-p basis: faces F >= g with dim F = p; the entry of the
     differential from F to a cover F' is the cover sign.
     """
-    ups = upper_set(fc, g)
-    labels = ups.by_degree
-    signs = {s: field.reduce(s) for s in (1, -1)}
-    diffs = []
-    for dom, cod in zip(labels, labels[1:]):
-        cod_index = {f: i for i, f in enumerate(cod)}
-        columns = [
-            {cod_index[f2]: signs[sign] for f2, sign in fc.covers_above(f) if f2 in cod_index}
-            for f in dom
-        ]
-        diffs.append(Mat(len(cod), len(dom), columns, field))
-    return VSComplex(ups.lo, ups.hi, labels, tuple(diffs), field)
+    bases, columns = _upper_columns(fc, g, field)
+    lo = fc.face(g).dim
+    diffs = tuple(Mat(len(cod), len(dom), cols, field) for dom, cod, cols in zip(bases, bases[1:], columns))
+    return VSComplex(lo, lo + len(bases) - 1, tuple(bases), diffs, field)
+
+
+local_complex = cochain_complex  # the complex whose cohomology the store keeps; the store keeps no complex
 
 
 def cohomology_summary(vs: VSComplex) -> CohomologySummary:
@@ -143,6 +175,31 @@ def cohomology_summary(vs: VSComplex) -> CohomologySummary:
     from one reduction of each differential, with clearing."""
     reps = tuple(chosen for chosen, _ in chain_representatives(vs.diff(p) for p in range(vs.lo, vs.hi + 1)))
     return CohomologySummary(vs.lo, vs.hi, tuple(map(len, reps)), reps)
+
+
+class _Near(NamedTuple):
+    """What the store keeps of the upper-set complex above a face."""
+
+    bases: tuple  # per degree from dim g: the faces >= g of that dimension
+    summary: CohomologySummary
+    coboundaries: dict  # degree -> {pivot row: reduced coboundary}, in degrees with representatives
+
+    def basis(self, p: int) -> tuple:
+        lo = self.summary.lo
+        return self.bases[p - lo] if lo <= p <= self.summary.hi else ()
+
+
+def _near(fc: FaceComplex, g: int, field: Field) -> _Near:
+    """The upper-set complex above ``g`` written once and reduced once."""
+    bases, columns = _upper_columns(fc, g, field)
+    lo = fc.face(g).dim
+    reps, kept = [], {}
+    for p, (chosen, coboundaries, _) in enumerate(cochain_classes(columns, field), lo):
+        reps.append(chosen)
+        if coboundaries:
+            kept[p] = coboundaries
+    summary = CohomologySummary(lo, lo + len(bases) - 1, tuple(map(len, reps)), tuple(reps))
+    return _Near(tuple(bases), summary, kept)
 
 
 def _stored(fc: FaceComplex, field: Field, key, compute):
@@ -154,47 +211,44 @@ def _stored(fc: FaceComplex, field: Field, key, compute):
     return value
 
 
-def local_complex(fc: FaceComplex, g: int, field: Field) -> VSComplex:
-    """The upper-set cochain complex above ``g``, built once per complex and field."""
-    return _stored(fc, field, ("complex", g), lambda: cochain_complex(fc, g, field))
+def _local(fc: FaceComplex, g: int, field: Field) -> _Near:
+    return _stored(fc, field, ("near", g), lambda: _near(fc, g, field))
 
 
 def local_cohomology(fc: FaceComplex, g: int, field: Field) -> CohomologySummary:
     """Cohomology of the upper-set complex near ``g``, with representatives;
     computed once per complex and field."""
-    return _stored(
-        fc, field, ("summary", g), lambda: cohomology_summary(local_complex(fc, g, field))
-    )
+    return _local(fc, g, field).summary
 
 
 def _restriction_blocks(fc: FaceComplex, g_prime: int, field: Field, p: int) -> dict:
     """``{g: block}`` for every face ``g`` covering ``g_prime``: the
     sign-weighted degree-p restriction from near ``g`` to near ``g_prime``.
 
-    The cocycles of every cover, read in the basis near ``g_prime``, are
-    solved against [representatives | coboundaries] near ``g_prime`` in
-    one reduction; the coefficients on the representatives make the block.
+    Each cocycle of a cover, read in the basis near ``g_prime``, is
+    eliminated against the representatives and the kept coboundaries near
+    ``g_prime``, which end in distinct rows; its coefficients on the
+    representatives make its column.
     """
-    dst_reps = local_cohomology(fc, g_prime, field).reps(p)
-    covers = [(g, sign, local_cohomology(fc, g, field).reps(p)) for g, sign in fc.covers_above(g_prime)]
+    dst = _local(fc, g_prime, field)
+    dst_reps = dst.summary.reps(p)
+    covers = [(g, sign, _local(fc, g, field)) for g, sign in fc.covers_above(g_prime)]
     rows = len(dst_reps)
-    if not rows or not any(reps for _, _, reps in covers):
-        return {g: Mat.zeros(rows, len(reps), field) for g, _, reps in covers}
-    dst = local_complex(fc, g_prime, field)
+    if not rows or not any(src.summary.reps(p) for _, _, src in covers):
+        return {g: Mat.zeros(rows, src.summary.dim(p), field) for g, _, src in covers}
     dst_index = {f: i for i, f in enumerate(dst.basis(p))}
-    targets = []
-    for g, _, reps in covers:
-        basis = local_complex(fc, g, field).basis(p)
-        targets.extend({dst_index[basis[i]]: x for i, x in rep.items()} for rep in reps)
-    solutions = iter(solve_columns(targets, [*dst_reps, *dst.diff(p - 1).columns], field))
+    rep_at = {max(rep): k for k, rep in enumerate(dst_reps)}  # V_j ends in row j
+    cocycles = {**dst.coboundaries.get(p, {}), **{max(rep): rep for rep in dst_reps}}
     blocks = {}
-    for g, sign, reps in covers:
+    for g, sign, src in covers:
+        basis = src.basis(p)
         out_cols = []
-        for sol in itertools.islice(solutions, len(reps)):
-            if sol is None:
+        for rep in src.summary.reps(p):
+            coords = echelon_coordinates({dst_index[basis[i]]: x for i, x in rep.items()}, cocycles, field)
+            if coords is None:
                 raise RuntimeError("a cocycle failed to reduce in the larger complex")
-            out_cols.append({i: field.reduce(sign * c) for i, c in sol.items() if i < rows})
-        blocks[g] = Mat(rows, len(reps), out_cols, field)
+            out_cols.append({rep_at[r]: field.reduce(sign * c) for r, c in coords.items() if r in rep_at})
+        blocks[g] = Mat(rows, len(out_cols), out_cols, field)
     return blocks
 
 
@@ -205,8 +259,8 @@ def restriction_map(fc: FaceComplex, g: int, g_prime: int, field: Field, p: int)
     representative basis near ``g`` into the one near ``g_prime``, scaled
     by the cover sign, by re-expressing each representative inside the
     larger upper-set complex modulo coboundaries.  The blocks from every
-    face covering ``g_prime`` come from one solve, stored per
-    (``g_prime``, ``p``).
+    face covering ``g_prime`` are read off the kept reduction near
+    ``g_prime`` together, stored per (``g_prime``, ``p``).
     """
     if not fc.is_cover(g_prime, g):
         raise ValueError(f"face {g_prime} is not a facet of face {g}")

@@ -22,14 +22,15 @@ the whole face lattice.  A bare ``facet`` line is the empty facet: alone
 it gives the complex {empty face}, whose quotient k[Q]/m = k is
 Cohen-Macaulay of dimension 0.  A malformed line (a word after the input
 kind, a missing or non-integer value, a ``vertices`` count outside
-``1..MAX_VERTICES`` (16), a ``functional`` line past ``MAX_FUNCTIONALS``
-(13), a second ``vertices`` or ``ambient`` line, a
+``1..MAX_VERTICES`` (16), a semigroup ``ambient`` dimension below 1, a
+``functional`` line past ``MAX_FUNCTIONALS`` (13), a second ``vertices``
+or ``ambient`` line, a
 facet that repeats a vertex or leaves ``1..vertices``, a ``cover`` with
 other than three integers, a ``face`` with more than an id, a dimension
 and one label, a cover that names an unknown face, a ``delta`` index
 outside ``1..#functionals``, bytes that are not UTF-8) raises
-``InputFormatError`` naming the line; so does a polyhedral input with no
-face, without a line to name.  A cone that is not pointed or not
+``InputFormatError`` naming the line; so do a polyhedral input with no
+face and a semigroup input with no functional, without a line to name.  A cone that is not pointed or not
 full-dimensional raises it naming the ``functional`` lines at fault (all
 of them when their rank falls short, else those that vanish on the whole
 cone) and the rank found.
@@ -132,6 +133,12 @@ def _vertex_count(where: str, d: int) -> int:
     return d
 
 
+def _ambient_dim(where: str, d) -> int:
+    if not isinstance(d, int) or d < 1:
+        raise InputFormatError(f"{where}: 'ambient' must be an integer >= 1, got {d!r}")
+    return d
+
+
 def simplicial_bundle(vertices, facets) -> InputBundle:
     """The simplicial input: ``vertices`` and ``facets`` are ``(where,
     value)`` pairs, ``where`` naming the item (``line N`` or a JSON path)
@@ -176,10 +183,14 @@ def polyhedral_bundle(ambient: int, faces, covers) -> InputBundle:
     return InputBundle("polyhedral", fc)
 
 
-def semigroup_bundle(ambient: int, functionals, selectors) -> InputBundle:
-    """The semigroup input from ``(where, functional)`` and ``(where,
-    delta indices)`` pairs; with no selectors, the whole face lattice.
-    The functional count is checked before any face is enumerated."""
+def semigroup_bundle(ambient, functionals, selectors) -> InputBundle:
+    """The semigroup input from the ``(where, dimension)`` pair
+    ``ambient`` and ``(where, functional)`` and ``(where, delta indices)``
+    pairs; with no selectors, the whole face lattice.  The dimension and
+    the functional count are checked before any face is enumerated."""
+    ambient = _ambient_dim(*ambient)
+    if not functionals:
+        raise InputFormatError(f"no functionals: a semigroup input takes 1..{MAX_FUNCTIONALS}")
     if len(functionals) > MAX_FUNCTIONALS:
         where = functionals[MAX_FUNCTIONALS][0]
         raise InputFormatError(f"{where}: more than {MAX_FUNCTIONALS} functionals; a semigroup input takes 1..{MAX_FUNCTIONALS}")
@@ -259,7 +270,8 @@ def _parse_semigroup(body) -> InputBundle:
     for lineno, toks in body:
         if toks[0] == "ambient":
             _first_header(ambient, lineno, "ambient")
-            (ambient,) = _ints(toks, lineno, 1, exact=True)
+            ambient = (f"line {lineno}", *_ints(toks, lineno, 1, exact=True))
+            _ambient_dim(*ambient)
         elif toks[0] == "functional":
             functionals.append((f"line {lineno}", tuple(_ints(toks, lineno, len(toks) - 1))))
         elif toks[0] == "delta":
@@ -333,7 +345,7 @@ def bundle_from_doc(doc: dict) -> InputBundle:
     if t == "simplicial":
         return simplicial_bundle(("vertices", doc["vertices"]), _items(doc, "facets"))
     if t == "semigroup":
-        return semigroup_bundle(doc["ambient"], _items(doc, "functionals"), _items(doc, "delta"))
+        return semigroup_bundle(("ambient", doc["ambient"]), _items(doc, "functionals"), _items(doc, "delta"))
     if t == "polyhedral":
         faces = [(where, *f) for where, f in _items(doc, "faces")]
         covers = [(where, *c) for where, c in _items(doc, "covers")]

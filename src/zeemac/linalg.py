@@ -47,8 +47,8 @@ D_{n+1} lies in the span of the columns before it and reduces to zero: it
 is skipped, and every prefix rank and pivot comes out as without it.  The
 rank-only paths (``reduce_chain``: the terminal page, the page-1 row and
 column dimensions, the Hochster coboundary) and the representative paths
-(``chain_representatives``: local cohomology near a face and page 2) both
-use it.
+(``cochain_classes``: local cohomology near a face, and page 2 through
+``chain_representatives``) both use it.
 
 Clearing gives cohomology representatives exactly.  The kernel of D_n has
 the canonical basis V_j, one per column j in the span of the columns
@@ -67,7 +67,21 @@ outside P does, as nothing before it ends in row j.  So the
 representatives are the relations that the tagged reduction of D_n still
 finds once the columns in P are cleared.  A cleared column reduces to zero
 at once and owns only its own tag row, which no other column ends in, so
-no other column changes.
+no other column changes: it is left out of the reduction.  A zero map,
+such as the differential out of the top degree, is not reduced at all:
+every column is its own relation, the unit vector e_j, and the
+representatives are the e_j for j outside P.
+
+The same basis reads cohomology classes.  The reduced image columns that
+the reduction of D_{n-1} leaves, keyed by their pivot rows P, and the
+representatives V_j, keyed by j, end in distinct rows and span the
+cocycles of degree n.  A cocycle is eliminated against them from its
+largest row down (``echelon_coordinates``), one column per row, with no
+further reduction.  Its coordinates in a basis are unique, so the
+coefficients on the V_j, its class, equal what a solve against
+[representatives | any spanning set of the coboundaries] gives.
+``cochain_classes`` hands out those image columns in each degree that
+has cohomology.
 
 The exactness certificate does not clear: its maps may come from a file
 and are not known to compose to zero, so it ranks each map alone
@@ -384,27 +398,78 @@ def reduce_chain(differentials, field: Field):
         yield ranks, cleared
 
 
-def chain_representatives(differentials):
-    """Cohomology representatives of a cochain complex, from one tagged
-    reduction of each differential, with clearing.
+def cochain_classes(differentials, field: Field):
+    """Cohomology classes of a cochain complex, from one tagged reduction
+    of each differential, with clearing.
 
-    ``differentials`` yields the ``Mat`` D_n out of each degree n in
-    increasing order, the last one out of the top degree (a map to the
-    zero space), and the rows of D_n index the columns of D_{n+1}; the
-    premise is D_{n+1} D_n = 0 (see the module docstring).  A column of
-    D_{n+1} at a pivot row of D_n is cleared: it is reduced as the zero
-    column.  Yields one ``(representatives, pivots)`` per degree: the
-    canonical kernel vectors of D_n (those of ``kernel_basis``) at the
-    columns that were not cleared, a basis of the cohomology in degree n,
-    and the set of pivot rows of D_n.
+    ``differentials`` yields the differential D_n out of each degree n,
+    in increasing order, as its list of sparse columns ``{row: scalar}``;
+    the last is D_top, out of the top degree, whose columns are empty.
+    The rows of D_n index the columns of D_{n+1}, and the premise is
+    D_{n+1} D_n = 0 (see the module docstring).  A column of D_{n+1} at a
+    pivot row of D_n is cleared: it is left out of the reduction.  A zero
+    map is not reduced at all: each column is its own relation, the unit
+    vector ``{j: 1}``.
+
+    Yields one ``(representatives, coboundaries, pivots)`` per degree n:
+    the canonical kernel vectors of D_n (those of ``kernel_basis``) at the
+    columns that were not cleared, a basis of the cohomology in degree n;
+    when there is one, the reduced columns of D_{n-1} that the reduction
+    left, ``{pivot row: column}`` with the column a sparse vector whose
+    largest row is its key (a basis of the coboundaries, which a cocycle
+    is read modulo; ``{}`` when degree n has no cohomology); and the set of
+    pivot rows of D_n.
     """
+    owner, width = {}, 0  # the tagged reduction of D_{n-1} and its column count
     pivots: frozenset = frozenset()
-    for d in differentials:
-        n = d.cols
-        relations, owner = _relations([{} if j in pivots else col for j, col in enumerate(d.columns)], d.field)
-        representatives = tuple(v for j, v in relations.items() if j not in pivots)
-        pivots = frozenset(r - n for r in owner if r >= n)
+    for cols in differentials:
+        if any(cols):
+            relations, next_owner = _raw_relations(cols, field, pivots)
+            representatives = tuple(_normalized(j, rel, field) for j, rel in relations.items())
+        else:
+            next_owner = {}
+            representatives = tuple({j: 1} for j in range(len(cols)) if j not in pivots)
+        coboundaries = {}
+        if representatives:
+            for r, col in owner.items():
+                if r >= width:
+                    if field.p == 2:
+                        coboundaries[r - width] = {i - width: 1 for i in col if i >= width}
+                    else:
+                        coboundaries[r - width] = {i - width: x for i, x in col.items() if i >= width}
+        owner, width = next_owner, len(cols)
+        pivots = frozenset(r - width for r in owner if r >= width)
+        yield representatives, coboundaries, pivots
+
+
+def chain_representatives(differentials):
+    """``cochain_classes`` of the ``Mat`` D_n out of each degree n, in
+    increasing order, the last one out of the top degree (a map to the
+    zero space).  Yields one ``(representatives, pivots)`` per degree."""
+    mats = list(differentials)
+    field = mats[0].field if mats else QQ
+    for representatives, _, pivots in cochain_classes([d.columns for d in mats], field):
         yield representatives, pivots
+
+
+def echelon_coordinates(target, columns: dict, field: Field):
+    """Coefficients ``{r: c}`` with ``sum(c * columns[r]) == target``,
+    where ``columns[r]`` is a sparse column whose largest row is ``r``;
+    None when the target is outside their span.
+
+    The target is eliminated from its largest row down, against the one
+    column that ends there, so the coefficients are unique and come out
+    in decreasing ``r``.
+    """
+    coefficients = {}
+    while target:
+        r = max(target)
+        col = columns.get(r)
+        if col is None:
+            return None
+        c = coefficients[r] = target[r] if col[r] == 1 else field.reduce(Fraction(target[r], col[r]))
+        target = _combine((target, col), ((0, 1), (1, field.reduce(-c))), field)
+    return coefficients
 
 
 def row_suffix_ranks(pivots, nrows: int) -> list[int]:
@@ -414,6 +479,30 @@ def row_suffix_ranks(pivots, nrows: int) -> list[int]:
     for r in pivots:
         hits[r] += 1
     return list(accumulate(reversed(hits)))
+
+
+def _raw_relations(cols, field: Field, cleared=frozenset()) -> tuple[dict, dict]:
+    """``({j: relation}, owner)`` as the tagged reduction of ``_relations``
+    leaves them: each relation up to a factor, which is positive over QQ
+    (the relation is an integer vector) and 1 over F_p (over F_2 the
+    relation is the set of its columns); ``_normalized`` scales it to 1 at
+    j.  The columns j in ``cleared`` are taken as zero and left out, with
+    their relations: such a column would reduce to zero at once and own
+    only its own tag row, so no other column changes."""
+    n = len(cols)
+    tagged = [{j: 1} | {i + n: x for i, x in col.items()} for j, col in enumerate(cols) if j not in cleared]
+    owner = reduce_columns(tagged, field)[1]
+    return {j: rel for j, rel in owner.items() if j < n}, owner
+
+
+def _normalized(j: int, rel, field: Field) -> dict:
+    """The raw relation ``rel`` of column j as a sparse vector, 1 at j."""
+    if field.p == 2:
+        return dict.fromkeys(rel, 1)
+    if field.p is None and (d := rel[j]) != 1:
+        # d > 0: the reduction scales a column only by positive factors
+        return {k: QQ.reduce(Fraction(x, d)) for k, x in rel.items()}
+    return rel
 
 
 def _relations(cols, field: Field) -> tuple[dict, dict]:
@@ -431,19 +520,8 @@ def _relations(cols, field: Field) -> tuple[dict, dict]:
     Each column enters ``owner`` once, at its own step, so the relations
     come out in column order.
     """
-    n = len(cols)
-    tagged = [{j: 1} | {i + n: x for i, x in col.items()} for j, col in enumerate(cols)]
-    owner = reduce_columns(tagged, field)[1]
-    relations = {j: rel for j, rel in owner.items() if j < n}
-    if field.p == 2:
-        relations = {j: dict.fromkeys(rel, 1) for j, rel in relations.items()}
-    elif field.p is None:
-        # rel[j] > 0: the reduction scales a column only by positive factors
-        relations = {
-            j: rel if (d := rel[j]) == 1 else {k: QQ.reduce(Fraction(x, d)) for k, x in rel.items()}
-            for j, rel in relations.items()
-        }
-    return relations, owner
+    relations, owner = _raw_relations(cols, field)
+    return {j: _normalized(j, rel, field) for j, rel in relations.items()}, owner
 
 
 def solve_columns(targets, generators, field: Field) -> list:

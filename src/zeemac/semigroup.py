@@ -43,7 +43,7 @@ from itertools import combinations
 from math import gcd
 
 from .complexes import Cover, Face, FaceComplex
-from .linalg import Mat, QQ, _relations, kernel_basis, rank
+from .linalg import Mat, QQ, _raw_relations, kernel_basis, rank
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ class AffineSemigroup:
         def add(vanishing, rays) -> ConeFace:
             # integer entries are QQ scalars already: the columns go in as they are
             columns = [{i: r[j] for i, r in enumerate(rays) if r[j]} for j in range(len(rays[0]))]
-            relations = _relations(columns, QQ)[0]
+            relations = _raw_relations(columns, QQ)[0]
             self._rays_of[vanishing] = rays
             self._relations[vanishing] = relations
             return ConeFace(vanishing, len(columns) - len(relations), tuple(map(sum, zip(*rays))))
@@ -257,8 +257,11 @@ class AffineSemigroup:
 
     def relations_of(self, face: ConeFace) -> dict:
         """The column relations of the face's ray matrix (rays as rows), as
-        ``linalg._relations`` gives them: ``{j: relation}`` for each of the
-        d - dim columns in the span of the columns before it."""
+        ``linalg._relations`` gives them up to a positive factor:
+        ``{j: relation}`` for each of the d - dim columns in the span of the
+        columns before it, an integer vector positive at j.  The cover
+        signs read only the sign of a pairing with a relation, which the
+        factor keeps."""
         return self._relations[face.vanishing]
 
     def zero_set(self, a) -> frozenset | None:
@@ -301,8 +304,8 @@ def face_lattice(q: AffineSemigroup) -> FaceComplex:
     Signs come from the column relations that ``relations_of`` keeps from
     the one reduction of each face's ray matrix (rays as rows); the pivot
     columns P are the columns without a relation.  For a cover G < F, P_F
-    is P_G and one more column e, G's relation r at e is 1 at e and
-    otherwise nonzero only on P_G, and the sign is
+    is P_G and one more column e, G's relation r at e is positive at e
+    and otherwise nonzero only on P_G, and the sign is
     ``(-1)^#{p in P_G : p > e} * sign(sum(r[k] * w[k]))`` with w the
     interior point of F: the determinant sign of [rref basis of G; w] in
     the rref basis of F.  The minimal face has no rays, so every column

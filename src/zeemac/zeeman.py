@@ -37,7 +37,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field as dfield
 
-from .cohomology import VSComplex, local_cohomology, local_complex, restriction_map
+from .cohomology import VSComplex, local_cohomology, restriction_map
 from .complexes import FaceComplex, MissingGeometryError
 from .linalg import (
     Field,
@@ -230,16 +230,17 @@ def _page1_data(z: ZeemanComplex) -> _Page1Data:
     reps: dict = {}
     owners: dict = {}  # (p,q) -> (face, index among its representatives) per rep
     # Row q is block-diagonal over its faces and a block lists them in
-    # turn, each in its local basis order, so the representatives of the
-    # row are the per-face ones shifted by a running offset, already in
-    # the order of their last nonzero pair.
+    # turn, each with all its faces F >= G of dimension p in the local
+    # basis order, so the representatives of the row are the per-face ones
+    # shifted by a running offset, already in the order of their last
+    # nonzero pair.
     for (p, q), pairs in sorted(z.blocks.items(), key=lambda item: (-item[0][1], item[0][0])):
         vecs, who, offset = [], [], 0
-        for g in dict.fromkeys(g for _, g in pairs):
+        for g, size in Counter(g for _, g in pairs).items():
             for k, rep in enumerate(local_cohomology(fc, g, field).reps(p)):
                 vecs.append({offset + i: x for i, x in rep.items()})
                 who.append((g, k))
-            offset += len(local_complex(fc, g, field).basis(p))
+            offset += size
         if vecs:
             reps[(p, q)] = tuple(vecs)
             owners[(p, q)] = who

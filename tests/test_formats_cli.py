@@ -519,3 +519,35 @@ def test_semigroup_doc_with_a_degenerate_cone_names_the_functional_items():
     doc = {"type": "semigroup", "ambient": 2, "functionals": [[0, 1], [1, 0], [-1, 0]]}
     with pytest.raises(InputFormatError, match=re.escape("functionals[1], functionals[2]: cone is not full-dimensional")):
         bundle_from_doc(doc)
+
+
+DEGENERATE_HEADERS = {  # each exits 2 with its own message, before any face is built
+    "ambient_zero": ("semigroup\nambient 0\nfunctional 1\n", "line 2: 'ambient' must be an integer >= 1, got 0"),
+    "ambient_zero_alone": ("semigroup\nambient 0\n", "line 2: 'ambient' must be an integer >= 1, got 0"),
+    "ambient_negative": ("semigroup\n# d\nambient -1\nfunctional 1\n", "line 3: 'ambient' must be an integer >= 1, got -1"),
+    "no_functionals": ("semigroup\nambient 2\ndelta 1\n", f"no functionals: a semigroup input takes 1..{formats.MAX_FUNCTIONALS}"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_HEADERS))
+def test_cli_degenerate_semigroup_header_has_its_own_message(tmp_path, capsys, name):
+    text, message = DEGENERATE_HEADERS[name]
+    assert run(["validate", write(tmp_path, f"{name}.txt", text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"type": "semigroup", "ambient": 0, "functionals": [[1]]}, "ambient: 'ambient' must be an integer >= 1, got 0"),
+        ({"type": "semigroup", "ambient": -2, "functionals": []}, "ambient: 'ambient' must be an integer >= 1, got -2"),
+        ({"type": "semigroup", "ambient": "2", "functionals": [[1, 0], [0, 1]]}, "ambient: 'ambient' must be an integer >= 1, got '2'"),
+        ({"type": "semigroup", "ambient": 2, "functionals": []}, "no functionals: a semigroup input takes 1.."),
+        ({"type": "semigroup", "ambient": 2}, "no functionals: a semigroup input takes 1.."),
+    ],
+)
+def test_semigroup_doc_with_a_degenerate_header_names_it(doc, message):
+    with pytest.raises(InputFormatError, match="^" + re.escape(message)):
+        bundle_from_doc(doc)

@@ -10,6 +10,7 @@ from zeemac.linalg import (
     GF,
     Mat,
     QQ,
+    echelon_coordinates,
     kernel_basis,
     rank,
     reduce_columns,
@@ -142,6 +143,16 @@ def test_solve_free_variables_pinned_to_zero():
 def test_solve_empty_generators():
     assert _solve((0, 0), []) == {}
     assert _solve((1, 0), []) is None
+
+
+def test_echelon_coordinates():
+    # columns ending in rows 0, 2 and 3; over QQ a pivot need not be 1
+    columns = {0: {0: 1}, 2: {0: 1, 2: 2}, 3: {1: 1, 3: 1}}
+    assert echelon_coordinates({0: 2, 2: 1, 3: 3, 1: 3}, columns, QQ) == {3: 3, 2: Fraction(1, 2), 0: Fraction(3, 2)}
+    assert echelon_coordinates({}, columns, QQ) == {}
+    assert echelon_coordinates({1: 1}, columns, QQ) is None  # no column ends in row 1
+    assert echelon_coordinates({2: 1}, {2: {2: 1, 1: 1}}, GF(2)) is None  # leaves row 1
+    assert echelon_coordinates({2: 1, 1: 1}, {2: {2: 2, 1: 1}, 1: {1: 1}}, GF(3)) == {2: 2, 1: 2}
 
 
 def _random_matrix(rng, field, lo=-3, hi=3, max_dim=6):

@@ -14,6 +14,8 @@ import pytest
 from zeemac import (
     GF,
     QQ,
+    CohomologySummary,
+    Mat,
     NotCohenMacaulayError,
     build,
     cone_of_simplicial,
@@ -81,17 +83,8 @@ def test_engine_matches_row_reference_at_nonzero_degree():
         assert_matches_row_reference(cone_of_simplicial(bowtie()), field, (0, 0, 1, 0, 0))
 
 
-@pytest.mark.parametrize("field", (QQ, GF(2)), ids=lambda f: f.label())
-def test_each_face_summary_computed_once(monkeypatch, field):
-    fc = cone_of_simplicial(rp2())  # Cohen-Macaulay over QQ, not over GF(2)
-    built_near = []
-    summarize = cohomology.cohomology_summary
-
-    def counting(vs):
-        built_near.append(vs.basis(vs.lo))  # the upper set of g starts at g alone
-        return summarize(vs)
-
-    monkeypatch.setattr(cohomology, "cohomology_summary", counting)
+def run_every_consumer(fc, field) -> None:
+    """The CM check, pages 1 and 2 and the minimal linear resolution."""
     is_cohen_macaulay(fc, field)
     z = build(fc, None, field)
     page(z, 1)
@@ -101,4 +94,41 @@ def test_each_face_summary_computed_once(monkeypatch, field):
     else:
         with pytest.raises(NotCohenMacaulayError):
             minimal_linear_resolution(fc, field)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2)), ids=lambda f: f.label())
+def test_each_face_summary_computed_once(monkeypatch, field):
+    fc = cone_of_simplicial(rp2())  # Cohen-Macaulay over QQ, not over GF(2)
+    built_near = []
+    near = cohomology._near
+
+    def counting(fc, g, field):
+        out = near(fc, g, field)
+        built_near.append(out.basis(out.summary.lo))  # the upper set of g starts at g alone
+        return out
+
+    monkeypatch.setattr(cohomology, "_near", counting)
+    run_every_consumer(fc, field)
     assert sorted(built_near) == [(f.id,) for f in fc.faces]
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2)), ids=lambda f: f.label())
+def test_the_store_keeps_no_upper_set_complex(field):
+    # per face: bases, summary, and reduced coboundaries only where a class is read modulo them
+    fc = cone_of_simplicial(rp2())
+    run_every_consumer(fc, field)
+    store = fc._local_cohomology[field]
+    assert sorted(key[1] for key in store if key[0] == "near") == [f.id for f in fc.faces]
+    kept = 0
+    for key, value in store.items():
+        if key[0] == "restriction":
+            assert all(isinstance(m, Mat) for m in value.values())
+            continue
+        bases, summary, coboundaries = value
+        assert all(isinstance(level, tuple) and all(isinstance(f, int) for f in level) for level in bases)
+        assert isinstance(summary, CohomologySummary)
+        assert set(coboundaries) <= {p for p in range(summary.lo, summary.hi + 1) if summary.dim(p)}
+        for p, columns in coboundaries.items():
+            assert all(type(col) is dict and max(col) == r for r, col in columns.items()), (key, p)
+            kept += 1
+    assert kept > 0

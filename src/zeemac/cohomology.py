@@ -51,6 +51,12 @@ representatives are those any solve against [representatives |
 coboundaries] gives, and they make its column of the block.  The blocks
 from every cover of g' are stored per (g', p).
 
+One function, ``induced_map``, pastes those blocks into the map induced
+on degree-p local cohomology between two lists of faces.  It writes every
+d1 of page 1 and every map of the minimal linear resolution, which is
+page 1's column n (n the top dimension) when the complex is
+Cohen-Macaulay.
+
 A cochain complex carries its field, as each of its differentials does,
 and no operation on it takes the field again.
 """
@@ -61,7 +67,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .complexes import FaceComplex
-from .linalg import Field, Mat, chain_representatives, cochain_classes, echelon_coordinates
+from .linalg import Field, Mat, cochain_classes, echelon_coordinates
 
 
 @dataclass(frozen=True)
@@ -167,13 +173,11 @@ def cochain_complex(fc: FaceComplex, g: int, field: Field) -> VSComplex:
     return VSComplex(lo, lo + len(bases) - 1, tuple(bases), diffs, field)
 
 
-local_complex = cochain_complex  # the complex whose cohomology the store keeps; the store keeps no complex
-
-
 def cohomology_summary(vs: VSComplex) -> CohomologySummary:
     """Kernel-mod-image dimensions and echelon representatives per degree,
     from one reduction of each differential, with clearing."""
-    reps = tuple(chosen for chosen, _ in chain_representatives(vs.diff(p) for p in range(vs.lo, vs.hi + 1)))
+    classes = cochain_classes([vs.diff(p).columns for p in range(vs.lo, vs.hi + 1)], vs.field)
+    reps = tuple(chosen for chosen, _, _ in classes)
     return CohomologySummary(vs.lo, vs.hi, tuple(map(len, reps)), reps)
 
 
@@ -267,6 +271,29 @@ def restriction_map(fc: FaceComplex, g: int, g_prime: int, field: Field, p: int)
     return _stored(
         fc, field, ("restriction", g_prime, p), lambda: _restriction_blocks(fc, g_prime, field, p)
     )[g]
+
+
+def induced_map(fc: FaceComplex, field: Field, p: int, src, dst) -> Mat:
+    """The map induced on degree-p local cohomology from the faces ``src``
+    to the faces ``dst``, each a sequence of ``(face, dim H^p near it)``
+    with the dimension positive.  Each face owns that many consecutive
+    columns (rows), one per representative; the block from a face of
+    ``src`` into one of ``dst`` that it covers is ``restriction_map``, and
+    every other block is zero."""
+    row_of, rows = {}, 0
+    for g, dim in dst:
+        row_of[g] = rows
+        rows += dim
+    columns = []
+    for g, dim in src:
+        block = [{} for _ in range(dim)]
+        for g2, _ in fc.covers_below(g):
+            r0 = row_of.get(g2)
+            if r0 is not None:
+                for col, restricted in zip(block, restriction_map(fc, g, g2, field, p).columns):
+                    col.update((r0 + r, x) for r, x in restricted.items())
+        columns.extend(block)
+    return Mat(rows, len(columns), columns, field)
 
 
 class CMResult(NamedTuple):

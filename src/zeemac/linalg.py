@@ -47,8 +47,8 @@ D_{n+1} lies in the span of the columns before it and reduces to zero: it
 is skipped, and every prefix rank and pivot comes out as without it.  The
 rank-only paths (``reduce_chain``: the terminal page, the page-1 row and
 column dimensions, the Hochster coboundary) and the representative paths
-(``cochain_classes``: local cohomology near a face, and page 2 through
-``chain_representatives``) both use it.
+(``cochain_classes``: local cohomology near a face, and page 2) both use
+it.
 
 Clearing gives cohomology representatives exactly.  The kernel of D_n has
 the canonical basis V_j, one per column j in the span of the columns
@@ -440,16 +440,6 @@ def cochain_classes(differentials, field: Field):
         owner, width = next_owner, len(cols)
         pivots = frozenset(r - width for r in owner if r >= width)
         yield representatives, coboundaries, pivots
-
-
-def chain_representatives(differentials):
-    """``cochain_classes`` of the ``Mat`` D_n out of each degree n, in
-    increasing order, the last one out of the top degree (a map to the
-    zero space).  Yields one ``(representatives, pivots)`` per degree."""
-    mats = list(differentials)
-    field = mats[0].field if mats else QQ
-    for representatives, _, pivots in cochain_classes([d.columns for d in mats], field):
-        yield representatives, pivots
 
 
 def echelon_coordinates(target, columns: dict, field: Field):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import is_cohen_macaulay, local_cohomology, restriction_map
+from .cohomology import induced_map, is_cohen_macaulay, local_cohomology
 from .complexes import DegenerateComplexError, FaceComplex, MissingGeometryError
 from .linalg import Field, Mat, QQ, rank
 from .zeeman import build, total_complex
@@ -147,44 +147,26 @@ def minimal_linear_resolution(fc: FaceComplex, field: Field = QQ) -> FaceModuleC
     """The minimal linear irreducible resolution of a Cohen-Macaulay complex.
 
     Term i gathers k[G] with multiplicity dim H^n_G over the faces G of
-    dimension n - i (n the top dimension); the maps are the sign-weighted
-    restriction matrices and the augmentation is the all-ones diagonal
-    into the facet row.  Refuses non-Cohen-Macaulay input, carrying the
-    witness.
+    dimension n - i (n the top dimension); the maps are those induced on
+    H^n by the sign-weighted restrictions (``cohomology.induced_map``,
+    which writes page 1's d1 too: this resolution is page 1's column n)
+    and the augmentation is the all-ones diagonal into the facet row.
+    Refuses non-Cohen-Macaulay input, carrying the witness.
     """
     verdict = is_cohen_macaulay(fc, field)
     if not verdict.ok:
         raise NotCohenMacaulayError(verdict.witness)
     n = fc.dim
-    term_faces = []
-    offsets = []  # per term: face id -> (start column, multiplicity)
+    levels = []  # per term: (face, dim H^n near it) over its faces with top cohomology
     for i in range(n + 1):
-        faces = []
-        offs = {}
+        levels.append([])
         for g in fc.faces_of_dim(n - i):
-            mult = local_cohomology(fc, g, field).dim(n)
-            if mult:
-                offs[g] = (len(faces), mult)
-                faces.extend([g] * mult)
-        term_faces.append(tuple(faces))
-        offsets.append(offs)
-    while len(term_faces) > 1 and not term_faces[-1]:
-        term_faces.pop()
-        offsets.pop()
-
-    terms = [FaceModule(faces) for faces in term_faces]
-    maps = []
-    for i in range(len(terms) - 1):
-        columns = [{} for _ in range(len(terms[i]))]
-        for g, (c0, _) in offsets[i].items():
-            for g2, _ in fc.covers_below(g):
-                tgt = offsets[i + 1].get(g2)
-                if tgt is None:
-                    continue
-                r0 = tgt[0]
-                for c, col in enumerate(restriction_map(fc, g, g2, field, n).columns):
-                    columns[c0 + c].update((r0 + r, x) for r, x in col.items())
-        maps.append(Mat(len(terms[i + 1]), len(columns), columns, field))
+            if m := local_cohomology(fc, g, field).dim(n):
+                levels[-1].append((g, m))
+    while len(levels) > 1 and not levels[-1]:
+        levels.pop()
+    terms = [FaceModule(tuple(g for g, m in level for _ in range(m))) for level in levels]
+    maps = [induced_map(fc, field, n, src, dst) for src, dst in zip(levels, levels[1:])]
     aug = [1] * len(terms[0])
     return FaceModuleComplex(fc, field, terms, maps, augmentation=aug, variant="minimal-linear")
 

@@ -43,7 +43,7 @@ from itertools import combinations
 from math import gcd
 
 from .complexes import Cover, Face, FaceComplex
-from .linalg import Mat, QQ, _raw_relations, kernel_basis, rank
+from .linalg import Mat, QQ, _raw_relations, rank
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,10 @@ def _primitive(vec) -> tuple[int, ...]:
     return tuple(x // g for x in vec)
 
 
-def _fraction_vector_to_primitive_int(v) -> tuple[int, ...]:
-    mult = 1
-    for x in v:
-        d = x.denominator
-        mult = mult * d // gcd(mult, d)
-    ints = [int(x * mult) for x in v]
-    return _primitive(ints)
+def _columns(rows, width: int) -> list[dict]:
+    """The sparse columns of the integer matrix with these rows; integer
+    entries are QQ scalars already, so they go in as they are."""
+    return [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(width)]
 
 
 class DegenerateConeError(ValueError):
@@ -172,15 +169,18 @@ class AffineSemigroup:
         return sum(c * x for c, x in zip(self.functionals[i], a))
 
     def _enumerate_rays(self) -> tuple[tuple[int, ...], ...]:
+        """The primitive ray generators, sorted.  A candidate line is the
+        kernel of d - 1 functionals when it is one-dimensional: their one
+        column relation, an integer vector, made primitive."""
         n = len(self.functionals)
         found = set()
         for subset in combinations(range(n), self.d - 1) if self.d > 1 else [()]:
-            m = Mat.from_rows([list(self.functionals[i]) for i in subset], QQ) if subset else Mat.zeros(0, self.d, QQ)
-            ker = kernel_basis(m) if subset else None
             if subset:
-                if len(ker) != 1:
+                relations = _raw_relations(_columns([self.functionals[i] for i in subset], self.d), QQ)[0]
+                if len(relations) != 1:
                     continue
-                g = _fraction_vector_to_primitive_int([ker[0].get(i, 0) for i in range(self.d)])
+                (rel,) = relations.values()
+                g = _primitive([rel.get(i, 0) for i in range(self.d)])
             else:
                 # d == 1: the candidate line is the whole lattice
                 g = (1,)
@@ -204,8 +204,7 @@ class AffineSemigroup:
         self._rays_of, self._relations = {}, {}
 
         def add(vanishing, rays) -> ConeFace:
-            # integer entries are QQ scalars already: the columns go in as they are
-            columns = [{i: r[j] for i, r in enumerate(rays) if r[j]} for j in range(len(rays[0]))]
+            columns = _columns(rays, self.d)
             relations = _raw_relations(columns, QQ)[0]
             self._rays_of[vanishing] = rays
             self._relations[vanishing] = relations

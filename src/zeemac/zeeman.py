@@ -26,9 +26,12 @@ cohomology under the row filtration.
 
 Row q is block-diagonal over the admitted faces G of dimension -q, each
 block the upper-set complex of G up to the twist, so page 1 is assembled
-from the per-face local cohomology and restriction blocks of
-``cohomology``.  ``horizontal_cohomology_dims`` recomputes its dimensions
-from ranks of the whole rows, sharing no code with that assembly.
+from the per-face local cohomology of ``cohomology`` and each d1 is the
+map ``cohomology.induced_map`` writes from its restriction blocks.  Page
+2 reduces each column of page 1 under d1 once and reads the last step of
+the d2 zigzag modulo d1 off that reduction.
+``horizontal_cohomology_dims`` recomputes the page-1 dimensions from
+ranks of the whole rows, sharing no code with that assembly.
 """
 
 from __future__ import annotations
@@ -37,14 +40,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field as dfield
 
-from .cohomology import VSComplex, local_cohomology, restriction_map
+from .cohomology import VSComplex, induced_map, local_cohomology
 from .complexes import FaceComplex, MissingGeometryError
 from .linalg import (
     Field,
     Mat,
     QQ,
     _combine,
-    chain_representatives,
+    cochain_classes,
+    echelon_coordinates,
     reduce_chain,
     row_suffix_ranks,
     solve_columns,
@@ -228,32 +232,26 @@ def _page1_data(z: ZeemanComplex) -> _Page1Data:
         return z._page1
     fc, field = z.fc, z.field
     reps: dict = {}
-    owners: dict = {}  # (p,q) -> (face, index among its representatives) per rep
+    faces: dict = {}  # (p,q) -> (face, dim H^p near it) per face with representatives
     # Row q is block-diagonal over its faces and a block lists them in
     # turn, each with all its faces F >= G of dimension p in the local
     # basis order, so the representatives of the row are the per-face ones
     # shifted by a running offset, already in the order of their last
     # nonzero pair.
     for (p, q), pairs in sorted(z.blocks.items(), key=lambda item: (-item[0][1], item[0][0])):
-        vecs, who, offset = [], [], 0
+        vecs, dims, offset = [], [], 0
         for g, size in Counter(g for _, g in pairs).items():
-            for k, rep in enumerate(local_cohomology(fc, g, field).reps(p)):
-                vecs.append({offset + i: x for i, x in rep.items()})
-                who.append((g, k))
+            local = local_cohomology(fc, g, field).reps(p)
+            if local:
+                vecs.extend({offset + i: x for i, x in rep.items()} for rep in local)
+                dims.append((g, len(local)))
             offset += size
         if vecs:
             reps[(p, q)] = tuple(vecs)
-            owners[(p, q)] = who
+            faces[(p, q)] = dims
     dmats: dict = {}
-    for (p, q), src in sorted(owners.items()):
-        row_of = {owner: i for i, owner in enumerate(owners.get((p, q + 1), ()))}
-        columns = [{} for _ in src]
-        for col, (g, k) in zip(columns, src):
-            for g2, _ in fc.covers_below(g):
-                if (g2, 0) in row_of:
-                    for k2, x in restriction_map(fc, g, g2, field, p).columns[k].items():
-                        col[row_of[(g2, k2)]] = x
-        dmats[(p, q)] = Mat(len(row_of), len(src), columns, field)
+    for (p, q), src in sorted(faces.items()):
+        dmats[(p, q)] = induced_map(fc, field, p, src, faces.get((p, q + 1), ()))
     data = _Page1Data(reps, dmats)
     z._page1 = data
     return data
@@ -271,28 +269,27 @@ def _page2_data(z: ZeemanComplex) -> _Page2Data:
     field = z.field
     p1 = _page1_data(z)
 
-    def dmat(p, q):
-        m = p1.dmats.get((p, q))
-        if m is None:
-            return Mat.zeros(len(p1.summaries.get((p, q + 1), ())), len(p1.summaries.get((p, q), ())), field)
-        return m
-
     # each column p of page 1 is a cochain complex under d1: one reduction
-    # per d1, in q order, with clearing
+    # per d1, in q order, with clearing (a bidegree with no class has no
+    # basis and no columns)
     rows_of: dict = {}  # p -> the q of every page-1 block in column p
     for p, q in p1.summaries:
         rows_of.setdefault(p, []).append(q)
     reps2: dict = {}
+    cocycles: dict = {}  # (p,q) -> {last row: class or reduced d1 image}, a basis of the d1 cocycles
     for p, rows in sorted(rows_of.items()):
         qs = range(min(rows), max(rows) + 1)
-        for q, (chosen, _) in zip(qs, chain_representatives(dmat(p, q) for q in qs)):
+        d1s = [p1.dmats[(p, q)].columns if (p, q) in p1.dmats else () for q in qs]
+        for q, (chosen, coboundaries, _) in zip(qs, cochain_classes(d1s, field)):
             if chosen:
                 reps2[(p, q)] = chosen
+                cocycles[(p, q)] = {**coboundaries, **{max(rep): rep for rep in chosen}}
 
-    # d2 by zigzag, one solve per step and bidegree: lift each class to a
-    # horizontal cocycle x, push it down (v = vert x), pull v back
-    # horizontally (v = horiz w), push w down (u = vert w), and read u in
-    # page-1 classes modulo horizontal coboundaries, then modulo d1.
+    # d2 by zigzag: lift each class to a horizontal cocycle x, push it
+    # down (v = vert x), pull v back horizontally (v = horiz w), push w
+    # down (u = vert w), and read u in page-1 classes modulo horizontal
+    # coboundaries (one solve per step and bidegree), then modulo d1 off
+    # the reduction above, row by row.
     d2: dict = {}
     for (p, q), rlist in sorted(reps2.items()):
         tgt = reps2.get((p - 1, q + 2), ())
@@ -309,11 +306,14 @@ def _page2_data(z: ZeemanComplex) -> _Page2Data:
         c1s = solve_columns(us, [*tgt_reps1, *z.horiz(p - 2, q + 2).columns], field)
         if None in c1s:
             raise RuntimeError("page-2 image failed to reduce to page-1 classes")
-        c1s = [{i: x for i, x in c1.items() if i < len(tgt_reps1)} for c1 in c1s]
-        c2s = solve_columns(c1s, [*tgt, *dmat(p - 1, q + 1).columns], field)
-        if None in c2s:
-            raise RuntimeError("page-2 image failed to reduce modulo page-1 boundaries")
-        cols = [{i: x for i, x in c2.items() if i < len(tgt)} for c2 in c2s]
+        rep_at = {max(rep): k for k, rep in enumerate(tgt)}
+        basis = cocycles[(p - 1, q + 2)]
+        cols = []
+        for c1 in c1s:
+            coords = echelon_coordinates({i: x for i, x in c1.items() if i < len(tgt_reps1)}, basis, field)
+            if coords is None:
+                raise RuntimeError("page-2 image failed to reduce modulo page-1 boundaries")
+            cols.append({rep_at[r]: c for r, c in coords.items() if r in rep_at})
         d2[(p, q)] = Mat(len(tgt), len(rlist), cols, field)
     data = _Page2Data(reps2, d2)
     z._page2 = data

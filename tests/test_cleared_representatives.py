@@ -2,15 +2,16 @@
 
 The per-face store reduces each upper-set differential once, in degree
 order, skipping the columns at the pivot rows of the differential below
-(``linalg.chain_representatives``), and solves the restriction blocks into
-a face for all of its covers at once.  Page 2 reads its representatives
-off the d1 chains in the same way.  Everything must equal, byte for byte
-(``repr``: values, scalar types and key order), what the uncleared
-reductions of ``uncleared`` give: each upper-set complex, its dimensions
-and representatives, every ``restriction_map`` block and the page-2
-representatives.  The cases are a random sweep over QQ, GF(2) and GF(3),
-the benchmark's spheres over GF(2) and the hexagon and cube cones over the
-three fields, at every evaluation degree of the cones.
+(``linalg.cochain_classes``), and reads the restriction blocks into a face
+for all of its covers off that reduction, eliminating each cocycle against
+the kept representatives and coboundaries row by row.  Page 2 reads its
+representatives off the d1 chains in the same way.  Everything must
+equal, byte for byte (``repr``: values, scalar types and key order), what
+the uncleared reductions of ``uncleared`` give: each upper-set complex,
+its dimensions and representatives, every ``restriction_map`` block and
+the page-2 representatives.  The cases are a random sweep over QQ, GF(2)
+and GF(3), the benchmark's spheres over GF(2) and the hexagon and cube
+cones over the three fields, at every evaluation degree of the cones.
 """
 
 from itertools import combinations
@@ -18,8 +19,8 @@ from itertools import combinations
 import pytest
 
 from zeemac import GF, QQ, SimplicialComplex, build, cone_of_simplicial, face_lattice
-from zeemac.cohomology import local_cohomology, local_complex, restriction_map
-from zeemac.linalg import Mat, chain_representatives, kernel_basis
+from zeemac.cohomology import cochain_complex, local_cohomology, restriction_map
+from zeemac.linalg import Mat, cochain_classes, kernel_basis
 from zeemac.resolutions import evaluation_degrees
 from zeemac.zeeman import _page2_data
 
@@ -55,12 +56,20 @@ def cases():
 CASES = list(cases())
 
 
+def chain_representatives(differentials):
+    """``(representatives, pivots)`` of ``cochain_classes`` per degree,
+    for the ``Mat`` out of each degree."""
+    mats = list(differentials)
+    for representatives, _, pivots in cochain_classes([d.columns for d in mats], mats[0].field):
+        yield representatives, pivots
+
+
 def check_against_uncleared(fc, field, graded: bool) -> None:
     """The store and page 2 equal the uncleared oracle."""
     store = uncleared_store(fc, field)
     for f in fc.faces:
         vs, summary = store[f.id]
-        assert repr(local_complex(fc, f.id, field)) == repr(vs)
+        assert repr(cochain_complex(fc, f.id, field)) == repr(vs)
         assert repr(local_cohomology(fc, f.id, field)) == repr(summary)
     for c in fc.covers:
         src = store[c.upper][0]
@@ -83,13 +92,13 @@ def test_the_oracle_comparison_is_not_vacuous():
     for _, make, field, _ in CASES:
         fc = make()
         for f in fc.faces:
-            vs = local_complex(fc, f.id, field)
+            vs = cochain_complex(fc, f.id, field)
             total += local_cohomology(fc, f.id, field).total()
             diffs = [vs.diff(p) for p in range(vs.lo, vs.hi + 1)]
             chain = chain_representatives(diffs)
             cleared += sum(1 for (_, pivots), m in zip(chain, diffs[1:]) for j in pivots if m.columns[j])
         for c in fc.covers:
-            vs = local_complex(fc, c.upper, field)
+            vs = cochain_complex(fc, c.upper, field)
             nonzero += sum(not restriction_map(fc, c.upper, c.lower, field, p).is_zero() for p in range(vs.lo, vs.hi + 1))
     assert total > 200 and nonzero > 500 and cleared > 1000, (total, nonzero, cleared)
 

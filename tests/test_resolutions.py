@@ -14,6 +14,7 @@ from zeemac import (
     is_linear,
     minimal_linear_resolution,
     minimality_scan,
+    page,
     total_resolution,
     verify_exactness,
     vertical_cohomology_dims,
@@ -28,6 +29,7 @@ from zeemac.resolutions import (
     coarse_resolution_numerator,
     evaluation_degrees,
 )
+from zeemac.zeeman import _page1_data
 
 from .helpers import (
     bowtie,
@@ -36,6 +38,7 @@ from .helpers import (
     random_simplicial,
     square_cone_two_facets,
 )
+from .test_cleared_representatives import CASES
 
 
 def full_simplex(d):
@@ -172,6 +175,31 @@ def test_minimal_resolution_term_multiplicities_match_cohomology():
                 if d:
                     expected[g] = d
             assert dict(term.summands) == expected
+
+
+def test_minimal_resolution_is_page_1_top_column():
+    # when page 1 sits in column n, that column with d1 is the minimal
+    # linear resolution: term i is the block (n, i - n), face by face (the
+    # face of a page-1 class is the G of the last pair of its
+    # representative), and map i is d1 out of it
+    cm = nonzero = 0
+    for label, make, field, _ in CASES:
+        fc = make()
+        if not is_cohen_macaulay(fc, field):
+            continue
+        n = fc.dim
+        res = minimal_linear_resolution(fc, field)
+        z = build(fc, None, field)
+        d1 = page(z, 1).diffs
+        classes = _page1_data(z).summaries
+        faces = [tuple(z.block(n, i - n)[max(rep)][1] for rep in classes.get((n, i - n), ())) for i in range(n + 1)]
+        assert [t.faces for t in res.terms] == faces[: len(res.terms)], (label, field)
+        assert not any(faces[len(res.terms) :]), (label, field)
+        for i, m in enumerate(res.maps):
+            assert repr(m) == repr(d1[(n, i - n)]), (label, field, i)
+        cm += 1
+        nonzero += sum(not m.is_zero() for m in res.maps)
+    assert cm > 30 and nonzero > 10, (cm, nonzero)
 
 
 def test_general_cone_resolutions():

@@ -1,5 +1,5 @@
 """The reductions without clearing, a reference for ``reduce_chain`` and
-``chain_representatives``.
+``cochain_classes``.
 
 Each differential is reduced on its own, every column included: the
 terminal page by ``reduce_columns`` on each total differential, the page-1

@@ -341,21 +341,47 @@ def complex_to_doc(bundle: InputBundle) -> dict:
 def bundle_from_doc(doc: dict) -> InputBundle:
     """The input a ``complex_to_doc`` document describes; an input error
     names the JSON path of a bad item."""
-    t = doc["type"]
+    return _bundle_at(doc, "")
+
+
+def _bundle_at(doc, pre: str) -> InputBundle:
+    """``bundle_from_doc`` of the document whose members have the JSON paths ``pre + key``."""
+    t = _member(doc, "type", pre)
     if t == "simplicial":
-        return simplicial_bundle(("vertices", doc["vertices"]), _items(doc, "facets"))
+        return simplicial_bundle((pre + "vertices", _member(doc, "vertices", pre, int)), _items(doc, "facets", pre))
     if t == "semigroup":
-        return semigroup_bundle(("ambient", doc["ambient"]), _items(doc, "functionals"), _items(doc, "delta"))
+        ambient = (pre + "ambient", _member(doc, "ambient", pre))
+        return semigroup_bundle(ambient, _items(doc, "functionals", pre), _items(doc, "delta", pre))
     if t == "polyhedral":
-        faces = [(where, *f) for where, f in _items(doc, "faces")]
-        covers = [(where, *c) for where, c in _items(doc, "covers")]
-        return polyhedral_bundle(doc["ambient"], faces, covers)
-    raise InputFormatError(f"unknown complex type {t!r}")
+        faces = [(where, *f) for where, f in _items(doc, "faces", pre, (int, int, str))]
+        covers = [(where, *c) for where, c in _items(doc, "covers", pre, (int, int, int))]
+        return polyhedral_bundle(_member(doc, "ambient", pre), faces, covers)
+    raise InputFormatError(f"{pre}type: unknown complex type {t!r}")
 
 
-def _items(doc: dict, key: str) -> list:
-    """``(path, tuple(item))`` for each item of the list ``doc[key]`` (none if absent or null)."""
-    return [(f"{key}[{k}]", tuple(item)) for k, item in enumerate(doc.get(key) or ())]
+def _typed(value, where: str, kind: type):
+    """``value``, the JSON value at the path ``where``, if it is a ``kind``; else an input error."""
+    if not isinstance(value, kind):
+        raise InputFormatError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _member(doc, key: str, pre: str = "", kind: type = object):
+    """``doc[key]``, a ``kind`` at the JSON path ``pre + key``; an input
+    error names the path where ``doc`` is no object or lacks ``key``."""
+    if key not in _typed(doc, pre[:-1] or "document", dict):
+        raise InputFormatError(f"{pre}{key}: missing")
+    return _typed(doc[key], pre + key, kind)
+
+
+def _items(doc: dict, key: str, pre: str, shape: tuple | None = None) -> list:
+    """``(path, tuple(item))`` for each item of the list ``doc[key]`` (none if absent
+    or null): a list of integers, or of one value of each type in ``shape``."""
+    items = [(f"{pre}{key}[{k}]", item) for k, item in enumerate(_typed(doc.get(key) or [], pre + key, list))]
+    for where, item in items:
+        if list(map(type, _typed(item, where, list))) != list(shape or (int,) * len(item)):
+            raise InputFormatError(f"{where}: expected {[t.__name__ for t in shape] if shape else 'integers'}, got {item!r}")
+    return [(where, tuple(item)) for where, item in items]
 
 
 def _face_key_str(fc: FaceComplex, fid: int) -> str:
@@ -383,25 +409,43 @@ def resolution_to_doc(res: FaceModuleComplex, bundle: InputBundle, certificates:
 
 
 def resolution_from_doc(doc: dict):
-    """Rebuild (resolution, bundle, field) from an emitted document."""
-    if doc.get("kind") != "irreducible-resolution":
+    """Rebuild (resolution, bundle, field) from an emitted document; a
+    malformed one raises ``InputFormatError`` naming the JSON path of the
+    bad item."""
+    if not isinstance(doc, dict) or doc.get("kind") != "irreducible-resolution":
         raise InputFormatError("not an irreducible-resolution document")
-    field = parse_field(doc["field"])
-    bundle = bundle_from_doc(doc["complex"])
+    field = _naming("field", parse_field, _member(doc, "field", kind=str))
+    bundle = _bundle_at(_member(doc, "complex"), "complex.")
     fc = bundle.fc
     ids = {_face_key_str(fc, f.id): f.id for f in fc.faces}
     terms = []
-    for i, term in enumerate(doc["terms"]):
-        for j, key in enumerate(term):
+    for i, term in enumerate(_member(doc, "terms", kind=list)):
+        for j, key in enumerate(_typed(term, f"terms[{i}]", list)):
             if not isinstance(key, str) or key not in ids:
                 raise InputFormatError(f"terms[{i}][{j}]: no face with key {key!r} in the complex")
         terms.append(FaceModule(tuple(ids[key] for key in term)))
-    maps = [_mat_from_doc(m, field) for m in doc["maps"]]
-    aug = None
-    if doc.get("augmentation") is not None:
-        aug = tuple(_scalar_from_doc(s, field) for s in doc["augmentation"])
-    res = FaceModuleComplex(fc, field, terms, maps, augmentation=aug, variant=doc.get("variant", ""))
+    maps = _member(doc, "maps", kind=list)
+    if len(maps) != max(len(terms) - 1, 0):
+        raise InputFormatError(f"maps: {len(maps)} map(s) for {len(terms)} term(s); need one per consecutive pair")
+    for i, m in enumerate(maps):  # each shape is checked before any column is made
+        for key, want in (("rows", len(terms[i + 1])), ("cols", len(terms[i]))):
+            if (got := _member(m, key, f"maps[{i}].", int)) != want:
+                raise InputFormatError(f"maps[{i}].{key}: the terms give {want}, got {got!r}")
+        _member(m, "entries", f"maps[{i}].", list)
+    maps = [_naming(f"maps[{i}].entries", _mat_from_doc, m, field) for i, m in enumerate(maps)]
+    if (aug := doc.get("augmentation")) is not None:
+        aug = _naming("augmentation", tuple, (_scalar_from_doc(s, field) for s in _typed(aug, "augmentation", list)))
+    # the maps fit the terms, so only the augmentation can be at fault
+    res = _naming("augmentation", FaceModuleComplex, fc, field, terms, maps, aug, doc.get("variant", ""))
     return res, bundle, field
+
+
+def _naming(where: str, fn, *args):
+    """``fn(*args)``, its errors raised as input errors naming the JSON path ``where``."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"{where}: {exc}") from None
 
 
 def dump_json(doc: dict) -> str:

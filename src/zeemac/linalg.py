@@ -27,9 +27,8 @@ One elimination kernel serves every need: a sparse column reduction
 (``reduce_columns``) of the columns themselves, mod p over F_p and
 fraction-free over the integers for rationals.  One pass gives the rank
 after every column prefix, the pivot columns (those outside the span of
-the columns before them) and, from the pivot (largest) rows of the
-surviving columns, the rank of every row suffix (``row_suffix_ranks``),
-with no transpose.  Kernels and solves read column relations off the same
+the columns before them) and the pivot (largest) rows of the surviving
+columns, which are distinct.  Kernels and solves read column relations off the same
 reduction with one tag row per column (``_relations``): the relation of a
 column in the span of the earlier ones has coefficient 1 at that column
 and is nonzero elsewhere only on earlier pivot columns, so it is fixed by
@@ -45,8 +44,9 @@ has pivot row i, then D_{n+1} applied to it is a relation with a nonzero
 coefficient at column i and otherwise only earlier columns, so column i of
 D_{n+1} lies in the span of the columns before it and reduces to zero: it
 is skipped, and every prefix rank and pivot comes out as without it.  The
-rank-only paths (``reduce_chain``: the terminal page, the page-1 row and
-column dimensions, the Hochster coboundary) and the representative paths
+rank-only paths (``reduce_chain``: the terminal page, which counts the
+essential columns, the page-1 row and column dimensions, the Hochster
+coboundary) and the representative paths
 (``cochain_classes``: local cohomology near a face, and page 2) both use
 it.
 
@@ -92,7 +92,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
 
 
@@ -318,10 +317,7 @@ def reduce_columns(cols, field: Field) -> tuple[list[int], dict]:
     Returns ``(ranks, pivots)``: ``ranks[k]`` is the rank of the columns
     ``cols[:k + 1]``, and ``pivots`` maps the pivot row of every surviving
     column to that reduced column (a set of rows over F_2, scaled to 1 at
-    its pivot row over F_p, an integer column over QQ).  The reduced matrix
-    is the original times an invertible matrix and its pivot rows are
-    distinct, so the rank of the rows ``>= r`` of the selected columns is
-    the number of pivots ``>= r`` (``row_suffix_ranks``).
+    its pivot row over F_p, an integer column over QQ).
     """
     p = field.p
     owner: dict = {}  # row -> the reduced column whose largest row it is
@@ -460,15 +456,6 @@ def echelon_coordinates(target, columns: dict, field: Field):
         c = coefficients[r] = target[r] if col[r] == 1 else field.reduce(Fraction(target[r], col[r]))
         target = _combine((target, col), ((0, 1), (1, field.reduce(-c))), field)
     return coefficients
-
-
-def row_suffix_ranks(pivots, nrows: int) -> list[int]:
-    """Rank of the last k rows, for k = 1..nrows, of the columns whose
-    reduction (``reduce_columns``) left the pivot rows ``pivots``."""
-    hits = [0] * nrows
-    for r in pivots:
-        hits[r] += 1
-    return list(accumulate(reversed(hits)))
 
 
 def _raw_relations(cols, field: Field, cleared=frozenset()) -> tuple[dict, dict]:

@@ -81,9 +81,8 @@ class FaceModuleComplex:
                 raise ValueError(f"map {i} has shape {m.rows}x{m.cols}")
             if m.field != field:
                 raise ValueError(f"map {i} is over {m.field.label()}, not {field.label()}")
-        if self.augmentation is not None and self.terms:
-            if len(self.augmentation) != len(self.terms[0]):
-                raise ValueError("augmentation length does not match the first term")
+        if self.augmentation is not None and (not self.terms or len(self.augmentation) != len(self.terms[0])):
+            raise ValueError("augmentation length does not match the first term (or there are no terms)")
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -135,7 +134,7 @@ def total_resolution_terms(fc: FaceComplex) -> tuple[FaceModule, ...]:
 
 def _terms(z) -> tuple[FaceModule, ...]:
     """One copy of k[G] per pair (F, G), term by term in the pair order of ``z``."""
-    return tuple(FaceModule(tuple(g for _, (_, g) in level)) for level in z.labels)
+    return tuple(FaceModule(tuple(g for _, g in level)) for level in z.labels)
 
 
 def _require_unique_minimal_face(fc: FaceComplex) -> None:

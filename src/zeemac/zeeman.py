@@ -8,8 +8,8 @@ horizontal differential acts on the F index through cofacet covers and
 carries the row twist (-1)^q, which makes the two differentials
 anticommute and the total differential square to zero.
 
-``build`` only lists the pairs, in one order: by total degree
-dim F - dim G, then (dim G, G, F).  Each block (p, q) is then a
+``build`` only lists the pairs (F, G), with no bidegree, in one order: by
+total degree dim F - dim G, then (dim G, G, F).  Each block (p, q) is then a
 contiguous range of its total degree, its pairs in (G, F) order, and
 each horizontal or vertical block map is a row-and-column range of one
 total differential.  One method, ``ZeemanComplex._column``, writes the
@@ -22,7 +22,7 @@ Taking horizontal cohomology first gives the spectral sequence exposed by
 page 1 the horizontal cohomology with the induced vertical maps, page 2
 its cohomology together with honest knight-move differentials computed by
 zigzag lifting, and the terminal page the associated graded of total
-cohomology under the row filtration.
+cohomology under the row filtration, read off the essential columns.
 
 Row q is block-diagonal over the admitted faces G of dimension -q, each
 block the upper-set complex of G up to the twist, so page 1 is assembled
@@ -50,7 +50,6 @@ from .linalg import (
     cochain_classes,
     echelon_coordinates,
     reduce_chain,
-    row_suffix_ranks,
     solve_columns,
 )
 
@@ -70,7 +69,7 @@ class ZeemanComplex:
     fc: FaceComplex
     field: Field
     degree: tuple | None  # None means the ordinary (all-zero) degree
-    labels: tuple  # total degree n -> tuple of ((p, q), (f_id, g_id)) in (dim G, G, F) order
+    labels: tuple  # total degree n -> tuple of (f_id, g_id) pairs in (dim G, G, F) order
     pos: dict  # (f_id, g_id) -> position of the pair in its total degree
     blocks: dict  # (p, q) -> tuple of (f_id, g_id) pairs in (G, F) order
     _page1: object = dfield(default=None, repr=False)
@@ -141,10 +140,11 @@ def _check_degree(a, d: int) -> tuple | None:
 def build(fc: FaceComplex, a=None, field: Field = QQ) -> ZeemanComplex:
     """List the pairs of the double complex of ``fc`` at lattice degree ``a``.
 
-    Total degree n = dim F - dim G holds its pairs in (dim G, G, F) order,
-    so each block (p, q) is one contiguous range of them, in (G, F) order.
-    No matrix is built: ``total_complex``, ``horiz`` and ``vert`` write
-    theirs from the covers when asked.
+    ``labels[n]`` holds the (f_id, g_id) pairs alone of total degree
+    n = dim F - dim G in (dim G, G, F) order, so each block (p, q) is one
+    contiguous range of them, in (G, F) order.  No matrix is built:
+    ``total_complex``, ``horiz`` and ``vert`` write theirs from the covers
+    when asked.
 
     ``a=None`` (or the zero vector) gives the ordinary degree, which needs
     no geometry; any other degree requires the complex to carry its
@@ -164,9 +164,9 @@ def build(fc: FaceComplex, a=None, field: Field = QQ) -> ZeemanComplex:
             blocks.setdefault((fc.face(f).dim, qg), []).append((f, g))
     by_degree: dict = {}
     for p, q in sorted(blocks, key=lambda k: -k[1]):  # dim G ascending
-        by_degree.setdefault(p + q, []).extend(((p, q), pair) for pair in blocks[(p, q)])
+        by_degree.setdefault(p + q, []).extend(blocks[(p, q)])
     labels = tuple(tuple(by_degree.get(n, ())) for n in range(max(by_degree, default=0) + 1))
-    pos = {pair: i for level in labels for i, (_, pair) in enumerate(level)}
+    pos = {pair: i for level in labels for i, pair in enumerate(level)}
     return ZeemanComplex(fc, field, a, labels, pos, {k: tuple(v) for k, v in blocks.items()})
 
 
@@ -188,11 +188,11 @@ def total_complex(z: ZeemanComplex) -> AugmentedTotal:
     if z._total is None:
         labels = z.labels
         diffs = tuple(
-            Mat(len(cod), len(dom), [z._column(f, g, True, True) for _, (f, g) in dom], z.field)
+            Mat(len(cod), len(dom), [z._column(f, g, True, True) for f, g in dom], z.field)
             for dom, cod in zip(labels, labels[1:])
         )
         vs = VSComplex(0, len(labels) - 1, labels, diffs, z.field)
-        aug = tuple(z._signs[diagonal_sign(z.fc.face(f).dim)] for _, (f, _) in labels[0])
+        aug = tuple(z._signs[diagonal_sign(z.fc.face(f).dim)] for f, _ in labels[0])
         z._total = AugmentedTotal(vs, aug)
     return z._total
 
@@ -321,62 +321,31 @@ def _page2_data(z: ZeemanComplex) -> _Page2Data:
 
 
 def _infinity_dims(z: ZeemanComplex) -> dict:
-    """Terminal-page dimensions from the row filtration of the total
-    complex: one sparse column reduction per total degree, all ranks exact.
+    """Terminal-page dimensions: the essential columns of the total
+    complex reduced with clearing (``linalg.reduce_chain``), each at its
+    pair's bidegree (dim F, -dim G).  Column j of degree n is essential
+    when its prefix rank does not rise and j is no pivot row of D_{n-1}.
 
-    Each degree's basis is ordered q descending, so a filtration step
-    (q >= s) is a prefix of the columns of the differential out of that
-    degree and a suffix of the rows of the one into it.  Reducing the
-    columns of each differential gives both: the rank after every column
-    prefix, and from the pivot rows the rank of every row suffix.  The
-    degrees are reduced in increasing order with clearing
-    (``linalg.reduce_chain``): the total differential squares to zero and
-    the columns out of degree n + 1 come in the order of the rows into it,
-    so the columns at the pivot rows of the differential into a degree are
-    skipped without changing any of these ranks.
+    A filtration step F (q >= s) is a prefix of each basis, and E-infinity
+    at (n - s, s) is the drop in dim(Z^n in F) - dim(B^n in F) from s to
+    s + 1.  Proof that this is the number of essential columns in F: the
+    non-rising columns in F count Z^n in F; the pivot rows of D_{n-1} are
+    distinct, so those in F count B^n in F; and clearing puts every pivot
+    row among the non-rising columns.
     """
     tot = total_complex(z).complex
-    hi = tot.hi
-    qs_of = [[q for ((_, q), _) in level] for level in tot.labels]
-    pref = []  # pref[n][k - 1]: rank of the first k columns of the differential out of degree n
-    suff = [[]]  # suff[n][k - 1]: rank of the last k rows of the differential into degree n
-    for n, (ranks, pivots) in enumerate(reduce_chain([enumerate(d.columns) for d in tot.diffs], z.field)):
-        pref.append(ranks)
-        suff.append(row_suffix_ranks(pivots, tot.dim(n + 1)))
-    pref.append([0] * tot.dim(hi))
-
-    def rank_prefix(n: int, k: int) -> int:
-        if k <= 0:
-            return 0
-        return pref[n][k - 1]
-
-    def rank_suffix_rows(n: int, k: int) -> int:
-        if k <= 0 or n == 0:
-            return 0
-        return suff[n][k - 1]
-
-    dims: dict = {}
-    for n in range(hi + 1):
-        qs = qs_of[n]
-        if not qs:
-            continue
-        full_rank_prev = rank_prefix(n - 1, len(qs_of[n - 1])) if n > 0 else 0
-
-        def filtered_h(k: int) -> int:
-            """Cohomology at degree n of the filtration step whose degree-n
-            part is the first k basis elements."""
-            kerdim = k - rank_prefix(n, k)
-            imdim = full_rank_prev - rank_suffix_rows(n, len(qs) - k)
-            return kerdim - imdim
-
-        below = 0  # basis elements with a smaller q
-        for q, size in sorted(Counter(qs).items()):
-            k = len(qs) - below  # basis elements with q' >= q
-            d = filtered_h(k) - filtered_h(k - size)
-            if d:
-                dims[(n - q, q)] = d
-            below += size
-    return dims
+    zero_top = [(j, {}) for j in range(tot.dim(tot.hi))]  # the map out of the top degree
+    reduced = reduce_chain([*(enumerate(d.columns) for d in tot.diffs), zero_top], z.field)
+    dims: Counter = Counter()
+    into: dict = {}  # the pivot rows of the differential into the degree
+    for level, (ranks, pivots) in zip(tot.labels, reduced):
+        before = 0
+        for j, ((f, g), rank) in enumerate(zip(level, ranks)):
+            if rank == before and j not in into:
+                dims[(z.fc.face(f).dim, -z.fc.face(g).dim)] += 1
+            before = rank
+        into = pivots
+    return dict(dims)
 
 
 def page(z: ZeemanComplex, r) -> SSPage:

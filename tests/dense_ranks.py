@@ -333,14 +333,15 @@ def dense_total_differentials(z: ZeemanComplex) -> list[Mat]:
     fc, field = z.fc, z.field
     admitted = {g.id for g in fc.faces} if z.degree is None else fc.faces_containing(z.degree)
     labels = total_complex(z).complex.labels
-    pairs = [((fc.face(f).dim, -fc.face(g).dim), (f, g)) for g in admitted for f in fc.above(g)]
+    pairs = [(f, g) for g in admitted for f in fc.above(g)]
     assert sorted(lab for level in labels for lab in level) == sorted(pairs)
-    index = [{pair: i for i, (_, pair) in enumerate(level)} for level in labels]
+    assert all(fc.face(f).dim - fc.face(g).dim == n for n, level in enumerate(labels) for f, g in level)
+    index = [{pair: i for i, pair in enumerate(level)} for level in labels]
     diffs = []
     for n in range(len(labels) - 1):
         cod = index[n + 1]
         rows = [[0] * len(labels[n]) for _ in cod]
-        for j, (_, (f, g)) in enumerate(labels[n]):
+        for j, (f, g) in enumerate(labels[n]):
             for g2, sign in fc.covers_below(g):
                 if g2 in admitted:
                     rows[cod[(f, g2)]][j] = sign
@@ -362,6 +363,7 @@ def dense_infinity_dims(z: ZeemanComplex) -> dict:
     """
     field = z.field
     labels = total_complex(z).complex.labels
+    qs = [[-z.fc.face(g).dim for _, g in level] for level in labels]  # the row q of each pair (F, G)
     diffs = dense_total_differentials(z)
 
     def columns(m: Mat, k: int) -> Mat:
@@ -371,7 +373,7 @@ def dense_infinity_dims(z: ZeemanComplex) -> dict:
         return Mat.from_rows([m.row(i) for i in range(k, m.rows)], field)
 
     def image_in_total(n: int, s: int) -> int:
-        k = sum(1 for (_, q), _ in labels[n] if q >= s)
+        k = sum(1 for q in qs[n] if q >= s)
         cocycles = k - (dense_rank(columns(diffs[n], k), field) if n < len(diffs) else 0)
         if n == 0:
             return cocycles
@@ -379,8 +381,8 @@ def dense_infinity_dims(z: ZeemanComplex) -> dict:
         return cocycles - (dense_rank(d, field) - dense_rank(rows_from(d, k), field))
 
     dims: dict = {}
-    for n, level in enumerate(labels):
-        for s in sorted({q for (_, q), _ in level}):
+    for n, level in enumerate(qs):
+        for s in sorted(set(level)):
             d = image_in_total(n, s) - image_in_total(n, s + 1)
             if d:
                 dims[(n - s, s)] = d

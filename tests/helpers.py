@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from zeemac import AffineSemigroup, SimplicialComplex, cone_of_simplicial, face_lattice
-from zeemac.complexes import subcomplex
+from zeemac.complexes import Cover, Face, FaceComplex, subcomplex
 
 
 def hollow_triangle() -> SimplicialComplex:
@@ -64,6 +64,18 @@ def square_cone_two_facets():
     f2 = q.face_with_vanishing([1])
     ids = [i for i, cf in full.cone_faces.items() if cf in (f1, f2)]
     return subcomplex(full, ids), q
+
+
+def four_rays_under_one_face() -> FaceComplex:
+    """A face poset that is no cone's face lattice: an apex, four rays and
+    one 2-face over all four, the signs into the 2-face alternating so that
+    the covers square to zero.  Near the apex H^1 has dimension 2, so the
+    total complex has cohomology in degree 1 and the terminal page has
+    classes off the diagonal, at (1, 0)."""
+    faces = [Face(0, 0, "o", key=("p", 0))] + [Face(i, 1, f"r{i}", key=("p", i)) for i in range(1, 5)]
+    faces.append(Face(5, 2, "top", key=("p", 5)))
+    covers = [Cover(0, i, 1) for i in range(1, 5)] + [Cover(i, 5, (-1) ** (i + 1)) for i in range(1, 5)]
+    return FaceComplex(faces, covers, 2)
 
 
 def random_simplicial(rng: random.Random) -> SimplicialComplex:

@@ -1,0 +1,166 @@
+"""Source mutants that the cross-checks must kill.
+
+Run from the repository root (standard library and pytest only):
+
+    python tests/mutants.py            # every mutant in the table
+    python tests/mutants.py NAME ...   # the named ones
+
+Each entry of ``MUTANTS`` gives a file under ``src/zeemac``, the exact old
+text (which must occur there once), the new text, the claim it attacks
+and the test files that must kill it.  The mutant is applied to a
+temporary copy of ``src/`` (with ``tests/`` and ``pyproject.toml`` beside
+it, so that pytest's ``pythonpath`` points at the copy), and each named
+test file runs on its own with ``-x``: every one of them must fail, or
+the mutant survives and the run fails.  An equivalent mutant changes no
+result by design; it carries the reason, its test files must all pass
+on it, and the run fails if one of them does not (then the reason is
+wrong).
+
+The harness presumes that the named test files pass on the unmutated
+source, as the tier-1 run shows; it is not collected by pytest.  Later
+changes that add a kernel or a cross-check add its mutant here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # under src/zeemac
+    old: str  # occurs exactly once in the file
+    new: str
+    claim: str  # what the mutant breaks
+    tests: tuple  # test files under tests/, each of which must kill it
+    equivalent: str = ""  # for an equivalent mutant: why it survives
+
+
+MUTANTS = (
+    Mutant(
+        "einf-counts-cleared-column",
+        "zeeman.py",
+        "if rank == before and j not in into:",
+        "if rank == before:",
+        "E-infinity counts only the essential columns: a column at a pivot row "
+        "of the differential into its degree is a coboundary, not a class",
+        ("test_clearing.py", "test_sparse_ranks.py"),
+    ),
+    Mutant(
+        "einf-wrong-bidegree",
+        "zeeman.py",
+        "dims[(z.fc.face(f).dim, -z.fc.face(g).dim)] += 1",
+        "dims[(z.fc.face(f).dim, -z.fc.face(f).dim)] += 1",
+        "an essential column of the pair (F, G) is a class at (dim F, -dim G)",
+        ("test_clearing.py", "test_sparse_ranks.py"),
+    ),
+    Mutant(
+        "reduce-chain-clears-extra-column",
+        "linalg.py",
+        "[{} if j in cleared else col for j, col in pairs]",
+        "[{} if j in cleared or (cleared and j == 0) else col for j, col in pairs]",
+        "clearing skips exactly the columns at the pivot rows of the differential before",
+        ("test_clearing.py", "test_sparse_ranks.py", "test_zeeman.py"),
+    ),
+    Mutant(
+        "column-drops-row-twist",
+        "zeeman.py",
+        "twist = -1 if fc.face(g).dim % 2 else 1",
+        "twist = 1",
+        "the horizontal differential carries the row twist (-1)^q, so the total differential squares to zero",
+        ("test_zeeman.py", "test_sparse_ranks.py"),
+    ),
+    Mutant(
+        "restriction-drops-cover-sign",
+        "cohomology.py",
+        "out_cols.append({rep_at[r]: field.reduce(sign * c) for r, c in coords.items() if r in rep_at})",
+        "out_cols.append({rep_at[r]: c for r, c in coords.items() if r in rep_at})",
+        "each restriction block is weighted by its cover sign",
+        ("test_cleared_representatives.py", "test_page1_engine.py", "test_resolutions.py"),
+    ),
+    Mutant(
+        "doc-reader-raises-bare-key-error",
+        "formats.py",
+        'raise InputFormatError(f"{pre}{key}: missing")',
+        "raise KeyError(key)",
+        "a malformed resolution document raises InputFormatError naming its JSON path",
+        ("test_formats_cli.py",),
+    ),
+    Mutant(
+        "reduce-chain-keeps-first-pivot-column",
+        "linalg.py",
+        "[{} if j in cleared else col for j, col in pairs]",
+        "[{} if j in cleared and j != min(cleared) else col for j, col in pairs]",
+        "clearing skips the columns at the pivot rows of the differential before",
+        ("test_clearing.py", "test_sparse_ranks.py"),
+        equivalent="clearing is only an optimization: a column at a pivot row of the "
+        "differential before lies in the span of the columns before it, so reducing it "
+        "gives zero and leaves every prefix rank and pivot as they were",
+    ),
+)
+
+
+def _copy_tree(tmp: str) -> None:
+    skip = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(tmp, name), ignore=skip)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp)
+
+
+def _apply(m: Mutant, tmp: str) -> None:
+    path = os.path.join(tmp, "src", "zeemac", m.file)
+    with open(path) as fh:
+        text = fh.read()
+    if (count := text.count(m.old)) != 1:
+        raise SystemExit(f"{m.name}: the old text occurs {count} times in {m.file}, not once")
+    with open(path, "w") as fh:
+        fh.write(text.replace(m.old, m.new))
+
+
+def _fails(tmp: str, test_file: str) -> bool:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", os.path.join("tests", test_file)]
+    return subprocess.run(cmd, cwd=tmp, env=env, capture_output=True).returncode != 0
+
+
+def check(m: Mutant) -> list[str]:
+    """The test files that did not do what the entry says: survived the
+    mutant, or, for an equivalent mutant, failed on it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _copy_tree(tmp)
+        _apply(m, tmp)
+        return [t for t in m.tests if _fails(tmp, t) == bool(m.equivalent)]
+
+
+def main(names) -> int:
+    table = {m.name: m for m in MUTANTS}
+    unknown = [n for n in names if n not in table]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    bad = 0
+    for m in [table[n] for n in names] or MUTANTS:
+        t0 = time.perf_counter()
+        wrong = check(m)
+        if not wrong:
+            verdict = "survived as equivalent" if m.equivalent else "killed"
+        elif m.equivalent:
+            verdict = f"killed by {', '.join(wrong)}, so it is not equivalent"
+        else:
+            verdict = f"SURVIVED {', '.join(wrong)}"
+        print(f"{m.name}: {verdict} ({time.perf_counter() - t0:.1f} s) -- {m.claim}", flush=True)
+        bad += bool(wrong)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -20,7 +20,7 @@ from zeemac.linalg import reduce_chain
 from zeemac.resolutions import evaluation_degrees
 from zeemac.zeeman import horizontal_cohomology_dims, vertical_cohomology_dims
 
-from .helpers import RP2_FACETS, bowtie, d2_witness, random_sweep, rp2
+from .helpers import RP2_FACETS, bowtie, d2_witness, four_rays_under_one_face, random_sweep, rp2
 from .uncleared import (
     coboundary_blocks,
     uncleared_chain,
@@ -99,6 +99,16 @@ def test_cleared_ranks_and_dims_match_the_uncleared_ones(label, sc, field):
     for mats in chains(z):
         assert_chain_matches(mats, field)
     assert_dims_match(z)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_cleared_dims_match_off_the_diagonal(field):
+    # total cohomology in degree 1: terminal-page classes at pairs (F, G) with F != G
+    z = build(four_rays_under_one_face(), None, field)
+    for mats in chains(z):
+        assert_chain_matches(mats, field)
+    assert_dims_match(z)
+    assert page(z, math.inf).dims == {(2, -2): 1, (1, 0): 2}
 
 
 def test_clearing_skips_columns_on_the_spheres():

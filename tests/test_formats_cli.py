@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from zeemac import FieldMismatchError, GF, QQ, Mat, SimplicialComplex, verify_exactness
+from zeemac import FieldMismatchError, GF, QQ, FaceModuleComplex, Mat, SimplicialComplex, minimal_linear_resolution, verify_exactness
 from zeemac import cli, formats
 from zeemac.cli import _COMMANDS, run
 from zeemac.formats import (
@@ -17,6 +17,7 @@ from zeemac.formats import (
     load_input,
     parse_input_text,
     resolution_from_doc,
+    resolution_to_doc,
 )
 
 HOLLOW = "simplicial\nvertices 3\nfacet 1 2\nfacet 1 3\nfacet 2 3\n"
@@ -443,6 +444,70 @@ def test_resolution_term_key_naming_no_face_is_an_input_error(tmp_path, capsys, 
     doc["terms"][0][0] = key
     with pytest.raises(InputFormatError, match=re.escape(f"terms[0][0]: no face with key {key!r}")):
         resolution_from_doc(doc)
+
+
+def _set(path, value):
+    """A change of the document: the value at ``path`` (keys and indices) set,
+    or removed when ``value`` is ``DELETE``."""
+
+    def change(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        if value is DELETE:
+            del doc[last]
+        else:
+            doc[last] = value
+
+    return change
+
+
+DELETE = object()
+
+# (change of the hollow triangle's resolution document, JSON path named by the error)
+MALFORMED_DOCS = [
+    (_set(["maps"], DELETE), "maps"),
+    (_set(["field"], DELETE), "field"),
+    (_set(["complex", "type"], DELETE), "complex.type"),
+    (_set(["complex", "vertices"], DELETE), "complex.vertices"),
+    (_set(["maps", 0, "entries"], DELETE), "maps[0].entries"),
+    (_set(["maps", 0, "rows"], -1), "maps[0].rows"),
+    (_set(["maps", 1, "cols"], -3), "maps[1].cols"),
+    (_set(["maps", 0, "entries"], "1 -1 0"), "maps[0].entries"),
+    (_set(["maps", 0, "entries", 2], "1/0"), "maps[0].entries"),
+    (_set(["maps", 0], 7), "maps[0]"),
+    (_set(["maps"], {}), "maps"),
+    (_set(["maps"], []), "maps"),
+    (_set(["terms"], "id:0"), "terms"),
+    (_set(["terms", 1], 5), "terms[1]"),
+    (_set(["field"], 2), "field"),
+    (_set(["field"], "p:4"), "field"),
+    (_set(["complex"], []), "complex"),
+    (_set(["complex", "type"], "cubical"), "complex.type"),
+    (_set(["complex", "vertices"], "3"), "complex.vertices"),
+    (_set(["complex", "facets", 0], [1, "2"]), "complex.facets[0]"),
+    (_set(["augmentation"], "111"), "augmentation"),
+    (_set(["augmentation", 0], "x"), "augmentation"),
+    (_set(["augmentation"], ["1"]), "augmentation"),
+    (lambda doc: doc.update(terms=[], maps=[], augmentation=["1"]), "augmentation"),
+]
+
+
+@pytest.mark.parametrize("change,path", MALFORMED_DOCS, ids=[f"{k}-{p}" for k, (_, p) in enumerate(MALFORMED_DOCS)])
+def test_malformed_resolution_document_names_its_json_path(change, path):
+    bundle = parse_input_text(HOLLOW)
+    doc = json.loads(json.dumps(resolution_to_doc(minimal_linear_resolution(bundle.fc, QQ), bundle, {})))
+    assert resolution_from_doc(json.loads(json.dumps(doc)))[0].term_sizes() == (3, 3, 1)
+    change(doc)
+    with pytest.raises(InputFormatError) as exc:
+        resolution_from_doc(doc)
+    assert str(exc.value).startswith(f"{path}: "), str(exc.value)
+
+
+def test_face_module_complex_rejects_an_augmentation_without_terms():
+    fc = parse_input_text(HOLLOW).fc
+    with pytest.raises(ValueError, match="no terms"):
+        FaceModuleComplex(fc, QQ, [], [], augmentation=[1])
 
 
 def test_semigroup_json_roundtrip(tmp_path, capsys):

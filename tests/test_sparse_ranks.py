@@ -28,16 +28,16 @@ from fractions import Fraction
 
 import pytest
 
-from zeemac import GF, QQ, SimplicialComplex, build, cone_of_simplicial, face_lattice, page, total_complex
+from zeemac import GF, QQ, SimplicialComplex, build, cone_of_simplicial, face_lattice, page, subcomplex, total_complex
 from zeemac.cohomology import CohomologySummary, VSComplex, cochain_complex, cohomology_summary
 from zeemac.linalg import (
     Mat,
     kernel_basis,
     rank,
     reduce_columns,
-    row_suffix_ranks,
     solve_columns,
 )
+from zeemac.resolutions import evaluation_degrees
 
 from .dense_ranks import (
     dense_column_prefix_ranks,
@@ -55,7 +55,10 @@ from .helpers import (
     assert_same,
     bowtie,
     canonical,
+    cube_cone,
     densify,
+    four_rays_under_one_face,
+    hexagon_cone,
     hollow_triangle,
     random_sweep,
     rp2,
@@ -63,7 +66,7 @@ from .helpers import (
     square_cone,
     square_cone_two_facets,
 )
-from .uncleared import kernel_and_image, representatives
+from .uncleared import kernel_and_image, representatives, row_suffix_ranks
 
 FIELDS = (QQ, GF(2), GF(3), GF(2**61 - 1))
 
@@ -357,6 +360,7 @@ def fixtures():
         cone_of_simplicial(rp2()),
         face_lattice(square_cone()),
         square_cone_two_facets()[0],
+        four_rays_under_one_face(),
     ]
 
 
@@ -376,6 +380,23 @@ def test_pageinf_matches_dense_at_nonzero_degree():
     for field in FIELDS[:3]:
         assert_pageinf_matches_dense(face_lattice(square_cone()), field, (1, 0, 1))
         assert_pageinf_matches_dense(square_cone_two_facets()[0], field, (0, 0, 1))
+
+
+def delta_subcomplex(q, selectors):
+    """The subcomplex of the face lattice of ``q`` generated by the faces
+    on which the functionals of each selector vanish (0-based), as the
+    ``delta`` lines of a semigroup file choose it."""
+    full = face_lattice(q)
+    chosen = [q.face_with_vanishing(sel) for sel in selectors]
+    return subcomplex(full, [i for i, cf in full.cone_faces.items() if cf in chosen])
+
+
+@pytest.mark.parametrize("field", FIELDS[:3], ids=lambda f: f.label())
+def test_pageinf_matches_dense_at_every_degree_of_the_polygonal_cones(field):
+    for cone in (hexagon_cone, cube_cone):
+        for fc in (face_lattice(cone()), delta_subcomplex(cone(), ([0], [1]))):
+            for a in evaluation_degrees(fc):
+                assert_pageinf_matches_dense(fc, field, a)
 
 
 def test_pageinf_of_the_6_simplex_boundary_over_f2():

@@ -1,5 +1,8 @@
+import gc
 import math
 import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -228,6 +231,23 @@ def test_rp2_concentration_matches_cm():
     assert not concentration_check(build(fc, None, GF(2))).ok
 
 
+def test_build_holds_at_most_180_bytes_per_pair():
+    # a pair is one (f, g) tuple, its slot in its degree and in its block,
+    # and its index in ``pos``; no bidegree is stored beside it
+    sphere = SimplicialComplex.from_facets(9, [frozenset(f) for f in combinations(range(1, 10), 8)])
+    fc = cone_of_simplicial(sphere)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        z = build(fc, None, GF(2))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(z.pos) == 19171
+    assert held / len(z.pos) <= 180, held / len(z.pos)
+
+
 def test_build_and_concentration_write_no_total_complex():
     # cm-check builds and runs the concentration check only: neither may
     # pay for the total complex, and build holds no matrix at all
@@ -245,7 +265,7 @@ def assert_blocks_are_ranges_of_the_total(z):
     ``horiz``/``vert`` are the row-and-column ranges of the total
     differential at the blocks they join, which together hold every entry."""
     tot = total_complex(z).complex
-    index = [{pair: i for i, (_, pair) in enumerate(level)} for level in tot.labels]
+    index = [{pair: i for i, pair in enumerate(level)} for level in tot.labels]
 
     def span(p, q):
         pairs = z.block(p, q)

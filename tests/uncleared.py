@@ -7,7 +7,10 @@ row and column dimensions by ``rank`` on each block map, and reduced
 cohomology by one ``reduce_columns`` over the whole coboundary.  No
 reduction reads the pivots of another, so none presumes D_{n+1} D_n = 0.
 ``reduce_chain`` and its three callers must agree with these exactly: the
-ranks and pivots of every differential, and the dimensions.
+ranks and pivots of every differential, and the dimensions.  The terminal
+page here is the filtered-rank formula, from column-prefix and row-suffix
+ranks (``row_suffix_ranks``), where the library counts essential columns;
+the two share only ``reduce_columns``.
 
 The representative paths run here without clearing: each differential's
 kernel and reduced image come from one tagged reduction
@@ -21,8 +24,10 @@ for one cover at a time (``per_cover_restriction``).  The per-face store,
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from zeemac.cohomology import CohomologySummary, VSComplex
-from zeemac.linalg import Field, Mat, _relations, rank, reduce_columns, row_suffix_ranks, solve_columns
+from zeemac.linalg import Field, Mat, _relations, rank, reduce_columns, solve_columns
 from zeemac.zeeman import ZeemanComplex, _page1_data, total_complex
 
 
@@ -32,12 +37,24 @@ def uncleared_chain(differentials, field: Field) -> list:
     return [reduce_columns([col for _, col in pairs], field) for pairs in differentials]
 
 
+def row_suffix_ranks(pivots, nrows: int) -> list[int]:
+    """Rank of the last k rows, for k = 1..nrows, of the columns whose
+    reduction (``reduce_columns``) left the pivot rows ``pivots``: the
+    reduced columns end in distinct rows, so it is the number of pivots
+    among those rows."""
+    hits = [0] * nrows
+    for r in pivots:
+        hits[r] += 1
+    return list(accumulate(reversed(hits)))
+
+
 def uncleared_infinity_dims(z: ZeemanComplex) -> dict:
     """Terminal-page dimensions from one uncleared reduction per total
-    differential: prefix ranks of its columns, suffix ranks of its rows."""
+    differential: prefix ranks of its columns, suffix ranks of its rows.
+    The row q of a pair (F, G) is -dim G."""
     tot = total_complex(z).complex
     hi = tot.hi
-    qs_of = [[pq[1] for (pq, _) in tot.basis(n)] for n in range(hi + 1)]
+    qs_of = [[-z.fc.face(g).dim for _, g in tot.basis(n)] for n in range(hi + 1)]
     pref, suff = [], [[]]
     for n, d in enumerate(tot.diffs):
         ranks, pivots = reduce_columns(d.columns, z.field)

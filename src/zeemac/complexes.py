@@ -144,11 +144,6 @@ class FaceComplex:
         zero = self.semigroup.zero_set(a)
         if zero is None:
             return set()
-        return self.faces_vanishing_on(zero)
-
-    def faces_vanishing_on(self, zero) -> set[int]:
-        """The ids of the faces whose functionals all lie in ``zero``: the
-        faces containing a point of Q at which exactly ``zero`` vanish."""
         return {fid for fid, cf in self.cone_faces.items() if cf.vanishing <= zero}
 
     def contains_degree(self, fid: int, a) -> bool:

@@ -60,7 +60,7 @@ from .resolutions import FaceModuleComplex, FaceModule
 from .semigroup import AffineSemigroup, DegenerateConeError, face_lattice
 
 
-MAX_VERTICES = 16  # the orthant N^d has 2^d faces, and exactness checks visit each one
+MAX_VERTICES = 16  # the orthant N^d has 2^d faces, all built when the input is loaded
 MAX_FUNCTIONALS = 13  # a cone cut out by n functionals can have 2^n faces, each reduced once
 
 
@@ -293,10 +293,13 @@ def _mat_to_doc(m: Mat) -> dict:
 def _scalar_from_doc(s, field: Field):
     """A document entry reduced into ``field``.  A string is read by
     ``int`` first; what ``int`` rejects (``"-7/4"``, ``"1.5"``) and a JSON
-    number go to ``Fraction``, which raises for a bad entry."""
+    number go to ``Fraction``, which raises for a bad entry.  A string with
+    a decimal exponent is refused: ``Fraction`` would expand it in full."""
     try:
         x = int(s) if isinstance(s, str) else Fraction(s)
     except ValueError:
+        if isinstance(s, str) and "e" in s.lower():
+            raise ValueError(f"decimal exponent in {s!r}") from None
         x = Fraction(s)
     return field.reduce(x)
 

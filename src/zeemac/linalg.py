@@ -84,8 +84,8 @@ coefficients on the V_j, its class, equal what a solve against
 has cohomology.
 
 The exactness certificate does not clear: its maps may come from a file
-and are not known to compose to zero, so it ranks each map alone
-(``rank``).
+and are not known to compose to zero, so it reduces each map alone
+(``reduce_columns``).
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .cohomology import induced_map, is_cohen_macaulay, local_cohomology
 from .complexes import DegenerateComplexError, FaceComplex, MissingGeometryError
-from .linalg import Field, Mat, QQ, rank
+from .linalg import Field, QQ, reduce_columns
 from .zeeman import build, total_complex
 
 
@@ -201,41 +201,39 @@ def verify_exactness(c: FaceModuleComplex) -> ExactnessReport:
     zero can pass it.  Re-verifying a resolution read from outside
     therefore takes all three certificates: ``check_composition``,
     ``check_block_support`` and this one.  For the same reason each
-    restricted map is ranked on its own (``linalg.rank``), never with
-    clearing (``linalg.reduce_chain``): clearing presumes that consecutive
-    maps compose to zero, which this check does not verify, and the maps
-    of a re-ingested file are untrusted.
+    restricted map is ranked on its own (``linalg.reduce_columns``), never
+    with clearing (``linalg.reduce_chain``): clearing presumes that
+    consecutive maps compose to zero, which this check does not verify,
+    and the maps of a re-ingested file are untrusted.
 
-    At each evaluation degree the component of k[G] is k exactly when the
-    degree lies on G, the quotient's component is k exactly when the degree
-    lies on some face of the complex, and every map restricts to the
-    corresponding scalar submatrix.  Exactness of each finite restriction
+    The evaluation degree a is the interior point of its ambient face A,
+    where the component of k[G] is k exactly when G contains A.  The
+    complex is closed under taking faces and its covers are the cone's, so
+    if A is a face of the complex, the faces containing A are its upper set
+    (``fc.above``), and if not, none is, and every component at a is zero,
+    the quotient's too.  Each map restricts at a to the scalar submatrix
+    on the copies over that upper set.  Exactness of each restriction
     certifies exactness of the whole graded complex (components are
     constant on the relative interior of each ambient face).
     """
     fc = c.fc
     degrees = evaluation_degrees(fc)
+    face_of = {cf.vanishing: fid for fid, cf in fc.cone_faces.items()}
     for a, ambient_face in zip(degrees, fc.semigroup.faces()):
-        # a is the interior point of ambient_face: exactly its functionals vanish there
-        on_face = fc.faces_vanishing_on(ambient_face.vanishing)
-        if not on_face:
-            continue  # every component is zero there, the quotient's too
-        active = [[k for k, g in enumerate(term.faces) if g in on_face] for term in c.terms]
+        g = face_of.get(ambient_face.vanishing)
+        if g is None:
+            continue  # no face of the complex contains a
+        live = fc.above(g)
+        active = [[k for k, h in enumerate(term.faces) if h in live] for term in c.terms]
+        if c.augmentation is not None and not any(c.augmentation[k] for k in active[0]):
+            return ExactnessReport(False, tuple(a), degrees)
         ranks = []
         for i, m in enumerate(c.maps):
-            pos = {r: k for k, r in enumerate(active[i + 1])}
-            cols = [{pos[r]: x for r, x in m.columns[j].items() if r in pos} for j in active[i]]
-            ranks.append(rank(Mat(len(pos), len(cols), cols, m.field)))
-        ok = True
-        if c.augmentation is not None and not any(c.augmentation[k] for k in active[0]):
-            ok = False
-        for i in range(len(c.terms)):
-            out_rank = ranks[i] if i < len(ranks) else 0
-            in_rank = ranks[i - 1] if i > 0 else (1 if c.augmentation is not None else 0)
-            if len(active[i]) - out_rank - in_rank != 0:
-                ok = False
-                break
-        if not ok:
+            cod = c.terms[i + 1].faces
+            cols = [{r: x for r, x in m.columns[j].items() if cod[r] in live} for j in active[i]]
+            ranks.append(len(reduce_columns(cols, c.field)[1]))
+        into = [int(c.augmentation is not None)] + ranks  # the rank of the map into each term
+        if any(len(act) != r + s for act, r, s in zip(active, into, ranks + [0])):
             return ExactnessReport(False, tuple(a), degrees)
     return ExactnessReport(True, None, degrees)
 

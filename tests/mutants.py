@@ -96,6 +96,38 @@ MUTANTS = (
         ("test_formats_cli.py",),
     ),
     Mutant(
+        "certificate-reads-the-lower-set",
+        "resolutions.py",
+        "live = fc.above(g)",
+        "live = fc.below(g)",
+        "at the interior point of a face of the complex the live copies are those over its upper set",
+        ("test_resolutions.py",),
+    ),
+    Mutant(
+        "certificate-drops-the-augmentation-check",
+        "resolutions.py",
+        "if c.augmentation is not None and not any(c.augmentation[k] for k in active[0]):",
+        "if False:",
+        "the augmentation is nonzero on the copies live at each degree the quotient reaches",
+        ("test_resolutions.py",),
+    ),
+    Mutant(
+        "cone-point-ignores-the-vertex",
+        "eagon_reiner.py",
+        "if trace | b not in self.index:",
+        "if trace not in self.index:",
+        "a cone point v of s has F+{v} a face for every face F inside s",
+        ("test_eagon_reiner.py", "test_acceptance.py"),
+    ),
+    Mutant(
+        "simplicial-parser-raises-bare-key-error",
+        "formats.py",
+        'raise InputFormatError(f"line {lineno}: unexpected {toks[0]!r} in a simplicial file")',
+        "raise KeyError(toks[0])",
+        "an unexpected keyword in a simplicial file is an input error naming its line",
+        ("test_cli_fuzz.py",),
+    ),
+    Mutant(
         "reduce-chain-keeps-first-pivot-column",
         "linalg.py",
         "[{} if j in cleared else col for j, col in pairs]",

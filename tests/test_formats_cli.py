@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -502,6 +503,21 @@ def test_malformed_resolution_document_names_its_json_path(change, path):
     with pytest.raises(InputFormatError) as exc:
         resolution_from_doc(doc)
     assert str(exc.value).startswith(f"{path}: "), str(exc.value)
+
+
+@pytest.mark.parametrize("field", ["q", "p:2"])
+@pytest.mark.parametrize("where,path", [(["maps", 0, "entries", 0], "maps[0].entries"), (["augmentation", 1], "augmentation")])
+def test_decimal_exponent_is_refused_at_once(field, where, path):
+    # Fraction would expand "1e999999999" to a billion digits
+    bundle = parse_input_text(HOLLOW)
+    doc = json.loads(json.dumps(resolution_to_doc(minimal_linear_resolution(bundle.fc, QQ), bundle, {})))
+    doc["field"] = field
+    for entry in ("1e999999999", "1E999999999", "-2.5e-999999999"):
+        _set(where, entry)(doc)
+        t0 = time.perf_counter()
+        with pytest.raises(InputFormatError, match="^" + re.escape(f"{path}: decimal exponent in {entry!r}")):
+            resolution_from_doc(doc)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_face_module_complex_rejects_an_augmentation_without_terms():

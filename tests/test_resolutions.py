@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from zeemac import (
     build,
     canonical_module_hilbert,
     cone_of_simplicial,
+    face_lattice,
     is_cohen_macaulay,
     is_linear,
     minimal_linear_resolution,
@@ -19,7 +21,7 @@ from zeemac import (
     verify_exactness,
     vertical_cohomology_dims,
 )
-from zeemac.complexes import MissingGeometryError
+from zeemac.complexes import MissingGeometryError, subcomplex
 from zeemac.formats import parse_input_text
 from zeemac.linalg import Mat
 from zeemac.resolutions import (
@@ -31,11 +33,16 @@ from zeemac.resolutions import (
 )
 from zeemac.zeeman import _page1_data
 
+from .ambient_scan import ambient_scan_exactness
 from .helpers import (
     bowtie,
     cone_with_ids,
+    cube_cone,
+    hexagon_cone,
     hollow_triangle,
     random_simplicial,
+    random_sweep,
+    square_cone,
     square_cone_two_facets,
 )
 from .test_cleared_representatives import CASES
@@ -333,3 +340,60 @@ def test_exactness_presumes_a_complex():
     )
     assert verify_exactness(res).exact and res.check_block_support()
     assert not res.check_composition()
+
+
+def _resolutions(fc, field):
+    yield total_resolution(fc, field)
+    if is_cohen_macaulay(fc, field).ok:
+        yield minimal_linear_resolution(fc, field)
+
+
+def _broken_variants(res, rng):
+    """``res`` with an augmentation entry zeroed, with one map entry
+    changed, and with the augmentation dropped."""
+    field = res.field
+    aug = list(res.augmentation)
+    aug[rng.randrange(len(aug))] = 0
+    yield FaceModuleComplex(res.fc, field, res.terms, res.maps, augmentation=aug)
+    if res.maps:
+        i = rng.randrange(len(res.maps))
+        m = res.maps[i]
+        if m.rows and m.cols:
+            r, j = rng.randrange(m.rows), rng.randrange(m.cols)
+            columns = [dict(col) for col in m.columns]
+            columns[j].pop(r, None)
+            if x := field.reduce(m.entry(r, j) + 1):
+                columns[j][r] = x
+            maps = list(res.maps)
+            maps[i] = Mat(m.rows, m.cols, columns, field)
+            yield FaceModuleComplex(res.fc, field, res.terms, maps, augmentation=res.augmentation)
+    yield FaceModuleComplex(res.fc, field, res.terms, res.maps)
+
+
+def _cones_cut_down():
+    """The square, hexagon and cube cones, whole and cut down to the
+    subcomplexes generated by 1-3 of their facets."""
+    for q in (square_cone(), hexagon_cone(), cube_cone()):
+        fc = face_lattice(q)
+        yield fc
+        facets = [f.id for f in fc.faces if f.dim == fc.dim - 1]
+        for k in (1, 2, 3):
+            for ids in combinations(facets, k):
+                yield subcomplex(fc, ids)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=lambda f: f.label())
+def test_certificate_matches_the_ambient_scan(field):
+    rng = random.Random(7071)
+    complexes = [cone_of_simplicial(sc) for sc in random_sweep(40, 7072)]
+    complexes += list(_cones_cut_down())
+    reports = []
+    for fc in complexes:
+        for res in _resolutions(fc, field):
+            for c in (res, *_broken_variants(res, rng)):
+                got, want = verify_exactness(c), ambient_scan_exactness(c)
+                assert got == want, (fc.faces, c.variant)
+                reports.append(got)
+    # not vacuous: many reports of each kind, failures at many degrees
+    assert sum(r.exact for r in reports) > 100
+    assert len({r.failing_degree for r in reports if not r.exact}) > 20

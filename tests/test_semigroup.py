@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -11,11 +12,13 @@ from zeemac import (
     face_lattice,
     validate,
 )
+from zeemac.complexes import subcomplex
+from zeemac.formats import parse_input_text
 
 from .dense_orientation import _echelon_basis, dense_covers
 from .dense_ranks import dense_echelon_basis
 from .pairwise_faces import pairwise_covers, pairwise_faces
-from .helpers import assert_same, canonical, cube_cone, hexagon_cone, square_cone
+from .helpers import assert_same, canonical, cube_cone, hexagon_cone, random_sweep, square_cone
 
 
 def test_orthant_two_faces_and_dims():
@@ -198,14 +201,23 @@ def test_face_membership_agrees_with_direct_evaluation():
 
 
 def test_each_interior_point_vanishes_exactly_on_its_face():
-    # verify_exactness reads the zero set of each evaluation degree off its face
+    # verify_exactness reads the faces live at the interior point of a face
+    # of the complex off its upper set, and skips the other ambient faces
     cones = [AffineSemigroup.orthant(d) for d in range(1, 6)] + [square_cone(), hexagon_cone(), cube_cone()]
     for q in cones:
         for f in q.faces():
             assert q.zero_set(f.interior_point) == f.vanishing, (q.functionals, f.label())
-        fc = face_lattice(q)
-        for f in q.faces():
-            assert fc.faces_vanishing_on(f.vanishing) == fc.faces_containing(f.interior_point)
+    complexes = [face_lattice(q) for q in cones]
+    complexes += [subcomplex(fc, ids) for fc in complexes[-3:] for ids in combinations(fc.faces_of_dim(fc.dim - 1), 2)]
+    complexes += [cone_of_simplicial(sc) for sc in random_sweep(60, 20201)]
+    for q in cones[-3:]:  # the subcomplexes that 'delta' lines select
+        text = f"semigroup\nambient {q.d}\n" + "".join(f"functional {' '.join(map(str, t))}\n" for t in q.functionals)
+        complexes.append(parse_input_text(text + "delta 1\ndelta 2\ndelta 1 3\n").fc)
+    for fc in complexes:
+        for g in fc.faces:
+            assert fc.faces_containing(fc.cone_faces[g.id].interior_point) == fc.above(g.id), g.label
+        outside = [f for f in fc.semigroup.faces() if f not in fc.cone_faces.values()]
+        assert all(not fc.faces_containing(f.interior_point) for f in outside)
 
 
 def _random_pointed_cone(rng: random.Random, d: int) -> AffineSemigroup:

@@ -189,7 +189,7 @@ def _resolution_certificates(res) -> dict:
     if res.fc.has_geometry:
         report = verify_exactness(res)
         certs["exact"] = report.exact
-        certs["checked-degrees"] = len(report.checked_degrees)
+        certs["checked-degrees"] = report.checked_degrees
         if not report.exact:
             certs["failing-degree"] = list(report.failing_degree)
     else:
@@ -411,6 +411,9 @@ def run(argv) -> int:
         bundle = formats.load_input(args.input)
     except FileNotFoundError:
         print(f"error: no such input file: {args.input}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot read input file {args.input}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except formats.InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -130,7 +130,7 @@ class FaceComplex:
     def has_geometry(self) -> bool:
         return self.semigroup is not None and self.cone_faces is not None
 
-    def _require_geometry(self):
+    def require_geometry(self):
         if not self.has_geometry:
             raise MissingGeometryError(
                 "this face complex carries no semigroup geometry; build it via "
@@ -140,7 +140,7 @@ class FaceComplex:
     def faces_containing(self, a) -> set[int]:
         """The ids of the faces on which the lattice point ``a`` lies: one
         evaluation of the functionals, then a subset test per face."""
-        self._require_geometry()
+        self.require_geometry()
         zero = self.semigroup.zero_set(a)
         if zero is None:
             return set()
@@ -148,12 +148,12 @@ class FaceComplex:
 
     def contains_degree(self, fid: int, a) -> bool:
         """Whether the lattice point ``a`` lies on the face ``fid``."""
-        self._require_geometry()
+        self.require_geometry()
         return self.semigroup.membership(self.cone_faces[fid], a)
 
     def relint_contains(self, fid: int, a) -> bool:
         """Whether ``a`` lies in the relative interior of the face ``fid``."""
-        self._require_geometry()
+        self.require_geometry()
         return self.semigroup.relint_membership(self.cone_faces[fid], a)
 
 

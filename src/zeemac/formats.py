@@ -60,7 +60,7 @@ from .resolutions import FaceModuleComplex, FaceModule
 from .semigroup import AffineSemigroup, DegenerateConeError, face_lattice
 
 
-MAX_VERTICES = 16  # the orthant N^d has 2^d faces, all built when the input is loaded
+MAX_VERTICES = 16  # dual and betti enumerate about 2^d vertex subsets; the orthant's 2^d faces stay implicit
 MAX_FUNCTIONALS = 13  # a cone cut out by n functionals can have 2^n faces, each reduced once
 
 

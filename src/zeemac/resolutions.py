@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cohomology import induced_map, is_cohen_macaulay, local_cohomology
-from .complexes import DegenerateComplexError, FaceComplex, MissingGeometryError
+from .complexes import DegenerateComplexError, FaceComplex
 from .linalg import Field, QQ, reduce_columns
 from .zeeman import build, total_complex
 
@@ -172,9 +172,11 @@ def minimal_linear_resolution(fc: FaceComplex, field: Field = QQ) -> FaceModuleC
 
 @dataclass(frozen=True)
 class ExactnessReport:
+    """``checked_degrees`` counts the ambient faces, one degree each."""
+
     exact: bool
     failing_degree: tuple | None
-    checked_degrees: tuple
+    checked_degrees: int
 
     def __bool__(self) -> bool:
         return self.exact
@@ -182,14 +184,10 @@ class ExactnessReport:
 
 def evaluation_degrees(fc: FaceComplex) -> tuple:
     """One lattice point per face of the ambient cone (relative-interior
-    representatives).  For the orthant these are the 0/1 vectors."""
-    if not fc.has_geometry:
-        raise MissingGeometryError(
-            "exactness verification needs the ambient semigroup; build the "
-            "complex via cone_of_simplicial or face_lattice"
-        )
-    q = fc.semigroup
-    return tuple(f.interior_point for f in q.faces())
+    representatives), in ambient face order.  For the orthant these are the
+    0/1 vectors; listing them enumerates all 2^d of its faces."""
+    fc.require_geometry()
+    return tuple(f.interior_point for f in fc.semigroup.faces())
 
 
 def verify_exactness(c: FaceModuleComplex) -> ExactnessReport:
@@ -206,27 +204,26 @@ def verify_exactness(c: FaceModuleComplex) -> ExactnessReport:
     consecutive maps compose to zero, which this check does not verify,
     and the maps of a re-ingested file are untrusted.
 
-    The evaluation degree a is the interior point of its ambient face A,
+    The evaluation degree at an ambient face A is its interior point a,
     where the component of k[G] is k exactly when G contains A.  The
     complex is closed under taking faces and its covers are the cone's, so
     if A is a face of the complex, the faces containing A are its upper set
     (``fc.above``), and if not, none is, and every component at a is zero,
-    the quotient's too.  Each map restricts at a to the scalar submatrix
-    on the copies over that upper set.  Exactness of each restriction
-    certifies exactness of the whole graded complex (components are
-    constant on the relative interior of each ambient face).
+    the quotient's too.  So only the faces of the complex are visited, in
+    ambient order (``ConeFace.order_key``), and the report counts every
+    ambient face.  Each map restricts at a to the scalar submatrix on the
+    copies over that upper set.  Exactness of each restriction certifies
+    exactness of the whole graded complex (components are constant on the
+    relative interior of each ambient face).
     """
     fc = c.fc
-    degrees = evaluation_degrees(fc)
-    face_of = {cf.vanishing: fid for fid, cf in fc.cone_faces.items()}
-    for a, ambient_face in zip(degrees, fc.semigroup.faces()):
-        g = face_of.get(ambient_face.vanishing)
-        if g is None:
-            continue  # no face of the complex contains a
+    fc.require_geometry()
+    count = fc.semigroup.face_count
+    for g, cf in sorted(fc.cone_faces.items(), key=lambda item: item[1].order_key()):
         live = fc.above(g)
         active = [[k for k, h in enumerate(term.faces) if h in live] for term in c.terms]
         if c.augmentation is not None and not any(c.augmentation[k] for k in active[0]):
-            return ExactnessReport(False, tuple(a), degrees)
+            return ExactnessReport(False, cf.interior_point, count)
         ranks = []
         for i, m in enumerate(c.maps):
             cod = c.terms[i + 1].faces
@@ -234,8 +231,8 @@ def verify_exactness(c: FaceModuleComplex) -> ExactnessReport:
             ranks.append(len(reduce_columns(cols, c.field)[1]))
         into = [int(c.augmentation is not None)] + ranks  # the rank of the map into each term
         if any(len(act) != r + s for act, r, s in zip(active, into, ranks + [0])):
-            return ExactnessReport(False, tuple(a), degrees)
-    return ExactnessReport(True, None, degrees)
+            return ExactnessReport(False, cf.interior_point, count)
+    return ExactnessReport(True, None, count)
 
 
 def is_linear(c: FaceModuleComplex) -> bool:

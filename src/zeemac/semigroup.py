@@ -6,11 +6,10 @@ trivial unit group and generates the ambient lattice.  Faces are the loci
 where a closed set of functionals vanishes; each face knows a lattice
 point in its relative interior (the sum of its primitive ray generators).
 
-The orthant N^d, over which every simplicial input lives, is built in
-closed form: its faces are the coordinate supports S, with vanishing set
-the complement of S, dimension |S|, interior point the 0/1 indicator of S
-and the unit vectors of S as rays.  The generic ray and face enumeration
-runs only for cones given by their functionals.
+The orthant N^d, over which every simplicial input lives, keeps only its
+unit functionals and rays and its face count 2^d; its per-face tables come
+from the generic enumeration on first request.  Membership, the complexes
+over it and the exactness certificate need none of them.
 
 The generic enumeration finds faces by vanishing set.  Each ray's
 vanishing set is computed once; restricting a face to a functional keeps
@@ -39,8 +38,10 @@ with no further elimination.  This satisfies the diamond axiom, which
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from .complexes import Cover, Face, FaceComplex
 from .linalg import Mat, QQ, _raw_relations, rank
@@ -59,6 +60,10 @@ class ConeFace:
         if not self.vanishing:
             return "Q"
         return "F[" + ",".join(str(i + 1) for i in sorted(self.vanishing)) + "]"
+
+    def order_key(self) -> tuple:
+        """The order of ``AffineSemigroup.faces``: by dimension, then sorted vanishing set."""
+        return self.dim, sorted(self.vanishing)
 
 
 def _primitive(vec) -> tuple[int, ...]:
@@ -90,18 +95,18 @@ class DegenerateConeError(ValueError):
         self.rank = rank
 
 
-class _OrthantRelations(dict):
-    """The orthant's column relations by vanishing set, made when asked:
-    the ray matrix of the face vanishing on V has the zero column j, with
-    the relation {j: 1}, for each j in V, and independent unit columns
-    elsewhere."""
+class _FaceTables(NamedTuple):
+    """The faces in ambient order, and each face, its rays and its column relations by vanishing set."""
 
-    def __missing__(self, vanishing):
-        return {j: {j: 1} for j in vanishing}
+    faces: tuple
+    by_vanishing: dict
+    rays_of: dict
+    relations: dict
 
 
 class AffineSemigroup:
-    """Lattice points of a pointed, full-dimensional rational cone."""
+    """Lattice points of a pointed, full-dimensional rational cone;
+    ``face_count`` is the number of its faces."""
 
     def __init__(self, d: int, functionals):
         self.d = d
@@ -116,7 +121,7 @@ class AffineSemigroup:
                 f"cone is not full-dimensional: it is the apex alone, of rank 0, not {d}", range(n), 0
             )
         self._ray_vanishing = {r: frozenset(i for i in range(n) if self.evaluate(i, r) == 0) for r in self.rays}
-        self._enumerate_faces()
+        self.face_count = len(self._tables.faces)  # enumerated now: a degenerate cone raises here
 
     @staticmethod
     def primitive_functional(t, d: int) -> tuple[int, ...]:
@@ -134,15 +139,14 @@ class AffineSemigroup:
 
     @classmethod
     def orthant(cls, d: int) -> "AffineSemigroup":
-        """N^d, cut out by the unit functionals, built in closed form.
+        """N^d, cut out by the unit functionals, with its faces left implicit.
 
         Equal to ``AffineSemigroup(d, unit functionals)`` in functionals,
-        rays, face order, rays and relations per face, without the generic
-        enumeration: the face with coordinate support S vanishes on the
-        complement of S, has dimension |S|, interior point the indicator
-        of S and the unit vectors of S as rays.  Each column j outside S of
-        their matrix is zero and has the relation {j: 1}; no other column
-        has one.
+        rays, face count and every per-face table, but built in O(d): the
+        rays are the unit vectors, e_j vanishes on every functional but the
+        j-th, and there are 2^d faces, one per coordinate support.  The
+        tables behind ``faces``, ``rays_of``, ``relations_of`` and
+        ``face_with_vanishing`` are enumerated on first request.
         """
         if d < 1:
             raise ValueError(f"cone is not full-dimensional: the orthant needs d >= 1, got {d}")
@@ -151,16 +155,7 @@ class AffineSemigroup:
         q.functionals = tuple(tuple(1 if j == i else 0 for j in range(d)) for i in range(d))
         q.rays = tuple(reversed(q.functionals))  # sorted: e_{d-1} < ... < e_0
         q._ray_vanishing = {q.functionals[i]: frozenset(range(d)) - {i} for i in range(d)}
-        faces = []
-        q._rays_of = {}
-        for k in range(d + 1):  # the generic order: by dim, then sorted vanishing set
-            for vanishing in combinations(range(d), d - k):
-                vanishing = frozenset(vanishing)
-                faces.append(ConeFace(vanishing, k, tuple(0 if i in vanishing else 1 for i in range(d))))
-                q._rays_of[vanishing] = tuple(q.functionals[i] for i in reversed(range(d)) if i not in vanishing)
-        q._relations = _OrthantRelations()
-        q._faces = tuple(faces)
-        q._faces_by_vanishing = {f.vanishing: f for f in faces}
+        q.face_count = 2**d
         return q
 
     # -- construction internals -------------------------------------------
@@ -190,7 +185,7 @@ class AffineSemigroup:
                     break
         return tuple(sorted(found))
 
-    def _enumerate_faces(self) -> None:
+    def _enumerate_faces(self) -> _FaceTables:
         """Every face, from the top face down by vanishing set.
 
         Restricting a face to a functional that does not vanish on it keeps
@@ -201,14 +196,13 @@ class AffineSemigroup:
         dimension d.
         """
         ray_vanishing = self._ray_vanishing
-        self._rays_of, self._relations = {}, {}
+        rays_of, relations = {}, {}
 
         def add(vanishing, rays) -> ConeFace:
             columns = _columns(rays, self.d)
-            relations = _raw_relations(columns, QQ)[0]
-            self._rays_of[vanishing] = rays
-            self._relations[vanishing] = relations
-            return ConeFace(vanishing, len(columns) - len(relations), tuple(map(sum, zip(*rays))))
+            rays_of[vanishing] = rays
+            relations[vanishing] = _raw_relations(columns, QQ)[0]
+            return ConeFace(vanishing, len(columns) - len(relations[vanishing]), tuple(map(sum, zip(*rays))))
 
         top = add(frozenset.intersection(*ray_vanishing.values()), self.rays)
         if top.dim != self.d:
@@ -220,27 +214,29 @@ class AffineSemigroup:
             )
         faces = [top]
         for face in faces:  # appended to while read: breadth first from the top
-            rays = self._rays_of[face.vanishing]
+            rays = rays_of[face.vanishing]
             for i in range(len(self.functionals)):
                 if i in face.vanishing:
                     continue
                 sub = tuple(r for r in rays if i in ray_vanishing[r])
                 if sub:
                     vanishing = frozenset.intersection(*(ray_vanishing[r] for r in sub))
-                    if vanishing not in self._rays_of:
+                    if vanishing not in rays_of:
                         faces.append(add(vanishing, sub))
         minimal = ConeFace(frozenset(range(len(self.functionals))), 0, (0,) * self.d)
-        self._rays_of[minimal.vanishing] = ()
-        self._relations[minimal.vanishing] = {j: {j: 1} for j in range(self.d)}  # every column is zero
+        rays_of[minimal.vanishing] = ()
+        relations[minimal.vanishing] = {j: {j: 1} for j in range(self.d)}  # every column is zero
         faces.append(minimal)
-        faces.sort(key=lambda f: (f.dim, sorted(f.vanishing), f.interior_point))
-        self._faces = tuple(faces)
-        self._faces_by_vanishing = {f.vanishing: f for f in faces}
+        faces.sort(key=ConeFace.order_key)
+        return _FaceTables(tuple(faces), {f.vanishing: f for f in faces}, rays_of, relations)
+
+    _tables = cached_property(_enumerate_faces)  # enumerated on first request
 
     # -- public queries -----------------------------------------------------
 
     def faces(self) -> tuple[ConeFace, ...]:
-        return self._faces
+        """Every face in ambient order (``ConeFace.order_key``)."""
+        return self._tables.faces
 
     def face_with_vanishing(self, indices) -> ConeFace:
         """The face on which the given functionals (0-based) vanish; the
@@ -248,11 +244,11 @@ class AffineSemigroup:
         given = frozenset(indices)
         on = [v for v in self._ray_vanishing.values() if given <= v]
         if not on:
-            return self._faces[0]
-        return self._faces_by_vanishing[frozenset.intersection(*on)]
+            return self._tables.faces[0]
+        return self._tables.by_vanishing[frozenset.intersection(*on)]
 
     def rays_of(self, face: ConeFace) -> tuple:
-        return self._rays_of[face.vanishing]
+        return self._tables.rays_of[face.vanishing]
 
     def relations_of(self, face: ConeFace) -> dict:
         """The column relations of the face's ray matrix (rays as rows), as
@@ -261,7 +257,7 @@ class AffineSemigroup:
         columns before it, an integer vector positive at j.  The cover
         signs read only the sign of a pairing with a relation, which the
         factor keeps."""
-        return self._relations[face.vanishing]
+        return self._tables.relations[face.vanishing]
 
     def zero_set(self, a) -> frozenset | None:
         """The functionals (0-based) that vanish at ``a``, or ``None`` when

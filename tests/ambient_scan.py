@@ -8,7 +8,8 @@ map as a new ``Mat`` with its rows re-indexed.  It never reads a cover, so
 it does not share the library's premise that the faces containing the
 interior point of a face of the complex are that face's upper set.  The
 tests require the two certificates to give equal reports: ``exact``,
-``failing_degree`` and ``checked_degrees``.
+``failing_degree`` and ``checked_degrees``, the number of evaluation
+degrees scanned here.
 """
 
 from __future__ import annotations
@@ -40,5 +41,5 @@ def ambient_scan_exactness(c: FaceModuleComplex) -> ExactnessReport:
                 ok = False
                 break
         if not ok:
-            return ExactnessReport(False, tuple(a), degrees)
-    return ExactnessReport(True, None, degrees)
+            return ExactnessReport(False, tuple(a), len(degrees))
+    return ExactnessReport(True, None, len(degrees))

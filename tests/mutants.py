@@ -112,6 +112,22 @@ MUTANTS = (
         ("test_resolutions.py",),
     ),
     Mutant(
+        "certificate-walks-in-face-id-order",
+        "resolutions.py",
+        "sorted(fc.cone_faces.items(), key=lambda item: item[1].order_key())",
+        "fc.cone_faces.items()",
+        "the failing degree is the first in ambient face order, by dimension and then sorted vanishing set",
+        ("test_resolutions.py",),
+    ),
+    Mutant(
+        "certificate-counts-the-complex-faces",
+        "resolutions.py",
+        "count = fc.semigroup.face_count",
+        "count = len(fc.cone_faces)",
+        "the certificate counts every ambient face, the ones outside the complex vacuously",
+        ("test_resolutions.py",),
+    ),
+    Mutant(
         "cone-point-ignores-the-vertex",
         "eagon_reiner.py",
         "if trace | b not in self.index:",

@@ -172,3 +172,13 @@ def test_cli_contract_holds_on_mutated_inputs(tmp_path_factory, kind, command):
         assert_cli_contract(path, data, command, field, fmt)
 
     check()
+
+
+def test_cli_directory_as_input_is_an_input_error(tmp_path):
+    for command in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command[0], str(tmp_path), *command[1:]])  # an exception escaping here fails the test
+        assert code == 2, command
+        assert out.getvalue() == "", command
+        assert str(tmp_path) in err.getvalue() and "Traceback" not in err.getvalue(), command

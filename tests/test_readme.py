@@ -21,8 +21,8 @@ def test_readme_library_example_gives_its_commented_values():
         value_of[comment.strip()] = value
     assert value_of["True"] is True
     assert ns["res"].term_sizes() == (3, 3, 1) and "term sizes (3, 3, 1)" in value_of
-    assert value_of["True, checked at 8 degrees"] is True
-    assert len(ns["verify_exactness"](ns["res"]).checked_degrees) == 8
+    assert value_of["True; checked_degrees counts the 8 ambient faces"] is True
+    assert ns["verify_exactness"](ns["res"]).checked_degrees == 8
     koszul = {(k - 1, frozenset(s)): 1 for k in (1, 2, 3) for s in combinations((1, 2, 3), k)}
     betti = value_of["the Koszul table of (x, y, z)"]
     assert betti.normalized() == koszul and not betti.void_dual

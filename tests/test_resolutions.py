@@ -5,6 +5,7 @@ import pytest
 
 from zeemac import (
     GF,
+    AffineSemigroup,
     QQ,
     NotCohenMacaulayError,
     SimplicialComplex,
@@ -25,6 +26,7 @@ from zeemac.complexes import MissingGeometryError, subcomplex
 from zeemac.formats import parse_input_text
 from zeemac.linalg import Mat
 from zeemac.resolutions import (
+    ExactnessReport,
     FaceModule,
     FaceModuleComplex,
     coarse_hilbert_numerator,
@@ -71,7 +73,7 @@ def test_total_resolution_hollow_triangle():
     assert res.check_composition() and res.check_block_support()
     report = verify_exactness(res)
     assert report.exact
-    assert len(report.checked_degrees) == 8  # all squarefree degrees
+    assert report.checked_degrees == 8  # one per ambient face: all squarefree degrees
 
 
 def test_total_resolution_exact_for_non_cm_complexes():
@@ -119,11 +121,47 @@ def test_broken_augmentation_witness_is_the_first_failing_degree(field):
         assert sum(1 for a in earlier if not fc.faces_containing(a)) == 5
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=lambda f: f.label())
+def test_witness_is_the_first_failing_degree_in_ambient_face_order(field):
+    # on the 4-cycle the augmentation misses the copies of k[{1,2}] and
+    # k[{3,4}], opposite edges, so the degrees (1,1,0,0) and (0,0,1,1) fail
+    # and no vertex does; the ambient order puts the edge vanishing on
+    # functionals 1 and 2 first, {3,4}, though {1,2} has the smaller id
+    fc = cone_of_simplicial(SimplicialComplex.from_facets(4, [{1, 2}, {2, 3}, {3, 4}, {1, 4}]))
+    edges = [next(f.id for f in fc.faces if f.label == label) for label in ("{1,2}", "{3,4}")]
+    assert edges[0] < edges[1]
+    for res in (total_resolution(fc, field), minimal_linear_resolution(fc, field)):
+        aug = [0 if g in edges else x for g, x in zip(res.terms[0].faces, res.augmentation)]
+        broken = FaceModuleComplex(fc, field, res.terms, res.maps, augmentation=aug)
+        report = verify_exactness(broken)
+        assert report == ambient_scan_exactness(broken)
+        assert report.failing_degree == (0, 0, 1, 1)
+
+
 def test_exactness_at_unsupported_degree():
     fc = cone_of_simplicial(hollow_triangle())
     # nothing lives in degree (1,1,1): no face of the complex contains it
     assert not any(fc.contains_degree(f.id, (1, 1, 1)) for f in fc.faces)
-    assert (1, 1, 1) in verify_exactness(total_resolution(fc, QQ)).checked_degrees
+    assert (1, 1, 1) in evaluation_degrees(fc)
+    # the certificate counts it, vacuously, and agrees with the scan that visits it
+    res = total_resolution(fc, QQ)
+    assert verify_exactness(res) == ambient_scan_exactness(res)
+    assert verify_exactness(res).checked_degrees == len(evaluation_degrees(fc)) == 8
+
+
+def test_certificate_lists_no_ambient_face(monkeypatch):
+    # N^16 has 65536 faces; the 16-cycle has 33 and the edge {1,2} has 4,
+    # and only those are visited
+    def refuse(self):
+        raise AssertionError("the certificate listed the faces of the ambient cone")
+
+    monkeypatch.setattr(AffineSemigroup, "faces", refuse)
+    cycle = [{i, i % 16 + 1} for i in range(1, 17)]
+    for facets in (cycle, [{1, 2}]):
+        fc = cone_of_simplicial(SimplicialComplex.from_facets(16, facets))
+        report = verify_exactness(minimal_linear_resolution(fc, GF(2)))
+        assert report == ExactnessReport(True, None, 65536)
+        assert "_tables" not in vars(fc.semigroup)  # no per-face table was built
 
 
 def test_minimal_resolution_hollow_triangle():

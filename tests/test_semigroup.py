@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -150,6 +151,9 @@ def test_orthant_closed_form_equals_generic_enumeration():
         closed, generic = AffineSemigroup.orthant(d), AffineSemigroup(d, _units(d))
         assert closed.functionals == generic.functionals
         assert closed.rays == generic.rays
+        assert closed._ray_vanishing == generic._ray_vanishing
+        assert closed.face_count == generic.face_count == 2**d
+        assert "_tables" not in vars(closed)  # the orthant's faces are built on first use
         assert closed.faces() == generic.faces()  # same faces in the same order
         for f in generic.faces():
             assert closed.rays_of(f) == generic.rays_of(f)
@@ -159,6 +163,19 @@ def test_orthant_closed_form_equals_generic_enumeration():
             for f in generic.faces():
                 sel = sorted(f.vanishing)[:k]
                 assert closed.face_with_vanishing(sel) == generic.face_with_vanishing(sel)
+
+
+def test_cone_of_simplicial_leaves_the_orthant_implicit():
+    sc = SimplicialComplex.from_facets(16, [{1, 2}])
+    tracemalloc.start()
+    try:
+        fc = cone_of_simplicial(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fc.faces) == 4 and fc.semigroup.face_count == 65536
+    assert peak < 2**20  # bytes; listing the 65536 faces of N^16 takes about 75 MB
+    assert "_tables" not in vars(fc.semigroup)
 
 
 def test_orthant_needs_a_positive_dimension():

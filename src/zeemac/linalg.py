@@ -44,9 +44,10 @@ has pivot row i, then D_{n+1} applied to it is a relation with a nonzero
 coefficient at column i and otherwise only earlier columns, so column i of
 D_{n+1} lies in the span of the columns before it and reduces to zero: it
 is skipped, and every prefix rank and pivot comes out as without it.  The
-rank-only paths (``reduce_chain``: the terminal page, which counts the
-essential columns, the page-1 row and column dimensions, the Hochster
-coboundary) and the representative paths
+rank-only paths (``reduce_chain``: the Hochster coboundary; the terminal
+page, which counts the essential columns, and the page-1 row and column
+dimensions clear as the double complex's writer streams their columns,
+so a cleared column is never written) and the representative paths
 (``cochain_classes``: local cohomology near a face, and page 2) both use
 it.
 

@@ -134,7 +134,7 @@ def total_resolution_terms(fc: FaceComplex) -> tuple[FaceModule, ...]:
 
 def _terms(z) -> tuple[FaceModule, ...]:
     """One copy of k[G] per pair (F, G), term by term in the pair order of ``z``."""
-    return tuple(FaceModule(tuple(g for _, g in level)) for level in z.labels)
+    return tuple(FaceModule(tuple(g for _, g in z.pairs(n))) for n in range(len(z.sizes)))
 
 
 def _require_unique_minimal_face(fc: FaceComplex) -> None:

@@ -8,14 +8,16 @@ horizontal differential acts on the F index through cofacet covers and
 carries the row twist (-1)^q, which makes the two differentials
 anticommute and the total differential square to zero.
 
-``build`` only lists the pairs (F, G), with no bidegree, in one order: by
-total degree dim F - dim G, then (dim G, G, F).  Each block (p, q) is then a
-contiguous range of its total degree, its pairs in (G, F) order, and
-each horizontal or vertical block map is a row-and-column range of one
-total differential.  One method, ``ZeemanComplex._column``, writes the
-entries from the covers; the total differentials, the block maps of
-``horiz``/``vert`` and the whole rows behind the page-1 dimensions all
-come from it, each when it is asked for.
+``build`` stores no pair, only runs: for each admitted face G and each
+total degree n = dim F - dim G, the faces F >= G of dimension dim G + n in
+id order, with the run's offset in its degree.  The pairs of a degree come
+in (dim G, G, F) order, so a pair's position is its run's offset plus F's
+index in the run, each block (p, q) is a contiguous range of its degree,
+and each horizontal or vertical block map is a row-and-column range of one
+total differential.  One run writer, ``ZeemanComplex._columns``, writes
+the entries from the covers: the total differentials, the block maps of
+``horiz``/``vert``, the whole rows behind the page-1 dimensions and the
+stream that E-infinity reduces all come from it, each when asked for.
 
 Taking horizontal cohomology first gives the spectral sequence exposed by
 ``page``: page 0 is the raw double complex with its horizontal maps,
@@ -39,6 +41,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
+from itertools import count
 
 from .cohomology import VSComplex, induced_map, local_cohomology
 from .complexes import FaceComplex, MissingGeometryError
@@ -49,7 +53,7 @@ from .linalg import (
     _combine,
     cochain_classes,
     echelon_coordinates,
-    reduce_chain,
+    reduce_columns,
     solve_columns,
 )
 
@@ -69,9 +73,9 @@ class ZeemanComplex:
     fc: FaceComplex
     field: Field
     degree: tuple | None  # None means the ordinary (all-zero) degree
-    labels: tuple  # total degree n -> tuple of (f_id, g_id) pairs in (dim G, G, F) order
-    pos: dict  # (f_id, g_id) -> position of the pair in its total degree
-    blocks: dict  # (p, q) -> tuple of (f_id, g_id) pairs in (G, F) order
+    runs: dict  # admitted g, in (dim g, g) order -> per total degree n, the faces F >= g of dim g + n in id order
+    offsets: dict  # admitted g -> per total degree n, the position of its run's first pair in degree n
+    sizes: tuple  # total degree n -> the number of pairs of degree n
     _page1: object = dfield(default=None, repr=False)
     _page2: object = dfield(default=None, repr=False)
     _total: object = dfield(default=None, repr=False)
@@ -83,45 +87,81 @@ class ZeemanComplex:
     def pmax(self) -> int:
         return self.fc.dim
 
+    def pairs(self, n: int) -> tuple:
+        """The (f, g) pairs of total degree n in (dim G, G, F) order, made on demand."""
+        return tuple((f, g) for g in self._faces(n) for f in self.runs[g][n])
+
+    @property
+    def blocks(self) -> dict:
+        """(p, q) -> the (f, g) pairs of the block in (G, F) order, made on demand."""
+        runs = self.runs
+        return {(p, q): tuple((f, g) for g in gs for f in runs[g][p + q]) for (p, q), (_, _, gs) in self._layout.items()}
+
     def block(self, p: int, q: int) -> tuple:
         return self.blocks.get((p, q), ())
 
-    def _column(self, f: int, g: int, vertical: bool, horizontal: bool, start: int = 0) -> dict:
-        """The column of the pair (f, g) in the differential out of its
-        total degree, at total positions less ``start``: the vertical part
-        through the facet covers of g, the horizontal part through the
-        cofacet covers of f with the row twist (-1)^q.  At ``start`` 0 the
-        row indices are the ints of ``pos`` themselves, not one copy per
-        entry, which keeps the total complex small."""
-        fc, pos, signs = self.fc, self.pos, self._signs
-        col = {}
-        if vertical:
-            for g2, sign in fc.covers_below(g):
-                i = pos.get((f, g2))  # None when g2 is not admitted
-                if i is not None:
-                    col[i - start if start else i] = signs[sign]
-        if horizontal:
-            twist = -1 if fc.face(g).dim % 2 else 1
-            for f2, sign in fc.covers_above(f):
-                i = pos[(f2, g)]
-                col[i - start if start else i] = signs[twist * sign]
-        return col
+    def _faces(self, n: int) -> list:
+        """The faces g with a run in total degree n, in (dim g, g) order."""
+        return [g for g, levels in self.runs.items() if n < len(levels)]
 
-    def _block_map(self, p: int, q: int, target: tuple, vertical: bool) -> Mat:
-        """The block map from (p, q) into ``target``: the rows and columns
-        of the total differential at the two blocks."""
-        rows = self.block(*target)
-        start = self.pos[rows[0]] if rows else 0
-        columns = [self._column(f, g, vertical, not vertical, start) for f, g in self.block(p, q)]
-        return Mat(len(rows), len(columns), columns, self.field)
+    @cached_property
+    def _layout(self) -> dict:
+        """(p, q) -> [start in its total degree, size, the faces g of its
+        runs], made on first use and kept."""
+        out: dict = {}
+        for g, levels in self.runs.items():
+            d = self.fc.face(g).dim
+            for n, level in enumerate(levels):
+                block = out.setdefault((d + n, -d), [self.offsets[g][n], 0, []])
+                block[1] += len(level)
+                block[2].append(g)
+        return out
+
+    def _columns(self, n: int, gs, targets, row0=0, col0=0, cleared=()):
+        """Yield the column of each pair (f, g) of degree n over the runs of
+        ``gs``, in the differential out of degree n restricted to the runs
+        of ``targets`` in degree n + 1: the vertical part through the facets
+        of g among them (only admitted faces have runs), the horizontal part,
+        when g is among them, through the cofacets of f with the row twist
+        (-1)^q.  A position is the run's offset plus the index in the run,
+        rows counted from ``row0`` and columns from ``col0``; the columns at
+        ``cleared`` are left empty, unwritten (clearing)."""
+        fc, runs, offsets, signs = self.fc, self.runs, self.offsets, self._signs
+        index = {h: dict(zip(runs[h][n + 1], count(offsets[h][n + 1] - row0))) for h in targets}  # h -> {f: row}
+        twisted = (signs, {s: signs[-s] for s in (1, -1)})  # the cover signs times (-1)^q, by the parity of q
+        for g in gs:
+            facets = [(index[g2], signs[sign]) for g2, sign in fc._down[g] if g2 in index]
+            at = index.get(g)
+            cosign = twisted[fc.faces[g].dim % 2]
+            for j, f in enumerate(runs[g][n], offsets[g][n] - col0):
+                col = {}
+                if j not in cleared:
+                    for r, s in facets:
+                        col[r[f]] = s
+                    if at is not None:
+                        for f2, sign in fc._up[f]:
+                            col[at[f2]] = cosign[sign]
+                yield col
+
+    def _block_columns(self, p: int, q: int, vertical: bool, cleared=()) -> tuple:
+        """The row count and the columns of the block map from (p, q) into
+        (p, q + 1) or (p + 1, q), counted from the starts of the blocks."""
+        col0, _, gs = self._layout.get((p, q), (0, 0, ()))
+        row0, rows, targets = self._layout.get((p, q + 1) if vertical else (p + 1, q), (0, 0, ()))
+        return rows, self._columns(p + q, gs, targets, row0, col0, cleared)
+
+    def _block_map(self, p: int, q: int, vertical: bool) -> Mat:
+        rows, columns = self._block_columns(p, q, vertical)
+        columns = list(columns)
+        return Mat(rows, len(columns), columns, self.field)
 
     def vert(self, p: int, q: int) -> Mat:
         """The vertical block map from (p, q) into (p, q + 1), written on demand."""
-        return self._block_map(p, q, (p, q + 1), True)
+        return self._block_map(p, q, True)
 
     def horiz(self, p: int, q: int) -> Mat:
         """The horizontal block map from (p, q) into (p + 1, q), written on demand."""
-        return self._block_map(p, q, (p + 1, q), False)
+        return self._block_map(p, q, False)
 
 
 def _check_degree(a, d: int) -> tuple | None:
@@ -138,13 +178,13 @@ def _check_degree(a, d: int) -> tuple | None:
 
 
 def build(fc: FaceComplex, a=None, field: Field = QQ) -> ZeemanComplex:
-    """List the pairs of the double complex of ``fc`` at lattice degree ``a``.
+    """Index the double complex of ``fc`` at lattice degree ``a`` by runs.
 
-    ``labels[n]`` holds the (f_id, g_id) pairs alone of total degree
-    n = dim F - dim G in (dim G, G, F) order, so each block (p, q) is one
-    contiguous range of them, in (G, F) order.  No matrix is built:
-    ``total_complex``, ``horiz`` and ``vert`` write theirs from the covers
-    when asked.
+    For each admitted face g, in (dim g, g) order, ``runs[g][n]`` holds the
+    faces F >= g of dimension dim g + n in id order, read level by level off
+    the cofacet covers, and ``offsets[g][n]`` its position in total degree n.
+    No pair and no matrix is stored; ``pairs``, ``blocks``,
+    ``total_complex``, ``horiz`` and ``vert`` make theirs when asked.
 
     ``a=None`` (or the zero vector) gives the ordinary degree, which needs
     no geometry; any other degree requires the complex to carry its
@@ -157,17 +197,18 @@ def build(fc: FaceComplex, a=None, field: Field = QQ) -> ZeemanComplex:
         )
 
     admitted = {g.id for g in fc.faces} if a is None else fc.faces_containing(a)
-    blocks: dict = {}
-    for g in sorted(admitted):
-        qg = -fc.face(g).dim
-        for f in sorted(fc.above(g)):
-            blocks.setdefault((fc.face(f).dim, qg), []).append((f, g))
-    by_degree: dict = {}
-    for p, q in sorted(blocks, key=lambda k: -k[1]):  # dim G ascending
-        by_degree.setdefault(p + q, []).extend(blocks[(p, q)])
-    labels = tuple(tuple(by_degree.get(n, ())) for n in range(max(by_degree, default=0) + 1))
-    pos = {pair: i for level in labels for i, pair in enumerate(level)}
-    return ZeemanComplex(fc, field, a, labels, pos, {k: tuple(v) for k, v in blocks.items()})
+    runs, offsets, sizes = {}, {}, [0]
+    for g in sorted(admitted, key=lambda g: (fc.face(g).dim, g)):
+        levels, level = [], (g,)
+        while level:
+            levels.append(level)
+            level = tuple(sorted({h for f in level for h, _ in fc._up[f]}))
+        sizes.extend([0] * (len(levels) - len(sizes)))
+        offsets[g] = tuple(sizes[: len(levels)])
+        for n, faces in enumerate(levels):
+            sizes[n] += len(faces)
+        runs[g] = tuple(levels)
+    return ZeemanComplex(fc, field, a, runs, offsets, tuple(sizes))
 
 
 @dataclass(frozen=True)
@@ -179,21 +220,21 @@ class AugmentedTotal:
 
 
 def total_complex(z: ZeemanComplex) -> AugmentedTotal:
-    """The total complex on the pairs of ``build``, written from the covers
-    on first call and kept.  Degree n holds the pairs with
-    dim F - dim G = n in (dim G, G, F) order: small dim G first, so the
-    row filtration reads off column prefixes.  The augmentation hits the
-    diagonal pairs (F, F), the only ones of total degree 0, with the
-    alternating sign pattern that makes it a cocycle."""
+    """The total complex, written by the run writer on first call and kept
+    for later readers (E-infinity streams its own and never fills it).
+    Degree n holds the pairs with dim F - dim G = n in (dim G, G, F) order:
+    small dim G first, so the row filtration reads off column prefixes.  The
+    augmentation hits the diagonal pairs (F, F), the only ones of total
+    degree 0, with the alternating sign pattern that makes it a cocycle."""
     if z._total is None:
-        labels = z.labels
+        top = len(z.sizes) - 1
         diffs = tuple(
-            Mat(len(cod), len(dom), [z._column(f, g, True, True) for f, g in dom], z.field)
-            for dom, cod in zip(labels, labels[1:])
+            Mat(z.sizes[n + 1], z.sizes[n], list(z._columns(n, z._faces(n), z._faces(n + 1))), z.field)
+            for n in range(top)
         )
-        vs = VSComplex(0, len(labels) - 1, labels, diffs, z.field)
-        aug = tuple(z._signs[diagonal_sign(z.fc.face(f).dim)] for f, _ in labels[0])
-        z._total = AugmentedTotal(vs, aug)
+        labels = tuple(z.pairs(n) for n in range(top + 1))
+        aug = tuple(z._signs[diagonal_sign(z.fc.face(g).dim)] for g in z.runs)
+        z._total = AugmentedTotal(VSComplex(0, top, labels, diffs, z.field), aug)
     return z._total
 
 
@@ -238,14 +279,14 @@ def _page1_data(z: ZeemanComplex) -> _Page1Data:
     # basis order, so the representatives of the row are the per-face ones
     # shifted by a running offset, already in the order of their last
     # nonzero pair.
-    for (p, q), pairs in sorted(z.blocks.items(), key=lambda item: (-item[0][1], item[0][0])):
+    for (p, q), (_, _, gs) in sorted(z._layout.items(), key=lambda item: (-item[0][1], item[0][0])):
         vecs, dims, offset = [], [], 0
-        for g, size in Counter(g for _, g in pairs).items():
+        for g in gs:
             local = local_cohomology(fc, g, field).reps(p)
             if local:
                 vecs.extend({offset + i: x for i, x in rep.items()} for rep in local)
                 dims.append((g, len(local)))
-            offset += size
+            offset += len(z.runs[g][p + q])
         if vecs:
             reps[(p, q)] = tuple(vecs)
             faces[(p, q)] = dims
@@ -322,9 +363,12 @@ def _page2_data(z: ZeemanComplex) -> _Page2Data:
 
 def _infinity_dims(z: ZeemanComplex) -> dict:
     """Terminal-page dimensions: the essential columns of the total
-    complex reduced with clearing (``linalg.reduce_chain``), each at its
-    pair's bidegree (dim F, -dim G).  Column j of degree n is essential
-    when its prefix rank does not rise and j is no pivot row of D_{n-1}.
+    complex reduced with clearing, each at the bidegree of its block.
+    Column j of degree n is essential when its prefix rank does not rise
+    and j is no pivot row of D_{n-1}.  The run writer streams each
+    differential into ``reduce_columns`` and leaves the columns at the
+    pivot rows of D_{n-1} unwritten, so only ranks and pivots are kept: no
+    matrix, and ``total_complex`` stays unfilled.
 
     A filtration step F (q >= s) is a prefix of each basis, and E-infinity
     at (n - s, s) is the drop in dim(Z^n in F) - dim(B^n in F) from s to
@@ -333,17 +377,16 @@ def _infinity_dims(z: ZeemanComplex) -> dict:
     distinct, so those in F count B^n in F; and clearing puts every pivot
     row among the non-rising columns.
     """
-    tot = total_complex(z).complex
-    zero_top = [(j, {}) for j in range(tot.dim(tot.hi))]  # the map out of the top degree
-    reduced = reduce_chain([*(enumerate(d.columns) for d in tot.diffs), zero_top], z.field)
     dims: Counter = Counter()
     into: dict = {}  # the pivot rows of the differential into the degree
-    for level, (ranks, pivots) in zip(tot.labels, reduced):
-        before = 0
-        for j, ((f, g), rank) in enumerate(zip(level, ranks)):
-            if rank == before and j not in into:
-                dims[(z.fc.face(f).dim, -z.fc.face(g).dim)] += 1
-            before = rank
+    for n in range(len(z.sizes)):  # out of the top degree, every column is empty
+        ranks, pivots = reduce_columns(z._columns(n, z._faces(n), z._faces(n + 1), cleared=into), z.field)
+        before = [0, *ranks]  # before[j]: the rank of the columns before j
+        for (p, q), (start, size, _) in z._layout.items():
+            if p + q == n:
+                for j in range(start, start + size):
+                    if ranks[j] == before[j] and j not in into:
+                        dims[(p, q)] += 1
         into = pivots
     return dict(dims)
 
@@ -351,9 +394,8 @@ def _infinity_dims(z: ZeemanComplex) -> dict:
 def page(z: ZeemanComplex, r) -> SSPage:
     """Page ``r`` of the spectral sequence; r may be 0, 1, 2 or math.inf."""
     if r == 0:
-        dims = {k: len(v) for k, v in z.blocks.items()}
-        diffs = {k: z.horiz(*k) for k in z.blocks}
-        return SSPage(0, dims, diffs)
+        dims = {k: size for k, (_, size, _) in z._layout.items()}
+        return SSPage(0, dims, {k: z.horiz(*k) for k in dims})
     if r == 1:
         data = _page1_data(z)
         dims = {k: len(v) for k, v in data.summaries.items()}
@@ -393,31 +435,33 @@ def concentration_check(z: ZeemanComplex) -> ConcentrationResult:
     return ConcentrationResult(not violations, n, violations)
 
 
-def _rank_only_dims(z: ZeemanComplex, block_map, step: tuple) -> dict:
-    """Cohomology dimensions of the complexes made by the block maps
-    ``block_map(p, q)`` from (p, q) to (p + step[0], q + step[1]); ranks
-    only.
+def _rank_only_dims(z: ZeemanComplex, vertical: bool) -> dict:
+    """Cohomology dimensions of the complexes made by the vertical or the
+    horizontal block maps; ranks only.
 
-    The maps along one line of ``step`` compose to zero, and the columns
+    The maps along one line of blocks compose to zero, and the columns
     of a map come in the block order of its source, which is the row order
-    of the map into that block, so the maps along each maximal line of
-    blocks are written one at a time and reduced as one chain with
-    clearing (``linalg.reduce_chain``).
+    of the map into that block, so the maps along each maximal line are
+    reduced in turn with clearing: the run writer streams each into
+    ``reduce_columns`` and leaves unwritten the columns at the pivot rows of
+    the map before.
     """
-    blocks = z.blocks
+    step = (0, 1) if vertical else (1, 0)
+    layout = z._layout
     ranks: dict = {}
-    for start in sorted(blocks):
-        if (start[0] - step[0], start[1] - step[1]) in blocks:
+    for start in sorted(layout):
+        if (start[0] - step[0], start[1] - step[1]) in layout:
             continue  # not the start of a line
         line = [start]
-        while (nxt := (line[-1][0] + step[0], line[-1][1] + step[1])) in blocks:
+        while (nxt := (line[-1][0] + step[0], line[-1][1] + step[1])) in layout:
             line.append(nxt)
-        run = line[:-1]
-        reduced = reduce_chain((enumerate(block_map(*k).columns) for k in run), z.field)
-        ranks.update((k, len(pivots)) for k, (_, pivots) in zip(run, reduced))
+        cleared: dict = {}  # the pivot rows of the map into the block
+        for k in line[:-1]:
+            _, cleared = reduce_columns(z._block_columns(*k, vertical, cleared)[1], z.field)
+            ranks[k] = len(cleared)
     dims: dict = {}
-    for (p, q), pairs in blocks.items():
-        d = len(pairs) - ranks.get((p, q), 0) - ranks.get((p - step[0], q - step[1]), 0)
+    for (p, q), (_, size, _) in layout.items():
+        d = size - ranks.get((p, q), 0) - ranks.get((p - step[0], q - step[1]), 0)
         if d:
             dims[(p, q)] = d
     return dims
@@ -425,9 +469,9 @@ def _rank_only_dims(z: ZeemanComplex, block_map, step: tuple) -> dict:
 
 def horizontal_cohomology_dims(z: ZeemanComplex) -> dict:
     """Dimensions of the row-wise (horizontal-first) cohomology: page 1."""
-    return _rank_only_dims(z, z.horiz, (1, 0))
+    return _rank_only_dims(z, False)
 
 
 def vertical_cohomology_dims(z: ZeemanComplex) -> dict:
     """Dimensions of the column-wise (vertical-first) cohomology."""
-    return _rank_only_dims(z, z.vert, (0, 1))
+    return _rank_only_dims(z, True)

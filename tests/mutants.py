@@ -49,8 +49,8 @@ MUTANTS = (
     Mutant(
         "einf-counts-cleared-column",
         "zeeman.py",
-        "if rank == before and j not in into:",
-        "if rank == before:",
+        "if ranks[j] == before[j] and j not in into:",
+        "if ranks[j] == before[j]:",
         "E-infinity counts only the essential columns: a column at a pivot row "
         "of the differential into its degree is a coboundary, not a class",
         ("test_clearing.py", "test_sparse_ranks.py"),
@@ -58,8 +58,8 @@ MUTANTS = (
     Mutant(
         "einf-wrong-bidegree",
         "zeeman.py",
-        "dims[(z.fc.face(f).dim, -z.fc.face(g).dim)] += 1",
-        "dims[(z.fc.face(f).dim, -z.fc.face(f).dim)] += 1",
+        "dims[(p, q)] += 1",
+        "dims[(p, -p)] += 1",
         "an essential column of the pair (F, G) is a class at (dim F, -dim G)",
         ("test_clearing.py", "test_sparse_ranks.py"),
     ),
@@ -69,15 +69,39 @@ MUTANTS = (
         "[{} if j in cleared else col for j, col in pairs]",
         "[{} if j in cleared or (cleared and j == 0) else col for j, col in pairs]",
         "clearing skips exactly the columns at the pivot rows of the differential before",
-        ("test_clearing.py", "test_sparse_ranks.py", "test_zeeman.py"),
+        ("test_clearing.py",),
     ),
     Mutant(
         "column-drops-row-twist",
         "zeeman.py",
-        "twist = -1 if fc.face(g).dim % 2 else 1",
-        "twist = 1",
+        "cosign = twisted[fc.faces[g].dim % 2]",
+        "cosign = signs",
         "the horizontal differential carries the row twist (-1)^q, so the total differential squares to zero",
         ("test_zeeman.py", "test_sparse_ranks.py"),
+    ),
+    Mutant(
+        "writer-run-offset-off-by-one",
+        "zeeman.py",
+        "count(offsets[h][n + 1] - row0)",
+        "count(offsets[h][n + 1] - row0 + 1)",
+        "a pair's row is the offset of its run in the target degree plus its index in the run",
+        ("test_run_writer.py", "test_zeeman.py"),
+    ),
+    Mutant(
+        "writer-skips-an-admitted-facet",
+        "zeeman.py",
+        "for g2, sign in fc._down[g] if g2 in index]",
+        "for g2, sign in fc._down[g] if g2 in index and g2 != min(index)]",
+        "the vertical part goes to every facet of G that is admitted, and only those have runs",
+        ("test_run_writer.py", "test_zeeman.py"),
+    ),
+    Mutant(
+        "writer-clears-the-next-column",
+        "zeeman.py",
+        "enumerate(runs[g][n], offsets[g][n] - col0)",
+        "enumerate(runs[g][n], offsets[g][n] - col0 + 1)",
+        "the run writer leaves unwritten exactly the columns at the pivot rows of the map before",
+        ("test_run_writer.py", "test_clearing.py"),
     ),
     Mutant(
         "restriction-drops-cover-sign",

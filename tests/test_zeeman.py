@@ -231,9 +231,9 @@ def test_rp2_concentration_matches_cm():
     assert not concentration_check(build(fc, None, GF(2))).ok
 
 
-def test_build_holds_at_most_180_bytes_per_pair():
-    # a pair is one (f, g) tuple, its slot in its degree and in its block,
-    # and its index in ``pos``; no bidegree is stored beside it
+def test_build_holds_at_most_80_bytes_per_pair():
+    # build stores no pair: per admitted face g one tuple of its runs, the
+    # faces above g level by level, and one tuple of their offsets
     sphere = SimplicialComplex.from_facets(9, [frozenset(f) for f in combinations(range(1, 10), 8)])
     fc = cone_of_simplicial(sphere)
     gc.collect()
@@ -244,19 +244,23 @@ def test_build_holds_at_most_180_bytes_per_pair():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(z.pos) == 19171
-    assert held / len(z.pos) <= 180, held / len(z.pos)
+    pairs = sum(len(level) for levels in z.runs.values() for level in levels)
+    assert pairs == sum(z.sizes) == 19171
+    assert held / pairs <= 80, held / pairs
 
 
 def test_build_and_concentration_write_no_total_complex():
-    # cm-check builds and runs the concentration check only: neither may
-    # pay for the total complex, and build holds no matrix at all
+    # cm-check builds and runs the concentration check only, and E-infinity
+    # streams the total differentials: none of them may fill the total
+    # complex, and build holds no matrix at all
     for sc in (hollow_triangle(), bowtie(), rp2()):
         z = build(cone_of_simplicial(sc), None, GF(2))
         held = [x for v in vars(z).values() for x in (v.values() if isinstance(v, dict) else (v,))]
         assert not any(isinstance(x, Mat) for x in held)
         assert z._total is None
         concentration_check(z)
+        assert z._total is None
+        page(z, math.inf)
         assert z._total is None
 
 

@@ -61,7 +61,7 @@ from .semigroup import AffineSemigroup, DegenerateConeError, face_lattice
 
 
 MAX_VERTICES = 16  # dual and betti enumerate about 2^d vertex subsets; the orthant's 2^d faces stay implicit
-MAX_FUNCTIONALS = 13  # a cone cut out by n functionals can have 2^n faces, each reduced once
+MAX_FUNCTIONALS = 13  # a cone cut out by n functionals can have 2^n faces, each enumerated
 
 
 class InputFormatError(ValueError):
@@ -208,12 +208,11 @@ def semigroup_bundle(ambient, functionals, selectors) -> InputBundle:
     full = face_lattice(q)
     if not selectors:
         return InputBundle("semigroup", full)
-    ids = []
+    ids, index = [], {c.vanishing: i for i, c in full.cone_faces.items()}
     for where, sel in selectors:
         if not all(1 <= i <= len(functionals) for i in sel):
             raise InputFormatError(f"{where}: delta indices must lie in 1..{len(functionals)}, got {sel}")
-        cf = q.face_with_vanishing([i - 1 for i in sel])
-        ids.append(next(i for i, c in full.cone_faces.items() if c == cf))
+        ids.append(index[q.face_with_vanishing([i - 1 for i in sel]).vanishing])
     chosen = tuple(sel for _, sel in selectors)
     return InputBundle("semigroup", subcomplex(full, ids), delta_selectors=chosen)
 

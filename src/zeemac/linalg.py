@@ -84,6 +84,16 @@ coefficients on the V_j, its class, equal what a solve against
 ``cochain_classes`` hands out those image columns in each degree that
 has cohomology.
 
+Over the integers, relations also grow one row at a time
+(``_relations_with_row``), which is how a cone's faces get theirs.  Let
+s_j be the pairing of the new row with the relation r_j.  If every s_j is
+zero, the row lies in the row space and the relations stay.  Otherwise
+column e, the first with s_e != 0 (signed so that s_e > 0), becomes a
+pivot column, and each other r_j becomes s_e r_j - s_j r_e.  For j < e,
+s_j = 0 and r_j stays; for j > e, e is a pivot column before j.  Each
+relation is unique up to a factor, so divided by its content it is the
+one that the tagged reduction of the whole matrix gives.
+
 The exactness certificate does not clear: its maps may come from a file
 and are not known to compose to zero, so it reduces each map alone
 (``reduce_columns``).
@@ -500,6 +510,30 @@ def _relations(cols, field: Field) -> tuple[dict, dict]:
     """
     relations, owner = _raw_relations(cols, field)
     return {j: _normalized(j, rel, field) for j, rel in relations.items()}, owner
+
+
+def _relations_with_row(relations: dict, row) -> tuple[dict | None, dict]:
+    """``(pivot, relations)`` once the dense ``row`` is appended to the
+    integer matrix with these column relations (``{j: relation}`` in
+    column order, each primitive and positive at j): one rank-one update.
+    ``pivot`` is None when the row lies in the row space, and otherwise
+    the relation of the new pivot column, signed to pair positively with
+    the row."""
+    pairings = {j: sum(c * row[k] for k, c in rel.items()) for j, rel in relations.items()}
+    e = next((j for j, s in pairings.items() if s), None)
+    if e is None:
+        return None, relations
+    sign = 1 if pairings[e] > 0 else -1
+    pivot = {k: sign * c for k, c in relations[e].items()}
+    out = {}
+    for j, rel in relations.items():
+        if j != e:
+            if s := pairings[j]:
+                rel = _combine((rel, pivot), ((0, sign * pairings[e]), (1, -s)), QQ)
+                g = gcd(*rel.values())
+                rel = {k: c // g for k, c in rel.items()}
+            out[j] = rel
+    return pivot, out
 
 
 def solve_columns(targets, generators, field: Field) -> list:

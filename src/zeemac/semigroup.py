@@ -11,13 +11,12 @@ unit functionals and rays and its face count 2^d; its per-face tables come
 from the generic enumeration on first request.  Membership, the complexes
 over it and the exactness certificate need none of them.
 
-The generic enumeration finds faces by vanishing set.  Each ray's
-vanishing set is computed once; restricting a face to a functional keeps
-the face's rays on which it vanishes, and the intersection of their
-vanishing sets names the candidate face.  A candidate already found costs
-nothing more.  A new face's ray matrix is reduced once: its dimension is
-d minus the number of column relations, and the relations are kept for
-the cover signs.
+The generic enumeration takes its rays from the double description
+method and finds faces by vanishing set, from the apex up through the
+covers, which are the inclusion-minimal joins with one ray.  A face's
+column relations, kept for the cover signs, come from one lower cover's
+by one rank-one update with its interior point: no face's ray matrix is
+reduced.
 
 Lattice membership goes through one evaluator: ``zero_set(a)`` evaluates
 each functional once and returns the functionals that vanish at ``a``
@@ -25,26 +24,24 @@ each functional once and returns the functionals that vanish at ``a``
 when the face's vanishing set is contained in that zero set, and in its
 relative interior exactly when the two are equal.
 
-Covers on the face lattice come from rays: the faces covering G are among
-the joins of G with one ray off G, whose vanishing set is the
-intersection of the two.  Incidence signs come from orientations: the
-sign of a cover (G, F) is the determinant sign of [rref basis of the span
-of G, interior point of F] expressed in the rref basis of the span of F.
-It is read off the kept column relations of G and F (``face_lattice``),
-with no further elimination.  This satisfies the diamond axiom, which
-``complexes.validate`` re-checks in the test suite.
+The enumeration keeps the covers, and incidence signs come from
+orientations: the sign of a cover (G, F) is the determinant sign of [rref
+basis of the span of G, interior point of F] expressed in the rref basis
+of the span of F.  It is read off the kept column relations of G and F
+(``face_lattice``), with no further elimination.  This satisfies the
+diamond axiom, which ``complexes.validate`` re-checks in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import product
 from math import gcd
 from typing import NamedTuple
 
 from .complexes import Cover, Face, FaceComplex
-from .linalg import Mat, QQ, _raw_relations, rank
+from .linalg import _relations_with_row
 
 
 @dataclass(frozen=True)
@@ -67,18 +64,9 @@ class ConeFace:
 
 
 def _primitive(vec) -> tuple[int, ...]:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    if g == 0:
+    if (g := gcd(*vec)) == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in vec)
-
-
-def _columns(rows, width: int) -> list[dict]:
-    """The sparse columns of the integer matrix with these rows; integer
-    entries are QQ scalars already, so they go in as they are."""
-    return [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(width)]
 
 
 class DegenerateConeError(ValueError):
@@ -96,12 +84,15 @@ class DegenerateConeError(ValueError):
 
 
 class _FaceTables(NamedTuple):
-    """The faces in ambient order, and each face, its rays and its column relations by vanishing set."""
+    """The faces in ambient order; each face, its rays and its column
+    relations by vanishing set; and the covers as ``(lower, upper)``
+    positions in ``faces``, by lower face, then upper face."""
 
     faces: tuple
     by_vanishing: dict
     rays_of: dict
     relations: dict
+    covers: tuple
 
 
 class AffineSemigroup:
@@ -111,16 +102,8 @@ class AffineSemigroup:
     def __init__(self, d: int, functionals):
         self.d = d
         self.functionals = tuple(self.primitive_functional(t, d) for t in functionals)
-        n = len(self.functionals)
-        r = rank(Mat.from_rows(list(self.functionals), QQ))
-        if r != d:
-            raise DegenerateConeError(f"cone is not pointed: the functionals have rank {r}, not {d}", range(n), r)
-        self.rays = self._enumerate_rays()
-        if not self.rays:
-            raise DegenerateConeError(
-                f"cone is not full-dimensional: it is the apex alone, of rank 0, not {d}", range(n), 0
-            )
-        self._ray_vanishing = {r: frozenset(i for i in range(n) if self.evaluate(i, r) == 0) for r in self.rays}
+        self._ray_vanishing = self._enumerate_rays()
+        self.rays = tuple(self._ray_vanishing)
         self.face_count = len(self._tables.faces)  # enumerated now: a degenerate cone raises here
 
     @staticmethod
@@ -130,10 +113,7 @@ class AffineSemigroup:
         t = tuple(int(x) for x in t)
         if len(t) != d:
             raise ValueError(f"functional {t} does not have length {d}")
-        g = 0
-        for x in t:
-            g = gcd(g, x)
-        if g != 1:
+        if (g := gcd(*t)) != 1:
             raise ValueError(f"functional {t} is not primitive (gcd {g})")
         return t
 
@@ -163,72 +143,105 @@ class AffineSemigroup:
     def evaluate(self, i: int, a) -> int:
         return sum(c * x for c, x in zip(self.functionals[i], a))
 
-    def _enumerate_rays(self) -> tuple[tuple[int, ...], ...]:
-        """The primitive ray generators, sorted.  A candidate line is the
-        kernel of d - 1 functionals when it is one-dimensional: their one
-        column relation, an integer vector, made primitive."""
-        n = len(self.functionals)
-        found = set()
-        for subset in combinations(range(n), self.d - 1) if self.d > 1 else [()]:
-            if subset:
-                relations = _raw_relations(_columns([self.functionals[i] for i in subset], self.d), QQ)[0]
-                if len(relations) != 1:
-                    continue
-                (rel,) = relations.values()
-                g = _primitive([rel.get(i, 0) for i in range(self.d)])
-            else:
-                # d == 1: the candidate line is the whole lattice
-                g = (1,)
-            for cand in (g, tuple(-x for x in g)):
-                if all(self.evaluate(i, cand) >= 0 for i in range(n)):
-                    found.add(cand)
-                    break
-        return tuple(sorted(found))
+    def _enumerate_rays(self) -> dict:
+        """The primitive ray generators, sorted, each with the functionals
+        (0-based) that vanish on it, by the double description method
+        (Fukuda and Prodon 1996).
+
+        The first pass adds the functionals as rows of a matrix whose column
+        relations (``_relations_with_row``) span the cone's lineality space.
+        A row that raises the rank makes its pivot relation a ray and moves
+        every earlier ray along it onto the row's zero set.  These rows are
+        the first d independent functionals, and their count is the rank
+        that a cone which is not pointed reports.  Each other functional t
+        then drops the rays where t is negative and adds, for each adjacent
+        pair with t positive on one and negative on the other, the ray where
+        t vanishes on their 2-face.  Adjacency is combinatorial: the pair
+        shares at least d - 2 of the functionals added so far, and no third
+        ray vanishes on all of them.  A cone with no ray is the apex alone.
+        """
+        n, d = len(self.functionals), self.d
+        relations = {j: {j: 1} for j in range(d)}  # no row yet: every column is zero
+        zero, added = {}, 0  # each ray, with the functionals added so far that vanish on it as a bit mask
+        for i, t in enumerate(self.functionals):
+            pivot, relations = _relations_with_row(relations, t)
+            if pivot is not None:
+                line = tuple(pivot.get(k, 0) for k in range(d))
+                s = self.evaluate(i, line)
+                zero = {
+                    _primitive([s * x - self.evaluate(i, r) * y for x, y in zip(r, line)]): z | 1 << i
+                    for r, z in zero.items()
+                }
+                zero[line] = added  # primitive, as every relation is
+                added |= 1 << i
+        if relations:  # the kernel is not zero: the cone holds a line
+            rank = d - len(relations)
+            raise DegenerateConeError(f"cone is not pointed: the functionals have rank {rank}, not {d}", range(n), rank)
+        for i in (i for i in range(n) if not added >> i & 1):
+            value = {r: self.evaluate(i, r) for r in zero}
+            kept = {r: z | 1 << i if not value[r] else z for r, z in zero.items() if value[r] >= 0}
+            above = [(p, zp) for p, zp in zero.items() if value[p] > 0]
+            below = [(m, zm) for m, zm in zero.items() if value[m] < 0]
+            for (p, zp), (m, zm) in product(above, below):
+                common = zp & zm
+                if common.bit_count() >= d - 2 and not any(
+                    z & common == common for r, z in zero.items() if r != p and r != m
+                ):
+                    kept[_primitive([value[p] * x - value[m] * y for x, y in zip(m, p)])] = common | 1 << i
+            zero = kept
+        if not zero:
+            raise DegenerateConeError(f"cone is not full-dimensional: it is the apex alone, of rank 0, not {d}", range(n), 0)
+        return {r: frozenset(i for i in range(n) if z >> i & 1) for r, z in sorted(zero.items())}
 
     def _enumerate_faces(self) -> _FaceTables:
-        """Every face, from the top face down by vanishing set.
+        """Every face and its covers, from the apex up by vanishing set.
 
-        Restricting a face to a functional that does not vanish on it keeps
-        the face's rays on which the functional vanishes; the intersection
-        of their vanishing sets is the candidate face's.  A new face's ray
-        matrix is reduced once: its dimension is d minus its number of
-        column relations.  The rays span exactly when the top face has
-        dimension d.
+        The join of a face G with a ray off G is the face whose vanishing
+        set is the intersection of theirs.  The covers of G are its
+        inclusion-minimal joins, and a cover's rays are G's and those whose
+        join with G it is.  The breadth-first pass up the covers gives each
+        face its dimension, and its column relations come from those of the
+        face it is first reached from by one rank-one update with its
+        interior point.
         """
-        ray_vanishing = self._ray_vanishing
-        rays_of, relations = {}, {}
-
-        def add(vanishing, rays) -> ConeFace:
-            columns = _columns(rays, self.d)
-            rays_of[vanishing] = rays
-            relations[vanishing] = _raw_relations(columns, QQ)[0]
-            return ConeFace(vanishing, len(columns) - len(relations[vanishing]), tuple(map(sum, zip(*rays))))
-
-        top = add(frozenset.intersection(*ray_vanishing.values()), self.rays)
-        if top.dim != self.d:
+        n, d = len(self.functionals), self.d
+        masks = [(sum(1 << i for i in v), r) for r, v in self._ray_vanishing.items()]
+        apex = (1 << n) - 1
+        # each face by vanishing bit mask: its dimension, sorted rays, interior point and column relations
+        found = {apex: (0, (), (0,) * d, {j: {j: 1} for j in range(d)})}  # no rays: every column is zero
+        covers, level = {}, [apex]
+        while level:
+            last, level = level, []
+            for g in last:
+                dim, rays, point, relations = found[g]
+                joins: dict = {}
+                for m, r in masks:
+                    if m & g != g:  # r is off G
+                        joins.setdefault(g & m, []).append(r)
+                covers[g] = [f for f in joins if not any(h != f and h & f == f for h in joins)]
+                for f in covers[g]:
+                    if f not in found:
+                        w = tuple(map(sum, zip(point, *joins[f])))
+                        found[f] = (dim + 1, tuple(sorted(rays + tuple(joins[f]))), w, _relations_with_row(relations, w)[1])
+                        level.append(f)
+        vanishing = {f: frozenset(i for i in range(n) if f >> i & 1) for f in found}
+        (top,) = last
+        if (dim := found[top][0]) != d:
             raise DegenerateConeError(
-                f"cone is not full-dimensional: its rays have rank {top.dim}, not {self.d}, "
+                f"cone is not full-dimensional: its rays have rank {dim}, not {d}, "
                 f"and these functionals vanish on all of it",
-                sorted(top.vanishing),
-                top.dim,
+                sorted(vanishing[top]),
+                dim,
             )
-        faces = [top]
-        for face in faces:  # appended to while read: breadth first from the top
-            rays = rays_of[face.vanishing]
-            for i in range(len(self.functionals)):
-                if i in face.vanishing:
-                    continue
-                sub = tuple(r for r in rays if i in ray_vanishing[r])
-                if sub:
-                    vanishing = frozenset.intersection(*(ray_vanishing[r] for r in sub))
-                    if vanishing not in rays_of:
-                        faces.append(add(vanishing, sub))
-        minimal = ConeFace(frozenset(range(len(self.functionals))), 0, (0,) * self.d)
-        rays_of[minimal.vanishing] = ()
-        relations[minimal.vanishing] = {j: {j: 1} for j in range(self.d)}  # every column is zero
-        faces.append(minimal)
-        faces.sort(key=ConeFace.order_key)
-        return _FaceTables(tuple(faces), {f.vanishing: f for f in faces}, rays_of, relations)
+        faces = sorted((ConeFace(vanishing[f], k, w) for f, (k, _, w, _) in found.items()), key=ConeFace.order_key)
+        index = {cf.vanishing: i for i, cf in enumerate(faces)}
+        return _FaceTables(
+            tuple(faces),
+            {cf.vanishing: cf for cf in faces},
+            {vanishing[f]: rays for f, (_, rays, _, _) in found.items()},
+            {vanishing[f]: relations for f, (*_, relations) in found.items()},
+            tuple(sorted((index[vanishing[g]], index[vanishing[f]]) for g, ups in covers.items() for f in ups)),
+        )
 
     _tables = cached_property(_enumerate_faces)  # enumerated on first request
 
@@ -254,9 +267,9 @@ class AffineSemigroup:
         """The column relations of the face's ray matrix (rays as rows), as
         ``linalg._relations`` gives them up to a positive factor:
         ``{j: relation}`` for each of the d - dim columns in the span of the
-        columns before it, an integer vector positive at j.  The cover
-        signs read only the sign of a pairing with a relation, which the
-        factor keeps."""
+        columns before it, a primitive integer vector positive at j.  The
+        cover signs read only the sign of a pairing with a relation, which
+        the factor keeps."""
         return self._tables.relations[face.vanishing]
 
     def zero_set(self, a) -> frozenset | None:
@@ -290,39 +303,29 @@ class AffineSemigroup:
 def face_lattice(q: AffineSemigroup) -> FaceComplex:
     """The full face lattice of the cone as a validated FaceComplex.
 
-    Covers come from rays: the join of a face G with a ray r off G is the
-    face whose vanishing set is the intersection of theirs, and every
-    cover of G is such a join of dimension dim G + 1, so the covers take
-    O(faces x rays) set intersections.  They are listed by lower face,
-    then upper face.
+    The covers are the ones the enumeration keeps (the inclusion-minimal
+    joins of each face with one ray off it), listed by lower face, then
+    upper face; this only signs them.
 
-    Signs come from the column relations that ``relations_of`` keeps from
-    the one reduction of each face's ray matrix (rays as rows); the pivot
-    columns P are the columns without a relation.  For a cover G < F, P_F
-    is P_G and one more column e, G's relation r at e is positive at e
-    and otherwise nonzero only on P_G, and the sign is
+    Signs come from the column relations that ``relations_of`` keeps for
+    each face's ray matrix (rays as rows); the pivot columns P are the
+    columns without a relation.  For a cover G < F, P_F is P_G and one
+    more column e, G's relation r at e is positive at e and otherwise
+    nonzero only on P_G, and the sign is
     ``(-1)^#{p in P_G : p > e} * sign(sum(r[k] * w[k]))`` with w the
     interior point of F: the determinant sign of [rref basis of G; w] in
     the rref basis of F.  The minimal face has no rays, so every column
     has the relation {j: 1} and P is empty.
     """
-    cone_faces = list(q.faces())
+    tables = q._tables
+    cone_faces = tables.faces
     faces = [Face(i, cf.dim, cf.label(), key=("v", tuple(sorted(cf.vanishing)))) for i, cf in enumerate(cone_faces)]
-    index = {cf.vanishing: i for i, cf in enumerate(cone_faces)}
-    relations = [q.relations_of(cf) for cf in cone_faces]
-    ray_vanishing = q._ray_vanishing.values()
-    covers = []
-    for gi, g in enumerate(cone_faces):
-        joins = {index[g.vanishing & v] for v in ray_vanishing}
-        for fi in sorted(fi for fi in joins if cone_faces[fi].dim == g.dim + 1):
-            covers.append(Cover(gi, fi, _cover_sign(relations[gi], relations[fi], cone_faces[fi].interior_point)))
-    return FaceComplex(
-        faces,
-        covers,
-        q.d,
-        cone_faces={i: cf for i, cf in enumerate(cone_faces)},
-        semigroup=q,
-    )
+    relations = [tables.relations[cf.vanishing] for cf in cone_faces]
+    covers = [
+        Cover(gi, fi, _cover_sign(relations[gi], relations[fi], cone_faces[fi].interior_point))
+        for gi, fi in tables.covers
+    ]
+    return FaceComplex(faces, covers, q.d, cone_faces=dict(enumerate(cone_faces)), semigroup=q)
 
 
 def _cover_sign(relations_g: dict, relations_f: dict, w) -> int:

@@ -168,6 +168,32 @@ MUTANTS = (
         ("test_cli_fuzz.py",),
     ),
     Mutant(
+        "double-description-drops-the-adjacency-test",
+        "semigroup.py",
+        "if common.bit_count() >= d - 2 and not any(",
+        "if True or not any(",
+        "a new ray comes only from an adjacent pair of rays on either side of the functional; "
+        "any other pair gives a point inside a face of dimension at least 3, not a ray",
+        ("test_semigroup.py",),
+    ),
+    Mutant(
+        "relation-update-takes-the-last-column",
+        "linalg.py",
+        "e = next((j for j, s in pairings.items() if s), None)",
+        "e = next((j for j, s in reversed(pairings.items()) if s), None)",
+        "a row makes the first column whose relation pairs nonzero with it a pivot column, "
+        "so each relation stays nonzero only on earlier pivot columns and matches the tagged reduction's",
+        ("test_linalg.py", "test_semigroup.py"),
+    ),
+    Mutant(
+        "face-covers-keep-every-join",
+        "semigroup.py",
+        "covers[g] = [f for f in joins if not any(h != f and h & f == f for h in joins)]",
+        "covers[g] = list(joins)",
+        "the covers of a face are the inclusion-minimal joins with one ray off it, not every join",
+        ("test_semigroup.py",),
+    ),
+    Mutant(
         "reduce-chain-keeps-first-pivot-column",
         "linalg.py",
         "[{} if j in cleared else col for j, col in pairs]",

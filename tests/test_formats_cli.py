@@ -20,6 +20,9 @@ from zeemac.formats import (
     resolution_from_doc,
     resolution_to_doc,
 )
+from zeemac.complexes import subcomplex
+
+from . import test_golden_cli as golden
 
 HOLLOW = "simplicial\nvertices 3\nfacet 1 2\nfacet 1 3\nfacet 2 3\n"
 BOWTIE = "simplicial\nvertices 5\nfacet 1 2 3\nfacet 3 4 5\n"
@@ -70,6 +73,26 @@ def test_parse_semigroup_with_delta():
     assert b.kind == "semigroup"
     assert len(b.fc.faces) == 6
     assert b.delta_selectors == ((1,), (2,))
+
+
+def test_delta_faces_are_found_by_vanishing_set():
+    # each 'delta' face is looked up by its vanishing set; the subcomplex is
+    # the one that scanning every face for an equal ConeFace selects
+    square, hexagon, cube = golden.SQUARE, golden.HEXAGON, golden.CUBE
+    for text in (
+        square + "delta 1\ndelta 2\n",
+        hexagon + "".join(f"delta {i}\n" for i in range(1, 7)),
+        hexagon + "delta 1\ndelta 2\n",
+        cube + "delta 1\ndelta 2\n",
+        cube + "delta 1\ndelta 3\ndelta 5\n",
+    ):
+        b = parse_input_text(text)
+        full = parse_input_text(text.split("delta")[0]).fc
+        q = full.semigroup
+        selected = [q.face_with_vanishing([i - 1 for i in sel]) for sel in b.delta_selectors]
+        want = subcomplex(full, [next(i for i, c in full.cone_faces.items() if c == cf) for cf in selected])
+        assert [(f.id, f.dim, f.label, f.key) for f in b.fc.faces] == [(f.id, f.dim, f.label, f.key) for f in want.faces]
+        assert b.fc.covers == want.covers and b.fc.cone_faces == want.cone_faces
 
 
 def test_parse_semigroup_whole_lattice():

@@ -10,6 +10,8 @@ from zeemac.linalg import (
     GF,
     Mat,
     QQ,
+    _raw_relations,
+    _relations_with_row,
     echelon_coordinates,
     kernel_basis,
     rank,
@@ -287,3 +289,38 @@ def test_entries_reduced_to_canonical_form():
     assert m.entries == (3, 2)
     mq = Mat.from_rows([[Fraction(2, 4)]], QQ)
     assert mq.entries == (Fraction(1, 2),)
+
+
+def _positive_multiple(u: dict, v: dict, j: int) -> bool:
+    """Whether the integer vector ``u`` is a positive multiple of ``v``,
+    both nonzero at ``j``."""
+    return u.keys() == v.keys() and u[j] * v[j] > 0 and all(u[k] * v[j] == v[k] * u[j] for k in u)
+
+
+def test_relations_grown_row_by_row_equal_those_of_the_whole_matrix():
+    # one rank-one update per row gives the tagged reduction's relations up
+    # to a positive factor each; a row in the span leaves them as they are
+    rng = random.Random(2511)
+    in_span = 0
+    for _ in range(300):
+        width = rng.randint(1, 6)
+        rows, relations = [], {j: {j: 1} for j in range(width)}  # no row: every column is zero
+        for _ in range(rng.randint(1, 8)):
+            if rows and rng.random() < 0.3:
+                row = [sum(rng.randint(-2, 2) * r[k] for r in rows) for k in range(width)]
+            else:
+                row = [rng.randint(-3, 3) for _ in range(width)]
+            pivot, grown = _relations_with_row(relations, row)
+            rows.append(row)
+            want = _raw_relations(mat(rows).columns, QQ)[0]
+            if pivot is None:
+                in_span += 1
+                assert grown is relations
+            else:  # the relation of the new pivot column, signed to pair positively with the row
+                e = max(pivot)
+                assert pivot in (relations[e], {k: -c for k, c in relations[e].items()}) and e not in grown
+                assert sum(c * row[k] for k, c in pivot.items()) > 0
+            assert list(grown) == list(want)
+            assert all(_positive_multiple(grown[j], want[j], j) for j in want), (rows, grown, want)
+            relations = grown
+    assert in_span > 200

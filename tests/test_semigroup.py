@@ -15,10 +15,13 @@ from zeemac import (
 )
 from zeemac.complexes import subcomplex
 from zeemac.formats import parse_input_text
+from zeemac.linalg import Mat, _raw_relations
+from zeemac.semigroup import DegenerateConeError
 
 from .dense_orientation import _echelon_basis, dense_covers
 from .dense_ranks import dense_echelon_basis
 from .pairwise_faces import pairwise_covers, pairwise_faces
+from .subset_rays import subset_rays
 from .helpers import assert_same, canonical, cube_cone, hexagon_cone, random_sweep, square_cone
 
 
@@ -263,8 +266,9 @@ def _oracle_cones():
 
 
 def test_cover_signs_match_the_dense_orientation_oracle():
-    # each sign read off the relations of one reduction per face equals the
-    # determinant sign of the dense rref bases, cover for cover
+    # each sign read off the relations of one rank-one update per face
+    # equals the determinant sign of the dense rref bases, cover for cover,
+    # and the relations are those of one reduction of the face's ray matrix
     checked = nonsimplicial = 0
     for q in _oracle_cones():
         got = [(c.lower, c.upper, c.sign) for c in face_lattice(q).covers]
@@ -274,6 +278,7 @@ def test_cover_signs_match_the_dense_orientation_oracle():
         for f in q.faces():
             rays = q.rays_of(f)
             assert_same(_echelon_basis(rays), canonical(dense_echelon_basis(rays), QQ))
+            assert q.relations_of(f) == _raw_relations(Mat.from_rows(rays, QQ, cols=q.d).columns, QQ)[0]
     assert checked > 3000 and nonsimplicial > 50
 
 
@@ -282,8 +287,9 @@ def _moment_functionals(count: int, d: int):
 
 
 def test_faces_and_covers_match_the_pairwise_oracle():
-    # faces found by vanishing set, one reduction each, and covers from rays
-    # equal the per-pair enumeration and the all-pairs cover search
+    # faces found by vanishing set from the apex up, and covers as the
+    # minimal joins with one ray, equal the per-pair enumeration and the
+    # all-pairs cover search
     cones = _oracle_cones() + [AffineSemigroup(8, _units(8)), AffineSemigroup(7, _moment_functionals(8, 7))]
     for q in cones:
         faces, rays_of = pairwise_faces(q)
@@ -306,3 +312,51 @@ def test_face_with_vanishing_equals_direct_evaluation():
             vanishing = frozenset(i for i in range(n) if all(q.evaluate(i, r) == 0 for r in rays))
             want = next(f for f in q.faces() if f.vanishing == vanishing) if rays else q.faces()[0]
             assert q.face_with_vanishing(given) == want
+
+
+def _rays_or_error(build):
+    """The rays, or the message, functionals and rank of the DegenerateConeError."""
+    try:
+        return build()
+    except DegenerateConeError as exc:
+        return str(exc), exc.functionals, exc.rank
+
+
+def _fuzzed_functional_sets(rng: random.Random, count: int):
+    """``count`` draws of a dimension 1..4 and up to d + 3 primitive
+    functionals with entries in -2..2, with up to two of them repeated or
+    negated; most cut out degenerate cones of all three kinds."""
+    for _ in range(count):
+        d = rng.randint(1, 4)
+        functionals = []
+        for _ in range(rng.randint(1, d + 3)):
+            t = [rng.randint(-2, 2) for _ in range(d)]
+            if any(t):
+                g = math.gcd(*t)
+                functionals.append(tuple(x // g for x in t))
+        for _ in range(rng.randint(0, 2)):
+            if functionals:
+                t = rng.choice(functionals)
+                t = t if rng.random() < 0.5 else tuple(-x for x in t)
+                functionals.insert(rng.randint(0, len(functionals)), t)
+        yield d, functionals
+
+
+def test_rays_match_the_subset_oracle():
+    # the double description rays equal those of one reduction per
+    # (d - 1)-subset of functionals, and a degenerate cone fails alike
+    cones = [(q.d, q.functionals) for q in _oracle_cones()]
+    cones += [(12, _units(12)), (11, _moment_functionals(12, 11))]
+    for d, functionals in cones:
+        assert AffineSemigroup(d, functionals).rays == subset_rays(d, functionals), functionals
+    kinds = set()
+    for d, functionals in _fuzzed_functional_sets(random.Random(2525), 3000):
+        got = _rays_or_error(lambda: AffineSemigroup(d, functionals).rays)
+        assert got == _rays_or_error(lambda: subset_rays(d, functionals)), (d, functionals)
+        kinds.add(got[0].partition(" rank")[0] if isinstance(got[0], str) else "valid")
+    assert kinds == {
+        "valid",
+        "cone is not pointed: the functionals have",
+        "cone is not full-dimensional: it is the apex alone, of",
+        "cone is not full-dimensional: its rays have",
+    }

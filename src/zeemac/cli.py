@@ -18,7 +18,7 @@ import sys
 
 from . import formats
 from .cohomology import is_cohen_macaulay
-from .complexes import MissingGeometryError, SimplicialComplex, VoidComplex, alexander_dual, validate
+from .complexes import SimplicialComplex, VoidComplex, alexander_dual, validate
 from .eagon_reiner import betti_from_dual, betti_hochster, dualize, is_linear_table
 from .linalg import QQ, parse_field
 from .resolutions import (
@@ -322,8 +322,7 @@ def _cmd_hilbert(bundle, args, out, doc) -> int:
         a = _parse_degree(args.degree, fc.ambient_dim)
         if a is None:
             a = (0,) * fc.ambient_dim
-        if not fc.has_geometry:
-            raise MissingGeometryError("degreewise evaluation needs lattice geometry")
+        fc.require_geometry("degreewise evaluation needs lattice geometry")
         containing = fc.faces_containing(a)
         on = sorted(containing)
         out.append(f"degree: ({','.join(str(x) for x in a)})")

@@ -9,10 +9,10 @@ scaled by the cover sign so they assemble directly into the vertical
 differential of the double complex and into minimal resolutions.
 
 One writer (``_upper_columns``) gives the bases and the columns of the
-differentials from the covers alone: the faces of dimension p + 1 above G
-are the faces covering one of dimension p, as a cover raises the
-dimension by one.  ``cochain_complex`` wraps its columns in a
-``VSComplex``; the store reduces them as they are.
+differentials: the bases are G's row of the complex's upper-set table
+(``FaceComplex.upper_levels``), which ``zeeman.build`` reads too, and
+each column is a face's covers, signed.  ``cochain_complex`` wraps its
+columns in a ``VSComplex``; the store reduces them as they are.
 
 Representative cocycles are the canonical kernel vectors V_j of d_p (the
 relation of a column j to the columns before it, which ends in row j) at
@@ -142,22 +142,19 @@ class CohomologySummary:
         return sum(self.dims)
 
 
-def _upper_columns(fc: FaceComplex, g: int, field: Field) -> tuple[list, list]:
-    """``(bases, columns)`` of the upper-set complex above ``g``, written
-    from the covers: ``bases[i]`` is the tuple of faces >= g of dimension
-    dim g + i in id order (the labels of ``upper_set``), and ``columns[i]``
-    the columns of the differential out of that degree, the cover signs
-    reduced into ``field``.  The columns out of the top degree are empty."""
+def _upper_columns(fc: FaceComplex, g: int, field: Field) -> tuple[tuple, list]:
+    """``(bases, columns)`` of the upper-set complex above ``g``:
+    ``bases[i]`` is the tuple of faces >= g of dimension dim g + i in id
+    order (g's row of the upper-set table), and ``columns[i]`` the columns
+    of the differential out of that degree, the cover signs reduced into
+    ``field``.  The columns out of the top degree are empty."""
     up = fc._up
     signs = {s: field.reduce(s) for s in (1, -1)}
-    bases, columns = [], []
-    level = (g,)
-    while level:
-        above = tuple(sorted({f2 for f in level for f2, _ in up[f]}))
+    bases = fc.upper_levels(g)
+    columns = []
+    for level, above in zip(bases, (*bases[1:], ())):
         index = {f: i for i, f in enumerate(above)}
-        bases.append(level)
         columns.append([{index[f2]: signs[sign] for f2, sign in up[f]} for f in level])
-        level = above
     return bases, columns
 
 
@@ -203,7 +200,7 @@ def _near(fc: FaceComplex, g: int, field: Field) -> _Near:
         if coboundaries:
             kept[p] = coboundaries
     summary = CohomologySummary(lo, lo + len(bases) - 1, tuple(map(len, reps)), tuple(reps))
-    return _Near(tuple(bases), summary, kept)
+    return _Near(bases, summary, kept)
 
 
 def _stored(fc: FaceComplex, field: Field, key, compute):

@@ -5,6 +5,11 @@ poset of faces with signed cover relations (the incidence function).  The
 minimal face has dimension 0 and corresponds to the apex of the ambient
 cone; a simplicial face on k vertices becomes a cone face of dimension k.
 
+Each FaceComplex keeps one graded upper-set table (``upper_levels``): for
+a face g, the faces >= g by dimension, each level in id order, read off
+the covers on first use and kept.  The local-cohomology store, ``build``,
+the exactness certificate, ``above`` and ``upper_set`` all read it.
+
 Complexes built from geometry (cone_of_simplicial, semigroup.face_lattice)
 carry an attached semigroup so that lattice-point membership and
 relative-interior queries work; hand-authored polyhedral complexes have no
@@ -71,6 +76,7 @@ class FaceComplex:
             self._up[c.lower].append((c.upper, c.sign))
             self._down[c.upper].append((c.lower, c.sign))
         self._cover_sign = {(c.lower, c.upper): c.sign for c in self.covers}
+        self._upper: dict[int, tuple] = {}  # the upper-set table, filled by upper_levels
         self._local_cohomology: dict = {}  # Field -> {key: value}, filled by cohomology._stored
 
     @property
@@ -101,28 +107,27 @@ class FaceComplex:
     def is_cover(self, lower: int, upper: int) -> bool:
         return (lower, upper) in self._cover_sign
 
+    def upper_levels(self, fid: int) -> tuple[tuple[int, ...], ...]:
+        """The row of ``fid`` in the upper-set table: level i holds the faces
+        >= fid of dimension dim fid + i in id order.  On a graded complex
+        (``validate`` checks that) they are the faces covering one of level
+        i - 1, so the row is read off the covers on first use and kept."""
+        levels = self._upper.get(fid)
+        if levels is None:
+            up, out, level = self._up, [], (fid,)
+            while level:
+                out.append(level)
+                level = tuple(sorted({h for f in level for h, _ in up[f]}))
+            levels = self._upper[fid] = tuple(out)
+        return levels
+
     def above(self, fid: int) -> set[int]:
-        """All faces >= fid (reflexive upward closure through covers)."""
-        seen = {fid}
-        stack = [fid]
-        while stack:
-            g = stack.pop()
-            for h, _ in self._up[g]:
-                if h not in seen:
-                    seen.add(h)
-                    stack.append(h)
-        return seen
+        """All faces >= fid: the union of its row of the upper-set table."""
+        return set().union(*self.upper_levels(fid))
 
     def below(self, fid: int) -> set[int]:
-        seen = {fid}
-        stack = [fid]
-        while stack:
-            g = stack.pop()
-            for h, _ in self._down[g]:
-                if h not in seen:
-                    seen.add(h)
-                    stack.append(h)
-        return seen
+        """All faces <= fid (reflexive downward closure through covers)."""
+        return _closure(self._down, fid)
 
     # -- geometry-backed queries ------------------------------------------
 
@@ -130,12 +135,11 @@ class FaceComplex:
     def has_geometry(self) -> bool:
         return self.semigroup is not None and self.cone_faces is not None
 
-    def require_geometry(self):
+    def require_geometry(self, message="this face complex carries no semigroup geometry; build it via "
+                         "cone_of_simplicial or face_lattice to evaluate lattice degrees"):
+        """The one guard of every lattice-degree query."""
         if not self.has_geometry:
-            raise MissingGeometryError(
-                "this face complex carries no semigroup geometry; build it via "
-                "cone_of_simplicial or face_lattice to evaluate lattice degrees"
-            )
+            raise MissingGeometryError(message)
 
     def faces_containing(self, a) -> set[int]:
         """The ids of the faces on which the lattice point ``a`` lies: one
@@ -159,6 +163,19 @@ class FaceComplex:
 
 class MissingGeometryError(ValueError):
     pass
+
+
+def _closure(adjacent: dict, fid: int) -> set[int]:
+    """The faces reached from ``fid`` through ``adjacent`` (``fid`` included);
+    it needs no grading, so ``validate`` can use it on any input."""
+    seen = {fid}
+    stack = [fid]
+    while stack:
+        for h, _ in adjacent[stack.pop()]:
+            if h not in seen:
+                seen.add(h)
+                stack.append(h)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -271,16 +288,13 @@ class UpperSet:
 
 
 def upper_set(fc: FaceComplex, g: int) -> UpperSet:
-    """The faces of ``fc`` containing ``g``, organized by dimension."""
+    """The faces of ``fc`` containing ``g``, organized by dimension: its row
+    of the upper-set table."""
     if not (0 <= g < len(fc.faces)):
         raise KeyError(f"unknown face id {g}")
-    ids = sorted(fc.above(g))
-    dims = [fc.faces[i].dim for i in ids]
-    lo, hi = fc.face(g).dim, max(dims)
-    by_degree: list[list[int]] = [[] for _ in range(lo, hi + 1)]
-    for i, dim in zip(ids, dims):
-        by_degree[dim - lo].append(i)
-    return UpperSet(g, lo, hi, tuple(map(tuple, by_degree)))
+    levels = fc.upper_levels(g)
+    lo = fc.face(g).dim
+    return UpperSet(g, lo, lo + len(levels) - 1, levels)
 
 
 def validate(fc: FaceComplex) -> ValidationReport:
@@ -303,7 +317,7 @@ def validate(fc: FaceComplex) -> ValidationReport:
         if f.dim > 0 and not fc.covers_below(f.id):
             problems.append(f"face {f.label} (dim {f.dim}) has no facet below it")
     if len(zero) == 1:
-        reachable = fc.above(zero[0])
+        reachable = _closure(fc._up, zero[0])
         missing = [f.label for f in fc.faces if f.id not in reachable]
         if missing:
             problems.append(f"faces not above the minimal face: {', '.join(missing)}")

@@ -24,6 +24,7 @@ and all maps are degreewise scalar.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .cohomology import induced_map, is_cohen_macaulay, local_cohomology
 from .complexes import DegenerateComplexError, FaceComplex
@@ -208,26 +209,32 @@ def verify_exactness(c: FaceModuleComplex) -> ExactnessReport:
     where the component of k[G] is k exactly when G contains A.  The
     complex is closed under taking faces and its covers are the cone's, so
     if A is a face of the complex, the faces containing A are its upper set
-    (``fc.above``), and if not, none is, and every component at a is zero,
-    the quotient's too.  So only the faces of the complex are visited, in
-    ambient order (``ConeFace.order_key``), and the report counts every
-    ambient face.  Each map restricts at a to the scalar submatrix on the
-    copies over that upper set.  Exactness of each restriction certifies
-    exactness of the whole graded complex (components are constant on the
-    relative interior of each ambient face).
+    (``FaceComplex.upper_levels``), and if not, none is, and every component
+    at a is zero, the quotient's too.  So only the faces of the complex are
+    visited, in ambient order (``ConeFace.order_key``), and the report
+    counts every ambient face.  The copies are indexed once by face, as
+    (term, copy), and the live ones gathered over that upper set.  Each map
+    restricts at a to the scalar submatrix on the live copies.  Exactness of
+    each restriction certifies exactness of the whole graded complex
+    (components are constant on the relative interior of each ambient face).
     """
     fc = c.fc
     fc.require_geometry()
     count = fc.semigroup.face_count
+    copies = [[] for _ in fc.faces]  # face -> [(term, copy)] over the copies of k[face]
+    for i, term in enumerate(c.terms):
+        for k, h in enumerate(term.faces):
+            copies[h].append((i, k))
     for g, cf in sorted(fc.cone_faces.items(), key=lambda item: item[1].order_key()):
-        live = fc.above(g)
-        active = [[k for k, h in enumerate(term.faces) if h in live] for term in c.terms]
+        active = [[] for _ in c.terms]  # per term, its copies over the faces >= g
+        for i, k in chain.from_iterable(map(copies.__getitem__, chain.from_iterable(fc.upper_levels(g)))):
+            active[i].append(k)
         if c.augmentation is not None and not any(c.augmentation[k] for k in active[0]):
             return ExactnessReport(False, cf.interior_point, count)
         ranks = []
         for i, m in enumerate(c.maps):
-            cod = c.terms[i + 1].faces
-            cols = [{r: x for r, x in m.columns[j].items() if cod[r] in live} for j in active[i]]
+            live = set(active[i + 1])
+            cols = [{r: x for r, x in m.columns[j].items() if r in live} for j in active[i]]
             ranks.append(len(reduce_columns(cols, c.field)[1]))
         into = [int(c.augmentation is not None)] + ranks  # the rank of the map into each term
         if any(len(act) != r + s for act, r, s in zip(active, into, ranks + [0])):

@@ -45,7 +45,7 @@ from functools import cached_property
 from itertools import count
 
 from .cohomology import VSComplex, induced_map, local_cohomology
-from .complexes import FaceComplex, MissingGeometryError
+from .complexes import FaceComplex
 from .linalg import (
     Field,
     Mat,
@@ -181,8 +181,10 @@ def build(fc: FaceComplex, a=None, field: Field = QQ) -> ZeemanComplex:
     """Index the double complex of ``fc`` at lattice degree ``a`` by runs.
 
     For each admitted face g, in (dim g, g) order, ``runs[g][n]`` holds the
-    faces F >= g of dimension dim g + n in id order, read level by level off
-    the cofacet covers, and ``offsets[g][n]`` its position in total degree n.
+    faces F >= g of dimension dim g + n in id order, which is g's row of the
+    upper-set table (``FaceComplex.upper_levels``, shared with the
+    local-cohomology store), and ``offsets[g][n]`` its position in total
+    degree n.
     No pair and no matrix is stored; ``pairs``, ``blocks``,
     ``total_complex``, ``horiz`` and ``vert`` make theirs when asked.
 
@@ -191,23 +193,16 @@ def build(fc: FaceComplex, a=None, field: Field = QQ) -> ZeemanComplex:
     semigroup so that membership of ``a`` on each face can be tested.
     """
     a = _check_degree(a, fc.ambient_dim)
-    if a is not None and not fc.has_geometry:
-        raise MissingGeometryError(
-            "graded evaluation at a nonzero degree needs semigroup geometry"
-        )
-
+    if a is not None:
+        fc.require_geometry("graded evaluation at a nonzero degree needs semigroup geometry")
     admitted = {g.id for g in fc.faces} if a is None else fc.faces_containing(a)
     runs, offsets, sizes = {}, {}, [0]
     for g in sorted(admitted, key=lambda g: (fc.face(g).dim, g)):
-        levels, level = [], (g,)
-        while level:
-            levels.append(level)
-            level = tuple(sorted({h for f in level for h, _ in fc._up[f]}))
+        levels = runs[g] = fc.upper_levels(g)
         sizes.extend([0] * (len(levels) - len(sizes)))
         offsets[g] = tuple(sizes[: len(levels)])
         for n, faces in enumerate(levels):
             sizes[n] += len(faces)
-        runs[g] = tuple(levels)
     return ZeemanComplex(fc, field, a, runs, offsets, tuple(sizes))
 
 

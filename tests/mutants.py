@@ -120,10 +120,19 @@ MUTANTS = (
         ("test_formats_cli.py",),
     ),
     Mutant(
+        "upper-set-table-drops-a-face",
+        "complexes.py",
+        "levels = self._upper[fid] = tuple(out)",
+        "levels = self._upper[fid] = tuple(out) if fid else ((), *out[1:])",
+        "a face's row in the upper-set table starts with the face itself; the store and the double complex "
+        "read the same row, so the Cohen-Macaulay verdict and page-1 concentration still agree without it",
+        ("test_complexes.py", "test_zeeman.py"),
+    ),
+    Mutant(
         "certificate-reads-the-lower-set",
         "resolutions.py",
-        "live = fc.above(g)",
-        "live = fc.below(g)",
+        "chain.from_iterable(fc.upper_levels(g))",
+        "fc.below(g)",
         "at the interior point of a face of the complex the live copies are those over its upper set",
         ("test_resolutions.py",),
     ),

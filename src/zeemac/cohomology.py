@@ -8,44 +8,40 @@ restriction maps between the cohomologies; the matrices returned here are
 scaled by the cover sign so they assemble directly into the vertical
 differential of the double complex and into minimal resolutions.
 
-One writer (``_upper_columns``) gives the bases and the columns of the
-differentials: the bases are G's row of the complex's upper-set table
-(``FaceComplex.upper_levels``), which ``zeeman.build`` reads too, and
-each column is a face's covers, signed.  ``cochain_complex`` wraps its
-columns in a ``VSComplex``; the store reduces them as they are.
+Every upper-set complex is read off one signed cover table per complex
+and field (``_cover_columns``).  Column f is f's covers, signed, and every
+cover of a face above G is above G, so it is f's column in the complex
+above every G <= f, its rows named by face id.  The bases are G's row of
+the upper-set table (``FaceComplex.upper_levels``), each level in id
+order.  The store reduces the table's columns as they are;
+``cochain_complex`` alone re-indexes them by basis position.
 
 Representative cocycles are the canonical kernel vectors V_j of d_p (the
 relation of a column j to the columns before it, which ends in row j) at
-the columns j that are not pivot rows of d_{p-1}.  These are the kernel
-vectors that raise the rank when the kernel, in column order, is reduced
-against the image of d_{p-1}: a kernel-modulo-image complement that the
-matrices fix whatever the pivot rule, so every downstream matrix is
-reproducible byte for byte.  The differentials are reduced once each, in
-degree order, with clearing (``linalg.cochain_classes``): the columns of
-d_p at the pivot rows of d_{p-1} are skipped, and the relations that the
-tagged reduction still finds are exactly the representatives.  The
-differential out of the top degree is the zero map, so nothing is reduced
-there: every column is its own relation, and the representatives are the
-unit vectors e_j at the j off the pivot rows of the differential below.
-The module docstring of ``linalg`` gives the argument; no kernel is
-reduced against an image a second time.  Its premise, d_{p+1} d_p = 0, is
-the incidence axiom, which ``complexes.validate`` checks and the CLI
-requires of every input.
+the columns j off the pivot rows of d_{p-1}: a kernel-modulo-image
+complement that the matrices fix whatever the pivot rule, so every
+downstream matrix is reproducible byte for byte.  Each differential is
+reduced once, in degree order, with clearing (``linalg.cochain_classes``;
+the module docstring of ``linalg`` gives the argument), and the zero map
+out of the top degree not at all: its representatives are the unit
+vectors e_j at the j off the pivot rows below.  The premise,
+d_{p+1} d_p = 0, is the incidence axiom, which ``complexes.validate``
+checks and the CLI requires of every input.
 
 Each face complex keeps one store per field.  For a face g it keeps,
-after one pass (write, then reduce), what is read again: the bases, the
-cohomology summary, and in each degree p with representatives the
-reduced coboundaries that the reduction of d_{p-1} left, keyed by their
-distinct pivot rows.  It keeps no matrix and no complex.  The
-Cohen-Macaulay scan, the minimal linear resolution and page 1 of the
-double complex share it.
+after one reduction, what is read again: the bases, the cohomology
+summary (representatives over basis positions), and in each degree p
+with representatives the reduced coboundaries that the reduction of
+d_{p-1} left, over face ids and keyed by their distinct pivot faces.  It
+keeps no matrix and no complex.  The Cohen-Macaulay scan, the minimal
+linear resolution and page 1 of the double complex share it.
 
 The restriction blocks into g' read those kept columns.  In degree p the
 representatives V_j near g' end in distinct rows j off the pivot rows P
 and the kept coboundaries in distinct rows of P; together they are a
 basis of the cocycles near g', one ending in each row they cover.  A
-cocycle of a face covering g', read in the basis near g', is eliminated
-against them from its largest row down (``linalg.echelon_coordinates``).
+cocycle of a face covering g' is eliminated against them from its
+largest row down (``linalg.echelon_coordinates``), all in face ids.
 Its coordinates in a basis are unique, so the coefficients on the
 representatives are those any solve against [representatives |
 coboundaries] gives, and they make its column of the block.  The blocks
@@ -68,6 +64,8 @@ from typing import NamedTuple
 
 from .complexes import FaceComplex
 from .linalg import Field, Mat, cochain_classes, echelon_coordinates
+
+_NO_COBOUNDARIES: dict = {}  # the coboundaries kept near every face that keeps none: shared, never written
 
 
 @dataclass(frozen=True)
@@ -142,20 +140,14 @@ class CohomologySummary:
         return sum(self.dims)
 
 
-def _upper_columns(fc: FaceComplex, g: int, field: Field) -> tuple[tuple, list]:
-    """``(bases, columns)`` of the upper-set complex above ``g``:
-    ``bases[i]`` is the tuple of faces >= g of dimension dim g + i in id
-    order (g's row of the upper-set table), and ``columns[i]`` the columns
-    of the differential out of that degree, the cover signs reduced into
-    ``field``.  The columns out of the top degree are empty."""
-    up = fc._up
-    signs = {s: field.reduce(s) for s in (1, -1)}
-    bases = fc.upper_levels(g)
-    columns = []
-    for level, above in zip(bases, (*bases[1:], ())):
-        index = {f: i for i, f in enumerate(above)}
-        columns.append([{index[f2]: signs[sign] for f2, sign in up[f]} for f in level])
-    return bases, columns
+def _cover_columns(fc: FaceComplex, field: Field) -> list:
+    """The signed cover table of ``fc``: ``cols[f]`` is ``{cover id: sign}``,
+    the signs reduced into ``field``; built on first use and kept."""
+    cols = fc._cover_columns.get(field)
+    if cols is None:
+        signs = {s: field.reduce(s) for s in (1, -1)}
+        cols = fc._cover_columns[field] = [{h: signs[s] for h, s in fc._up[f]} for f in range(len(fc.faces))]
+    return cols
 
 
 def cochain_complex(fc: FaceComplex, g: int, field: Field) -> VSComplex:
@@ -164,16 +156,18 @@ def cochain_complex(fc: FaceComplex, g: int, field: Field) -> VSComplex:
     Degree-p basis: faces F >= g with dim F = p; the entry of the
     differential from F to a cover F' is the cover sign.
     """
-    bases, columns = _upper_columns(fc, g, field)
+    cols, bases = _cover_columns(fc, field), fc.upper_levels(g)
+    index = {f: i for level in bases for i, f in enumerate(level)}
     lo = fc.face(g).dim
-    diffs = tuple(Mat(len(cod), len(dom), cols, field) for dom, cod, cols in zip(bases, bases[1:], columns))
-    return VSComplex(lo, lo + len(bases) - 1, tuple(bases), diffs, field)
+    columns = [[{index[h]: x for h, x in cols[f].items()} for f in dom] for dom in bases[:-1]]
+    diffs = tuple(Mat(len(cod), len(dom), c, field) for dom, cod, c in zip(bases, bases[1:], columns))
+    return VSComplex(lo, lo + len(bases) - 1, bases, diffs, field)
 
 
 def cohomology_summary(vs: VSComplex) -> CohomologySummary:
     """Kernel-mod-image dimensions and echelon representatives per degree,
     from one reduction of each differential, with clearing."""
-    classes = cochain_classes([vs.diff(p).columns for p in range(vs.lo, vs.hi + 1)], vs.field)
+    classes = cochain_classes([list(enumerate(vs.diff(p).columns)) for p in range(vs.lo, vs.hi + 1)], vs.field)
     reps = tuple(chosen for chosen, _, _ in classes)
     return CohomologySummary(vs.lo, vs.hi, tuple(map(len, reps)), reps)
 
@@ -183,7 +177,7 @@ class _Near(NamedTuple):
 
     bases: tuple  # per degree from dim g: the faces >= g of that dimension
     summary: CohomologySummary
-    coboundaries: dict  # degree -> {pivot row: reduced coboundary}, in degrees with representatives
+    coboundaries: dict  # degree -> {pivot face: reduced coboundary}, over face ids, in degrees with representatives
 
     def basis(self, p: int) -> tuple:
         lo = self.summary.lo
@@ -191,16 +185,17 @@ class _Near(NamedTuple):
 
 
 def _near(fc: FaceComplex, g: int, field: Field) -> _Near:
-    """The upper-set complex above ``g`` written once and reduced once."""
-    bases, columns = _upper_columns(fc, g, field)
+    """The upper-set complex above ``g`` read off the cover table and reduced once."""
+    cols, bases = _cover_columns(fc, field), fc.upper_levels(g)
     lo = fc.face(g).dim
     reps, kept = [], {}
-    for p, (chosen, coboundaries, _) in enumerate(cochain_classes(columns, field), lo):
+    levels = ([(f, cols[f]) for f in level] for level in bases)
+    for p, (chosen, coboundaries, _) in enumerate(cochain_classes(levels, field), lo):
         reps.append(chosen)
         if coboundaries:
             kept[p] = coboundaries
     summary = CohomologySummary(lo, lo + len(bases) - 1, tuple(map(len, reps)), tuple(reps))
-    return _Near(bases, summary, kept)
+    return _Near(bases, summary, kept or _NO_COBOUNDARIES)
 
 
 def _stored(fc: FaceComplex, field: Field, key, compute):
@@ -226,10 +221,9 @@ def _restriction_blocks(fc: FaceComplex, g_prime: int, field: Field, p: int) -> 
     """``{g: block}`` for every face ``g`` covering ``g_prime``: the
     sign-weighted degree-p restriction from near ``g`` to near ``g_prime``.
 
-    Each cocycle of a cover, read in the basis near ``g_prime``, is
-    eliminated against the representatives and the kept coboundaries near
-    ``g_prime``, which end in distinct rows; its coefficients on the
-    representatives make its column.
+    Each cocycle of a cover is eliminated against the representatives and
+    the kept coboundaries near ``g_prime``, which end in distinct rows, all
+    in face ids; its coefficients on the representatives make its column.
     """
     dst = _local(fc, g_prime, field)
     dst_reps = dst.summary.reps(p)
@@ -237,15 +231,15 @@ def _restriction_blocks(fc: FaceComplex, g_prime: int, field: Field, p: int) -> 
     rows = len(dst_reps)
     if not rows or not any(src.summary.reps(p) for _, _, src in covers):
         return {g: Mat.zeros(rows, src.summary.dim(p), field) for g, _, src in covers}
-    dst_index = {f: i for i, f in enumerate(dst.basis(p))}
-    rep_at = {max(rep): k for k, rep in enumerate(dst_reps)}  # V_j ends in row j
-    cocycles = {**dst.coboundaries.get(p, {}), **{max(rep): rep for rep in dst_reps}}
+    ids = dst.basis(p)
+    rep_at = {ids[max(rep)]: k for k, rep in enumerate(dst_reps)}  # V_j ends in row j
+    cocycles = {**dst.coboundaries.get(p, {}), **{ids[max(rep)]: {ids[i]: x for i, x in rep.items()} for rep in dst_reps}}
     blocks = {}
     for g, sign, src in covers:
         basis = src.basis(p)
         out_cols = []
         for rep in src.summary.reps(p):
-            coords = echelon_coordinates({dst_index[basis[i]]: x for i, x in rep.items()}, cocycles, field)
+            coords = echelon_coordinates({basis[i]: x for i, x in rep.items()}, cocycles, field)
             if coords is None:
                 raise RuntimeError("a cocycle failed to reduce in the larger complex")
             out_cols.append({rep_at[r]: field.reduce(sign * c) for r, c in coords.items() if r in rep_at})

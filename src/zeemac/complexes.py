@@ -78,6 +78,7 @@ class FaceComplex:
         self._cover_sign = {(c.lower, c.upper): c.sign for c in self.covers}
         self._upper: dict[int, tuple] = {}  # the upper-set table, filled by upper_levels
         self._local_cohomology: dict = {}  # Field -> {key: value}, filled by cohomology._stored
+        self._cover_columns: dict = {}  # Field -> the signed cover table, filled by cohomology._cover_columns
 
     @property
     def dim(self) -> int:
@@ -111,13 +112,18 @@ class FaceComplex:
         """The row of ``fid`` in the upper-set table: level i holds the faces
         >= fid of dimension dim fid + i in id order.  On a graded complex
         (``validate`` checks that) they are the faces covering one of level
-        i - 1, so the row is read off the covers on first use and kept."""
+        i - 1, so the row is read off the covers on first use and kept.  A
+        walk as long as the face count has met a cycle of covers: it raises."""
         levels = self._upper.get(fid)
         if levels is None:
             up, out, level = self._up, [], (fid,)
-            while level:
+            for _ in self.faces:
                 out.append(level)
                 level = tuple(sorted({h for f in level for h, _ in up[f]}))
+                if not level:
+                    break
+            else:
+                raise DegenerateComplexError(f"the covers above face {self.faces[fid].label} form a cycle")
             levels = self._upper[fid] = tuple(out)
         return levels
 

@@ -410,32 +410,30 @@ def cochain_classes(differentials, field: Field):
     of each differential, with clearing.
 
     ``differentials`` yields the differential D_n out of each degree n,
-    in increasing order, as its list of sparse columns ``{row: scalar}``;
-    the last is D_top, out of the top degree, whose columns are empty.
-    The rows of D_n index the columns of D_{n+1}, and the premise is
-    D_{n+1} D_n = 0 (see the module docstring).  A column of D_{n+1} at a
-    pivot row of D_n is cleared: it is left out of the reduction.  A zero
-    map is not reduced at all: each column is its own relation, the unit
-    vector ``{j: 1}``.
+    in increasing order, as a list of ``(label, column)`` pairs, the
+    columns sparse ``{row: scalar}``; the last is D_top, out of the top
+    degree, whose columns are empty.  The rows of D_n are the labels of
+    D_{n+1}, in the same order, and the premise is D_{n+1} D_n = 0 (see the
+    module docstring).  A column of D_{n+1} whose label is a pivot row of
+    D_n is cleared: it is left out of the reduction.  A zero map is not
+    reduced at all: each column is its own relation, the unit vector e_j.
 
     Yields one ``(representatives, coboundaries, pivots)`` per degree n:
-    the canonical kernel vectors of D_n (those of ``kernel_basis``) at the
-    columns that were not cleared, a basis of the cohomology in degree n;
-    when there is one, the reduced columns of D_{n-1} that the reduction
-    left, ``{pivot row: column}`` with the column a sparse vector whose
-    largest row is its key (a basis of the coboundaries, which a cocycle
-    is read modulo; ``{}`` when degree n has no cohomology); and the set of
-    pivot rows of D_n.
+    the canonical kernel vectors of D_n (those of ``kernel_basis``) over
+    column positions, at the columns that were not cleared, a basis of the
+    cohomology in degree n; when there is one, the reduced columns of
+    D_{n-1} that the reduction left, ``{pivot row: column}`` with the
+    column a sparse vector whose largest row is its key (a basis of the
+    coboundaries, which a cocycle is read modulo; ``{}`` when degree n has
+    no cohomology); and the set of pivot rows of D_n.
     """
-    owner, width = {}, 0  # the tagged reduction of D_{n-1} and its column count
-    pivots: frozenset = frozenset()
-    for cols in differentials:
-        if any(cols):
-            relations, next_owner = _raw_relations(cols, field, pivots)
-            representatives = tuple(_normalized(j, rel, field) for j, rel in relations.items())
-        else:
-            next_owner = {}
-            representatives = tuple({j: 1} for j in range(len(cols)) if j not in pivots)
+    owner, width, pivots = {}, 0, set()  # the tagged reduction of D_{n-1}, its width, its pivot rows
+    for pairs in differentials:
+        n = len(pairs)
+        kept = [(j, col) for j, (label, col) in enumerate(pairs) if label not in pivots]
+        # a zero map is not reduced: each column owns its own tag row
+        next_owner = _tagged_reduction(kept, n, field) if any(col for _, col in kept) else {j: {j: 1} for j, _ in kept}
+        representatives = tuple(_normalized(j, rel, field) for j, rel in next_owner.items() if j < n)
         coboundaries = {}
         if representatives:
             for r, col in owner.items():
@@ -444,8 +442,8 @@ def cochain_classes(differentials, field: Field):
                         coboundaries[r - width] = {i - width: 1 for i in col if i >= width}
                     else:
                         coboundaries[r - width] = {i - width: x for i, x in col.items() if i >= width}
-        owner, width = next_owner, len(cols)
-        pivots = frozenset(r - width for r in owner if r >= width)
+        owner, width = next_owner, n
+        pivots = {r - n for r in owner if r >= n}
         yield representatives, coboundaries, pivots
 
 
@@ -469,24 +467,26 @@ def echelon_coordinates(target, columns: dict, field: Field):
     return coefficients
 
 
-def _raw_relations(cols, field: Field, cleared=frozenset()) -> tuple[dict, dict]:
+def _raw_relations(cols, field: Field) -> tuple[dict, dict]:
     """``({j: relation}, owner)`` as the tagged reduction of ``_relations``
-    leaves them: each relation up to a factor, which is positive over QQ
-    (the relation is an integer vector) and 1 over F_p (over F_2 the
-    relation is the set of its columns); ``_normalized`` scales it to 1 at
-    j.  The columns j in ``cleared`` are taken as zero and left out, with
-    their relations: such a column would reduce to zero at once and own
-    only its own tag row, so no other column changes."""
-    n = len(cols)
-    tagged = [{j: 1} | {i + n: x for i, x in col.items()} for j, col in enumerate(cols) if j not in cleared]
-    owner = reduce_columns(tagged, field)[1]
-    return {j: rel for j, rel in owner.items() if j < n}, owner
+    leaves them: each relation up to a factor, which is positive over QQ (the
+    relation is an integer vector) and 1 over F_p (over F_2 the relation is
+    the set of its columns); ``_normalized`` scales it to 1 at j."""
+    owner = _tagged_reduction(enumerate(cols), len(cols), field)
+    return {j: rel for j, rel in owner.items() if j < len(cols)}, owner
+
+
+def _tagged_reduction(kept, n: int, field: Field) -> dict:
+    """The pivots of ``reduce_columns`` on the ``(j, column)`` pairs ``kept`` of n columns,
+    each tagged with row j below its rows, shifted up by n: a key j < n holds the relation of j."""
+    return reduce_columns([{j: 1} | {i + n: x for i, x in col.items()} for j, col in kept], field)[1]
 
 
 def _normalized(j: int, rel, field: Field) -> dict:
-    """The raw relation ``rel`` of column j as a sparse vector, 1 at j."""
+    """The raw relation ``rel`` of column j as a sparse vector, 1 at j; over
+    F_2 sorted, as a set's order depends on the rows it held in the reduction."""
     if field.p == 2:
-        return dict.fromkeys(rel, 1)
+        return dict.fromkeys(sorted(rel), 1)
     if field.p is None and (d := rel[j]) != 1:
         # d > 0: the reduction scales a column only by positive factors
         return {k: QQ.reduce(Fraction(x, d)) for k, x in rel.items()}

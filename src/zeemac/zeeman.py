@@ -315,7 +315,7 @@ def _page2_data(z: ZeemanComplex) -> _Page2Data:
     cocycles: dict = {}  # (p,q) -> {last row: class or reduced d1 image}, a basis of the d1 cocycles
     for p, rows in sorted(rows_of.items()):
         qs = range(min(rows), max(rows) + 1)
-        d1s = [p1.dmats[(p, q)].columns if (p, q) in p1.dmats else () for q in qs]
+        d1s = [list(enumerate(p1.dmats[(p, q)].columns)) if (p, q) in p1.dmats else [] for q in qs]
         for q, (chosen, coboundaries, _) in zip(qs, cochain_classes(d1s, field)):
             if chosen:
                 reps2[(p, q)] = chosen

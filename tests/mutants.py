@@ -112,6 +112,23 @@ MUTANTS = (
         ("test_cleared_representatives.py", "test_page1_engine.py", "test_resolutions.py"),
     ),
     Mutant(
+        "store-clears-by-position",
+        "linalg.py",
+        "enumerate(pairs) if label not in pivots]",
+        "enumerate(pairs) if j not in pivots]",
+        "a pivot row of the differential before names, by face id, the column it clears; "
+        "the store's columns are labelled by face id, not by their position in the basis",
+        ("test_store_by_face_id.py", "test_cleared_representatives.py"),
+    ),
+    Mutant(
+        "restriction-reads-the-cocycle-in-positions",
+        "cohomology.py",
+        "echelon_coordinates({basis[i]: x for i, x in rep.items()}, cocycles, field)",
+        "echelon_coordinates(rep, cocycles, field)",
+        "a cover's cocycle is read in face ids, as the representatives and coboundaries near the facet are",
+        ("test_cleared_representatives.py", "test_page1_engine.py", "test_resolutions.py"),
+    ),
+    Mutant(
         "doc-reader-raises-bare-key-error",
         "formats.py",
         'raise InputFormatError(f"{pre}{key}: missing")',

@@ -60,7 +60,7 @@ def chain_representatives(differentials):
     """``(representatives, pivots)`` of ``cochain_classes`` per degree,
     for the ``Mat`` out of each degree."""
     mats = list(differentials)
-    for representatives, _, pivots in cochain_classes([d.columns for d in mats], mats[0].field):
+    for representatives, _, pivots in cochain_classes([list(enumerate(d.columns)) for d in mats], mats[0].field):
         yield representatives, pivots
 
 

@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -9,12 +11,13 @@ from zeemac import (
     VoidComplex,
     alexander_dual,
     build,
+    cohomology,
     cone_of_simplicial,
+    is_cohen_macaulay,
     upper_set,
     validate,
 )
-from zeemac.cohomology import _upper_columns
-from zeemac.complexes import Cover, DegenerateComplexError, FaceComplex, subcomplex
+from zeemac.complexes import Cover, DegenerateComplexError, Face, FaceComplex, subcomplex
 from zeemac.formats import parse_input_text
 
 from . import test_golden_cli as golden
@@ -196,7 +199,7 @@ def test_upper_set_table_matches_an_independent_computation():
             assert fc.above(f.id) == above
             assert upper_set(fc, f.id).by_degree == want
             assert z.runs[f.id] == want
-            assert _upper_columns(fc, f.id, GF(2))[0] == want
+            assert cohomology._local(fc, f.id, GF(2)).bases == want
     assert kinds == {"s", "v", "p"}  # simplicial, cone and polyhedral inputs
 
 
@@ -204,6 +207,38 @@ def test_upper_set_unknown_id():
     fc = cone_of_simplicial(hollow_triangle())
     with pytest.raises(KeyError):
         upper_set(fc, 99)
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("consumer", ["above", "build", "is_cohen_macaulay"])
+def test_a_cycle_of_covers_raises_instead_of_hanging(consumer):
+    # faces o, a, b with covers o -> a, a -> b and b -> a: validate reports
+    # it, and an API caller that skips validate gets an error naming a face
+    faces = [Face(0, 0, "o"), Face(1, 1, "a"), Face(2, 2, "b")]
+    fc = FaceComplex(faces, [Cover(0, 1, 1), Cover(1, 2, 1), Cover(2, 1, 1)], 2)
+    assert not validate(fc).ok
+    run = {
+        "above": lambda: fc.above(0),
+        "build": lambda: build(fc, None, GF(2)),
+        "is_cohen_macaulay": lambda: is_cohen_macaulay(fc, GF(2)),
+    }[consumer]
+    with _deadline(10), pytest.raises(DegenerateComplexError, match="covers above face o form a cycle"):
+        run()
 
 
 def test_alexander_dual_hollow_triangle():

@@ -367,24 +367,44 @@ def subcomplex(fc: FaceComplex, generator_ids) -> FaceComplex:
     return FaceComplex(faces, covers, fc.ambient_dim, cone_faces=cone_faces, semigroup=fc.semigroup)
 
 
-def alexander_dual(sc: SimplicialComplex):
-    """The Alexander dual: complements of the nonfaces, ordered downward.
+def _face_masks(facets) -> set[int]:
+    """Every face of the facets, as bitmasks with bit v for vertex v."""
+    out = set()
+    for f in facets:
+        m = sub = sum(1 << v for v in f)
+        while sub:
+            out.add(sub)
+            sub = (sub - 1) & m
+    out.add(0)
+    return out
 
-    If the input contains the full vertex set there are no nonfaces and the
-    dual is the void complex, returned as the explicit marker.
+
+def alexander_dual(sc: SimplicialComplex):
+    """The Alexander dual, whose facets are the complements of the minimal
+    nonfaces: the sets N = F + {v}, for a face F and a vertex v below all of
+    F's, that are not faces while N minus each one of its vertices is.  Each
+    N arises once, from F = N minus its least vertex, in one walk over the
+    faces x the vertices, on bitmasks; ``from_facets`` sorts the facets.  An
+    input that contains the full vertex set has no nonface, and its dual is
+    the void complex, returned as the explicit marker.
     """
     d = sc.d
-    universe = frozenset(range(1, d + 1))
-    faces = sc.faces()
-    dual_faces = []
-    for k in range(d + 1):
-        for c in combinations(range(1, d + 1), k):
-            s = frozenset(c)
-            if (universe - s) not in faces:
-                dual_faces.append(s)
-    if not dual_faces:
+    full = (1 << (d + 1)) - 2  # vertices 1..d
+    faces = _face_masks(sc.facets)
+    facets = []
+    for f in faces:
+        below = full & ((f & -f) - 1)  # the vertices below all of f's; all of them for f empty
+        while below:
+            v = below & -below
+            below ^= v
+            n = f | v
+            if n in faces:
+                continue
+            rest = f  # n - v = f is a face; so must n - u be, for each u in f
+            while rest and n ^ (rest & -rest) in faces:
+                rest &= rest - 1
+            if not rest:
+                facets.append(frozenset(u for u in range(1, d + 1) if not n >> u & 1))
+    if not facets:
         return VOID_COMPLEX
-    # s is a facet iff no one-vertex extension of s is a dual face
-    dual_set = set(dual_faces)
-    facets = [s for s in dual_faces if not any(s | {v} in dual_set for v in universe - s)]
     return SimplicialComplex.from_facets(d, facets)

@@ -51,7 +51,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 
-from .complexes import SimplicialComplex, VoidComplex
+from .complexes import SimplicialComplex, VoidComplex, _face_masks
 from .linalg import Field, reduce_chain
 from .resolutions import FaceModuleComplex
 
@@ -252,18 +252,6 @@ def reduced_cohomology_dims(faces, field: Field) -> dict:
     bit = {v: 1 << i for i, v in enumerate(sorted(set().union(*faces)))}
     cob = _Coboundary({sum(bit[v] for v in f) for f in faces}, field)
     return cob.dims(cob.vertices)
-
-
-def _face_masks(facets) -> set[int]:
-    """Every face of the facets, as bitmasks with bit v for vertex v."""
-    out = set()
-    for f in facets:
-        m = sub = sum(1 << v for v in f)
-        while sub:
-            out.add(sub)
-            sub = (sub - 1) & m
-    out.add(0)
-    return out
 
 
 def betti_hochster(sc_star, field: Field) -> BettiTable:

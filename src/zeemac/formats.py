@@ -60,7 +60,7 @@ from .resolutions import FaceModuleComplex, FaceModule
 from .semigroup import AffineSemigroup, DegenerateConeError, face_lattice
 
 
-MAX_VERTICES = 16  # dual and betti enumerate about 2^d vertex subsets; the orthant's 2^d faces stay implicit
+MAX_VERTICES = 16  # betti enumerates about 2^d vertex subsets; dual and the orthant's 2^d faces do not
 MAX_FUNCTIONALS = 13  # a cone cut out by n functionals can have 2^n faces, each enumerated
 
 

@@ -220,6 +220,15 @@ MUTANTS = (
         ("test_semigroup.py",),
     ),
     Mutant(
+        "dual-admits-nonminimal-nonface",
+        "complexes.py",
+        "if not rest:",
+        "if True:",
+        "a nonface F+{v} is minimal, and its complement a facet of the Alexander dual, "
+        "only when every facet of F+{v} is a face",
+        ("test_complexes.py", "test_alexander_dual.py"),
+    ),
+    Mutant(
         "reduce-chain-keeps-first-pivot-column",
         "linalg.py",
         "[{} if j in cleared else col for j, col in pairs]",

@@ -31,9 +31,11 @@ exactly:
   in one of those.
 
 The remaining subsets are reduced once each, one cardinality block after
-another with clearing (``linalg.reduce_chain``): the coboundary squares to
-zero, so the column of a face that is a pivot row of the block below is
-skipped.
+another, with clearing: the coboundary squares to zero, so the column of a
+face that is a pivot row of the block below is left unwritten, and each
+block's columns are written only once the block below is reduced.  The
+family is downward closed, so the blocks stop at the first one with no
+face inside s.
 ``reduced_cohomology_dims`` is the same routine evaluated at the full
 vertex set.  The oracle reads only the dual's facets: it shares nothing
 with the face-poset and local-cohomology store but the scalar field and
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 from .complexes import SimplicialComplex, VoidComplex, _face_masks
-from .linalg import Field, reduce_chain
+from .linalg import Field, reduce_columns
 from .resolutions import FaceModuleComplex
 
 
@@ -221,34 +223,40 @@ class _Coboundary:
         return True
 
     def _eliminate(self, s: int) -> dict:
-        # One differential per cardinality block, from k to k + 1 vertices:
-        # a column is labelled by its face's index, and so is a row, so the
-        # blocks form a chain for clearing.
-        inside = [
-            [i for i in range(start, end) if not self.faces[i] & ~s]
-            for start, end in zip(self.starts, self.starts[1:])
-        ]
-        diffs = [[(i, {row: x for b, row, x in self.columns[i] if b & s}) for i in block] for block in inside]
-        dims, rank_in = {}, 0
-        for k, (block, (_, pivots)) in enumerate(zip(inside, reduce_chain(diffs, self.field))):
-            rank_out = len(pivots)
-            if h := len(block) - rank_out - rank_in:
+        # One differential per cardinality block, from k to k + 1 vertices,
+        # reduced in order with clearing: a face's index labels its column
+        # and its row, so a column of block k at a pivot row of block k - 1
+        # is left unwritten.  The family is downward closed, so no face past
+        # the first block without a face inside s is inside s either.
+        dims, rank_in, pivots = {}, 0, {}
+        for k, (start, end) in enumerate(zip(self.starts, self.starts[1:])):
+            block = [i for i in range(start, end) if not self.faces[i] & ~s]
+            if not block:
+                break
+            cols = [{} if i in pivots else {row: x for b, row, x in self.columns[i] if b & s} for i in block]
+            pivots = reduce_columns(cols, self.field)[1]
+            if h := len(block) - len(pivots) - rank_in:
                 dims[k - 1] = h  # degree shift: k vertices sit in degree k-1
-            rank_in = rank_out
+            rank_in = len(pivots)
         return dims
 
 
 def reduced_cohomology_dims(faces, field: Field) -> dict:
     """Reduced cochain cohomology dimensions of a simplicial face family.
 
-    ``faces`` must be downward closed and contain the empty face; degree j
-    holds the faces with j+1 vertices (the empty face in degree -1).  The
-    family {empty face} has H~^{-1} = k.  Standard alternating-sign
-    coboundary; independent of the face-poset machinery elsewhere.
+    ``faces`` must be downward closed and contain the empty face, or
+    ``ValueError`` names a face it lacks; degree j holds the faces with j+1
+    vertices (the empty face in degree -1).  The family {empty face} has
+    H~^{-1} = k.  Standard alternating-sign coboundary; independent of the
+    face-poset machinery elsewhere.
     """
     faces = set(faces)
     if frozenset() not in faces:
         raise ValueError("the face family must contain the empty face")
+    for f in faces:
+        for v in f:
+            if f - {v} not in faces:
+                raise ValueError(f"the face family must be downward closed: {sorted(f)} lacks its facet {sorted(f - {v})}")
     bit = {v: 1 << i for i, v in enumerate(sorted(set().union(*faces)))}
     cob = _Coboundary({sum(bit[v] for v in f) for f in faces}, field)
     return cob.dims(cob.vertices)

@@ -44,12 +44,14 @@ has pivot row i, then D_{n+1} applied to it is a relation with a nonzero
 coefficient at column i and otherwise only earlier columns, so column i of
 D_{n+1} lies in the span of the columns before it and reduces to zero: it
 is skipped, and every prefix rank and pivot comes out as without it.  The
-rank-only paths (``reduce_chain``: the Hochster coboundary; the terminal
-page, which counts the essential columns, and the page-1 row and column
-dimensions clear as the double complex's writer streams their columns,
-so a cleared column is never written) and the representative paths
-(``cochain_classes``: local cohomology near a face, and page 2) both use
-it.
+rank-only paths leave a cleared column unwritten and hand
+``reduce_columns`` an empty column in its place: the terminal page, which
+counts the essential columns, and the page-1 row and column dimensions,
+as the double complex's writer streams their columns, and the Hochster
+coboundary, which writes the columns of each cardinality block only once
+the block before is reduced.  The representative paths
+(``cochain_classes``: local cohomology near a face, and page 2) leave it
+out of the reduction.
 
 Clearing gives cohomology representatives exactly.  The kernel of D_n has
 the canonical basis V_j, one per column j in the span of the columns
@@ -385,26 +387,6 @@ def reduce_columns(cols, field: Field) -> tuple[list[int], dict]:
     return out, owner
 
 
-def reduce_chain(differentials, field: Field):
-    """``reduce_columns`` of each differential of a cochain complex, with
-    clearing.
-
-    ``differentials[n]`` yields the columns of D_n as ``(label, column)``
-    pairs in reduction order (``enumerate(m.columns)`` for a ``Mat``), and
-    the rows of D_n are labels of columns of D_{n+1}; the premise is
-    D_{n+1} D_n = 0 (see the module docstring).  The differentials are
-    reduced in order, and a column of D_{n+1} whose label is a pivot row
-    of D_n is not reduced: it lies in the span of the columns before it,
-    so its prefix rank repeats the one before.  Yields one ``(ranks,
-    pivots)`` per differential, equal to what ``reduce_columns`` gives on
-    its columns alone; only the last one is kept.
-    """
-    cleared: dict = {}
-    for pairs in differentials:
-        ranks, cleared = reduce_columns([{} if j in cleared else col for j, col in pairs], field)
-        yield ranks, cleared
-
-
 def cochain_classes(differentials, field: Field):
     """Cohomology classes of a cochain complex, from one tagged reduction
     of each differential, with clearing.
@@ -419,7 +401,7 @@ def cochain_classes(differentials, field: Field):
     reduced at all: each column is its own relation, the unit vector e_j.
 
     Yields one ``(representatives, coboundaries, pivots)`` per degree n:
-    the canonical kernel vectors of D_n (those of ``kernel_basis``) over
+    the canonical kernel vectors of D_n (the relations of ``_relations``) over
     column positions, at the columns that were not cleared, a basis of the
     cohomology in degree n; when there is one, the reduced columns of
     D_{n-1} that the reduction left, ``{pivot row: column}`` with the
@@ -552,16 +534,3 @@ def solve_columns(targets, generators, field: Field) -> list:
         else:
             out.append({i: field.reduce(-c) for i, c in rel.items() if i != t})
     return out
-
-
-def rank(m: Mat) -> int:
-    """Row rank (= column rank) of ``m`` over its field."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return len(reduce_columns(m.columns, m.field)[1])
-
-
-def kernel_basis(m: Mat) -> list[dict]:
-    """A canonical basis of the right kernel of ``m``: the relation of each
-    non-pivot column, a sparse vector that is 1 at that column."""
-    return list(_relations(m.columns, m.field)[0].values())

@@ -201,9 +201,9 @@ def verify_exactness(c: FaceModuleComplex) -> ExactnessReport:
     therefore takes all three certificates: ``check_composition``,
     ``check_block_support`` and this one.  For the same reason each
     restricted map is ranked on its own (``linalg.reduce_columns``), never
-    with clearing (``linalg.reduce_chain``): clearing presumes that
-    consecutive maps compose to zero, which this check does not verify,
-    and the maps of a re-ingested file are untrusted.
+    with clearing: clearing presumes that consecutive maps compose to
+    zero, which this check does not verify, and the maps of a re-ingested
+    file are untrusted.
 
     The evaluation degree at an ambient face A is its interior point a,
     where the component of k[G] is k exactly when G contains A.  The

@@ -14,8 +14,10 @@ degrees scanned here.
 
 from __future__ import annotations
 
-from zeemac.linalg import Mat, rank
+from zeemac.linalg import Mat
 from zeemac.resolutions import ExactnessReport, FaceModuleComplex, evaluation_degrees
+
+from .chain_ranks import rank
 
 
 def ambient_scan_exactness(c: FaceModuleComplex) -> ExactnessReport:

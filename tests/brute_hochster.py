@@ -15,7 +15,9 @@ from itertools import combinations
 
 from zeemac.complexes import SimplicialComplex, VoidComplex
 from zeemac.eagon_reiner import BettiTable
-from zeemac.linalg import Field, Mat, rank
+from zeemac.linalg import Field, Mat
+
+from .chain_ranks import rank
 
 
 def brute_reduced_cohomology_dims(faces, field: Field) -> dict:

@@ -65,10 +65,10 @@ MUTANTS = (
     ),
     Mutant(
         "reduce-chain-clears-extra-column",
-        "linalg.py",
-        "[{} if j in cleared else col for j, col in pairs]",
-        "[{} if j in cleared or (cleared and j == 0) else col for j, col in pairs]",
-        "clearing skips exactly the columns at the pivot rows of the differential before",
+        "eagon_reiner.py",
+        "{} if i in pivots else",
+        "{} if i in pivots or (pivots and i == block[0]) else",
+        "the Hochster coboundary leaves unwritten only the columns at the pivot rows of the block before",
         ("test_clearing.py",),
     ),
     Mutant(
@@ -229,14 +229,31 @@ MUTANTS = (
         ("test_complexes.py", "test_alexander_dual.py"),
     ),
     Mutant(
+        "hochster-reads-the-wrong-degree",
+        "eagon_reiner.py",
+        "dims.get(size - i - 2, 0)",
+        "dims.get(size - i - 1, 0)",
+        "beta_{i,sigma} is the dimension of the reduced cohomology of the dual restricted to sigma "
+        "in degree |sigma| - i - 2",
+        ("test_eagon_reiner.py",),
+    ),
+    Mutant(
+        "betti-exits-0-on-a-nonlinear-table",
+        "cli.py",
+        "return 0 if linear else 1",
+        "return 0",
+        "betti exits 1 when the Betti table is not linear, so the exit code carries the verdict",
+        ("test_golden_cli.py",),
+    ),
+    Mutant(
         "reduce-chain-keeps-first-pivot-column",
-        "linalg.py",
-        "[{} if j in cleared else col for j, col in pairs]",
-        "[{} if j in cleared and j != min(cleared) else col for j, col in pairs]",
-        "clearing skips the columns at the pivot rows of the differential before",
-        ("test_clearing.py", "test_sparse_ranks.py"),
+        "eagon_reiner.py",
+        "{} if i in pivots else",
+        "{} if i in pivots and i != min(pivots) else",
+        "the Hochster coboundary leaves unwritten the columns at the pivot rows of the block before",
+        ("test_clearing.py", "test_eagon_reiner.py"),
         equivalent="clearing is only an optimization: a column at a pivot row of the "
-        "differential before lies in the span of the columns before it, so reducing it "
+        "block before lies in the span of the columns before it, so reducing it "
         "gives zero and leaves every prefix rank and pivot as they were",
     ),
 )

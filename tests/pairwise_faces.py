@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from zeemac.linalg import Mat, QQ, rank
+from zeemac.linalg import Mat, QQ
 
+from .chain_ranks import rank
 from .dense_orientation import _echelon_basis, _orientation_sign
 
 

@@ -17,8 +17,10 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
-from zeemac.linalg import Mat, QQ, _raw_relations, rank
+from zeemac.linalg import Mat, QQ, _raw_relations
 from zeemac.semigroup import DegenerateConeError
+
+from .chain_ranks import rank
 
 
 def subset_rays(d: int, functionals) -> tuple[tuple[int, ...], ...]:

@@ -1,11 +1,13 @@
 """Clearing against the uncleared reductions of ``uncleared``.
 
-``linalg.reduce_chain`` skips the columns of D_{n+1} at the pivot rows of
-D_n.  Its ranks and pivots per differential, the terminal page, the page-1
-row and column dimensions, reduced cohomology and the Hochster table must
-equal those of the reductions that look at every column, on a random
-sweep over three fields, on the benchmark's spheres over GF(2), on RP^2
-over QQ and at nonzero lattice degrees.
+Clearing skips the columns of D_{n+1} at the pivot rows of D_n.  The
+ranks and pivots per differential of ``chain_ranks.reduce_chain``, the
+terminal page, the page-1 row and column dimensions, reduced cohomology
+and the Hochster table must equal those of the reductions that look at
+every column, on a random sweep over three fields, on the benchmark's
+spheres over GF(2), on RP^2 over QQ and at nonzero lattice degrees.  The
+Hochster coboundary leaves a column unwritten only at a pivot row of the
+block before, and on the spheres' duals it does leave some unwritten.
 """
 
 import math
@@ -13,13 +15,14 @@ from itertools import combinations
 
 import pytest
 
-from zeemac import GF, QQ, SimplicialComplex, alexander_dual, betti_hochster, build, cone_of_simplicial, page, total_complex
+from zeemac import GF, QQ, SimplicialComplex, alexander_dual, betti_hochster, build, cone_of_simplicial, eagon_reiner, page, total_complex
 from zeemac.complexes import VoidComplex
-from zeemac.eagon_reiner import reduced_cohomology_dims
-from zeemac.linalg import reduce_chain
+from zeemac.eagon_reiner import _Coboundary, reduced_cohomology_dims
+from zeemac.linalg import reduce_columns
 from zeemac.resolutions import evaluation_degrees
 from zeemac.zeeman import horizontal_cohomology_dims, vertical_cohomology_dims
 
+from .chain_ranks import reduce_chain
 from .helpers import RP2_FACETS, bowtie, d2_witness, four_rays_under_one_face, random_sweep, rp2
 from .uncleared import (
     coboundary_blocks,
@@ -119,6 +122,42 @@ def test_clearing_skips_columns_on_the_spheres():
         reduced = reduce_chain([enumerate(m.columns) for m in diffs], GF(2))
         cleared = sum(1 for (_, pivots), m in zip(reduced, diffs[1:]) for j in pivots if m.columns[j])
         assert cleared > 0, name
+
+
+def test_hochster_leaves_cleared_columns_unwritten_on_the_spheres_duals(monkeypatch):
+    # not vacuous: on the spheres' duals the coboundary writer leaves some
+    # nonzero restricted column unwritten, and each one it leaves sits at a
+    # pivot row of the block before; every block it writes has a face inside
+    # s.  The dual of bd_simplex7 is {empty face}, which needs no elimination.
+    calls = []  # (coboundary, s, the columns handed to reduce_columns per block)
+    eliminate = _Coboundary._eliminate
+
+    def spy_eliminate(cob, s):
+        calls.append((cob, s, []))
+        return eliminate(cob, s)
+
+    def spy_reduce(cols, field):
+        calls[-1][2].append(cols)
+        return reduce_columns(cols, field)
+
+    monkeypatch.setattr(_Coboundary, "_eliminate", spy_eliminate)
+    monkeypatch.setattr(eagon_reiner, "reduce_columns", spy_reduce)
+    unwritten = {}
+    for name, (d, facets) in SPHERES.items():
+        calls.clear()
+        betti_hochster(alexander_dual(SimplicialComplex.from_facets(d, [frozenset(f) for f in facets])), GF(2))
+        unwritten[name] = 0
+        for cob, s, written in calls:
+            pivots: dict = {}
+            for start, end, cols in zip(cob.starts, cob.starts[1:], written):
+                block = [i for i in range(start, end) if not cob.faces[i] & ~s]
+                assert block, name
+                for i, col in zip(block, cols, strict=True):
+                    if col != {row: x for b, row, x in cob.columns[i] if b & s}:
+                        assert col == {} and i in pivots, name
+                        unwritten[name] += 1
+                pivots = reduce_columns(cols, GF(2))[1]
+    assert {name for name, count in unwritten.items() if count} == {"bd_cross4", "rp2", "bd_simplex7_whisker"}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

@@ -183,8 +183,14 @@ def test_reduced_cohomology_matches_the_brute_force_oracle():
             family = link_family(sc, s)
             for field in (QQ, GF(2), GF(3)):
                 assert reduced_cohomology_dims(family, field) == brute_reduced_cohomology_dims(family, field)
-    with pytest.raises(ValueError):
+
+
+def test_reduced_cohomology_refuses_a_family_that_is_not_a_complex():
+    with pytest.raises(ValueError, match="must contain the empty face"):
         reduced_cohomology_dims({frozenset({1})}, QQ)
+    stray_triangle = {frozenset(f) for f in [(), (1,), (2,), (3,), (4,), (1, 2, 3)]}  # no edges
+    with pytest.raises(ValueError, match=r"must be downward closed: \[1, 2, 3\] lacks its facet \[2, 3\]"):
+        reduced_cohomology_dims(stray_triangle, GF(2))
 
 
 def test_hochster_at_the_vertex_guard():

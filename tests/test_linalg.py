@@ -13,8 +13,6 @@ from zeemac.linalg import (
     _raw_relations,
     _relations_with_row,
     echelon_coordinates,
-    kernel_basis,
-    rank,
     reduce_columns,
     solve_columns,
 )
@@ -24,6 +22,7 @@ from zeemac.complexes import SimplicialComplex, cone_of_simplicial
 from zeemac.formats import _mat_from_doc, _mat_to_doc
 from zeemac.resolutions import FaceModule, FaceModuleComplex
 
+from .chain_ranks import kernel_basis, rank
 from .dense_ranks import dense_kernel_basis, dense_solve_in_subspace
 from .helpers import assert_same, canonical, densify, sparsify
 from .uncleared import kernel_and_image

@@ -1,9 +1,9 @@
 """The sparse ``Mat``, its rank kernel and the terminal page against dense
 references.
 
-``rank`` runs one sparse column reduction (``reduce_columns``) of the
-matrix's columns; ``dense_ranks`` keeps the dense row eliminations and the
-dense products they replaced.  On seeded random matrices (entries beyond
+``chain_ranks.rank`` runs one sparse column reduction (``reduce_columns``)
+of the matrix's columns; ``dense_ranks`` keeps the dense row eliminations
+and the dense products they replaced.  On seeded random matrices (entries beyond
 +-1, non-integral fractions, zero rows and columns, empty shapes and
 orders, permuted orders, rational matrices read over F_2) both must give
 the same column-prefix ranks, the row-suffix ranks read off the pivot rows
@@ -32,13 +32,12 @@ from zeemac import GF, QQ, SimplicialComplex, build, cone_of_simplicial, face_la
 from zeemac.cohomology import CohomologySummary, VSComplex, cochain_complex, cohomology_summary
 from zeemac.linalg import (
     Mat,
-    kernel_basis,
-    rank,
     reduce_columns,
     solve_columns,
 )
 from zeemac.resolutions import evaluation_degrees
 
+from .chain_ranks import kernel_basis, rank
 from .dense_ranks import (
     dense_column_prefix_ranks,
     dense_echelon_representatives,

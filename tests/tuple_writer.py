@@ -16,8 +16,10 @@ from __future__ import annotations
 from collections import Counter
 
 from zeemac.complexes import FaceComplex
-from zeemac.linalg import Field, Mat, reduce_chain
+from zeemac.linalg import Field, Mat
 from zeemac.zeeman import _check_degree
+
+from .chain_ranks import reduce_chain
 
 
 class TupleIndex:

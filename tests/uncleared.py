@@ -1,4 +1,5 @@
-"""The reductions without clearing, a reference for ``reduce_chain`` and
+"""The reductions without clearing, a reference for the cleared ones:
+``chain_ranks.reduce_chain``, the library's rank-only reductions and
 ``cochain_classes``.
 
 Each differential is reduced on its own, every column included: the
@@ -6,11 +7,11 @@ terminal page by ``reduce_columns`` on each total differential, the page-1
 row and column dimensions by ``rank`` on each block map, and reduced
 cohomology by one ``reduce_columns`` over the whole coboundary.  No
 reduction reads the pivots of another, so none presumes D_{n+1} D_n = 0.
-``reduce_chain`` and its three callers must agree with these exactly: the
-ranks and pivots of every differential, and the dimensions.  The terminal
-page here is the filtered-rank formula, from column-prefix and row-suffix
-ranks (``row_suffix_ranks``), where the library counts essential columns;
-the two share only ``reduce_columns``.
+The cleared reductions must agree with these exactly: the ranks and
+pivots of every differential, and the dimensions.  The terminal page here
+is the filtered-rank formula, from column-prefix and row-suffix ranks
+(``row_suffix_ranks``), where the library counts essential columns; the
+two share only ``reduce_columns``.
 
 The representative paths run here without clearing: each differential's
 kernel and reduced image come from one tagged reduction
@@ -27,8 +28,10 @@ from __future__ import annotations
 from itertools import accumulate
 
 from zeemac.cohomology import CohomologySummary, VSComplex
-from zeemac.linalg import Field, Mat, _relations, rank, reduce_columns, solve_columns
+from zeemac.linalg import Field, Mat, _relations, reduce_columns, solve_columns
 from zeemac.zeeman import ZeemanComplex, _page1_data, total_complex
+
+from .chain_ranks import rank
 
 
 def uncleared_chain(differentials, field: Field) -> list:

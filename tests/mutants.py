@@ -246,6 +246,39 @@ MUTANTS = (
         ("test_golden_cli.py",),
     ),
     Mutant(
+        "cone-matching-trusts-the-euler-sum",
+        "cohomology.py",
+        "    if euler:\n        return False",
+        "    return not euler",
+        "an upper set whose level sizes have alternating sum 0 need not be acyclic: the apex of RP^2 "
+        "over GF(2) is one, and the 7-vertex input and the posets of the test are others",
+        ("test_cone_matching.py",),
+    ),
+    Mutant(
+        "cone-matching-allows-two-covers",
+        "cohomology.py",
+        "if len(hits) != 1 or hits[0] in matched:",
+        "if not hits or hits[0] in matched:",
+        "each face off U(a) has exactly one cover in U(a); a second one would close a cycle of the matching",
+        ("test_cone_matching.py",),
+    ),
+    Mutant(
+        "cm-check-exits-0-on-a-false-verdict",
+        "cli.py",
+        "return 0 if verdict.ok else 1",
+        "return 0",
+        "cm-check exits 1 when the complex is not Cohen-Macaulay, so the exit code carries the verdict",
+        ("test_golden_cli.py",),
+    ),
+    Mutant(
+        "irres-exits-0-on-a-refusal",
+        "cli.py",
+        '"dimension": dim}\n        return 1',
+        '"dimension": dim}\n        return 0',
+        "irres exits 1 when it refuses a complex that is not Cohen-Macaulay",
+        ("test_golden_cli.py",),
+    ),
+    Mutant(
         "reduce-chain-keeps-first-pivot-column",
         "eagon_reiner.py",
         "{} if i in pivots else",

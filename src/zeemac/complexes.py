@@ -10,6 +10,10 @@ a face g, the faces >= g by dimension, each level in id order, read off
 the covers on first use and kept.  The local-cohomology store, ``build``,
 the exactness certificate, ``above`` and ``upper_set`` all read it.
 
+A valid complex is also cone-like: every lower interval [0, F], F other
+than the minimal face, is acyclic (``lower_interval_defect``), the
+premise of the closed-form terminal page of ``zeeman.page``.
+
 Complexes built from geometry (cone_of_simplicial, semigroup.face_lattice)
 carry an attached semigroup so that lattice-point membership and
 relative-interior queries work; hand-authored polyhedral complexes have no
@@ -19,6 +23,7 @@ geometry and support only degree-zero computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 
@@ -127,6 +132,26 @@ class FaceComplex:
             levels = self._upper[fid] = tuple(out)
         return levels
 
+    @cached_property
+    def lower_interval_defect(self) -> tuple[int, int] | None:
+        """``(F, k)`` for the first face F, by dimension and then id, other
+        than the minimal face whose lower interval [0, F] is not acyclic
+        over the integers, so not over every field, with k the least
+        dimension at which the homology of its chain complex (each face to
+        its facets, by the cover signs) is nonzero; None when there is none.
+        A complex with geometry skips the scan: its lower intervals are face
+        posets of polytopes, which are acyclic.  Computed once and kept."""
+        if self.has_geometry:
+            return None
+        for f in sorted((f for f in self.faces if f.dim), key=lambda f: (f.dim, f.id)):
+            lower = sorted(self.below(f.id))
+            levels = [[g for g in lower if self.faces[g].dim == k] for k in range(f.dim + 1)]
+            diagonals = [[], *(_integer_diagonal([dict(self._down[g]) for g in level]) for level in levels[1:]), []]
+            for k, level in enumerate(levels):
+                if len(level) > len(diagonals[k]) + len(diagonals[k + 1]) or max(diagonals[k + 1], default=1) > 1:
+                    return f.id, k
+        return None
+
     def above(self, fid: int) -> set[int]:
         """All faces >= fid: the union of its row of the upper-set table."""
         return set().union(*self.upper_levels(fid))
@@ -169,6 +194,59 @@ class FaceComplex:
 
 class MissingGeometryError(ValueError):
     pass
+
+
+def _integer_diagonal(columns) -> list[int]:
+    """The absolute values on a diagonal form of the integer matrix with
+    these sparse columns (row -> entry), reached by row and column
+    operations over the integers: as many as its rank, and one exceeds 1
+    exactly when its cokernel has torsion.  Each step divides the row and
+    the column of an entry of least size (a unit, when there is one) by it;
+    a remainder is the next, smaller pivot."""
+    cols = [dict(c) for c in columns if c]
+    out = []
+    while cols:
+        col, r = next(((c, r) for c in cols for r, x in c.items() if abs(x) == 1), None) or min(
+            ((c, r) for c in cols for r in c), key=lambda cr: abs(cr[0][cr[1]])
+        )
+        pivot = col[r]
+        for c in cols:  # column operations: clear row r outside col
+            if c is not col and r in c:
+                _add(c, col, -(c[r] // pivot))
+        for s in [s for s in col if s != r]:  # row operations: clear col outside row r
+            q = col[s] // pivot
+            for c in cols:
+                if r in c:
+                    _add(c, {s: c[r]}, -q)
+        if len(col) == 1 and not any(r in c for c in cols if c is not col):
+            out.append(abs(pivot))
+            col.clear()
+        cols = [c for c in cols if c]
+    return out
+
+
+def _add(c: dict, v: dict, q: int) -> None:
+    """c += q v on sparse integer vectors, dropping the zeros."""
+    for i, x in v.items():
+        if y := c.get(i, 0) + q * x:
+            c[i] = y
+        else:
+            c.pop(i, None)
+
+
+def lower_interval_problem(fc: FaceComplex) -> str | None:
+    """``validate``'s report of ``fc.lower_interval_defect``: the face F,
+    and the bidegree (dim F, -k) of column F of the double complex, where
+    [0, F] has homology; None when there is no defect."""
+    if fc.lower_interval_defect is None:
+        return None
+    f, k = fc.lower_interval_defect
+    face = fc.face(f)
+    return (
+        f"the lower interval of face {face.label} (dim {face.dim}) is not acyclic: "
+        f"its homology is nonzero in dimension {k}, at (p, q) = ({face.dim}, {-k}); "
+        "the complex is not cone-like"
+    )
 
 
 def _closure(adjacent: dict, fid: int) -> set[int]:
@@ -304,7 +382,9 @@ def upper_set(fc: FaceComplex, g: int) -> UpperSet:
 
 
 def validate(fc: FaceComplex) -> ValidationReport:
-    """Check gradedness, the unique minimal face, and the incidence axiom.
+    """Check gradedness, the unique minimal face, the incidence axiom and,
+    once those hold, that the complex is cone-like: the first lower interval
+    that is not acyclic (``lower_interval_problem``).
 
     Failures are reported, not raised; every codimension-2 diamond whose
     signed path sum is nonzero is listed.
@@ -339,6 +419,8 @@ def validate(fc: FaceComplex) -> ValidationReport:
                 bad.append((g.id, f))
     if bad:
         problems.append(f"incidence axiom fails on {len(bad)} diamond(s)")
+    if not problems and (problem := lower_interval_problem(fc)) is not None:
+        problems.append(problem)
     return ValidationReport(not problems, tuple(problems), tuple(bad))
 
 

@@ -45,11 +45,11 @@ coefficient at column i and otherwise only earlier columns, so column i of
 D_{n+1} lies in the span of the columns before it and reduces to zero: it
 is skipped, and every prefix rank and pivot comes out as without it.  The
 rank-only paths leave a cleared column unwritten and hand
-``reduce_columns`` an empty column in its place: the terminal page, which
-counts the essential columns, and the page-1 row and column dimensions,
-as the double complex's writer streams their columns, and the Hochster
-coboundary, which writes the columns of each cardinality block only once
-the block before is reduced.  The representative paths
+``reduce_columns`` an empty column in its place: the page-1 row and
+column dimensions, as the double complex's writer streams their columns,
+and the Hochster coboundary, which writes the columns of each
+cardinality block only once the block before is reduced.  The
+representative paths
 (``cochain_classes``: local cohomology near a face, and page 2) leave it
 out of the reduction.
 

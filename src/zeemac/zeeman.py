@@ -16,15 +16,18 @@ index in the run, each block (p, q) is a contiguous range of its degree,
 and each horizontal or vertical block map is a row-and-column range of one
 total differential.  One run writer, ``ZeemanComplex._columns``, writes
 the entries from the covers: the total differentials, the block maps of
-``horiz``/``vert``, the whole rows behind the page-1 dimensions and the
-stream that E-infinity reduces all come from it, each when asked for.
+``horiz``/``vert`` and the whole rows and columns behind the page-1 and
+vertical-first dimensions all come from it, each when asked for.
 
 Taking horizontal cohomology first gives the spectral sequence exposed by
 ``page``: page 0 is the raw double complex with its horizontal maps,
 page 1 the horizontal cohomology with the induced vertical maps, page 2
 its cohomology together with honest knight-move differentials computed by
 zigzag lifting, and the terminal page the associated graded of total
-cohomology under the row filtration, read off the essential columns.
+cohomology under the row filtration.  On a cone-like complex the total
+cohomology is k in degree 0, so the terminal page is known in closed
+form: k at (m, -m), with m the largest dimension of an admitted face; no
+total differential is written for it.
 
 Row q is block-diagonal over the admitted faces G of dimension -q, each
 block the upper-set complex of G up to the twist, so page 1 is assembled
@@ -39,13 +42,12 @@ ranks of the whole rows, sharing no code with that assembly.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field as dfield
 from functools import cached_property
 from itertools import count
 
 from .cohomology import VSComplex, induced_map, local_cohomology
-from .complexes import FaceComplex
+from .complexes import DegenerateComplexError, FaceComplex, lower_interval_problem
 from .linalg import (
     Field,
     Mat,
@@ -216,7 +218,7 @@ class AugmentedTotal:
 
 def total_complex(z: ZeemanComplex) -> AugmentedTotal:
     """The total complex, written by the run writer on first call and kept
-    for later readers (E-infinity streams its own and never fills it).
+    for later readers (the terminal page is in closed form and reads none).
     Degree n holds the pairs with dim F - dim G = n in (dim G, G, F) order:
     small dim G first, so the row filtration reads off column prefixes.  The
     augmentation hits the diagonal pairs (F, F), the only ones of total
@@ -356,34 +358,38 @@ def _page2_data(z: ZeemanComplex) -> _Page2Data:
     return data
 
 
-def _infinity_dims(z: ZeemanComplex) -> dict:
-    """Terminal-page dimensions: the essential columns of the total
-    complex reduced with clearing, each at the bidegree of its block.
-    Column j of degree n is essential when its prefix rank does not rise
-    and j is no pivot row of D_{n-1}.  The run writer streams each
-    differential into ``reduce_columns`` and leaves the columns at the
-    pivot rows of D_{n-1} unwritten, so only ranks and pivots are kept: no
-    matrix, and ``total_complex`` stays unfilled.
+def _terminal_dims(z: ZeemanComplex) -> dict:
+    """The terminal page in closed form: k at (m, -m), with m the largest
+    dimension of an admitted face, and 0 when no face is admitted.
 
-    A filtration step F (q >= s) is a prefix of each basis, and E-infinity
-    at (n - s, s) is the drop in dim(Z^n in F) - dim(B^n in F) from s to
-    s + 1.  Proof that this is the number of essential columns in F: the
-    non-rising columns in F count Z^n in F; the pivot rows of D_{n-1} are
-    distinct, so those in F count B^n in F; and clearing puts every pivot
-    row among the non-rising columns.
+    The premise: every lower interval [0, F], F other than the minimal
+    face, is acyclic (``FaceComplex.lower_interval_defect``; a complex with
+    geometry holds it, as does each interval [G, F] of its cone).  A
+    complex without geometry that fails it raises
+    ``DegenerateComplexError`` naming F.  The proof has two steps.
+
+    - Filter the total complex by columns.  Column F is the complex of the
+      admitted faces below F, the interval [G_a, F] with G_a the least
+      admitted face: acyclic but for F = G_a, whose column is k.  So the
+      total cohomology is k, in total degree 0: the total resolution is
+      exact.
+    - Filter by rows.  The rows of dimension m hold only the pairs (G, G),
+      so modulo the lower rows they carry no differential.  A degree-0
+      cocycle x has the entry +-x_G +- x_F at the pair (F, G) of a cover
+      G < F, and the admitted faces are connected through G_a, so the
+      class (the signed diagonal augmentation) is nonzero on every pair
+      (G, G).  It lives in row m and in no later filtration step.
+
+    ``tests/reduced_einf.py`` keeps the reduction this replaces, as its
+    oracle.
     """
-    dims: Counter = Counter()
-    into: dict = {}  # the pivot rows of the differential into the degree
-    for n in range(len(z.sizes)):  # out of the top degree, every column is empty
-        ranks, pivots = reduce_columns(z._columns(n, z._faces(n), z._faces(n + 1), cleared=into), z.field)
-        before = [0, *ranks]  # before[j]: the rank of the columns before j
-        for (p, q), (start, size, _) in z._layout.items():
-            if p + q == n:
-                for j in range(start, start + size):
-                    if ranks[j] == before[j] and j not in into:
-                        dims[(p, q)] += 1
-        into = pivots
-    return dict(dims)
+    problem = lower_interval_problem(z.fc)
+    if problem is not None:
+        raise DegenerateComplexError(problem)
+    if not z.runs:
+        return {}
+    m = max(z.fc.faces[g].dim for g in z.runs)
+    return {(m, -m): 1}
 
 
 def page(z: ZeemanComplex, r) -> SSPage:
@@ -400,7 +406,7 @@ def page(z: ZeemanComplex, r) -> SSPage:
         dims = {k: len(v) for k, v in data.reps.items()}
         return SSPage(2, dims, dict(data.d2))
     if r == math.inf:
-        return SSPage(math.inf, _infinity_dims(z), {})
+        return SSPage(math.inf, _terminal_dims(z), {})
     raise UnsupportedPageError(f"unsupported page index {r!r}; use 0, 1, 2 or math.inf")
 
 

@@ -6,10 +6,10 @@ basis from ``linalg.reduce_columns`` and ``linalg._relations``.
 ``reduce_chain`` reduces a whole cochain complex with clearing from a list
 of its differentials, every column written, and replaces a column at a
 pivot row of the differential before by an empty one.  The library's
-rank-only reductions clear as they write instead (the terminal page and
-the page-1 dimensions in ``zeeman``, the Hochster coboundary in
-``eagon_reiner``), so the tests compare this with them and with the
-uncleared reductions of ``uncleared``.
+rank-only reductions clear as they write instead (the page-1 dimensions
+in ``zeeman``, the Hochster coboundary in ``eagon_reiner``, and the
+terminal-page oracle ``reduced_einf``), so the tests compare this with
+them and with the uncleared reductions of ``uncleared``.
 """
 
 from __future__ import annotations

@@ -71,11 +71,42 @@ def four_rays_under_one_face() -> FaceComplex:
     one 2-face over all four, the signs into the 2-face alternating so that
     the covers square to zero.  Near the apex H^1 has dimension 2, so the
     total complex has cohomology in degree 1 and the terminal page has
-    classes off the diagonal, at (1, 0)."""
+    classes off the diagonal, at (1, 0).  The lower interval of the 2-face
+    is not acyclic, so ``validate`` refuses the poset as not cone-like."""
     faces = [Face(0, 0, "o", key=("p", 0))] + [Face(i, 1, f"r{i}", key=("p", i)) for i in range(1, 5)]
     faces.append(Face(5, 2, "top", key=("p", 5)))
     covers = [Cover(0, i, 1) for i in range(1, 5)] + [Cover(i, 5, (-1) ** (i + 1)) for i in range(1, 5)]
     return FaceComplex(faces, covers, 2)
+
+
+# the 7-vertex torus: the triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7
+TORUS7_FACETS = [tuple(sorted((i + j) % 7 + 1 for j in t)) for i in range(7) for t in ((0, 1, 3), (0, 2, 3))]
+
+
+def torus_with_top_face_text() -> str:
+    """A polyhedral file that passes every structural check but is no
+    polyhedral complex: the cone over the 7-vertex torus (43 faces, with the
+    simplicial signs) and one face "top" of dimension 4 over its 14
+    triangles, signed by an orientation so that the incidence axiom holds.
+    The lower interval of "top" is a cone over a torus, not a ball: its
+    homology is k^2 in dimension 2 (the torus's H_1)."""
+    fc = cone_of_simplicial(SimplicialComplex.from_facets(7, TORUS7_FACETS))
+    triangles = [f.id for f in fc.faces if f.dim == 3]
+    orient = {triangles[0]: 1}  # across each edge the two triangles induce opposite signs
+    stack = [triangles[0]]
+    while stack:
+        t = stack.pop()
+        for e, s in fc.covers_below(t):
+            for u, s2 in fc.covers_above(e):
+                if u not in orient:
+                    orient[u] = -orient[t] * s * s2
+                    stack.append(u)
+    top = len(fc.faces)
+    lines = ["polyhedral", f"ambient {fc.ambient_dim}"]
+    lines += [f"face {f.id} {f.dim} {f.label}" for f in fc.faces] + [f"face {top} 4 top"]
+    lines += [f"cover {c.lower} {c.upper} {c.sign:+d}" for c in fc.covers]
+    lines += [f"cover {t} {top} {orient[t]:+d}" for t in triangles]
+    return "".join(line + "\n" for line in lines)
 
 
 def random_simplicial(rng: random.Random) -> SimplicialComplex:

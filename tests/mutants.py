@@ -47,21 +47,39 @@ class Mutant:
 
 MUTANTS = (
     Mutant(
-        "einf-counts-cleared-column",
+        "einf-top-from-fc-dim",
         "zeeman.py",
-        "if ranks[j] == before[j] and j not in into:",
-        "if ranks[j] == before[j]:",
-        "E-infinity counts only the essential columns: a column at a pivot row "
-        "of the differential into its degree is a coboundary, not a class",
-        ("test_clearing.py", "test_sparse_ranks.py"),
+        "m = max(z.fc.faces[g].dim for g in z.runs)",
+        "m = z.fc.dim",
+        "the terminal page is k at (m, -m) with m the largest dimension of a face containing the degree, "
+        "which on a complex that is not pure can lie below the top dimension",
+        ("test_terminal_page.py",),
     ),
     Mutant(
-        "einf-wrong-bidegree",
+        "einf-skips-premise",
         "zeeman.py",
-        "dims[(p, q)] += 1",
-        "dims[(p, -p)] += 1",
-        "an essential column of the pair (F, G) is a class at (dim F, -dim G)",
-        ("test_clearing.py", "test_sparse_ranks.py"),
+        "    if problem is not None:\n        raise DegenerateComplexError(problem)",
+        "    if False:\n        raise DegenerateComplexError(problem)",
+        "the closed form holds only on a cone-like complex; on one that is not, the terminal page "
+        "has classes off total degree 0, and the closed form must refuse it",
+        ("test_terminal_page.py", "test_clearing.py"),
+    ),
+    Mutant(
+        "validate-skips-lower-intervals",
+        "complexes.py",
+        "if not problems and (problem := lower_interval_problem(fc)) is not None:",
+        "if False:",
+        "a complex whose lower interval [0, F] is not acyclic is no cone's face poset, and validate names F",
+        ("test_terminal_page.py", "test_cli_fuzz.py"),
+    ),
+    Mutant(
+        "check-composition-always-true",
+        "resolutions.py",
+        '"""Consecutive maps compose to zero; augmentation lands in the kernel."""',
+        '"""Consecutive maps compose to zero; augmentation lands in the kernel."""\n        return True',
+        "a sequence whose maps do not compose to zero, or whose first map does not kill the augmentation, "
+        "is no complex: the certificate must say so",
+        ("test_resolutions.py",),
     ),
     Mutant(
         "reduce-chain-clears-extra-column",

@@ -8,6 +8,11 @@ verdict) must come with the command's verdict line.  Mutated files stay
 small: at most 6 vertices, and for semigroup inputs, whose guard still
 admits 12 functionals, an ambient dimension of at most 3 and at most 6
 functionals.
+
+A polyhedral input that passes every structural check but is not
+cone-like, the cone over the 7-vertex torus under one more face, is
+refused the same way: ``validate`` exits 1 naming the face and the
+degree, and every other command exits 2.
 """
 
 import contextlib
@@ -20,6 +25,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from zeemac.cli import run  # noqa: E402
+
+from .helpers import torus_with_top_face_text  # noqa: E402
 
 EXAMPLES = (
     "simplicial\nvertices 3\nfacet 1 2\nfacet 1 3\nfacet 2 3\n",
@@ -182,3 +189,23 @@ def test_cli_directory_as_input_is_an_input_error(tmp_path):
         assert code == 2, command
         assert out.getvalue() == "", command
         assert str(tmp_path) in err.getvalue() and "Traceback" not in err.getvalue(), command
+
+
+def test_a_complex_that_is_not_cone_like_is_an_input_error(tmp_path):
+    path = tmp_path / "torus.txt"
+    path.write_text(torus_with_top_face_text())
+    problem = "the lower interval of face top (dim 4) is not acyclic"
+    where = "nonzero in dimension 2, at (p, q) = (4, -2)"
+    for command in COMMANDS:
+        for fmt in ("text", "json"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run([command[0], str(path), *command[1:], "--format", fmt])
+            assert "Traceback" not in err.getvalue(), command
+            if command[0] == "validate":
+                assert code == 1, fmt
+                report = out.getvalue() if fmt == "text" else json.loads(out.getvalue())["problems"][0]
+                assert problem in report and where in report, fmt
+            else:
+                assert (code, out.getvalue()) == (2, ""), command
+                assert problem in err.getvalue() and where in err.getvalue(), command

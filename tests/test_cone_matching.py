@@ -20,7 +20,7 @@ import pytest
 
 from zeemac import GF, QQ, SimplicialComplex, cone_of_simplicial
 from zeemac.cohomology import _NO_COBOUNDARIES, _cone_matched, _local, cochain_complex, cohomology_summary
-from zeemac.complexes import Cover, Face, FaceComplex, validate
+from zeemac.complexes import Cover, Face, FaceComplex, lower_interval_problem, validate
 from zeemac.formats import parse_input_text
 
 from .helpers import random_simplicial, random_sweep
@@ -108,7 +108,12 @@ def test_a_poset_failing_one_condition_is_declined(name):
 
 
 def test_two_covers_poset_is_a_complex_that_is_not_acyclic():
-    assert validate(TWO_COVERS).ok
+    # the incidence axiom holds; validate refuses the poset only as no
+    # cone's face poset (three faces under x5 = z1)
+    report = validate(TWO_COVERS)
+    assert not report.bad_diamonds
+    assert report.problems == (lower_interval_problem(TWO_COVERS),)
+    assert TWO_COVERS.lower_interval_defect == (5, 1)
     for field in FIELDS:
         assert cohomology_summary(cochain_complex(TWO_COVERS, 0, field)).dims == (0, 1, 1)
 

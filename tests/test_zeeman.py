@@ -250,9 +250,9 @@ def test_build_holds_at_most_80_bytes_per_pair():
 
 
 def test_build_and_concentration_write_no_total_complex():
-    # cm-check builds and runs the concentration check only, and E-infinity
-    # streams the total differentials: none of them may fill the total
-    # complex, and build holds no matrix at all
+    # cm-check builds and runs the concentration check only, which streams
+    # the block maps, and the terminal page is read off the admitted faces:
+    # none of them may fill the total complex, and build holds no matrix
     for sc in (hollow_triangle(), bowtie(), rp2()):
         z = build(cone_of_simplicial(sc), None, GF(2))
         held = [x for v in vars(z).values() for x in (v.values() if isinstance(v, dict) else (v,))]

@@ -10,8 +10,8 @@ reduction reads the pivots of another, so none presumes D_{n+1} D_n = 0.
 The cleared reductions must agree with these exactly: the ranks and
 pivots of every differential, and the dimensions.  The terminal page here
 is the filtered-rank formula, from column-prefix and row-suffix ranks
-(``row_suffix_ranks``), where the library counts essential columns; the
-two share only ``reduce_columns``.
+(``row_suffix_ranks``), where the oracle ``reduced_einf`` counts
+essential columns; the two share only ``reduce_columns``.
 
 The representative paths run here without clearing: each differential's
 kernel and reduced image come from one tagged reduction

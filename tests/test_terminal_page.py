@@ -26,6 +26,7 @@ from itertools import combinations
 import pytest
 
 from zeemac import GF, QQ, SimplicialComplex, build, cone_of_simplicial, face_lattice, page, vertical_cohomology_dims
+from zeemac import complexes
 from zeemac.complexes import DegenerateComplexError, FaceComplex, _integer_diagonal, validate
 from zeemac.formats import parse_input_text
 from zeemac.linalg import Mat
@@ -124,10 +125,18 @@ def test_a_complex_that_is_not_cone_like_is_refused(name):
             page(z, math.inf)
 
 
-def test_a_complex_with_geometry_skips_the_scan():
-    fc = cone_of_simplicial(SimplicialComplex.from_facets(3, [{1, 2}, {1, 3}, {2, 3}]))
-    assert fc.lower_interval_defect is None
-    assert "lower_interval_defect" in vars(fc)  # kept on the complex
+def test_the_scan_runs_once_and_not_on_a_complex_with_geometry(monkeypatch):
+    hollow = cone_of_simplicial(SimplicialComplex.from_facets(3, [{1, 2}, {1, 3}, {2, 3}]))
+    bare = without_geometry(hollow)
+    assert bare.lower_interval_defect is None  # scanned, and kept on the complex
+
+    def scan(columns):
+        raise AssertionError("a lower interval was diagonalized")
+
+    monkeypatch.setattr(complexes, "_integer_diagonal", scan)
+    for fc in (hollow, bare):
+        assert validate(fc).ok
+        assert page(build(fc), math.inf).dims == {(2, -2): 1}
 
 
 def test_the_integer_diagonal_gives_the_rank_over_every_field():

@@ -9,7 +9,7 @@ scaled by the cover sign so they assemble directly into the vertical
 differential of the double complex and into minimal resolutions.
 
 Every upper-set complex is read off one signed cover table per complex
-and field (``_cover_columns``).  Column f is f's covers, signed, and every
+and field (the store's ``cols``).  Column f is f's covers, signed, and every
 cover of a face above G is above G, so it is f's column in the complex
 above every G <= f, its rows named by face id.  The bases are G's row of
 the upper-set table (``FaceComplex.upper_levels``), each level in id
@@ -28,13 +28,13 @@ vectors e_j at the j off the pivot rows below.  The premise,
 d_{p+1} d_p = 0, is the incidence axiom, which ``complexes.validate``
 checks and the CLI requires of every input.
 
-Each face complex keeps one store per field.  For a face g it keeps,
-after one reduction, what is read again: the bases, the cohomology
-summary (representatives over basis positions), and in each degree p
-with representatives the reduced coboundaries that the reduction of
-d_{p-1} left, over face ids and keyed by their distinct pivot faces.  It
-keeps no matrix and no complex.  The Cohen-Macaulay scan, the minimal
-linear resolution and page 1 of the double complex share it.
+Each face complex keeps one store per field (``_Store``): the cover
+table; by face id, what is read again near a face g after one reduction
+(the bases, the cohomology summary with representatives over basis
+positions, and in each degree p with representatives the reduced
+coboundaries that the reduction of d_{p-1} left, over face ids and keyed
+by their distinct pivot faces; no matrix, no complex); one copy of each
+restriction block per (g', p); the Cohen-Macaulay verdict, once scanned.
 
 The restriction blocks into g' read those kept columns.  In degree p the
 representatives V_j near g' end in distinct rows j off the pivot rows P
@@ -152,14 +152,21 @@ class CohomologySummary:
         return sum(self.dims)
 
 
-def _cover_columns(fc: FaceComplex, field: Field) -> list:
-    """The signed cover table of ``fc``: ``cols[f]`` is ``{cover id: sign}``,
-    the signs reduced into ``field``; built on first use and kept."""
-    cols = fc._cover_columns.get(field)
-    if cols is None:
+class _Store:
+    """The local-cohomology store of one complex over one field (module docstring)."""
+
+    def __init__(self, fc: FaceComplex, field: Field):
         signs = {s: field.reduce(s) for s in (1, -1)}
-        cols = fc._cover_columns[field] = [{h: signs[s] for h, s in fc._up[f]} for f in range(len(fc.faces))]
-    return cols
+        self.field = field
+        self.cols = [{h: signs[s] for h, s in fc._up[f]} for f in range(len(fc.faces))]  # f -> {cover id: sign}
+        self.near: list = [None] * len(fc.faces)  # face id -> _Near, filled by _near_in
+        self.blocks: dict = {}  # (g', p) -> {g: block}, filled by _restriction_blocks
+        self.verdict: CMResult | None = None  # filled by is_cohen_macaulay
+
+
+def _store(fc: FaceComplex, field: Field) -> _Store:
+    """The store of ``fc`` over ``field``, made on first use and kept by ``fc``."""
+    return fc._stores.get(field) or fc._stores.setdefault(field, _Store(fc, field))
 
 
 def cochain_complex(fc: FaceComplex, g: int, field: Field) -> VSComplex:
@@ -168,7 +175,7 @@ def cochain_complex(fc: FaceComplex, g: int, field: Field) -> VSComplex:
     Degree-p basis: faces F >= g with dim F = p; the entry of the
     differential from F to a cover F' is the cover sign.
     """
-    cols, bases = _cover_columns(fc, field), fc.upper_levels(g)
+    cols, bases = _store(fc, field).cols, fc.upper_levels(g)
     index = {f: i for level in bases for i, f in enumerate(level)}
     lo = fc.face(g).dim
     columns = [[{index[h]: x for h, x in cols[f].items()} for f in dom] for dom in bases[:-1]]
@@ -221,16 +228,16 @@ def _cone_matched(fc: FaceComplex, g: int, bases: tuple) -> bool:
     return False
 
 
-def _near(fc: FaceComplex, g: int, field: Field) -> _Near:
+def _near(fc: FaceComplex, g: int, store: _Store) -> _Near:
     """The upper-set complex above ``g`` read off the cover table and reduced once, unless cone-matched."""
-    cols, bases = _cover_columns(fc, field), fc.upper_levels(g)
+    cols, bases = store.cols, fc.upper_levels(g)
     lo = fc.face(g).dim
     if _cone_matched(fc, g, bases):
         n = len(bases)
         return _Near(bases, CohomologySummary(lo, lo + n - 1, (0,) * n, ((),) * n), _NO_COBOUNDARIES)
     reps, kept = [], {}
     levels = ([(f, cols[f]) for f in level] for level in bases)
-    for p, (chosen, coboundaries, _) in enumerate(cochain_classes(levels, field), lo):
+    for p, (chosen, coboundaries, _) in enumerate(cochain_classes(levels, store.field), lo):
         reps.append(chosen)
         if coboundaries:
             kept[p] = coboundaries
@@ -238,17 +245,15 @@ def _near(fc: FaceComplex, g: int, field: Field) -> _Near:
     return _Near(bases, summary, kept or _NO_COBOUNDARIES)
 
 
-def _stored(fc: FaceComplex, field: Field, key, compute):
-    """The value under ``key`` in the per-field store of ``fc``, computed on first use."""
-    store = fc._local_cohomology.setdefault(field, {})
-    value = store.get(key)
-    if value is None:
-        value = store[key] = compute()
-    return value
+def _near_in(fc: FaceComplex, store: _Store, g: int) -> _Near:
+    """The store's entry near ``g``, computed on first use."""
+    if (near := store.near[g]) is None:
+        near = store.near[g] = _near(fc, g, store)
+    return near
 
 
 def _local(fc: FaceComplex, g: int, field: Field) -> _Near:
-    return _stored(fc, field, ("near", g), lambda: _near(fc, g, field))
+    return _near_in(fc, _store(fc, field), g)
 
 
 def local_cohomology(fc: FaceComplex, g: int, field: Field) -> CohomologySummary:
@@ -257,7 +262,7 @@ def local_cohomology(fc: FaceComplex, g: int, field: Field) -> CohomologySummary
     return _local(fc, g, field).summary
 
 
-def _restriction_blocks(fc: FaceComplex, g_prime: int, field: Field, p: int) -> dict:
+def _restriction_blocks(fc: FaceComplex, store: _Store, g_prime: int, p: int) -> dict:
     """``{g: block}`` for every face ``g`` covering ``g_prime``: the
     sign-weighted degree-p restriction from near ``g`` to near ``g_prime``.
 
@@ -265,12 +270,15 @@ def _restriction_blocks(fc: FaceComplex, g_prime: int, field: Field, p: int) -> 
     the kept coboundaries near ``g_prime``, which end in distinct rows, all
     in face ids; its coefficients on the representatives make its column.
     """
-    dst = _local(fc, g_prime, field)
+    if (blocks := store.blocks.get((g_prime, p))) is not None:
+        return blocks
+    field = store.field
+    dst = _near_in(fc, store, g_prime)
     dst_reps = dst.summary.reps(p)
-    covers = [(g, sign, _local(fc, g, field)) for g, sign in fc.covers_above(g_prime)]
+    covers = [(g, sign, _near_in(fc, store, g)) for g, sign in fc.covers_above(g_prime)]
     rows = len(dst_reps)
     if not rows or not any(src.summary.reps(p) for _, _, src in covers):
-        return {g: Mat.zeros(rows, src.summary.dim(p), field) for g, _, src in covers}
+        return store.blocks.setdefault((g_prime, p), {g: Mat.zeros(rows, src.summary.dim(p), field) for g, _, src in covers})
     ids = dst.basis(p)
     rep_at = {ids[max(rep)]: k for k, rep in enumerate(dst_reps)}  # V_j ends in row j
     cocycles = {**dst.coboundaries.get(p, {}), **{ids[max(rep)]: {ids[i]: x for i, x in rep.items()} for rep in dst_reps}}
@@ -284,7 +292,7 @@ def _restriction_blocks(fc: FaceComplex, g_prime: int, field: Field, p: int) -> 
                 raise RuntimeError("a cocycle failed to reduce in the larger complex")
             out_cols.append({rep_at[r]: field.reduce(sign * c) for r, c in coords.items() if r in rep_at})
         blocks[g] = Mat(rows, len(out_cols), out_cols, field)
-    return blocks
+    return store.blocks.setdefault((g_prime, p), blocks)
 
 
 def restriction_map(fc: FaceComplex, g: int, g_prime: int, field: Field, p: int) -> Mat:
@@ -299,9 +307,7 @@ def restriction_map(fc: FaceComplex, g: int, g_prime: int, field: Field, p: int)
     """
     if not fc.is_cover(g_prime, g):
         raise ValueError(f"face {g_prime} is not a facet of face {g}")
-    return _stored(
-        fc, field, ("restriction", g_prime, p), lambda: _restriction_blocks(fc, g_prime, field, p)
-    )[g]
+    return _restriction_blocks(fc, _store(fc, field), g_prime, p)[g]
 
 
 def induced_map(fc: FaceComplex, field: Field, p: int, src, dst) -> Mat:
@@ -311,6 +317,7 @@ def induced_map(fc: FaceComplex, field: Field, p: int, src, dst) -> Mat:
     columns (rows), one per representative; the block from a face of
     ``src`` into one of ``dst`` that it covers is ``restriction_map``, and
     every other block is zero."""
+    store = _store(fc, field)
     row_of, rows = {}, 0
     for g, dim in dst:
         row_of[g] = rows
@@ -321,7 +328,7 @@ def induced_map(fc: FaceComplex, field: Field, p: int, src, dst) -> Mat:
         for g2, _ in fc.covers_below(g):
             r0 = row_of.get(g2)
             if r0 is not None:
-                for col, restricted in zip(block, restriction_map(fc, g, g2, field, p).columns):
+                for col, restricted in zip(block, _restriction_blocks(fc, store, g2, p)[g].columns):
                     col.update((r0 + r, x) for r, x in restricted.items())
         columns.extend(block)
     return Mat(rows, len(columns), columns, field)
@@ -341,10 +348,18 @@ def is_cohen_macaulay(fc: FaceComplex, field: Field) -> CMResult:
     On failure the witness is the first (face, degree) pair in face order
     with a nonzero group, together with its dimension.  A complex with
     only the minimal face is Cohen-Macaulay (the condition is vacuous).
+    Computed once per complex and field, and kept in the store.
     """
+    store = _store(fc, field)
+    if store.verdict is None:
+        store.verdict = _cm_scan(fc, store)
+    return store.verdict
+
+
+def _cm_scan(fc: FaceComplex, store: _Store) -> CMResult:  # is_cohen_macaulay's one pass over the faces
     n = fc.dim
     for f in fc.faces:
-        summary = local_cohomology(fc, f.id, field)
+        summary = _near_in(fc, store, f.id).summary
         for p in range(summary.lo, min(summary.hi, n - 1) + 1):
             d = summary.dim(p)
             if d > 0:

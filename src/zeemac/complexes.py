@@ -8,7 +8,8 @@ cone; a simplicial face on k vertices becomes a cone face of dimension k.
 Each FaceComplex keeps one graded upper-set table (``upper_levels``): for
 a face g, the faces >= g by dimension, each level in id order, read off
 the covers on first use and kept.  The local-cohomology store, ``build``,
-the exactness certificate, ``above`` and ``upper_set`` all read it.
+the exactness certificate and its block-support check, ``above`` and
+``upper_set`` all read it.
 
 A valid complex is also cone-like: every lower interval [0, F], F other
 than the minimal face, is acyclic (``lower_interval_defect``), the
@@ -82,8 +83,7 @@ class FaceComplex:
             self._down[c.upper].append((c.lower, c.sign))
         self._cover_sign = {(c.lower, c.upper): c.sign for c in self.covers}
         self._upper: dict[int, tuple] = {}  # the upper-set table, filled by upper_levels
-        self._local_cohomology: dict = {}  # Field -> {key: value}, filled by cohomology._stored
-        self._cover_columns: dict = {}  # Field -> the signed cover table, filled by cohomology._cover_columns
+        self._stores: dict = {}  # Field -> the local-cohomology store over it, made by cohomology._store
 
     @property
     def dim(self) -> int:
@@ -320,39 +320,35 @@ class VoidComplex:
 VOID_COMPLEX = VoidComplex()
 
 
-def _set_label(s) -> str:
-    return "{" + ",".join(str(v) for v in sorted(s)) + "}"
-
-
 def cone_of_simplicial(sc: SimplicialComplex) -> FaceComplex:
     """Realize a simplicial complex as a cone complex over the orthant.
 
     Each simplicial face S (including the empty one) becomes a cone face of
-    dimension |S|; covers are (S, S+{v}) signed by (-1)^(position of v in
-    sorted(S+{v})), the usual cochain convention.  The orthant semigroup is
-    attached so graded evaluation works downstream.
+    dimension |S|, in the order of (|S|, sorted(S)); covers are (S, S+{v})
+    signed by (-1)^(position of v in sorted(S+{v})), the usual cochain
+    convention, read off vertex bitmasks (bit v for vertex v).  The orthant
+    semigroup is attached so graded evaluation works downstream.
     """
     from .semigroup import AffineSemigroup, ConeFace
 
-    face_sets = sorted(sc.faces(), key=lambda s: (len(s), sorted(s)))
-    index = {s: i for i, s in enumerate(face_sets)}
-    faces = [Face(i, len(s), _set_label(s), key=("s", tuple(sorted(s)))) for i, s in enumerate(face_sets)]
-    covers = []
-    for s in face_sets:
-        for v in range(1, sc.d + 1):
-            if v in s:
-                continue
-            t = s | {v}
-            if t in index:
-                pos = sorted(t).index(v)
-                covers.append(Cover(index[s], index[t], -1 if pos % 2 else 1))
-    q = AffineSemigroup.orthant(sc.d)
-    cone_faces = {}
-    for s, i in index.items():
-        vanishing = frozenset(j for j in range(sc.d) if (j + 1) not in s)
-        interior = tuple(1 if (j + 1) in s else 0 for j in range(sc.d))
-        cone_faces[i] = ConeFace(vanishing, len(s), interior)
-    return FaceComplex(faces, covers, sc.d, cone_faces=cone_faces, semigroup=q)
+    d = sc.d
+    bits = [1 << v for v in range(1, d + 1)]
+    vertices = {m: tuple(v for v, b in enumerate(bits, 1) if m & b) for m in _face_masks(sc.facets)}
+    masks = sorted(vertices, key=lambda m: (len(vertices[m]), vertices[m]))
+    index = {m: i for i, m in enumerate(masks)}
+    faces, covers, cone_faces = [], [], {}
+    for i, m in enumerate(masks):
+        vs = vertices[m]
+        faces.append(Face(i, len(vs), "{" + ",".join(map(str, vs)) + "}", key=("s", vs)))
+        odd = False  # the parity of the vertices of S below v
+        for b in bits:
+            if m & b:
+                odd = not odd
+            elif (j := index.get(m | b)) is not None:
+                covers.append(Cover(i, j, -1 if odd else 1))
+        interior = tuple(1 if m & b else 0 for b in bits)
+        cone_faces[i] = ConeFace(frozenset(j for j, x in enumerate(interior) if not x), len(vs), interior)
+    return FaceComplex(faces, covers, d, cone_faces=cone_faces, semigroup=AffineSemigroup.orthant(d))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ and all maps are degreewise scalar.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
@@ -92,13 +93,13 @@ class FaceModuleComplex:
         return tuple(len(t) for t in self.terms)
 
     def check_block_support(self) -> bool:
-        """Entries only where the codomain face is a face of the domain face."""
-        below = {f.id: self.fc.below(f.id) for f in self.fc.faces}
+        """Entries only where the codomain face is a face of the domain face (``_is_face_of``)."""
+        fc = self.fc
         for i, m in enumerate(self.maps):
             dom = self.terms[i].faces
             cod = self.terms[i + 1].faces
             for c, col in enumerate(m.columns):
-                if any(cod[r] not in below[dom[c]] for r in col):
+                if not all(_is_face_of(fc, cod[r], dom[c]) for r in col):
                     return False
         return True
 
@@ -111,6 +112,15 @@ class FaceModuleComplex:
             if any(self.maps[0].mul_vec(self.augmentation)):
                 return False
         return True
+
+
+def _is_face_of(fc: FaceComplex, g: int, f: int) -> bool:
+    """Whether ``g`` is a face of ``f``: ``f`` is in the row of ``g`` in the upper-set
+    table at level dim f - dim g, found by bisection, as each level is in id order."""
+    row, k = fc.upper_levels(g), fc.faces[f].dim - fc.faces[g].dim
+    level = row[k] if 0 <= k < len(row) else ()
+    i = bisect_left(level, f)
+    return i < len(level) and level[i] == f
 
 
 def total_resolution(fc: FaceComplex, field: Field = QQ) -> FaceModuleComplex:
@@ -157,12 +167,10 @@ def minimal_linear_resolution(fc: FaceComplex, field: Field = QQ) -> FaceModuleC
     if not verdict.ok:
         raise NotCohenMacaulayError(verdict.witness)
     n = fc.dim
-    levels = []  # per term: (face, dim H^n near it) over its faces with top cohomology
-    for i in range(n + 1):
-        levels.append([])
-        for g in fc.faces_of_dim(n - i):
-            if m := local_cohomology(fc, g, field).dim(n):
-                levels[-1].append((g, m))
+    levels = [[] for _ in range(n + 1)]  # per term: (face, dim H^n near it) over its faces with top cohomology
+    for f in fc.faces:
+        if m := local_cohomology(fc, f.id, field).dim(n):
+            levels[n - f.dim].append((f.id, m))
     while len(levels) > 1 and not levels[-1]:
         levels.pop()
     terms = [FaceModule(tuple(g for g, m in level for _ in range(m))) for level in levels]

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field as dfield
 from functools import cached_property
 from itertools import count
 
-from .cohomology import VSComplex, induced_map, local_cohomology
+from .cohomology import VSComplex, _near_in, _store, induced_map
 from .complexes import DegenerateComplexError, FaceComplex, lower_interval_problem
 from .linalg import (
     Field,
@@ -268,7 +268,7 @@ class _Page1Data:
 def _page1_data(z: ZeemanComplex) -> _Page1Data:
     if z._page1 is not None:
         return z._page1
-    fc, field = z.fc, z.field
+    fc, field, store = z.fc, z.field, _store(z.fc, z.field)
     reps: dict = {}
     faces: dict = {}  # (p,q) -> (face, dim H^p near it) per face with representatives
     # Row q is block-diagonal over its faces and a block lists them in
@@ -279,7 +279,7 @@ def _page1_data(z: ZeemanComplex) -> _Page1Data:
     for (p, q), (_, _, gs) in sorted(z._layout.items(), key=lambda item: (-item[0][1], item[0][0])):
         vecs, dims, offset = [], [], 0
         for g in gs:
-            local = local_cohomology(fc, g, field).reps(p)
+            local = _near_in(fc, store, g).summary.reps(p)
             if local:
                 vecs.extend({offset + i: x for i, x in rep.items()} for rep in local)
                 dims.append((g, len(local)))

@@ -82,6 +82,15 @@ MUTANTS = (
         ("test_resolutions.py",),
     ),
     Mutant(
+        "block-support-skips-the-bisection-hit",
+        "resolutions.py",
+        "return i < len(level) and level[i] == f",
+        "return i < len(level)",
+        "an entry is supported only when its domain face lies in its codomain face's upper set; "
+        "a face of the same dimension sorted before one that does is not",
+        ("test_resolutions.py",),
+    ),
+    Mutant(
         "reduce-chain-clears-extra-column",
         "eagon_reiner.py",
         "{} if i in pivots else",
@@ -279,6 +288,23 @@ MUTANTS = (
         "if not hits or hits[0] in matched:",
         "each face off U(a) has exactly one cover in U(a); a second one would close a cycle of the matching",
         ("test_cone_matching.py",),
+    ),
+    Mutant(
+        "cm-verdict-ignores-the-field",
+        "cohomology.py",
+        "    return store.verdict",
+        "    return next(s.verdict for s in fc._stores.values() if s.verdict is not None)",
+        "the Cohen-Macaulay verdict is kept per complex and field: rp2 is Cohen-Macaulay over QQ and "
+        "not over GF(2), and asked on one object in turn it must get both verdicts",
+        ("test_page1_engine.py",),
+    ),
+    Mutant(
+        "cm-check-agreement-always-yes",
+        "cli.py",
+        "{'yes' if conc.ok == verdict.ok else 'NO (bug)'}",
+        "{'yes' if True else 'NO (bug)'}",
+        "cm-check's agreement line compares the local-cohomology verdict with page-1 concentration",
+        ("test_formats_cli.py",),
     ),
     Mutant(
         "cm-check-exits-0-on-a-false-verdict",

@@ -21,7 +21,9 @@ from zeemac.complexes import Cover, DegenerateComplexError, Face, FaceComplex, s
 from zeemac.formats import parse_input_text
 
 from . import test_golden_cli as golden
-from .helpers import bowtie, hollow_triangle, random_simplicial, random_sweep
+from .frozenset_cone import frozenset_cone
+from .helpers import bowtie, d2_witness, hollow_triangle, random_simplicial, random_sweep, rp2
+from .test_cleared_representatives import SPHERES
 
 
 def test_cone_hollow_triangle_shape():
@@ -32,6 +34,26 @@ def test_cone_hollow_triangle_shape():
     assert len(fc.covers) == 9
     assert all(fc.face(c.upper).dim == fc.face(c.lower).dim + 1 for c in fc.covers)
     assert validate(fc).ok
+
+
+def _cone_inputs():
+    """The acceptance sweep, two more sweeps, the four spheres and the named fixtures."""
+    for n, seed in ((220, 20250811), (55, 901), (55, 2401)):
+        yield from random_sweep(n, seed)
+    for d, facets in SPHERES.values():
+        yield SimplicialComplex.from_facets(d, [frozenset(f) for f in facets])
+    yield from (hollow_triangle(), bowtie(), rp2(), d2_witness(), SimplicialComplex.from_facets(3, [frozenset()]))
+
+
+def test_cone_from_bitmasks_matches_the_frozenset_construction():
+    for sc in _cone_inputs():
+        got, want = cone_of_simplicial(sc), frozenset_cone(sc)
+        assert got.faces == want.faces, sc.facets
+        assert got.covers == want.covers, sc.facets
+        assert list(got.cone_faces.items()) == list(want.cone_faces.items()), sc.facets
+        assert got.ambient_dim == want.ambient_dim
+        assert got.semigroup.functionals == want.semigroup.functionals
+        assert got.semigroup.face_count == want.semigroup.face_count
 
 
 def test_cone_single_vertex():

@@ -20,6 +20,7 @@ from zeemac.formats import (
     resolution_from_doc,
     resolution_to_doc,
 )
+from zeemac.cohomology import CMResult
 from zeemac.complexes import subcomplex
 
 from . import test_golden_cli as golden
@@ -161,6 +162,27 @@ def test_cli_cm_check_exit_codes(tmp_path, capsys):
     assert "not Cohen-Macaulay" in out and "witness" in out
     assert run(["cm-check", rp2, "--field", "p:3"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("side", ["local-cohomology", "concentration"])
+def test_cli_cm_check_reports_verdicts_that_disagree(tmp_path, capsys, monkeypatch, side):
+    # one side of the cross-check flipped: the agreement line must compare the two
+    if side == "local-cohomology":
+        path = write(tmp_path, "rp2.txt", RP2)  # not Cohen-Macaulay over GF(2)
+        monkeypatch.setattr(cli, "is_cohen_macaulay", lambda fc, field: CMResult(True, None))
+    else:
+        path = write(tmp_path, "ht.txt", HOLLOW)
+        real = cli.concentration_check
+
+        def flipped(z):
+            conc = real(z)
+            conc.ok = not conc.ok
+            return conc
+
+        monkeypatch.setattr(cli, "concentration_check", flipped)
+    run(["cm-check", path, "--field", "p:2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert "verdicts agree: NO (bug)" in lines and "verdicts agree: yes" not in lines
 
 
 def test_cli_zeeman_page_table(tmp_path, capsys):

@@ -6,7 +6,8 @@ the double complex instead.  Representatives, d1, and the page 2 built on
 them must agree exactly; so must the library's batched sparse page 2 and
 ``dense_page2.dense_page2_data``, the per-class dense zigzag run on the
 reference page 1.  Per-face cohomology must be computed once however many
-consumers read it.
+consumers read it, and so must the Cohen-Macaulay verdict, once per
+complex and field.
 """
 
 import pytest
@@ -117,18 +118,63 @@ def test_the_store_keeps_no_upper_set_complex(field):
     # per face: bases, summary, and reduced coboundaries only where a class is read modulo them
     fc = cone_of_simplicial(rp2())
     run_every_consumer(fc, field)
-    store = fc._local_cohomology[field]
-    assert sorted(key[1] for key in store if key[0] == "near") == [f.id for f in fc.faces]
+    assert list(fc._stores) == [field]
+    store = fc._stores[field]
+    assert len(store.near) == len(fc.faces)  # every face is present, by id
+    assert all(isinstance(m, Mat) for blocks in store.blocks.values() for m in blocks.values())
+    for (g_prime, p), blocks in store.blocks.items():
+        assert list(blocks) == [g for g, _ in fc.covers_above(g_prime)], (g_prime, p)
     kept = 0
-    for key, value in store.items():
-        if key[0] == "restriction":
-            assert all(isinstance(m, Mat) for m in value.values())
-            continue
-        bases, summary, coboundaries = value
+    for g, (bases, summary, coboundaries) in enumerate(store.near):
+        assert bases[0] == (g,)
         assert all(isinstance(level, tuple) and all(isinstance(f, int) for f in level) for level in bases)
         assert isinstance(summary, CohomologySummary)
         assert set(coboundaries) <= {p for p in range(summary.lo, summary.hi + 1) if summary.dim(p)}
         for p, columns in coboundaries.items():
-            assert all(type(col) is dict and max(col) == r for r, col in columns.items()), (key, p)
+            assert all(type(col) is dict and max(col) == r for r, col in columns.items()), (g, p)
             kept += 1
     assert kept > 0
+
+
+def resolution_repr(res) -> str:
+    return repr((res.terms, res.maps, res.augmentation, res.variant))
+
+
+def test_one_complex_keeps_one_verdict_per_field():
+    # rp2 is Cohen-Macaulay over QQ and not over GF(2): asked on the same
+    # object in turn, each field gets its own verdict and its own resolution
+    fc = cone_of_simplicial(rp2())
+    assert is_cohen_macaulay(fc, QQ) == (True, None)
+    res = minimal_linear_resolution(fc, QQ)
+    verdict = is_cohen_macaulay(fc, GF(2))
+    assert not verdict.ok
+    assert verdict == is_cohen_macaulay(cone_of_simplicial(rp2()), GF(2))
+    with pytest.raises(NotCohenMacaulayError) as refusal:
+        minimal_linear_resolution(fc, GF(2))
+    assert refusal.value.witness == verdict.witness
+    assert is_cohen_macaulay(fc, QQ).ok  # the GF(2) verdict did not overwrite it
+    assert resolution_repr(res) == resolution_repr(minimal_linear_resolution(cone_of_simplicial(rp2()), QQ))
+    assert set(fc._stores) == {QQ, GF(2)}
+
+
+def test_the_cm_scan_runs_once_per_complex_and_field(monkeypatch):
+    scans = []
+    scan = cohomology._cm_scan
+
+    def counting(fc, store):
+        scans.append((fc, store.field))
+        return scan(fc, store)
+
+    monkeypatch.setattr(cohomology, "_cm_scan", counting)
+    rp, circle = cone_of_simplicial(rp2()), cone_of_simplicial(hollow_triangle())
+    for field in (QQ, GF(2)):
+        is_cohen_macaulay(rp, field)
+        if field == QQ:
+            minimal_linear_resolution(rp, field)
+        else:
+            with pytest.raises(NotCohenMacaulayError):
+                minimal_linear_resolution(rp, field)
+        is_cohen_macaulay(rp, field)
+    minimal_linear_resolution(circle, GF(2))  # the resolution alone asks for the verdict
+    is_cohen_macaulay(circle, GF(2))
+    assert scans == [(rp, QQ), (rp, GF(2)), (circle, GF(2))]

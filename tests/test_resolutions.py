@@ -36,6 +36,7 @@ from zeemac.resolutions import (
 from zeemac.zeeman import _page1_data
 
 from .ambient_scan import ambient_scan_exactness
+from .lower_set_support import lower_set_block_support
 from .helpers import (
     bowtie,
     cone_with_ids,
@@ -435,3 +436,32 @@ def test_certificate_matches_the_ambient_scan(field):
     # not vacuous: many reports of each kind, failures at many degrees
     assert sum(r.exact for r in reports) > 100
     assert len({r.failing_degree for r in reports if not r.exact}) > 20
+
+
+def _misplaced_entries(res, rng):
+    """``res`` with one entry added in a block of each map, at a random
+    (codomain copy, domain copy), whatever the two faces are."""
+    for i, m in enumerate(res.maps):
+        if m.rows and m.cols:
+            columns = [dict(col) for col in m.columns]
+            columns[rng.randrange(m.cols)][rng.randrange(m.rows)] = 1
+            maps = list(res.maps)
+            maps[i] = Mat(m.rows, m.cols, columns, res.field)
+            yield FaceModuleComplex(res.fc, res.field, res.terms, maps, augmentation=res.augmentation)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=lambda f: f.label())
+def test_block_support_matches_the_lower_set_check(field):
+    rng = random.Random(7073)
+    complexes = [cone_of_simplicial(sc) for sc in random_sweep(40, 7072)]
+    complexes += list(_cones_cut_down())
+    verdicts = []
+    for fc in complexes:
+        for res in _resolutions(fc, field):
+            assert res.check_block_support()
+            for c in (res, *_broken_variants(res, rng), *_misplaced_entries(res, rng)):
+                got = c.check_block_support()
+                assert got == lower_set_block_support(c), (fc.faces, c.variant)
+                verdicts.append(got)
+    # not vacuous: many verdicts of each kind
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100, (verdicts.count(True), verdicts.count(False))

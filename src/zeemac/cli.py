@@ -36,7 +36,10 @@ from .zeeman import build, concentration_check, page
 
 
 def _parse_degree(text: str, d: int) -> tuple | None:
-    parts = [p for p in text.split(",") if p.strip() != ""]
+    """The ``--degree`` vector ``text``: comma-separated integers, none of them empty."""
+    parts = text.split(",")
+    if empty := [k for k, p in enumerate(parts, 1) if not p.strip()]:
+        raise formats.InputFormatError(f"bad --degree {text!r}: field {empty[0]} is empty")
     try:
         vals = [int(p) for p in parts]
     except ValueError as exc:
@@ -90,6 +93,13 @@ def _cmd_validate(bundle, args, out, doc) -> int:
     return 1
 
 
+def _witness(fc, witness, out, doc) -> None:
+    """The ``witness:`` line and the JSON ``witness`` member of a (face, degree, dimension) witness."""
+    g, p, dim = witness
+    out.append(f"witness: face {fc.face(g).label}, cohomological degree {p}, dimension {dim}")
+    doc["witness"] = {"face": fc.face(g).label, "degree": p, "dimension": dim}
+
+
 def _cmd_cm_check(bundle, args, out, doc) -> int:
     field = args.field
     fc = bundle.fc
@@ -102,10 +112,8 @@ def _cmd_cm_check(bundle, args, out, doc) -> int:
     if verdict.ok:
         out.append("local-cohomology verdict: Cohen-Macaulay")
     else:
-        g, p, dim = verdict.witness
         out.append("local-cohomology verdict: not Cohen-Macaulay")
-        out.append(f"witness: face {fc.face(g).label}, cohomological degree {p}, dimension {dim}")
-        doc["witness"] = {"face": fc.face(g).label, "degree": p, "dimension": dim}
+        _witness(fc, verdict.witness, out, doc)
     conc = concentration_check(build(fc, None, field))
     doc["concentration"] = conc.ok
     doc["concentration-violations"] = [list(v) for v in conc.violations]
@@ -203,12 +211,10 @@ def _cmd_irres(bundle, args, out, doc) -> int:
     try:
         res = minimal_linear_resolution(fc, field)
     except NotCohenMacaulayError as exc:
-        g, p, dim = exc.witness
         out.append(f"field: {field.label()}")
         out.append("refused: the complex is not Cohen-Macaulay over this field")
-        out.append(f"witness: face {fc.face(g).label}, cohomological degree {p}, dimension {dim}")
         doc["refused"] = True
-        doc["witness"] = {"face": fc.face(g).label, "degree": p, "dimension": dim}
+        _witness(fc, exc.witness, out, doc)
         return 1
     _emit_resolution(res, bundle, out, args, _resolution_certificates(res), doc)
     return 0
@@ -289,12 +295,9 @@ def _cmd_betti(bundle, args, out, doc) -> int:
     verdict = is_cohen_macaulay(bundle.fc, field)
     if verdict.ok and not bt.void_dual:
         res = minimal_linear_resolution(bundle.fc, field)
-        bt2 = betti_from_dual(dualize(res))
-        doc["cross-check"] = bt2.same_entries(bt)
-        out.append(
-            "cross-check against the dualized minimal resolution: "
-            + ("agrees" if bt2.same_entries(bt) else "DISAGREES (escalate)")
-        )
+        agrees = betti_from_dual(dualize(res)).same_entries(bt)
+        doc["cross-check"] = agrees
+        out.append(f"cross-check against the dualized minimal resolution: {'agrees' if agrees else 'DISAGREES (escalate)'}")
     return 0 if linear else 1
 
 
@@ -325,8 +328,9 @@ def _cmd_hilbert(bundle, args, out, doc) -> int:
         fc.require_geometry("degreewise evaluation needs lattice geometry")
         containing = fc.faces_containing(a)
         on = sorted(containing)
+        quotient = 1 if on else 0
         out.append(f"degree: ({','.join(str(x) for x in a)})")
-        out.append(f"quotient component dimension: {1 if on else 0}")
+        out.append(f"quotient component dimension: {quotient}")
         out.append("faces containing the degree: " + (", ".join(fc.face(i).label for i in on) if on else "none"))
         relint = [i for i in on if fc.relint_contains(i, a)]
         out.append(
@@ -334,15 +338,12 @@ def _cmd_hilbert(bundle, args, out, doc) -> int:
             + (", ".join(fc.face(i).label for i in relint) if relint else "none")
         )
         doc["degree"] = list(a)
-        doc["quotient-dimension"] = 1 if on else 0
+        doc["quotient-dimension"] = quotient
         doc["faces-containing"] = [fc.face(i).label for i in on]
         doc["relative-interior-of"] = [fc.face(i).label for i in relint]
         if args.check_resolution:
-            alt = 0
-            for i, term in enumerate(total_resolution_terms(fc)):
-                comp = sum(1 for g in term.faces if g in containing)
-                alt += (-1) ** i * comp
-            quotient = 1 if on else 0
+            terms = total_resolution_terms(fc)
+            alt = sum((-1) ** i * sum(g in containing for g in term.faces) for i, term in enumerate(terms))
             doc["resolution-alternating-sum"] = alt
             out.append(
                 f"alternating sum over the total resolution: {alt} "

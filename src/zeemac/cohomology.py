@@ -75,7 +75,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .complexes import FaceComplex
-from .linalg import Field, Mat, cochain_classes, echelon_coordinates
+from .linalg import Field, Mat, _composes_to_zero, cochain_classes, echelon_coordinates
 
 _NO_COBOUNDARIES: dict = {}  # the coboundaries kept near every face that keeps none: shared, never written
 
@@ -121,10 +121,7 @@ class VSComplex:
         return Mat.zeros(self.dim(p + 1), self.dim(p), self.field)
 
     def is_complex(self) -> bool:
-        for i in range(len(self.diffs) - 1):
-            if not self.diffs[i + 1].mul(self.diffs[i]).is_zero():
-                return False
-        return True
+        return _composes_to_zero(self.diffs)
 
 
 @dataclass(frozen=True)
@@ -252,14 +249,10 @@ def _near_in(fc: FaceComplex, store: _Store, g: int) -> _Near:
     return near
 
 
-def _local(fc: FaceComplex, g: int, field: Field) -> _Near:
-    return _near_in(fc, _store(fc, field), g)
-
-
 def local_cohomology(fc: FaceComplex, g: int, field: Field) -> CohomologySummary:
     """Cohomology of the upper-set complex near ``g``, with representatives;
     computed once per complex and field."""
-    return _local(fc, g, field).summary
+    return _near_in(fc, _store(fc, field), g).summary
 
 
 def _restriction_blocks(fc: FaceComplex, store: _Store, g_prime: int, p: int) -> dict:

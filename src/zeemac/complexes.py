@@ -32,6 +32,15 @@ class DegenerateComplexError(ValueError):
     """The input has no faces at all, or violates a structural precondition."""
 
 
+class FacetPairError(ValueError):
+    """Two facets, one contained in or equal to the other; ``facets`` holds
+    the pair, as the facets of the complex list them."""
+
+    def __init__(self, message: str, facets):
+        super().__init__(message)
+        self.facets = tuple(facets)
+
+
 @dataclass(frozen=True)
 class Face:
     id: int
@@ -81,7 +90,6 @@ class FaceComplex:
         for c in self.covers:
             self._up[c.lower].append((c.upper, c.sign))
             self._down[c.upper].append((c.lower, c.sign))
-        self._cover_sign = {(c.lower, c.upper): c.sign for c in self.covers}
         self._upper: dict[int, tuple] = {}  # the upper-set table, filled by upper_levels
         self._stores: dict = {}  # Field -> the local-cohomology store over it, made by cohomology._store
 
@@ -108,10 +116,11 @@ class FaceComplex:
         return self._down[fid]
 
     def cover_sign(self, lower: int, upper: int) -> int:
-        return self._cover_sign[(lower, upper)]
+        """The sign of the cover ``lower`` < ``upper``, read off ``upper``'s facets; else ``KeyError``."""
+        return dict(self._down[upper])[lower]
 
     def is_cover(self, lower: int, upper: int) -> bool:
-        return (lower, upper) in self._cover_sign
+        return any(g == lower for g, _ in self._down.get(upper, ()))
 
     def upper_levels(self, fid: int) -> tuple[tuple[int, ...], ...]:
         """The row of ``fid`` in the upper-set table: level i holds the faces
@@ -284,11 +293,11 @@ class SimplicialComplex:
             if any(not (1 <= v <= self.d) for v in f):
                 raise ValueError(f"facet {sorted(f)} leaves the vertex range 1..{self.d}")
             if f in seen:
-                raise ValueError(f"duplicate facet {sorted(f)}")
+                raise FacetPairError(f"duplicate facet {sorted(f)}", (f, f))
             seen.add(f)
         for a, b in combinations(self.facets, 2):
             if a <= b or b <= a:
-                raise ValueError(f"facets must be incomparable: {sorted(a)} vs {sorted(b)}")
+                raise FacetPairError(f"facets must be incomparable: {sorted(a)} vs {sorted(b)}", (a, b))
 
     @classmethod
     def from_facets(cls, d: int, facets) -> "SimplicialComplex":
@@ -360,11 +369,6 @@ class UpperSet:
     lo: int
     hi: int
     by_degree: tuple[tuple[int, ...], ...]
-
-    def degree(self, p: int) -> tuple[int, ...]:
-        if self.lo <= p <= self.hi:
-            return self.by_degree[p - self.lo]
-        return ()
 
 
 def upper_set(fc: FaceComplex, g: int) -> UpperSet:

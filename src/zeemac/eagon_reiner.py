@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 from .complexes import SimplicialComplex, VoidComplex, _face_masks
-from .linalg import Field, reduce_columns
+from .linalg import Field, _composes_to_zero, reduce_columns
 from .resolutions import FaceModuleComplex
 
 
@@ -116,10 +116,9 @@ class DualFreeComplex:
         return True
 
     def check_composition(self) -> bool:
-        for i in range(len(self.maps) - 1):
-            if not self.maps[i].mul(self.maps[i + 1]).is_zero():
-                return False
-        return True
+        """Each map followed by the next one down is zero: ``maps[i] maps[i + 1]``,
+        as ``maps[i]`` runs from position i + 1 into i."""
+        return _composes_to_zero(self.maps[::-1])
 
 
 def dualize(res: FaceModuleComplex) -> DualFreeComplex:

@@ -29,8 +29,10 @@ facet that repeats a vertex or leaves ``1..vertices``, a ``cover`` with
 other than three integers, a ``face`` with more than an id, a dimension
 and one label, a cover that names an unknown face, a ``delta`` index
 outside ``1..#functionals``, bytes that are not UTF-8) raises
-``InputFormatError`` naming the line; so do a polyhedral input with no
-face and a semigroup input with no functional, without a line to name.  A cone that is not pointed or not
+``InputFormatError`` naming the line, and a facet contained in or equal
+to another raises it naming both lines (``facets[k]`` in a JSON document);
+a polyhedral input with no face and a semigroup input with no functional
+raise it without a line to name.  A cone that is not pointed or not
 full-dimensional raises it naming the ``functional`` lines at fault (all
 of them when their rank falls short, else those that vanish on the whole
 cone) and the rank found.
@@ -51,6 +53,7 @@ from .complexes import (
     Cover,
     Face,
     FaceComplex,
+    FacetPairError,
     SimplicialComplex,
     cone_of_simplicial,
     subcomplex,
@@ -145,13 +148,18 @@ def simplicial_bundle(vertices, facets) -> InputBundle:
     in every input error.  The vertex count is checked before any face is
     built."""
     d = _vertex_count(*vertices)
+    first: dict = {}  # facet -> the item it first appears in
     for where, facet in facets:
         if len(set(facet)) != len(facet):
             raise InputFormatError(f"{where}: facet {list(facet)} names a vertex twice")
         if not all(1 <= v <= d for v in facet):
             raise InputFormatError(f"{where}: facet {sorted(facet)} leaves the vertex range 1..{d}")
+        if (seen := first.setdefault(frozenset(facet), where)) != where:
+            raise InputFormatError(f"{seen}, {where}: duplicate facet {sorted(facet)}")
     try:
-        sc = SimplicialComplex.from_facets(d, [frozenset(facet) for _, facet in facets])
+        sc = SimplicialComplex.from_facets(d, list(first))
+    except FacetPairError as exc:  # name the pair's items in input order
+        raise InputFormatError(f"{', '.join(w for f, w in first.items() if f in exc.facets)}: {exc}") from None
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
     fc = cone_of_simplicial(sc)

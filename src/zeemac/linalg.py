@@ -98,7 +98,7 @@ one that the tagged reduction of the whole matrix gives.
 
 The exactness certificate does not clear: its maps may come from a file
 and are not known to compose to zero, so it reduces each map alone
-(``reduce_columns``).
+(``reduce_columns``); whether they do is one check, ``_composes_to_zero``.
 """
 
 from __future__ import annotations
@@ -302,6 +302,11 @@ class Mat:
 
     def is_zero(self) -> bool:
         return not any(self.columns)
+
+
+def _composes_to_zero(maps) -> bool:
+    """Whether each map followed by the next is zero, the maps listed in the order they compose."""
+    return all(b.mul(a).is_zero() for a, b in zip(maps, maps[1:]))
 
 
 def _combine(columns, coefficients, field: Field) -> dict:

@@ -19,17 +19,23 @@ Exactness is certified degreewise at one lattice point per face of the
 ambient cone.  That finite check is complete: the degree-a component of
 every module in sight depends only on the smallest cone face containing a,
 and all maps are degreewise scalar.
+
+Over the orthant k[G] has coarse Hilbert series 1/(1-t)^dim G, so the
+quotient's series and a resolution's alternating sum have numerators over
+(1-t)^d in closed form, each (1-t)^m read off the binomial coefficients.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
+from math import comb
 
 from .cohomology import induced_map, is_cohen_macaulay, local_cohomology
-from .complexes import DegenerateComplexError, FaceComplex
-from .linalg import Field, QQ, reduce_columns
+from .complexes import FaceComplex
+from .linalg import Field, QQ, _composes_to_zero, reduce_columns
 from .zeeman import build, total_complex
 
 
@@ -56,13 +62,7 @@ class FaceModule:
     @property
     def summands(self) -> tuple:
         """The grouped (face id, multiplicity) view."""
-        out = []
-        for f in self.faces:
-            if out and out[-1][0] == f:
-                out[-1][1] += 1
-            else:
-                out.append([f, 1])
-        return tuple((f, m) for f, m in out)
+        return tuple((f, len(list(run))) for f, run in groupby(self.faces))
 
 
 class FaceModuleComplex:
@@ -105,13 +105,9 @@ class FaceModuleComplex:
 
     def check_composition(self) -> bool:
         """Consecutive maps compose to zero; augmentation lands in the kernel."""
-        for i in range(len(self.maps) - 1):
-            if not self.maps[i + 1].mul(self.maps[i]).is_zero():
-                return False
-        if self.augmentation is not None and self.maps:
-            if any(self.maps[0].mul_vec(self.augmentation)):
-                return False
-        return True
+        if self.augmentation is not None and self.maps and any(self.maps[0].mul_vec(self.augmentation)):
+            return False
+        return _composes_to_zero(self.maps)
 
 
 def _is_face_of(fc: FaceComplex, g: int, f: int) -> bool:
@@ -130,7 +126,7 @@ def total_resolution(fc: FaceComplex, field: Field = QQ) -> FaceModuleComplex:
     (dim G, G, F) order of ``build``, and the maps and the diagonal
     augmentation are the differentials and augmentation of
     ``total_complex``."""
-    _require_unique_minimal_face(fc)
+    fc.minimal_face()  # unique, or DegenerateComplexError
     z = build(fc, None, field)
     tot = total_complex(z)
     return FaceModuleComplex(fc, field, _terms(z), tot.complex.diffs, augmentation=tot.augmentation, variant="total")
@@ -139,18 +135,13 @@ def total_resolution(fc: FaceComplex, field: Field = QQ) -> FaceModuleComplex:
 def total_resolution_terms(fc: FaceComplex) -> tuple[FaceModule, ...]:
     """The terms of ``total_resolution(fc, field)``, the same over every
     field, read off the pairs of ``build`` with no matrix built."""
-    _require_unique_minimal_face(fc)
+    fc.minimal_face()  # unique, or DegenerateComplexError
     return _terms(build(fc))
 
 
 def _terms(z) -> tuple[FaceModule, ...]:
     """One copy of k[G] per pair (F, G), term by term in the pair order of ``z``."""
     return tuple(FaceModule(tuple(g for _, g in z.pairs(n))) for n in range(len(z.sizes)))
-
-
-def _require_unique_minimal_face(fc: FaceComplex) -> None:
-    if len(fc.faces_of_dim(0)) != 1:
-        raise DegenerateComplexError("the complex must have a unique minimal face")
 
 
 def minimal_linear_resolution(fc: FaceComplex, field: Field = QQ) -> FaceModuleComplex:
@@ -252,13 +243,8 @@ def verify_exactness(c: FaceModuleComplex) -> ExactnessReport:
 
 def is_linear(c: FaceModuleComplex) -> bool:
     """Whether term i is pure of dimension (top dimension) - i."""
-    fc = c.fc
-    top = fc.dim
-    for i, term in enumerate(c.terms):
-        for g in term.faces:
-            if fc.face(g).dim != top - i:
-                return False
-    return True
+    faces, top = c.fc.faces, c.fc.dim
+    return all(faces[g].dim == top - i for i, term in enumerate(c.terms) for g in term.faces)
 
 
 @dataclass(frozen=True)
@@ -300,39 +286,24 @@ def canonical_module_hilbert(fc: FaceComplex, face: int, a) -> int:
     return 1 if fc.relint_contains(face, a) else 0
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _one_minus_t_pow(k: int):
-    out = [1]
-    for _ in range(k):
-        out = _poly_mul(out, [1, -1])
-    return out
-
-
-def _require_simplicial_ambient(fc: FaceComplex) -> None:
-    for f in fc.faces:
-        if f.key is None or f.key[0] != "s":
-            raise ValueError("coarse Hilbert series need a simplicial (orthant) ambient")
+def _face_ring_series(fc: FaceComplex, terms) -> list:
+    """The sum of c t^s (1-t)^(d-k) over the ``(c, s, k)`` in ``terms``, as
+    coefficients, each (1-t)^m read off its binomial coefficients once per
+    distinct term.  Simplicial only."""
+    if any(f.key is None or f.key[0] != "s" for f in fc.faces):
+        raise ValueError("coarse Hilbert series need a simplicial (orthant) ambient")
+    d = fc.ambient_dim
+    total = [0] * (d + 1)
+    for (c, s, k), n in Counter(terms).items():
+        for j in range(d - k + 1):
+            total[s + j] += (-1) ** j * c * n * comb(d - k, j)
+    return total
 
 
 def coarse_hilbert_numerator(fc: FaceComplex) -> list:
     """Numerator over (1-t)^d of the coarse Hilbert series of the quotient:
     each face of dimension k contributes t^k (1-t)^(d-k).  Simplicial only."""
-    _require_simplicial_ambient(fc)
-    d = fc.ambient_dim
-    total = [0] * (d + 1)
-    for f in fc.faces:
-        term = _poly_mul([0] * f.dim + [1], _one_minus_t_pow(d - f.dim))
-        for i, x in enumerate(term):
-            total[i] += x
-    return total
+    return _face_ring_series(fc, ((1, f.dim, f.dim) for f in fc.faces))
 
 
 def coarse_resolution_numerator(fc: FaceComplex, terms) -> list:
@@ -341,13 +312,4 @@ def coarse_resolution_numerator(fc: FaceComplex, terms) -> list:
     each copy of k[G] contributes (1-t)^(d-dimG).  Equals
     ``coarse_hilbert_numerator`` wherever the terms carry an exact
     resolution of the quotient of ``fc``."""
-    _require_simplicial_ambient(fc)
-    d = fc.ambient_dim
-    total = [0] * (d + 1)
-    for i, term in enumerate(terms):
-        sign = -1 if i % 2 else 1
-        for g in term.faces:
-            pw = _one_minus_t_pow(d - fc.face(g).dim)
-            for j, x in enumerate(pw):
-                total[j] += sign * x
-    return total
+    return _face_ring_series(fc, (((-1) ** i, 0, fc.faces[g].dim) for i, term in enumerate(terms) for g in term.faces))

@@ -85,10 +85,6 @@ class ZeemanComplex:
     def __post_init__(self):
         self._signs = {s: self.field.reduce(s) for s in (1, -1)}
 
-    @property
-    def pmax(self) -> int:
-        return self.fc.dim
-
     def pairs(self, n: int) -> tuple:
         """The (f, g) pairs of total degree n in (dim G, G, F) order, made on demand."""
         return tuple((f, g) for g in self._faces(n) for f in self.runs[g][n])
@@ -96,11 +92,12 @@ class ZeemanComplex:
     @property
     def blocks(self) -> dict:
         """(p, q) -> the (f, g) pairs of the block in (G, F) order, made on demand."""
-        runs = self.runs
-        return {(p, q): tuple((f, g) for g in gs for f in runs[g][p + q]) for (p, q), (_, _, gs) in self._layout.items()}
+        return {k: self.block(*k) for k in self._layout}
 
     def block(self, p: int, q: int) -> tuple:
-        return self.blocks.get((p, q), ())
+        """The (f, g) pairs of the block (p, q) in (G, F) order, made on demand."""
+        _, _, gs = self._layout.get((p, q), (0, 0, ()))
+        return tuple((f, g) for g in gs for f in self.runs[g][p + q])
 
     def _faces(self, n: int) -> list:
         """The faces g with a run in total degree n, in (dim g, g) order."""
@@ -443,23 +440,20 @@ def _rank_only_dims(z: ZeemanComplex, vertical: bool) -> dict:
     The maps along one line of blocks compose to zero, and the columns
     of a map come in the block order of its source, which is the row order
     of the map into that block, so the maps along each maximal line are
-    reduced in turn with clearing: the run writer streams each into
-    ``reduce_columns`` and leaves unwritten the columns at the pivot rows of
-    the map before.
+    reduced in turn with clearing, in one pass over the blocks in line order:
+    the run writer streams each into ``reduce_columns`` and leaves unwritten
+    the columns at the pivot rows of the map before (none at a line start).
     """
     step = (0, 1) if vertical else (1, 0)
     layout = z._layout
     ranks: dict = {}
-    for start in sorted(layout):
-        if (start[0] - step[0], start[1] - step[1]) in layout:
-            continue  # not the start of a line
-        line = [start]
-        while (nxt := (line[-1][0] + step[0], line[-1][1] + step[1])) in layout:
-            line.append(nxt)
-        cleared: dict = {}  # the pivot rows of the map into the block
-        for k in line[:-1]:
-            _, cleared = reduce_columns(z._block_columns(*k, vertical, cleared)[1], z.field)
-            ranks[k] = len(cleared)
+    cleared: dict = {}  # the pivot rows of the map into the block
+    for p, q in sorted(layout, key=None if vertical else lambda k: k[::-1]):  # line by line, in line order
+        if (p - step[0], q - step[1]) not in layout:
+            cleared = {}  # the start of a line
+        if (p + step[0], q + step[1]) in layout:
+            _, cleared = reduce_columns(z._block_columns(p, q, vertical, cleared)[1], z.field)
+            ranks[(p, q)] = len(cleared)
     dims: dict = {}
     for (p, q), (_, size, _) in layout.items():
         d = size - ranks.get((p, q), 0) - ranks.get((p - step[0], q - step[1]), 0)

@@ -317,10 +317,45 @@ MUTANTS = (
     Mutant(
         "irres-exits-0-on-a-refusal",
         "cli.py",
-        '"dimension": dim}\n        return 1',
-        '"dimension": dim}\n        return 0',
+        "_witness(fc, exc.witness, out, doc)\n        return 1",
+        "_witness(fc, exc.witness, out, doc)\n        return 0",
         "irres exits 1 when it refuses a complex that is not Cohen-Macaulay",
         ("test_golden_cli.py",),
+    ),
+    Mutant(
+        "zeeman-exits-1-off-concentration",
+        "cli.py",
+        "{'yes' if conc.ok else 'no'}\"\n        )\n    return 0",
+        "{'yes' if conc.ok else 'no'}\"\n        )\n        return 0 if conc.ok else 1\n    return 0",
+        "zeeman reports a page and always exits 0: page-1 concentration is a line of its report, not its verdict",
+        ("test_formats_cli.py", "test_golden_cli.py"),
+    ),
+    Mutant(
+        "betti-cross-check-always-agrees",
+        "cli.py",
+        "agrees = betti_from_dual(dualize(res)).same_entries(bt)",
+        "agrees = True",
+        "betti compares the Hochster table with the one read off the dualized minimal resolution "
+        "and says DISAGREES (escalate) when they differ",
+        ("test_formats_cli.py",),
+    ),
+    Mutant(
+        "composes-to-zero-skips-a-pair",
+        "linalg.py",
+        "zip(maps, maps[1:])",
+        "zip(maps[1:], maps[2:])",
+        "the composition check tests every consecutive pair of maps, the first pair too, "
+        "for face-module complexes and for dual free complexes, whose maps it reads in reverse",
+        ("test_resolutions.py", "test_eagon_reiner.py"),
+    ),
+    Mutant(
+        "induced-map-takes-another-covers-block",
+        "cohomology.py",
+        "_restriction_blocks(fc, store, g2, p)[g].columns",
+        "next(iter(_restriction_blocks(fc, store, g2, p).values())).columns",
+        "the block of the induced map from g into a facet g2 is the restriction from g itself, "
+        "not the one from another face covering g2",
+        ("test_page1_engine.py", "test_resolutions.py"),
     ),
     Mutant(
         "reduce-chain-keeps-first-pivot-column",

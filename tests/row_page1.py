@@ -23,11 +23,11 @@ def row_page1_data(z: ZeemanComplex) -> _Page1Data:
     field = z.field
     reps: dict = {}
     for q in sorted({q for (_, q) in z.blocks}, reverse=True):
-        labels = tuple(z.block(p, q) for p in range(z.pmax + 1))
-        diffs = tuple(z.horiz(p, q) for p in range(z.pmax))
-        row = VSComplex(0, z.pmax, labels, diffs, field)
+        labels = tuple(z.block(p, q) for p in range(z.fc.dim + 1))
+        diffs = tuple(z.horiz(p, q) for p in range(z.fc.dim))
+        row = VSComplex(0, z.fc.dim, labels, diffs, field)
         summary = cohomology_summary(row)
-        for p in range(z.pmax + 1):
+        for p in range(z.fc.dim + 1):
             r = summary.reps(p)
             if r:
                 reps[(p, q)] = r

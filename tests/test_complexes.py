@@ -221,7 +221,7 @@ def test_upper_set_table_matches_an_independent_computation():
             assert fc.above(f.id) == above
             assert upper_set(fc, f.id).by_degree == want
             assert z.runs[f.id] == want
-            assert cohomology._local(fc, f.id, GF(2)).bases == want
+            assert cohomology._near_in(fc, cohomology._store(fc, GF(2)), f.id).bases == want
     assert kinds == {"s", "v", "p"}  # simplicial, cone and polyhedral inputs
 
 

@@ -19,7 +19,7 @@ import random
 import pytest
 
 from zeemac import GF, QQ, SimplicialComplex, cone_of_simplicial
-from zeemac.cohomology import _NO_COBOUNDARIES, _cone_matched, _local, cochain_complex, cohomology_summary
+from zeemac.cohomology import _NO_COBOUNDARIES, _cone_matched, _near_in, _store, cochain_complex, cohomology_summary
 from zeemac.complexes import Cover, Face, FaceComplex, lower_interval_problem, validate
 from zeemac.formats import parse_input_text
 
@@ -57,7 +57,7 @@ def check_store(fc, field) -> int:
     accepted = set(matched(fc))
     for f in fc.faces:
         oracle = cohomology_summary(cochain_complex(fc, f.id, field))
-        near = _local(fc, f.id, field)
+        near = _near_in(fc, _store(fc, field), f.id)
         assert repr(near.summary) == repr(oracle), f.label
         if f.id in accepted:
             assert oracle.total() == 0 and near.coboundaries is _NO_COBOUNDARIES, f.label

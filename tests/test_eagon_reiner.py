@@ -18,7 +18,8 @@ from zeemac import (
 from zeemac.complexes import VOID_COMPLEX
 from zeemac.eagon_reiner import BettiTable, UnsupportedAmbientError, reduced_cohomology_dims
 from zeemac.formats import MAX_VERTICES, parse_input_text
-from zeemac.resolutions import _one_minus_t_pow, _poly_mul, total_resolution
+from zeemac.linalg import Mat
+from zeemac.resolutions import FaceModuleComplex, total_resolution
 
 from .brute_hochster import brute_betti_hochster, brute_reduced_cohomology_dims
 from .helpers import bowtie, hollow_triangle, link_family, random_simplicial, rp2
@@ -41,6 +42,17 @@ def test_dualize_hollow_triangle():
     assert dc.check_support()
     assert dc.check_composition()
     assert betti_from_dual(dc).same_entries(koszul_table(3))
+
+
+def test_dual_check_composition_sees_a_pair_of_maps_that_does_not_compose():
+    # the dual maps run from position i + 1 into i: the second map of the
+    # hollow triangle's resolution swapped for the row [1 0 0] dualizes to
+    # a column that the first dual map does not kill
+    res = minimal_linear_resolution(cone_of_simplicial(hollow_triangle()), QQ)
+    broken = FaceModuleComplex(res.fc, QQ, res.terms, [res.maps[0], Mat.from_rows([[1, 0, 0]], QQ)], res.augmentation)
+    dc = dualize(broken)
+    assert dc.maps[0].rows == 3 and dc.maps[1].cols == 1
+    assert not dc.check_composition()
 
 
 def test_dual_generator_degrees_increase_by_one_when_linear():
@@ -221,7 +233,9 @@ def test_betti_euler_matches_series_numerator():
         rhs = [0] * (d + 1)
         rhs[0] = 1
         for f in dual.faces():
-            term = _poly_mul([0] * len(f) + [1], _one_minus_t_pow(d - len(f)))
+            term = [0] * len(f) + [1]  # t^|F|, times (1-t) d - |F| times
+            for _ in range(d - len(f)):
+                term = [a - b for a, b in zip(term + [0], [0] + term)]
             for j, x in enumerate(term):
                 rhs[j] -= x
         assert lhs == rhs, (sc.facets, lhs, rhs)

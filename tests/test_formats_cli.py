@@ -124,6 +124,9 @@ def test_bundle_from_doc_names_the_bad_item():
     # the JSON reader goes through the same constructors as the text parser
     cases = [
         ({"type": "simplicial", "vertices": 3, "facets": [[1, 2], [1, 4]]}, "facets[1]: "),
+        ({"type": "simplicial", "vertices": 3, "facets": [[1, 2], [1]]}, "facets[0], facets[1]: facets must be incomparable"),
+        ({"type": "simplicial", "vertices": 3, "facets": [[2, 3], [1], [1, 3]]}, "facets[1], facets[2]: facets must be incomparable"),
+        ({"type": "simplicial", "vertices": 3, "facets": [[2, 3], [1, 2], [2, 1]]}, "facets[1], facets[2]: duplicate facet [1, 2]"),
         ({"type": "simplicial", "vertices": 17, "facets": [[1, 2]]}, "vertices: "),
         ({"type": "semigroup", "ambient": 2, "functionals": [[1, 0], [0, 2]], "delta": None}, "functionals[1]: "),
         ({"type": "semigroup", "ambient": 2, "functionals": [[1, 0], [0, 1]], "delta": [[1], [3]]}, "delta[1]: "),
@@ -223,6 +226,10 @@ MALFORMED = {  # each must exit 2 with a diagnostic naming the line, never a tra
     "ambient_repeated_semigroup": (b"semigroup\nambient 2\nfunctional 1 0\nambient 2\nfunctional 0 1\n", "line 4"),
     "facet_out_of_range": (b"simplicial\nvertices 3\nfacet 1 2\nfacet 1 4\n", "line 4"),
     "facet_repeats_a_vertex": (b"simplicial\nvertices 3\nfacet 1 1 2\n", "line 3"),
+    "facet_inside_an_earlier_one": (b"simplicial\nvertices 3\nfacet 1 2\nfacet 1\n", "line 3, line 4"),
+    "facet_containing_an_earlier_one": (b"simplicial\nvertices 3\nfacet 1\nfacet 2 3\nfacet 1 2\n", "line 3, line 5"),
+    "facet_repeated_in_another_order": (b"simplicial\nvertices 3\nfacet 1 2\nfacet 2 3\nfacet 2 1\n", "line 3, line 5"),
+    "empty_facet_repeated": (b"simplicial\nvertices 3\nfacet\nfacet\n", "line 3, line 4"),
     "functional_zero": (b"semigroup\nambient 2\nfunctional 1 0\nfunctional 0 0\n", "line 4"),
     "functional_not_primitive": (b"semigroup\nambient 2\nfunctional 2 0\nfunctional 0 1\n", "line 3"),
     "functional_wrong_length": (b"semigroup\nambient 2\nfunctional 1 0\nfunctional 0 1 1\n", "line 4"),
@@ -447,6 +454,34 @@ def test_cli_dual_and_betti(tmp_path, capsys):
     assert run(["betti", bow]) == 1
     out = capsys.readouterr().out
     assert "linear resolution: no" in out
+
+
+def test_cli_betti_reports_tables_that_disagree(tmp_path, capsys, monkeypatch):
+    # the dualized side loses an entry: the cross-check line must compare the two tables
+    ht = write(tmp_path, "ht.txt", HOLLOW)
+    real = cli.betti_from_dual
+
+    def short(dc):
+        bt = real(dc)
+        return type(bt)(dict(list(bt.normalized().items())[1:]))
+
+    monkeypatch.setattr(cli, "betti_from_dual", short)
+    assert run(["betti", ht]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "cross-check against the dualized minimal resolution: DISAGREES (escalate)" in lines
+    assert run(["betti", ht, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["cross-check"] is False
+
+
+@pytest.mark.parametrize("degree", ["1,,1,0", "1,1,0,", ",1,1", "1, ,0", ""])
+@pytest.mark.parametrize("command", ["zeeman", "hilbert"])
+def test_cli_degree_with_an_empty_field_is_an_input_error(tmp_path, capsys, command, degree):
+    # an empty field is no integer: it is not dropped, so "1,,1,0" is not read as (1, 1, 0)
+    ht = write(tmp_path, "ht.txt", HOLLOW)
+    assert run([command, ht, "--degree", degree]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad --degree {degree!r}: field ") and "is empty" in captured.err
 
 
 def test_cli_hilbert(tmp_path, capsys):

@@ -73,7 +73,7 @@ def test_total_resolution_hollow_triangle():
     assert res.term_sizes() == (7, 9, 3)
     assert res.check_composition() and res.check_block_support()
     report = verify_exactness(res)
-    assert report.exact
+    assert report.exact and report
     assert report.checked_degrees == 8  # one per ambient face: all squarefree degrees
 
 
@@ -99,7 +99,7 @@ def test_dropping_a_summand_breaks_exactness():
         fc, QQ, [res.terms[0], t1, res.terms[2]], [m0, m1], augmentation=res.augmentation
     )
     report = verify_exactness(broken)
-    assert not report.exact
+    assert not report.exact and not report
     assert report.failing_degree is not None
 
 
@@ -172,9 +172,19 @@ def test_minimal_resolution_hollow_triangle():
     assert res.check_composition() and res.check_block_support()
     assert verify_exactness(res).exact
     assert is_linear(res)
-    assert minimality_scan(res).pairs == ()
+    assert minimality_scan(res).pairs == () and not minimality_scan(res)
     assert minimality_scan(res).certificate_complete
     assert res.augmentation == tuple([1] * 3)
+
+
+def test_check_composition_sees_the_first_pair_of_maps():
+    # the hollow triangle's resolution has two maps; the second one swapped
+    # for the row [1 0 0] no longer kills the image of the first, while the
+    # first still kills the augmentation
+    res = minimal_linear_resolution(cone_of_simplicial(hollow_triangle()), QQ)
+    broken = FaceModuleComplex(res.fc, QQ, res.terms, [res.maps[0], Mat.from_rows([[1, 0, 0]], QQ)], res.augmentation)
+    assert res.check_composition() and not any(res.maps[0].mul_vec(res.augmentation))
+    assert not broken.check_composition()
 
 
 def test_minimal_resolution_full_simplex():
@@ -276,7 +286,7 @@ def test_minimality_scan_detects_constructed_split():
         [Mat.identity(1, QQ)],
     )
     scan = minimality_scan(split)
-    assert scan.pairs == ((0, 0, 0),)
+    assert scan.pairs == ((0, 0, 0),) and scan
 
 
 def test_minimality_scan_total_resolution_nonempty():

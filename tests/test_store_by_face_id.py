@@ -16,7 +16,7 @@ leaves.
 import pytest
 
 from zeemac import GF, QQ, SimplicialComplex, cone_of_simplicial
-from zeemac.cohomology import _local, cochain_complex, cohomology_summary
+from zeemac.cohomology import _near_in, _store, cochain_complex, cohomology_summary
 from zeemac.linalg import cochain_classes
 
 from .helpers import random_sweep
@@ -50,7 +50,7 @@ def check(fc, field) -> tuple[int, int]:
     pivot faces are not all at their own ids' positions)``."""
     kept_degrees = moved = 0
     for f in fc.faces:
-        near = _local(fc, f.id, field)
+        near = _near_in(fc, _store(fc, field), f.id)
         summary, kept = by_position(fc, f.id, field)
         assert near.summary == summary and repr(near.summary) == repr(summary), f.label
         assert near.bases == cochain_complex(fc, f.id, field).labels

@@ -286,22 +286,28 @@ class SimplicialComplex:
     def __post_init__(self):
         if not self.facets:
             raise DegenerateComplexError("no facets: the void complex is not accepted here")
-        seen = set()
-        for f in self.facets:
+        by_size: dict = {}  # facet size -> {facet: its position}
+        for i, f in enumerate(self.facets):
             if not isinstance(f, frozenset):
                 raise TypeError("facets must be frozensets")
             if any(not (1 <= v <= self.d) for v in f):
                 raise ValueError(f"facet {sorted(f)} leaves the vertex range 1..{self.d}")
-            if f in seen:
+            if f in by_size.setdefault(len(f), {}):
                 raise FacetPairError(f"duplicate facet {sorted(f)}", (f, f))
-            seen.add(f)
-        for a, b in combinations(self.facets, 2):
-            if a <= b or b <= a:
-                raise FacetPairError(f"facets must be incomparable: {sorted(a)} vs {sorted(b)}", (a, b))
+            by_size[len(f)][f] = i
+        # a facet can lie only in a larger one, so each size is tried against the larger sizes alone;
+        # the pair named is the first in facet order
+        sizes = sorted(by_size)
+        pairs = [sorted((i, j)) for k, s in enumerate(sizes) for t in sizes[k + 1 :]
+                 for f, i in by_size[s].items() for g, j in by_size[t].items() if f < g]
+        if pairs:
+            a, b = (self.facets[i] for i in min(pairs))
+            raise FacetPairError(f"facets must be incomparable: {sorted(a)} vs {sorted(b)}", (a, b))
 
     @classmethod
     def from_facets(cls, d: int, facets) -> "SimplicialComplex":
-        fs = sorted({frozenset(f) for f in facets}, key=lambda s: (len(s), sorted(s)))
+        """The facets sorted by size, then vertices; a repeat is kept for the constructor to refuse."""
+        fs = sorted((frozenset(f) for f in facets), key=lambda s: (len(s), sorted(s)))
         return cls(d, tuple(fs))
 
     def faces(self) -> set[frozenset]:

@@ -22,20 +22,20 @@ the whole face lattice.  A bare ``facet`` line is the empty facet: alone
 it gives the complex {empty face}, whose quotient k[Q]/m = k is
 Cohen-Macaulay of dimension 0.  A malformed line (a word after the input
 kind, a missing or non-integer value, a ``vertices`` count outside
-``1..MAX_VERTICES`` (16), a semigroup ``ambient`` dimension below 1, a
-``functional`` line past ``MAX_FUNCTIONALS`` (13), a second ``vertices``
-or ``ambient`` line, a
-facet that repeats a vertex or leaves ``1..vertices``, a ``cover`` with
-other than three integers, a ``face`` with more than an id, a dimension
-and one label, a cover that names an unknown face, a ``delta`` index
-outside ``1..#functionals``, bytes that are not UTF-8) raises
-``InputFormatError`` naming the line, and a facet contained in or equal
-to another raises it naming both lines (``facets[k]`` in a JSON document);
-a polyhedral input with no face and a semigroup input with no functional
-raise it without a line to name.  A cone that is not pointed or not
-full-dimensional raises it naming the ``functional`` lines at fault (all
-of them when their rank falls short, else those that vanish on the whole
-cone) and the rank found.
+``1..MAX_VERTICES`` (16), an ``ambient`` dimension below 1 (polyhedral or
+semigroup), a ``functional`` line past ``MAX_FUNCTIONALS`` (13), a second
+``vertices`` or ``ambient`` line, a facet that repeats a vertex or leaves
+``1..vertices``, a ``cover`` with other than three integers, a ``face``
+with more than an id, a dimension and one label, a cover that names an
+unknown face, a ``delta`` index outside ``1..#functionals``, bytes that
+are not UTF-8) raises ``InputFormatError`` naming the line, and a facet
+contained in or equal to another raises it naming both lines
+(``facets[k]`` in a JSON document, whose header and items obey the same
+rules, a boolean being no integer); a polyhedral input with no face and
+a semigroup input with no functional raise it without a line to name.  A
+cone that is not pointed or not full-dimensional raises it naming the
+``functional`` lines at fault (all of them when their rank falls short,
+else those that vanish on the whole cone) and the rank found.
 
 Resolutions serialize to JSON documents that embed the input complex, the
 terms (face keys per copy), the scalar block matrices, the augmentation
@@ -91,16 +91,27 @@ def parse_input_text(text: str) -> InputBundle:
     if not rows:
         raise InputFormatError("empty input file")
     lineno, head = rows[0]
-    parse = {"simplicial": _parse_simplicial, "polyhedral": _parse_polyhedral, "semigroup": _parse_semigroup}.get(
-        head[0].lower()
-    )
-    if parse is None:
-        raise InputFormatError(
-            f"line {lineno}: unknown input kind {head[0]!r}; expected simplicial, polyhedral or semigroup"
-        )
+    kind = head[0].lower()
+    if kind not in _KINDS:
+        raise InputFormatError(f"line {lineno}: unknown input kind {head[0]!r}; expected simplicial, polyhedral or semigroup")
     if len(head) > 1:
         raise InputFormatError(f"line {lineno}: unexpected {' '.join(head[1:])!r} after the input kind {head[0]!r}")
-    return parse(rows[1:])
+    keyword, rule, build, items = _KINDS[kind]
+    shapes = {line: shape for line, _, shape in items}
+    header, found = None, {line: [] for line in shapes}
+    for lineno, toks in rows[1:]:
+        where = f"line {lineno}"
+        if toks[0] == keyword:
+            if header is not None:
+                raise InputFormatError(f"{where}: a second {keyword!r} line; give it once")
+            header = (where, rule(where, *_values(toks, lineno, (int,))))
+        elif toks[0] in shapes:
+            found[toks[0]].append((where, _values(toks, lineno, shapes[toks[0]])))
+        else:
+            raise InputFormatError(f"{where}: unexpected {toks[0]!r} in a {kind} file")
+    if header is None:
+        raise InputFormatError(f"missing {keyword!r} line")
+    return build(header, *found.values())
 
 
 def load_input(path: str) -> InputBundle:
@@ -114,40 +125,51 @@ def load_input(path: str) -> InputBundle:
     return parse_input_text(text)
 
 
-def _ints(toks, lineno: int, count: int, exact: bool = False) -> list[int]:
-    """The ``count`` integers after the keyword ``toks[0]``; an input error
-    naming the line if there are fewer (or, with ``exact``, more) or one is
-    not an integer."""
+def _values(toks, lineno: int, shape) -> tuple:
+    """The values after the keyword ``toks[0]``: any number of integers for
+    no ``shape``; else one integer per ``int`` of ``shape`` and, where it
+    ends in ``str``, an optional label (``f`` followed by the first value
+    when none is given).  An input error names the line if a value is
+    missing, not an integer or one too many."""
     given = len(toks) - 1
-    if given < count or (exact and given > count):
-        raise InputFormatError(f"line {lineno}: expected {count} integer(s) after {toks[0]!r}, got {given}")
-    out = []
-    for t in toks[1 : count + 1]:
+    n = given if shape is None else shape.count(int)
+    labelled = shape is not None and str in shape
+    if given < n or (given > n and not labelled):
+        raise InputFormatError(f"line {lineno}: expected {n} integer(s) after {toks[0]!r}, got {given}")
+    values = []
+    for t in toks[1 : n + 1]:
         try:
-            out.append(int(t))
+            values.append(int(t))
         except ValueError:
             raise InputFormatError(f"line {lineno}: expected an integer after {toks[0]!r}, got {t!r}") from None
-    return out
+    if labelled:
+        if given > n + 1:
+            raise InputFormatError(f"line {lineno}: unexpected {' '.join(toks[n + 2:])!r} after the {toks[0]} label {toks[n + 1]!r}")
+        values.append(toks[n + 1] if given > n else f"f{values[0]}")
+    return tuple(values)
 
 
-def _vertex_count(where: str, d: int) -> int:
+def _vertex_count(where: str, d) -> int:
+    """The header rule of ``vertices``: an integer (a JSON boolean is none) in 1..MAX_VERTICES."""
+    if type(d) is not int:
+        raise InputFormatError(f"{where}: expected int, got {type(d).__name__}")
     if not 1 <= d <= MAX_VERTICES:
         raise InputFormatError(f"{where}: 'vertices' must lie in 1..{MAX_VERTICES}, got {d}")
     return d
 
 
 def _ambient_dim(where: str, d) -> int:
-    if not isinstance(d, int) or d < 1:
+    """The header rule of ``ambient``: an integer (a JSON boolean is none) of at least 1."""
+    if type(d) is not int or d < 1:
         raise InputFormatError(f"{where}: 'ambient' must be an integer >= 1, got {d!r}")
     return d
 
 
 def simplicial_bundle(vertices, facets) -> InputBundle:
-    """The simplicial input: ``vertices`` and ``facets`` are ``(where,
-    value)`` pairs, ``where`` naming the item (``line N`` or a JSON path)
-    in every input error.  The vertex count is checked before any face is
-    built."""
-    d = _vertex_count(*vertices)
+    """The simplicial input from the ``(where, vertex count)`` pair
+    ``vertices`` and ``(where, facet)`` pairs, ``where`` naming the item
+    (``line N`` or a JSON path) in every input error."""
+    d = vertices[1]
     first: dict = {}  # facet -> the item it first appears in
     for where, facet in facets:
         if len(set(facet)) != len(facet):
@@ -166,26 +188,24 @@ def simplicial_bundle(vertices, facets) -> InputBundle:
     return InputBundle("simplicial", fc, sc=sc)
 
 
-def polyhedral_bundle(ambient: int, faces, covers) -> InputBundle:
-    """The polyhedral input from ``(where, id, dim, label)`` faces and
-    ``(where, lower, upper, sign)`` covers."""
+def polyhedral_bundle(ambient, faces, covers) -> InputBundle:
+    """The polyhedral input from the ``(where, dimension)`` pair
+    ``ambient``, ``(where, (id, dim, label))`` faces and ``(where, (lower,
+    upper, sign))`` covers."""
     if not faces:
         raise InputFormatError("no faces: a polyhedral complex needs at least its minimal face")
-    faces = sorted(faces, key=lambda f: f[1:])
-    for k, (where, fid, _, _) in enumerate(faces):
+    faces = sorted(faces, key=lambda f: f[1])
+    for k, (where, (fid, _, _)) in enumerate(faces):
         if fid != k:
             raise InputFormatError(f"{where}: face id {fid} breaks the numbering; face ids must be exactly 0..{len(faces) - 1}")
-    for where, lo, hi, sign in covers:
+    for where, (lo, hi, sign) in covers:
         if not (0 <= lo < len(faces) and 0 <= hi < len(faces)):
             raise InputFormatError(f"{where}: cover {lo} {hi} names a face that is not among the ids 0..{len(faces) - 1}")
         if sign not in (1, -1):
             raise InputFormatError(f"{where}: cover sign must be +1 or -1, got {sign}")
     try:
-        fc = FaceComplex(
-            [Face(fid, dim, label, key=("p", fid)) for _, fid, dim, label in faces],
-            [Cover(lo, hi, sign) for _, lo, hi, sign in covers],
-            ambient,
-        )
+        built = [Face(fid, dim, label, key=("p", fid)) for _, (fid, dim, label) in faces]
+        fc = FaceComplex(built, [Cover(*cover) for _, cover in covers], ambient[1])
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
     return InputBundle("polyhedral", fc)
@@ -194,9 +214,9 @@ def polyhedral_bundle(ambient: int, faces, covers) -> InputBundle:
 def semigroup_bundle(ambient, functionals, selectors) -> InputBundle:
     """The semigroup input from the ``(where, dimension)`` pair
     ``ambient`` and ``(where, functional)`` and ``(where, delta indices)``
-    pairs; with no selectors, the whole face lattice.  The dimension and
-    the functional count are checked before any face is enumerated."""
-    ambient = _ambient_dim(*ambient)
+    pairs; with no selectors, the whole face lattice.  The functional
+    count is checked before any face is enumerated."""
+    ambient = ambient[1]
     if not functionals:
         raise InputFormatError(f"no functionals: a semigroup input takes 1..{MAX_FUNCTIONALS}")
     if len(functionals) > MAX_FUNCTIONALS:
@@ -225,69 +245,18 @@ def semigroup_bundle(ambient, functionals, selectors) -> InputBundle:
     return InputBundle("semigroup", subcomplex(full, ids), delta_selectors=chosen)
 
 
-def _first_header(seen, lineno: int, keyword: str) -> None:
-    """A header line (``vertices``, ``ambient``) may appear only once."""
-    if seen is not None:
-        raise InputFormatError(f"line {lineno}: a second {keyword!r} line; give it once")
-
-
-def _parse_simplicial(body) -> InputBundle:
-    vertices = None
-    facets = []
-    for lineno, toks in body:
-        if toks[0] == "vertices":
-            _first_header(vertices, lineno, "vertices")
-            vertices = (f"line {lineno}", *_ints(toks, lineno, 1, exact=True))
-            _vertex_count(*vertices)
-        elif toks[0] == "facet":
-            facets.append((f"line {lineno}", tuple(_ints(toks, lineno, len(toks) - 1))))
-        else:
-            raise InputFormatError(f"line {lineno}: unexpected {toks[0]!r} in a simplicial file")
-    if vertices is None:
-        raise InputFormatError("missing 'vertices' line")
-    return simplicial_bundle(vertices, facets)
-
-
-def _parse_polyhedral(body) -> InputBundle:
-    ambient = None
-    faces = []
-    covers = []
-    for lineno, toks in body:
-        if toks[0] == "ambient":
-            _first_header(ambient, lineno, "ambient")
-            (ambient,) = _ints(toks, lineno, 1, exact=True)
-        elif toks[0] == "face":
-            fid, dim = _ints(toks, lineno, 2)
-            if len(toks) > 4:
-                raise InputFormatError(f"line {lineno}: unexpected {' '.join(toks[4:])!r} after the face label {toks[3]!r}")
-            faces.append((f"line {lineno}", fid, dim, toks[3] if len(toks) > 3 else f"f{fid}"))
-        elif toks[0] == "cover":
-            covers.append((f"line {lineno}", *_ints(toks, lineno, 3, exact=True)))
-        else:
-            raise InputFormatError(f"line {lineno}: unexpected {toks[0]!r} in a polyhedral file")
-    if ambient is None:
-        raise InputFormatError("missing 'ambient' line")
-    return polyhedral_bundle(ambient, faces, covers)
-
-
-def _parse_semigroup(body) -> InputBundle:
-    ambient = None
-    functionals = []
-    selectors = []
-    for lineno, toks in body:
-        if toks[0] == "ambient":
-            _first_header(ambient, lineno, "ambient")
-            ambient = (f"line {lineno}", *_ints(toks, lineno, 1, exact=True))
-            _ambient_dim(*ambient)
-        elif toks[0] == "functional":
-            functionals.append((f"line {lineno}", tuple(_ints(toks, lineno, len(toks) - 1))))
-        elif toks[0] == "delta":
-            selectors.append((f"line {lineno}", tuple(_ints(toks, lineno, len(toks) - 1))))
-        else:
-            raise InputFormatError(f"line {lineno}: unexpected {toks[0]!r} in a semigroup file")
-    if ambient is None:
-        raise InputFormatError("missing 'ambient' line")
-    return semigroup_bundle(ambient, functionals, selectors)
+# Each input kind: its header keyword, the rule that checks the header's
+# value as soon as it is read, the builder, and for each item its line
+# keyword, its JSON key and its shape (``None`` for any number of integers,
+# else one type per value).  The line parser and the JSON reader both read
+# this table and hand the builder the checked ``(where, value)`` header and
+# lists of ``(where, tuple)`` items, ``where`` naming the line or JSON path.
+_KINDS = {
+    "simplicial": ("vertices", _vertex_count, simplicial_bundle, (("facet", "facets", None),)),
+    "polyhedral": ("ambient", _ambient_dim, polyhedral_bundle,
+                   (("face", "faces", (int, int, str)), ("cover", "covers", (int, int, int)))),
+    "semigroup": ("ambient", _ambient_dim, semigroup_bundle, (("functional", "functionals", None), ("delta", "delta", None))),
+}
 
 
 # -- JSON documents ---------------------------------------------------------
@@ -357,16 +326,11 @@ def bundle_from_doc(doc: dict) -> InputBundle:
 def _bundle_at(doc, pre: str) -> InputBundle:
     """``bundle_from_doc`` of the document whose members have the JSON paths ``pre + key``."""
     t = _member(doc, "type", pre)
-    if t == "simplicial":
-        return simplicial_bundle((pre + "vertices", _member(doc, "vertices", pre, int)), _items(doc, "facets", pre))
-    if t == "semigroup":
-        ambient = (pre + "ambient", _member(doc, "ambient", pre))
-        return semigroup_bundle(ambient, _items(doc, "functionals", pre), _items(doc, "delta", pre))
-    if t == "polyhedral":
-        faces = [(where, *f) for where, f in _items(doc, "faces", pre, (int, int, str))]
-        covers = [(where, *c) for where, c in _items(doc, "covers", pre, (int, int, int))]
-        return polyhedral_bundle(_member(doc, "ambient", pre), faces, covers)
-    raise InputFormatError(f"{pre}type: unknown complex type {t!r}")
+    if not isinstance(t, str) or t not in _KINDS:
+        raise InputFormatError(f"{pre}type: unknown complex type {t!r}")
+    keyword, rule, build, items = _KINDS[t]
+    header = (pre + keyword, rule(pre + keyword, _member(doc, keyword, pre)))
+    return build(header, *(_items(doc, key, pre, shape) for _, key, shape in items))
 
 
 def _typed(value, where: str, kind: type):

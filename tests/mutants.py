@@ -91,6 +91,15 @@ MUTANTS = (
         ("test_resolutions.py",),
     ),
     Mutant(
+        "block-support-reads-a-negative-level",
+        "resolutions.py",
+        "row[k] if 0 <= k < len(row) else ()",
+        "row[k] if k < len(row) else ()",
+        "a codomain face of higher dimension than the domain face is no face of it: the check "
+        "answers no and never indexes the upper-set row from its end",
+        ("test_resolutions.py",),
+    ),
+    Mutant(
         "reduce-chain-clears-extra-column",
         "eagon_reiner.py",
         "{} if i in pivots else",
@@ -213,12 +222,29 @@ MUTANTS = (
         ("test_eagon_reiner.py", "test_acceptance.py"),
     ),
     Mutant(
-        "simplicial-parser-raises-bare-key-error",
+        "line-parser-raises-bare-key-error",
         "formats.py",
-        'raise InputFormatError(f"line {lineno}: unexpected {toks[0]!r} in a simplicial file")',
+        'raise InputFormatError(f"{where}: unexpected {toks[0]!r} in a {kind} file")',
         "raise KeyError(toks[0])",
-        "an unexpected keyword in a simplicial file is an input error naming its line",
+        "an unexpected keyword in an input file of any kind is an input error naming its line",
         ("test_cli_fuzz.py",),
+    ),
+    Mutant(
+        "polyhedral-ambient-skips-the-header-rule",
+        "formats.py",
+        '"polyhedral": ("ambient", _ambient_dim, polyhedral_bundle,',
+        '"polyhedral": ("ambient", lambda where, d: d, polyhedral_bundle,',
+        "a polyhedral 'ambient' header obeys the semigroup rule, an integer >= 1, in text and in JSON",
+        ("test_formats_cli.py",),
+    ),
+    Mutant(
+        "doc-reader-misses-the-delta-key",
+        "formats.py",
+        '("delta", "delta", None)',
+        '("delta", "deltas", None)',
+        "the JSON reader reads each item under the key the document writer gives it, so a semigroup "
+        "input with delta lines comes back whole",
+        ("test_formats_cli.py",),
     ),
     Mutant(
         "double-description-drops-the-adjacency-test",

@@ -1,5 +1,6 @@
 import random
 import signal
+import time
 from contextlib import contextmanager
 from itertools import combinations
 
@@ -17,7 +18,7 @@ from zeemac import (
     upper_set,
     validate,
 )
-from zeemac.complexes import Cover, DegenerateComplexError, Face, FaceComplex, subcomplex
+from zeemac.complexes import Cover, DegenerateComplexError, Face, FaceComplex, FacetPairError, subcomplex
 from zeemac.formats import parse_input_text
 
 from . import test_golden_cli as golden
@@ -104,6 +105,38 @@ def test_duplicate_and_comparable_facets_rejected():
         SimplicialComplex(3, (frozenset({1, 2}), frozenset({1, 2})))
     with pytest.raises(ValueError):
         SimplicialComplex.from_facets(3, [{1}, {1, 2}])
+
+
+def test_from_facets_keeps_a_repeated_facet_for_the_constructor_to_refuse():
+    # one answer per facet list: a repeat is refused, not merged
+    for facets in ([{1, 2}, {2, 1}], [{1, 3}, {2}, {3, 1}], [set(), set()]):
+        with pytest.raises(FacetPairError, match=r"^duplicate facet ") as exc:
+            SimplicialComplex.from_facets(3, facets)
+        (f,) = {frozenset(f) for f in facets if len(f) != 1}
+        assert exc.value.facets == (f, f)
+
+
+def test_comparable_facets_name_the_first_pair_in_facet_order():
+    # the scan tries each facet against the larger ones only, yet names the
+    # pair that comes first in the facets' own order, smaller facet or not
+    cases = [
+        ((frozenset({2, 3}), frozenset({1, 2, 3}), frozenset({1})), (frozenset({2, 3}), frozenset({1, 2, 3}))),
+        ((frozenset({1, 2, 4}), frozenset({3}), frozenset({1, 2}), frozenset({4})), (frozenset({1, 2, 4}), frozenset({1, 2}))),
+        ((frozenset({5}), frozenset(), frozenset({1, 5})), (frozenset({5}), frozenset())),
+    ]
+    for facets, pair in cases:
+        with pytest.raises(FacetPairError, match=r"^facets must be incomparable: ") as exc:
+            SimplicialComplex(5, facets)
+        assert exc.value.facets == pair
+
+
+def test_from_facets_on_all_half_subsets_of_16_vertices_is_fast():
+    # 12,870 facets of one size: no pair can be comparable, and none is compared
+    facets = [frozenset(c) for c in combinations(range(1, 17), 8)]
+    t0 = time.perf_counter()
+    sc = SimplicialComplex.from_facets(16, facets)
+    assert time.perf_counter() - t0 < 2.0
+    assert len(sc.facets) == 12870
 
 
 def test_validate_passes_on_random_cones():

@@ -111,13 +111,27 @@ def test_parse_errors_carry_line_numbers():
         parse_input_text("")
 
 
+def _bundle_parts(b) -> tuple:
+    """Everything a bundle holds: its kind, complex, faces (labels and keys
+    included), covers, cone faces, cone and delta selectors."""
+    fc, q = b.fc, b.fc.semigroup
+    cone = (q.d, q.functionals) if q is not None else None
+    return b.kind, b.sc, fc.ambient_dim, fc.faces, fc.covers, fc.cone_faces, cone, b.delta_selectors
+
+
 def test_bundle_doc_roundtrip():
-    for text in (HOLLOW, SQUARE, POLY_EDGE):
+    # every example input, polyhedral ones with labels and semigroup ones with delta lines among them
+    texts = [text for text, _ in golden.INPUTS.values()]
+    texts += [HOLLOW, BOWTIE, RP2, SQUARE, POLY_EDGE, POLY_BAD_SIGN, POLY_HOLLOW_FLIPPED, "simplicial\nvertices 3\nfacet\n"]
+    kinds = set()
+    for text in texts:
         b = parse_input_text(text)
         doc = complex_to_doc(b)
         b2 = bundle_from_doc(json.loads(json.dumps(doc)))
-        assert len(b2.fc.faces) == len(b.fc.faces)
-        assert [f.dim for f in b2.fc.faces] == [f.dim for f in b.fc.faces]
+        assert _bundle_parts(b2) == _bundle_parts(b), text
+        assert complex_to_doc(b2) == doc
+        kinds.add((b.kind, bool(b.delta_selectors), any(f.label != f"f{f.id}" for f in b.fc.faces)))
+    assert {("simplicial", False, True), ("polyhedral", False, True), ("semigroup", True, True)} <= kinds
 
 
 def test_bundle_from_doc_names_the_bad_item():
@@ -132,6 +146,16 @@ def test_bundle_from_doc_names_the_bad_item():
         ({"type": "semigroup", "ambient": 2, "functionals": [[1, 0], [0, 1]], "delta": [[1], [3]]}, "delta[1]: "),
         ({"type": "polyhedral", "ambient": 1, "faces": [[0, 0, "o"], [2, 1, "r"]], "covers": []}, "faces[1]: "),
         ({"type": "polyhedral", "ambient": 1, "faces": [[0, 0, "o"], [1, 1, "r"]], "covers": [[0, 1, 2]]}, "covers[0]: "),
+        # one rule per header, a JSON boolean being no integer
+        ({"type": "simplicial", "vertices": True, "facets": [[1]]}, "vertices: expected int, got bool"),
+        ({"type": "semigroup", "ambient": True, "functionals": [[1]]}, "ambient: 'ambient' must be an integer >= 1, got True"),
+        ({"type": "polyhedral", "ambient": True, "faces": [[0, 0, "o"]], "covers": []}, "ambient: 'ambient' must be an integer >= 1, got True"),
+        ({"type": "polyhedral", "ambient": "x", "faces": [[0, 0, "o"]], "covers": []}, "ambient: 'ambient' must be an integer >= 1, got 'x'"),
+        ({"type": "polyhedral", "ambient": 0, "faces": [[0, 0, "o"]], "covers": []}, "ambient: 'ambient' must be an integer >= 1, got 0"),
+        # a type that is no known kind, a string or not
+        ({"type": "Simplicial", "vertices": 3, "facets": [[1]]}, "type: unknown complex type 'Simplicial'"),
+        ({"type": ["simplicial"], "vertices": 3, "facets": [[1]]}, "type: unknown complex type ['simplicial']"),
+        ({"type": {"kind": 1}, "vertices": 3, "facets": [[1]]}, "type: unknown complex type {'kind': 1}"),
     ]
     for doc, prefix in cases:
         with pytest.raises(InputFormatError) as exc:
@@ -224,6 +248,9 @@ MALFORMED = {  # each must exit 2 with a diagnostic naming the line, never a tra
     "vertices_repeated": (b"simplicial\nvertices 3\nvertices 4\nfacet 1 2\n", "line 3"),
     "ambient_repeated_polyhedral": (b"polyhedral\nambient 1\nface 0 0 apex\nambient 2\n", "line 4"),
     "ambient_repeated_semigroup": (b"semigroup\nambient 2\nfunctional 1 0\nambient 2\nfunctional 0 1\n", "line 4"),
+    "ambient_zero_polyhedral": (b"polyhedral\nambient 0\nface 0 0 apex\nface 1 1 ray\ncover 0 1 +1\n", "line 2"),
+    "ambient_negative_polyhedral": (b"polyhedral\nambient -3\nface 0 0 apex\nface 1 1 ray\ncover 0 1 +1\n", "line 2"),
+    "ambient_negative_after_the_faces": (b"polyhedral\nface 0 0 apex\n# late\nambient -1\n", "line 4"),
     "facet_out_of_range": (b"simplicial\nvertices 3\nfacet 1 2\nfacet 1 4\n", "line 4"),
     "facet_repeats_a_vertex": (b"simplicial\nvertices 3\nfacet 1 1 2\n", "line 3"),
     "facet_inside_an_earlier_one": (b"simplicial\nvertices 3\nfacet 1 2\nfacet 1\n", "line 3, line 4"),
@@ -241,6 +268,17 @@ MALFORMED = {  # each must exit 2 with a diagnostic naming the line, never a tra
     "kind_then_a_word_after_a_comment": (b"# c\npolyhedral junk\nambient 1\nface 0 0 apex\n", "line 2"),
     "kind_then_two_words": (b"semigroup x y\nambient 1\nfunctional 1\n", "line 1"),
 }
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cli_polyhedral_ambient_obeys_the_semigroup_rule(tmp_path, capsys, value):
+    # checked as the line is read: validate used to print the dimension and hilbert to expect it
+    path = write(tmp_path, "edge.txt", POLY_EDGE.replace("ambient 1", f"ambient {value}"))
+    for command in (["validate"], ["hilbert", "--degree", "1"], ["cm-check", "--format", "json"]):
+        assert run([command[0], path, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 2: 'ambient' must be an integer >= 1, got {value}\n"
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -566,6 +604,7 @@ MALFORMED_DOCS = [
     (_set(["complex"], []), "complex"),
     (_set(["complex", "type"], "cubical"), "complex.type"),
     (_set(["complex", "vertices"], "3"), "complex.vertices"),
+    (_set(["complex", "vertices"], True), "complex.vertices"),
     (_set(["complex", "facets", 0], [1, "2"]), "complex.facets[0]"),
     (_set(["augmentation"], "111"), "augmentation"),
     (_set(["augmentation", 0], "x"), "augmentation"),

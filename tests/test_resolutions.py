@@ -460,6 +460,18 @@ def _misplaced_entries(res, rng):
             yield FaceModuleComplex(res.fc, res.field, res.terms, maps, augmentation=res.augmentation)
 
 
+def test_block_support_refuses_an_entry_into_a_face_of_higher_dimension():
+    # the codomain face, a maximal 2-face, lies two dimensions above the
+    # domain face, the apex: no face of it, though its row of the upper-set
+    # table has one level only
+    fc = cone_of_simplicial(hollow_triangle())
+    apex, top = fc.minimal_face(), fc.faces_of_dim(2)[0]
+    assert fc.upper_levels(top) == ((top,),)
+    res = FaceModuleComplex(fc, QQ, [FaceModule((apex,)), FaceModule((top,))], [Mat.from_rows([[1]], QQ)])
+    assert res.check_block_support() is False
+    assert lower_set_block_support(res) is False
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=lambda f: f.label())
 def test_block_support_matches_the_lower_set_check(field):
     rng = random.Random(7073)

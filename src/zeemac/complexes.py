@@ -286,7 +286,7 @@ class SimplicialComplex:
     def __post_init__(self):
         if not self.facets:
             raise DegenerateComplexError("no facets: the void complex is not accepted here")
-        by_size: dict = {}  # facet size -> {facet: its position}
+        n, by_size = len(self.facets), {}  # by_size: facet size -> {facet: its position}, in facet order
         for i, f in enumerate(self.facets):
             if not isinstance(f, frozenset):
                 raise TypeError("facets must be frozensets")
@@ -295,14 +295,14 @@ class SimplicialComplex:
             if f in by_size.setdefault(len(f), {}):
                 raise FacetPairError(f"duplicate facet {sorted(f)}", (f, f))
             by_size[len(f)][f] = i
-        # a facet can lie only in a larger one, so each size is tried against the larger sizes alone;
-        # the pair named is the first in facet order
-        sizes = sorted(by_size)
-        pairs = [sorted((i, j)) for k, s in enumerate(sizes) for t in sizes[k + 1 :]
-                 for f, i in by_size[s].items() for g, j in by_size[t].items() if f < g]
-        if pairs:
-            a, b = (self.facets[i] for i in min(pairs))
-            raise FacetPairError(f"facets must be incomparable: {sorted(a)} vs {sorted(b)}", (a, b))
+        # facets of one size are incomparable; each facet leaves its group, then meets later facets of other sizes
+        for f in self.facets if len(by_size) > 1 else ():
+            del by_size[len(f)][f]
+            j = min((group.get(next(filter(f.issubset if s > len(f) else f.issuperset, group), None), n)
+                     for s, group in by_size.items() if s != len(f)), default=n)
+            if j < n:
+                g = self.facets[j]
+                raise FacetPairError(f"facets must be incomparable: {sorted(f)} vs {sorted(g)}", (f, g))
 
     @classmethod
     def from_facets(cls, d: int, facets) -> "SimplicialComplex":

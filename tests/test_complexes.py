@@ -139,6 +139,19 @@ def test_from_facets_on_all_half_subsets_of_16_vertices_is_fast():
     assert len(sc.facets) == 12870
 
 
+def test_many_comparable_pairs_are_refused_at_the_first():
+    # every subset of 12 vertices: millions of comparable pairs, yet the scan
+    # stops at the first facet that has one and names its first partner
+    for facets in ([frozenset(c) for k in range(13) for c in combinations(range(1, 13), k)],
+                   [frozenset(c) for k in (8, 4) for c in combinations(range(1, 13), k)]):
+        t0 = time.perf_counter()
+        with pytest.raises(FacetPairError, match=r"^facets must be incomparable: ") as exc:
+            SimplicialComplex(12, tuple(facets))
+        assert time.perf_counter() - t0 < 0.5
+        first = facets[0]
+        assert exc.value.facets == (first, next(g for g in facets if g < first or first < g))
+
+
 def test_validate_passes_on_random_cones():
     rng = random.Random(11)
     for _ in range(30):
